@@ -98,7 +98,7 @@ def class_of(obj, model: VarietyModel) -> NumClass:
         r, e1 = 0, Fraction(0)
         e2 = Fraction(0) if model.dim >= 2 else None
         for degree, desc in obj.sheaf_map().items():
-            sign = (-1) ** degree
+            sign = -1 if degree % 2 else 1
             part = class_of(desc, model)
             r += sign * part.r
             e1 += sign * part.e1

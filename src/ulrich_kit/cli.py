@@ -108,6 +108,14 @@ def _parse_window(text: str) -> tuple[int, int]:
     return (lo, hi)
 
 
+def _window(args, config) -> tuple[int, int] | None:
+    """--window, parsed here rather than by argparse so a malformed one
+    gets the error envelope; the config file's window otherwise."""
+    if args.window is not None:
+        return _parse_window(args.window)
+    return config.get("window")
+
+
 def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
     ranges: dict[str, list[Fraction]] = {}
     for part in text.split(","):
@@ -213,7 +221,7 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
 def _cmd_table(args, config):
     model = parse_variety(args.variety)
     desc = parse_sheaf(args.sheaf, model)
-    window = args.window or config.get("window")
+    window = _window(args, config)
     table = sheaf_table(desc, model, window)
     payload = {
         "variety": format_variety(model),
@@ -242,7 +250,7 @@ def _cmd_check(args, config):
             raise ParseError("check needs --object or --sheaf")
         E = formal_complex(model, {0: parse_sheaf(args.sheaf, model)})
         model_spec = format_variety(model)
-    window = args.window or config.get("window")
+    window = _window(args, config)
     verdict = is_ulrich_object(E, args.mode, window, config.get("probe_depth"))
     payload = verdict.as_dict()
     payload["object"] = args.object or args.sheaf
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--variety", required=True)
     p_table.add_argument("--sheaf", required=True)
-    p_table.add_argument("--window", type=_parse_window)
+    p_table.add_argument("--window")
     p_table.set_defaults(handler=_cmd_table)
 
     p_check = sub.add_parser("check", parents=[common], help="Ulrich verdict for an object")
@@ -407,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--object", help="formal-complex JSON file")
     p_check.add_argument("--sheaf", help="inline descriptor placed in degree 0")
     p_check.add_argument("--mode", choices=("direct", "sheafwise", "both"), default="both")
-    p_check.add_argument("--window", type=_parse_window)
+    p_check.add_argument("--window")
     p_check.set_defaults(handler=_cmd_check)
 
     p_solve = sub.add_parser("chern-solve", parents=[common], help="solve the twisted-vanishing class")

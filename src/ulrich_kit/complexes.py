@@ -163,6 +163,16 @@ def hyper_table(
     tables = {
         degree: sheaf_table(desc, E.model, window) for degree, desc in E.sheaves
     }
+    return _hyper_from_tables(E, window, tables)
+
+
+def _hyper_from_tables(
+    E: FormalComplex,
+    window: tuple[int, int],
+    tables: Mapping[int, CohomologyTable],
+) -> HyperTableResult:
+    """``hyper_table`` from already assembled tables of the cohomology
+    sheaves of E over the window, keyed by degree."""
     lo, hi = window
     entries: dict[tuple[int, int], int] = {}
     complete = all(t.complete for t in tables.values())
@@ -170,15 +180,14 @@ def hyper_table(
         for (i, t), h in table.entries.items():
             key = (i + degree, t)
             entries[key] = entries.get(key, 0) + h
-    glued = E.has_glue()
-    certificates: dict[int, str] = {}
-    for t in range(lo, hi + 1):
-        if not glued:
-            certificates[t] = CERT_EXACT
-        elif any(tt == t and h for (_i, tt), h in entries.items()):
-            certificates[t] = CERT_UPPER_BOUND_ONLY
-        else:
-            certificates[t] = CERT_EXACT_BY_VANISHING
+    if E.has_glue():
+        nonzero = {t for (_i, t), h in entries.items() if h}
+        certificates = {
+            t: CERT_UPPER_BOUND_ONLY if t in nonzero else CERT_EXACT_BY_VANISHING
+            for t in range(lo, hi + 1)
+        }
+    else:
+        certificates = dict.fromkeys(range(lo, hi + 1), CERT_EXACT)
     table = CohomologyTable(window=window, entries=entries, complete=complete)
     from .chern import class_of, euler_supported
     from .errors import Indeterminate

@@ -36,6 +36,7 @@ from .sheaves import (
     tensor_line,
     validate_descriptor,
 )
+from .tables import alternating_sum
 from .ulrich import UlrichVerdict, ext_dimension, is_ulrich_sheaf
 from .variety import (
     KIND_ELLIPTIC,
@@ -73,7 +74,7 @@ class K0Class:
 
 
 def _euler_of_column(column: dict[int, int]) -> Fraction:
-    return Fraction(sum((-1) ** i * h for i, h in column.items()))
+    return Fraction(alternating_sum(column))
 
 
 def _pn_coords(desc: SheafDescriptor, model: VarietyModel) -> tuple[Fraction, ...]:

@@ -7,6 +7,12 @@ from dataclasses import dataclass, field
 from .errors import IncompleteTable
 
 
+def alternating_sum(column: dict[int, int]) -> int:
+    """Sum of (-1)^i h^i over a column, with an integer sign for every
+    degree, negative ones included."""
+    return sum(-h if i % 2 else h for i, h in column.items())
+
+
 @dataclass
 class CohomologyTable:
     """Dimensions h^i(E(t)) for t inside a closed twist window.
@@ -16,22 +22,43 @@ class CohomologyTable:
     complete by construction, abstract passthrough data may not be.
     ``num_class`` optionally carries truncated Chern data so alternating
     sums can be cross-checked against Riemann-Roch.
+
+    ``entries`` maps (i, t) to h and is fixed at construction: the
+    per-twist index that column reads go through is built from it once,
+    so the mapping must not be mutated afterwards.  Derive a new table
+    (``added``, ``scaled``, ``degree_shifted``, ``restricted``) instead.
+    The index holds only the degrees stored at each twist; the values
+    stay in ``entries``.
     """
 
     window: tuple[int, int]
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
     complete: bool = True
     num_class: object | None = None
+    _degrees: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         lo, hi = self.window
         if lo > hi:
             raise IncompleteTable(f"empty window {self.window}")
         self.entries = {key: h for key, h in self.entries.items() if h != 0}
+        by_twist: dict[int, tuple[int, ...]] = {}
+        for i, t in self.entries:
+            by_twist[t] = by_twist.get(t, ()) + (i,)
+        # few distinct degree tuples occur, so columns share them
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._degrees = {t: shared.setdefault(d, d) for t, d in by_twist.items()}
 
     def covers(self, t: int) -> bool:
         lo, hi = self.window
         return lo <= t <= hi
+
+    def _degrees_at(self, t: int) -> tuple[int, ...]:
+        if not self.covers(t):
+            raise IncompleteTable(f"twist {t} outside window {self.window}")
+        return self._degrees.get(t, ())
 
     def h(self, i: int, t: int) -> int:
         if not self.covers(t):
@@ -39,12 +66,10 @@ class CohomologyTable:
         return self.entries.get((i, t), 0)
 
     def column(self, t: int) -> dict[int, int]:
-        if not self.covers(t):
-            raise IncompleteTable(f"twist {t} outside window {self.window}")
-        return {i: h for (i, tt), h in self.entries.items() if tt == t}
+        return {i: self.entries[(i, t)] for i in self._degrees_at(t)}
 
     def euler(self, t: int) -> int:
-        return sum((-1) ** i * h for i, h in self.column(t).items())
+        return alternating_sum(self.column(t))
 
     def degrees(self) -> list[int]:
         return sorted({i for (i, _t) in self.entries})
@@ -53,11 +78,9 @@ class CohomologyTable:
         """Witness (i, t, h) for the first nonzero entry over the given
         twists, or None when everything vanishes there."""
         for t in twists:
-            for i, h in sorted(self.column(t).items()):
-                if degrees is not None and i not in degrees:
-                    continue
-                if h != 0:
-                    return (i, t, h)
+            for i in sorted(self._degrees_at(t)):
+                if degrees is None or i in degrees:
+                    return (i, t, self.entries[(i, t)])
         return None
 
     def all_zero(self, twists, degrees=None) -> bool:
@@ -121,7 +144,4 @@ class CohomologyTable:
     def same_entries(self, other: "CohomologyTable") -> bool:
         lo = max(self.window[0], other.window[0])
         hi = min(self.window[1], other.window[1])
-        for t in range(lo, hi + 1):
-            if self.column(t) != other.column(t):
-                return False
-        return True
+        return all(self.column(t) == other.column(t) for t in range(lo, hi + 1))

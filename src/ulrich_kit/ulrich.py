@@ -20,6 +20,8 @@ from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
     GlueWitness,
+    HyperTableResult,
+    _hyper_from_tables,
     formal_complex,
     hyper_table,
 )
@@ -169,8 +171,20 @@ def is_ulrich_sheaf(
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
-    n = model.dim
     table = sheaf_table(desc, model, window)
+    return _sheaf_verdict(desc, model, window, probe_depth, table)
+
+
+def _sheaf_verdict(
+    desc: SheafDescriptor,
+    model: VarietyModel,
+    window: tuple[int, int],
+    probe_depth: int | None,
+    table: CohomologyTable,
+) -> UlrichVerdict:
+    """``is_ulrich_sheaf`` on the already assembled table of desc over
+    the window."""
+    n = model.dim
     ulrich_twists = tuple(range(-1, -n - 1, -1))
     criteria: list[Criterion] = []
 
@@ -238,15 +252,35 @@ def is_ulrich_object(
     sheafwise: every cohomology sheaf passes the sheaf-level check.
     both: run the two and insist they agree.
     """
+    return _object_verdict(E, mode, window, probe_depth)[0]
+
+
+def _object_verdict(
+    E: FormalComplex,
+    mode: str,
+    window: tuple[int, int] | None,
+    probe_depth: int | None = None,
+) -> tuple[UlrichVerdict, HyperTableResult | None]:
+    """``is_ulrich_object`` together with the hyper table its direct
+    check read (None in sheafwise mode).  Each cohomology sheaf's table
+    is built once and read by both checks."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     if window is None:
         window = default_window(E.model)
     n = E.model.dim
     ulrich_twists = tuple(range(-1, -n - 1, -1))
+    tables: dict[int, CohomologyTable] = {}
 
-    def direct_verdict() -> UlrichVerdict:
-        hyper = hyper_table(E, window)
+    def table_of(degree: int, desc: SheafDescriptor) -> CohomologyTable:
+        if degree not in tables:
+            tables[degree] = sheaf_table(desc, E.model, window)
+        return tables[degree]
+
+    def direct_verdict() -> tuple[UlrichVerdict, HyperTableResult]:
+        hyper = _hyper_from_tables(
+            E, window, {degree: table_of(degree, desc) for degree, desc in E.sheaves}
+        )
         hit = hyper.table.first_nonzero(ulrich_twists)
         note = ""
         if E.has_glue() and hit is None:
@@ -258,13 +292,16 @@ def is_ulrich_object(
             witness=hit,
             note=note,
         )
-        return UlrichVerdict(passed=hit is None, mode="direct", criteria=[criterion])
+        verdict = UlrichVerdict(passed=hit is None, mode="direct", criteria=[criterion])
+        return verdict, hyper
 
     def sheafwise_verdict() -> UlrichVerdict:
         criteria: list[Criterion] = []
         passed = True
         for degree, desc in E.sheaves:
-            sub = is_ulrich_sheaf(desc, E.model, window, probe_depth)
+            sub = _sheaf_verdict(
+                desc, E.model, window, probe_depth, table_of(degree, desc)
+            )
             passed = passed and sub.passed
             for criterion in sub.criteria:
                 criteria.append(
@@ -281,8 +318,8 @@ def is_ulrich_object(
     if mode == "direct":
         return direct_verdict()
     if mode == "sheafwise":
-        return sheafwise_verdict()
-    direct = direct_verdict()
+        return sheafwise_verdict(), None
+    direct, hyper = direct_verdict()
     sheafwise = sheafwise_verdict()
     if direct.passed != sheafwise.passed:
         raise ModeDisagreement(
@@ -290,11 +327,12 @@ def is_ulrich_object(
             f" {sheafwise.passed}; this is a defect, witnesses:"
             f" {direct.witness()} / {sheafwise.witness()}"
         )
-    return UlrichVerdict(
+    verdict = UlrichVerdict(
         passed=direct.passed,
         mode="both",
         criteria=direct.criteria + sheafwise.criteria,
     )
+    return verdict, hyper
 
 
 def pn_decompose(
@@ -310,10 +348,9 @@ def pn_decompose(
         raise MalformedDescriptor("decomposition over the structure sheaf needs pn")
     if window is None:
         window = default_window(E.model)
-    verdict = is_ulrich_object(E, "both", window)
+    verdict, hyper = _object_verdict(E, "both", window)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    hyper = hyper_table(E, window)
     multiplicities = dict(sorted(hyper.table.column(0).items()))
     if multiplicities:
         rebuilt = formal_complex(
@@ -362,10 +399,9 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         )
     if window is None:
         window = default_window(model)
-    verdict = is_ulrich_object(E, "both", window)
+    verdict, hyper = _object_verdict(E, "both", window)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    hyper = hyper_table(E, window)
 
     if odd:
         spinor_sections = sheaf_column(Spinor(None), model, 0)[0]

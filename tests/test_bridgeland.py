@@ -309,6 +309,16 @@ class TestQuestionScan:
             assert row.im_zero == (row.im == 0)
             assert row.phase_sector == z.phase_sector()
 
+    def test_rows_are_exact_with_a_sheaf_in_degree_minus_one(self):
+        # the glued pair puts G in degree -1: class F - G, not a float
+        F = ulrich_chern_solve(K3, 1)
+        G = ulrich_chern_solve(K3, 2)
+        total = NumClass(K3, F.r - G.r, F.e1 - G.e1, F.e2 - G.e2)
+        grid = [(Fraction(1, 3), Fraction(1, 7)), (Fraction(-2, 5), Fraction(3, 11))]
+        for row in question_scan(self.glued(), grid):
+            assert type(row.re) is Fraction and type(row.im) is Fraction
+            assert (row.re, row.im) == central_charge(total, row.s, row.t).as_pair()
+
     def test_imaginary_wall_lands_on_the_class_slope(self):
         # total class of the glued pair: F + G (even degrees), rank 3
         E = self.glued()

@@ -118,6 +118,16 @@ class TestClassOf:
         with pytest.raises(ModelMismatch):
             class_of(E, proj_space(3))
 
+    def test_negative_degrees_keep_the_class_exact(self):
+        p2 = proj_space(2)
+        E = formal_complex(
+            p2, {0: line_bundle(1), -1: line_bundle(2), -3: line_bundle(-1)}
+        )
+        c = class_of(E, p2)
+        assert type(c.r) is int
+        assert type(c.e1) is Fraction and type(c.e2) is Fraction
+        assert (c.r, c.e1, c.e2) == (-1, Fraction(0), Fraction(-2))
+
     def test_curve_classes_have_no_e2(self):
         e3 = elliptic_curve(3)
         c = class_of(SemistableEC(2, 5), e3)

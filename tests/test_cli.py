@@ -48,6 +48,20 @@ class TestTable:
         assert rows[(2, -3)] == 1
         assert (0, -1) not in rows
 
+    @pytest.mark.parametrize("window", ["5:1", "1", "a:b", ""])
+    @pytest.mark.parametrize("command", ["table", "check"])
+    def test_malformed_window_gets_the_error_envelope(self, capsys, command, window):
+        code = main([
+            command, "--variety", "pn:2", "--sheaf", "O(0)", f"--window={window}",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"] and "window" in report["error"]
+        assert report["payload"] is None
+        assert "Traceback" not in captured.out + captured.err
+
     def test_num_class_is_echoed_on_surfaces(self, capsys):
         code, report = run_json(
             capsys, "table", "--variety", "quadric:2", "--sheaf", "S+",

@@ -362,3 +362,27 @@ def test_hyper_euler_is_alternating_sum(twists, k):
             Fraction((j + t + 1) * (j + t + 2), 2) for j in twists
         )
         assert table.euler(t) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    top=st.integers(min_value=-4, max_value=4),
+    below=st.integers(min_value=-4, max_value=4),
+    glued=st.booleans(),
+    lo=st.integers(min_value=-8, max_value=0),
+    width=st.integers(min_value=0, max_value=10),
+)
+def test_certificates_follow_the_per_twist_definition(top, below, glued, lo, width):
+    p2 = proj_space(2)
+    glue = (GlueWitness(0, -1),) if glued else ()
+    E = formal_complex(p2, {0: line_bundle(top), -1: line_bundle(below)}, glue)
+    window = (lo, lo + width)
+    result = hyper_table(E, window)
+    assert list(result.certificates) == list(range(lo, lo + width + 1))
+    for t, cert in result.certificates.items():
+        if not glued:
+            assert cert == CERT_EXACT
+        elif any(tt == t and h for (_i, tt), h in result.table.entries.items()):
+            assert cert == CERT_UPPER_BOUND_ONLY
+        else:
+            assert cert == CERT_EXACT_BY_VANISHING

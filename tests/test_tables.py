@@ -1,0 +1,109 @@
+"""Cohomology tables: the per-twist index behind column reads agrees
+with a brute-force scan of the stored entries, on tables built directly
+and on tables derived from them."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ulrich_kit.errors import IncompleteTable
+from ulrich_kit.tables import CohomologyTable
+
+
+def scan_column(table, t):
+    return {i: h for (i, tt), h in table.entries.items() if tt == t}
+
+
+def scan_first_nonzero(table, twists, degrees=None):
+    for t in twists:
+        for i, h in sorted(scan_column(table, t).items()):
+            if (degrees is None or i in degrees) and h != 0:
+                return (i, t, h)
+    return None
+
+
+def scan_euler(table, t):
+    return sum((-1) ** abs(i) * h for i, h in scan_column(table, t).items())
+
+
+def scan_same_entries(a, b):
+    lo = max(a.window[0], b.window[0])
+    hi = min(a.window[1], b.window[1])
+    return all(scan_column(a, t) == scan_column(b, t) for t in range(lo, hi + 1))
+
+
+@st.composite
+def tables(draw, window=None):
+    if window is None:
+        lo = draw(st.integers(-6, 3))
+        window = (lo, lo + draw(st.integers(0, 8)))
+    lo, hi = window
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(-3, 4), st.integers(lo - 2, hi + 2)),
+            st.integers(-3, 5),
+            max_size=20,
+        )
+    )
+    return CohomologyTable(window=window, entries=entries)
+
+
+@st.composite
+def derived_tables(draw):
+    """A table, or one made from it by added, scaled, degree_shifted or
+    restricted."""
+    table = draw(tables())
+    how = draw(st.sampled_from(("plain", "added", "scaled", "shifted", "restricted")))
+    if how == "added":
+        other = draw(tables(table.window))
+        return table.added(other, draw(st.integers(-2, 2)))
+    if how == "scaled":
+        return table.scaled(draw(st.integers(-2, 2)))
+    if how == "shifted":
+        return table.degree_shifted(draw(st.integers(-3, 3)))
+    if how == "restricted":
+        lo, hi = table.window
+        new_lo = draw(st.integers(lo - 2, hi))
+        new_hi = draw(st.integers(max(new_lo, lo), hi + 2))
+        return table.restricted((new_lo, new_hi))
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=derived_tables(), data=st.data())
+def test_column_reads_match_a_scan_of_the_entries(table, data):
+    assert all(h != 0 for h in table.entries.values())
+    lo, hi = table.window
+    for t in range(lo, hi + 1):
+        assert table.column(t) == scan_column(table, t)
+        euler = table.euler(t)
+        assert type(euler) is int and euler == scan_euler(table, t)
+    twists = data.draw(st.lists(st.integers(lo, hi), max_size=12))
+    degrees = data.draw(st.none() | st.sets(st.integers(-3, 4)))
+    assert table.first_nonzero(twists) == scan_first_nonzero(table, twists)
+    assert table.first_nonzero(twists, degrees) == scan_first_nonzero(
+        table, twists, degrees
+    )
+    other = data.draw(st.sampled_from((table, table.scaled(1))) | derived_tables())
+    assert table.same_entries(other) == scan_same_entries(table, other)
+    assert other.same_entries(table) == scan_same_entries(other, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=tables())
+def test_reads_outside_the_window_are_refused(table):
+    lo, hi = table.window
+    for t in (lo - 1, hi + 1):
+        with pytest.raises(IncompleteTable):
+            table.column(t)
+        with pytest.raises(IncompleteTable):
+            table.euler(t)
+        with pytest.raises(IncompleteTable):
+            table.first_nonzero([t])
+
+
+def test_column_is_a_copy():
+    table = CohomologyTable(window=(0, 1), entries={(0, 0): 2, (1, 0): 3})
+    table.column(0)[0] = 7
+    assert table.column(0) == {0: 2, 1: 3}
+    assert table.euler(0) == -1

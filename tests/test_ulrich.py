@@ -226,6 +226,35 @@ class TestUlrichObject:
             is_ulrich_object(E, "both")
 
 
+    def test_both_mode_builds_one_table_per_sheaf(self, monkeypatch):
+        # count table builds wherever the kit looks sheaf_table up, so a
+        # second build through hyper_table would be counted as well
+        import ulrich_kit.complexes
+        import ulrich_kit.ulrich
+
+        built = []
+
+        def counting(desc, model, window=None):
+            built.append(desc)
+            return sheaf_table(desc, model, window)
+
+        for module in (ulrich_kit.ulrich, ulrich_kit.complexes):
+            monkeypatch.setattr(module, "sheaf_table", counting)
+        model = rank1_surface(4, 0, 2)
+        F = abstract_ulrich_sheaf(model, 1, "F")
+        G = abstract_ulrich_sheaf(model, 2, "G")
+        E = yoneda_build(F, G, 2, model, witness="asserted")
+        built.clear()
+        assert is_ulrich_object(E, "both").passed
+        assert sorted(built, key=id) == sorted((F, G), key=id)
+
+        p2 = proj_space(2)
+        built.clear()
+        assert pn_decompose(formal_complex(p2, {-1: line_bundle(0)})) == {-1: 1}
+        # one for the object, one for its reconstruction
+        assert len(built) == 2
+
+
 class TestPnDecompose:
     def test_single_structure_sheaf(self):
         p2 = proj_space(2)
