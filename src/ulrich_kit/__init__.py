@@ -31,8 +31,6 @@ from .chern import (
 from .cohomology import (
     bott_table,
     chi_proj,
-    elliptic_table,
-    product_table,
     quadric_line_table,
     sheaf_column,
     sheaf_table,

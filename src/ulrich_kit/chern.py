@@ -42,12 +42,11 @@ from .sheaves import (
     validate_descriptor,
 )
 from .variety import (
-    KIND_ELLIPTIC,
     KIND_PRODUCT,
-    KIND_QUADRIC,
     VarietyModel,
     curve_data,
     format_variety,
+    proj_space,
     surface_data,
 )
 
@@ -95,17 +94,26 @@ def class_of(obj, model: VarietyModel) -> NumClass:
     if isinstance(obj, FormalComplex):
         if obj.model != model:
             raise ModelMismatch("complex lives on a different model")
-        r, e1 = 0, Fraction(0)
-        e2 = Fraction(0) if model.dim >= 2 else None
-        for degree, desc in obj.sheaf_map().items():
-            sign = -1 if degree % 2 else 1
-            part = class_of(desc, model)
-            r += sign * part.r
-            e1 += sign * part.e1
-            if e2 is not None:
-                e2 += sign * part.e2
-        return NumClass(model, r, e1, e2)
+        return _class_sum(
+            model,
+            (
+                (class_of(desc, model), -1 if degree % 2 else 1)
+                for degree, desc in obj.sheaf_map().items()
+            ),
+        )
     return _class_of_descriptor(obj, model)
+
+
+def _class_sum(model: VarietyModel, terms) -> NumClass:
+    """Sum of m * cls over the (cls, m) pairs, m a signed multiplicity."""
+    r, e1 = 0, Fraction(0)
+    e2 = Fraction(0) if model.dim >= 2 else None
+    for cls, m in terms:
+        r += m * cls.r
+        e1 += m * cls.e1
+        if e2 is not None:
+            e2 += m * cls.e2
+    return NumClass(model, r, e1, e2)
 
 
 def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass:
@@ -129,28 +137,23 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
     if isinstance(desc, SemistableEC):
         return NumClass(model, desc.rank, Fraction(desc.degree, model.deg))
     if isinstance(desc, DirectSum):
-        r, e1 = 0, Fraction(0)
-        e2 = Fraction(0) if model.dim >= 2 else None
-        for part, mult in desc.parts:
-            cls = _class_of_descriptor(part, model)
-            r += mult * cls.r
-            e1 += mult * cls.e1
-            if e2 is not None:
-                e2 += mult * cls.e2
-        return NumClass(model, r, e1, e2)
+        return _class_sum(
+            model,
+            ((_class_of_descriptor(part, model), mult) for part, mult in desc.parts),
+        )
     if isinstance(desc, ExternalTensor):
-        lcls = _curve_factor_class(desc.left)
-        rcls = _curve_factor_class(desc.right)
-        if lcls is None or rcls is None or model.factors != (1, 1):
+        if model.factors != (1, 1):
             raise Indeterminate(
                 f"no numerical class rule for {format_sheaf(desc)}"
                 f" on {format_variety(model)}"
             )
-        (rl, al), (rr, br) = lcls, rcls
-        # (rl + al H1)(rr + br H2) projected to the H-lattice
-        e1 = Fraction(rr * al + rl * br, 2)
-        e2 = Fraction(al * br, 2)
-        return NumClass(model, rl * rr, e1, e2)
+        line = proj_space(1)
+        left = _class_of_descriptor(desc.left, line)
+        right = _class_of_descriptor(desc.right, line)
+        # (left.r + left.e1 H1)(right.r + right.e1 H2) projected to the H-lattice
+        e1 = (right.r * left.e1 + left.r * right.e1) / 2
+        e2 = left.e1 * right.e1 / 2
+        return NumClass(model, left.r * right.r, e1, e2)
     if isinstance(desc, AbstractSheaf):
         if desc.num_class is None:
             raise Indeterminate(f"{format_sheaf(desc)} carries no numerical class")
@@ -159,22 +162,6 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
             raise ModelMismatch("attached class lives on a different model")
         return cls
     raise MalformedDescriptor(f"unknown descriptor {desc!r}")
-
-
-def _curve_factor_class(desc: SheafDescriptor):
-    """(rank, H-coefficient) of a line-bundle sum on the projective line."""
-    if isinstance(desc, LineBundle) and len(desc.twists) == 1:
-        return (1, desc.twists[0])
-    if isinstance(desc, DirectSum):
-        total_r, total_a = 0, 0
-        for part, mult in desc.parts:
-            sub = _curve_factor_class(part)
-            if sub is None:
-                return None
-            total_r += mult * sub[0]
-            total_a += mult * sub[1]
-        return (total_r, total_a)
-    return None
 
 
 def twist_class(c: NumClass, k: int) -> NumClass:

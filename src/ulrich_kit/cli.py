@@ -163,9 +163,12 @@ def _load_config(path: str | None) -> dict:
             config["window"] = _parse_window(value)
         elif key == "probe_depth":
             try:
-                config["probe_depth"] = int(value)
+                depth = int(value)
             except ValueError as exc:
                 raise ParseError(f"probe_depth must be an integer, got {value!r}") from exc
+            if depth < 0:
+                raise ParseError(f"probe_depth must be nonnegative, got {value!r}")
+            config["probe_depth"] = depth
         elif key == "slope_convention":
             config["slope_convention"] = value
         else:
@@ -184,9 +187,10 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
         raise ParseError(f"object file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("object file must hold a JSON object")
-    file_model = None
-    if data.get("variety"):
-        file_model = parse_variety(data["variety"])
+    variety = data.get("variety")
+    if variety is not None and not isinstance(variety, str):
+        raise ParseError(f"object file variety must be a string, got {variety!r}")
+    file_model = parse_variety(variety) if variety else None
     if model is not None and file_model is not None and model != file_model:
         raise ModelMismatch(
             f"--variety {format_variety(model)} disagrees with the object file's"
@@ -195,26 +199,32 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
     use = model if model is not None else file_model
     if use is None:
         raise ParseError("no variety given: pass --variety or put one in the file")
+    sheaf_texts = data.get("sheaves") or {}
+    if not isinstance(sheaf_texts, dict):
+        raise ParseError("object file sheaves must map degrees to descriptors")
     sheaves = {}
-    for key, desc_txt in (data.get("sheaves") or {}).items():
+    for key, desc_txt in sheaf_texts.items():
         try:
             degree = int(key)
         except ValueError as exc:
             raise ParseError(f"sheaf degrees must be integers, got {key!r}") from exc
+        if not isinstance(desc_txt, str):
+            raise ParseError(f"sheaf descriptors must be strings, got {desc_txt!r}")
         sheaves[degree] = parse_sheaf(desc_txt, use)
+    glue_items = data.get("glue") or []
+    if not isinstance(glue_items, list):
+        raise ParseError("object file glue must be a list of entries")
     glue = []
-    for item in data.get("glue") or []:
+    for item in glue_items:
         try:
-            glue.append(
-                GlueWitness(
-                    from_degree=item["from"],
-                    to_degree=item["to"],
-                    ext_degree=item.get("ext_degree", 2),
-                    nonzero=bool(item.get("nonzero", True)),
-                )
-            )
+            ends = (item["from"], item["to"])
+            ext_degree = item.get("ext_degree", 2)
+            nonzero = bool(item.get("nonzero", True))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed glue entry {item!r}") from exc
+        if not all(type(end) is int for end in ends):  # bools are not degrees
+            raise ParseError(f"glue degrees must be integers, got {item!r}")
+        glue.append(GlueWitness(ends[0], ends[1], ext_degree, nonzero))
     return formal_complex(use, sheaves, tuple(glue)), format_variety(use)
 
 
@@ -443,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_demo = sub.add_parser("demo", parents=[common], help="run the curated example verifications")
-    p_demo.add_argument("--paper-examples", action="store_true",
-                        help="kept for compatibility; the curated set always runs")
     p_demo.set_defaults(handler=_cmd_demo)
 
     return parser

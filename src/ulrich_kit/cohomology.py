@@ -149,26 +149,6 @@ def spinor_table(model: VarietyModel, sign: str | None, k: int) -> dict[int, int
     raise UnsupportedQuadricDim(f"no spinor oracle in dimension {model.dim}")
 
 
-def product_table(model: VarietyModel, desc, k: int) -> dict[int, int]:
-    """Kunneth column for a product model under the diagonal twist k.
-
-    ``desc`` may be a twist pair (a, b), a line bundle, an external
-    tensor, or a direct sum of those.
-    """
-    if isinstance(desc, tuple):
-        desc = LineBundle((int(desc[0]), int(desc[1])))
-    validate_descriptor(desc, model)
-    return _sheaf_column(desc, model, k)
-
-
-def elliptic_table(
-    desc: SheafDescriptor, k: int, model: VarietyModel
-) -> dict[int, int]:
-    """(h^0, h^1) column for a genus-one descriptor twisted by O(k)."""
-    validate_descriptor(desc, model)
-    return _sheaf_column(desc, model, k)
-
-
 def _elliptic_pair(delta: int, trivial: bool | None, label: str) -> dict[int, int]:
     if delta > 0:
         return {0: delta}

@@ -200,6 +200,18 @@ def _hyper_from_tables(
     return HyperTableResult(table=table, certificates=certificates)
 
 
+def _rebuilds(
+    model: VarietyModel,
+    sheaves: Mapping[int, SheafDescriptor],
+    window: tuple[int, int],
+    table: CohomologyTable,
+) -> bool:
+    """Whether the split complex with these cohomology sheaves, keyed by
+    degree, has the given table over the window."""
+    rebuilt = hyper_table(formal_complex(model, sheaves), window)
+    return rebuilt.table.same_entries(table)
+
+
 @dataclass
 class TriangleVerdict:
     """Outcome of the two-out-of-three transfer on a triangle E -> F -> G."""
@@ -403,18 +415,15 @@ def pushforward_finite(
     multiplicities = {
         i: h for i, h in sorted(hyper.table.column(0).items()) if h
     }
-    base = sheaf_table(LineBundle((0,)), target, window)
-    acc: dict[tuple[int, int], int] = {}
-    for degree, mult in multiplicities.items():
-        for (i, t), h in base.entries.items():
-            key = (i + degree, t)
-            acc[key] = acc.get(key, 0) + mult * h
-    reconstruction = CohomologyTable(window=window, entries=acc)
+    rebuilt = {
+        degree: sheaf_direct_sum((LineBundle((0,)), mult))
+        for degree, mult in multiplicities.items()
+    }
     return PushforwardReport(
         target=target,
         table=hyper.table,
         trivialized=True,
         multiplicities=multiplicities,
         witness=None,
-        reconstruction_ok=reconstruction.same_entries(hyper.table),
+        reconstruction_ok=_rebuilds(target, rebuilt, window, hyper.table),
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .chern import class_of
 from .cohomology import sheaf_column
 from .complexes import FormalComplex, formal_complex, hyper_table
 from .errors import (
@@ -25,14 +26,11 @@ from .errors import (
     UnsupportedModel,
 )
 from .sheaves import (
-    DirectSum,
     LineBundle,
     SemistableEC,
     SheafDescriptor,
     Spinor,
-    flatten_atoms,
     format_sheaf,
-    normalize_elliptic,
     tensor_line,
     validate_descriptor,
 )
@@ -93,22 +91,6 @@ def _product_coords(desc: SheafDescriptor, model: VarietyModel) -> tuple[Fractio
     return tuple(coords)
 
 
-def _elliptic_degree(atom: SheafDescriptor) -> int:
-    if isinstance(atom, DirectSum):
-        return sum(mult * _elliptic_degree(part) for part, mult in flatten_atoms(atom))
-    if isinstance(atom, SemistableEC):
-        return atom.degree
-    raise Indeterminate(f"{format_sheaf(atom)} has no degree here")
-
-
-def _elliptic_rank(atom: SheafDescriptor) -> int:
-    if isinstance(atom, DirectSum):
-        return sum(mult * _elliptic_rank(part) for part, mult in flatten_atoms(atom))
-    if isinstance(atom, SemistableEC):
-        return atom.rank
-    raise Indeterminate(f"{format_sheaf(atom)} has no rank here")
-
-
 def k0_class(obj, model: VarietyModel) -> K0Class:
     """Class of a descriptor or formal complex in lattice coordinates.
 
@@ -129,10 +111,8 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
     if model.kind == KIND_PRODUCT and model.factors == (1, 1):
         return K0Class(model, _product_coords(obj, model))
     if model.kind == KIND_ELLIPTIC:
-        atom = normalize_elliptic(obj, model)
-        return K0Class(
-            model, (Fraction(_elliptic_rank(atom)), Fraction(_elliptic_degree(atom)))
-        )
+        cls = class_of(obj, model)
+        return K0Class(model, (Fraction(cls.r), cls.e1 * model.deg))
     raise Indeterminate(
         f"no K-group coordinates implemented for {format_variety(model)}"
     )
@@ -303,13 +283,11 @@ def orthogonal_membership(
         window = (lo, hi)
     hyper = hyper_table(E, window)
     for member, twist in member_twists:
-        column = hyper.table.column(twist)
-        for i in sorted(column):
-            if column[i]:
-                return MembershipVerdict(
-                    member_of_orthogonal=False,
-                    witness=(format_sheaf(member), i, twist, column[i]),
-                )
+        hit = hyper.table.first_nonzero((twist,))
+        if hit is not None:
+            return MembershipVerdict(
+                member_of_orthogonal=False, witness=(format_sheaf(member),) + hit
+            )
     return MembershipVerdict(member_of_orthogonal=True)
 
 

@@ -83,9 +83,6 @@ class CohomologyTable:
                     return (i, t, self.entries[(i, t)])
         return None
 
-    def all_zero(self, twists, degrees=None) -> bool:
-        return self.first_nonzero(twists, degrees) is None
-
     def added(self, other: "CohomologyTable", mult: int = 1) -> "CohomologyTable":
         lo = max(self.window[0], other.window[0])
         hi = min(self.window[1], other.window[1])

@@ -12,18 +12,18 @@ cohomology sheaf separately) checks must always agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .chern import NumClass, euler_char, twist_class, ulrich_chern_solve
-from .cohomology import sheaf_column, sheaf_table
+from .chern import euler_char, twist_class, ulrich_chern_solve
+from .cohomology import _elliptic_pair, sheaf_column, sheaf_table
 from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
     GlueWitness,
     HyperTableResult,
     _hyper_from_tables,
+    _rebuilds,
     formal_complex,
-    hyper_table,
+    hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
 )
 from .errors import (
     MalformedDescriptor,
@@ -63,7 +63,6 @@ from .variety import (
     default_window,
     format_variety,
     product_proj,
-    proj_space,
 )
 
 
@@ -130,27 +129,38 @@ def is_initialized(
 ) -> InitializedReport:
     """Sections appear at twist zero and at no negative twist.
 
-    Negative twists are probed down to ``probe_depth``; for the closed
-    descriptor classes the answer is provably global, for abstract data
-    it is reported window-limited.
+    Negative twists are probed down to ``probe_depth``, which must be
+    nonnegative; for the closed descriptor classes the answer is
+    provably global, for abstract data it is reported window-limited.
     """
     validate_descriptor(desc, model)
+    depth = _probe_depth(model, probe_depth)
+    return _initialized(desc, depth, sheaf_table(desc, model, (-depth, 0)))
+
+
+def _probe_depth(model: VarietyModel, probe_depth: int | None) -> int:
     if probe_depth is None:
-        probe_depth = 2 * model.dim + 5
-    h0 = sheaf_column(desc, model, 0).get(0, 0)
-    witness = None
+        return 2 * model.dim + 5
+    if probe_depth < 0:
+        raise MalformedDescriptor(
+            f"probe depth must be a nonnegative integer, got {probe_depth}"
+        )
+    return probe_depth
+
+
+def _initialized(
+    desc: SheafDescriptor, depth: int, table: CohomologyTable
+) -> InitializedReport:
+    """``is_initialized`` read off a table of desc covering [-depth, 0]."""
+    h0 = table.h(0, 0)
     if h0 == 0:
         witness = (0, 0, 0)
-    for t in range(-1, -probe_depth - 1, -1):
-        if witness is not None:
-            break
-        sections = sheaf_column(desc, model, t).get(0, 0)
-        if sections:
-            witness = (0, t, sections)
+    else:
+        witness = table.first_nonzero(range(-1, -depth - 1, -1), degrees={0})
     return InitializedReport(
         ok=witness is None,
         global_verdict=_globally_decided(desc),
-        probed=(-probe_depth, 0),
+        probed=(-depth, 0),
         witness=witness,
     )
 
@@ -198,7 +208,11 @@ def _sheaf_verdict(
         )
     )
 
-    init = is_initialized(desc, model, probe_depth)
+    depth = _probe_depth(model, probe_depth)
+    probe_table = table
+    if not (table.covers(-depth) and table.covers(0)):
+        probe_table = sheaf_table(desc, model, (-depth, 0))
+    init = _initialized(desc, depth, probe_table)
     criteria.append(
         Criterion(
             name="initialized",
@@ -352,18 +366,14 @@ def pn_decompose(
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
     multiplicities = dict(sorted(hyper.table.column(0).items()))
-    if multiplicities:
-        rebuilt = formal_complex(
-            E.model,
-            {
-                degree: direct_sum((LineBundle((0,)), mult))
-                for degree, mult in multiplicities.items()
-            },
+    rebuilt = {
+        degree: direct_sum((LineBundle((0,)), mult))
+        for degree, mult in multiplicities.items()
+    }
+    if multiplicities and not _rebuilds(E.model, rebuilt, window, hyper.table):
+        raise NotUlrich(
+            "table does not match any sum of shifts of the structure sheaf"
         )
-        if not hyper_table(rebuilt, window).table.same_entries(hyper.table):
-            raise NotUlrich(
-                "table does not match any sum of shifts of the structure sheaf"
-            )
     return multiplicities
 
 
@@ -412,17 +422,11 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                     f"h^{degree}(E) = {h} is not a multiple of {spinor_sections}"
                 )
             multiplicities[degree] = h // spinor_sections
-        rebuilt = formal_complex(
-            model,
-            {
-                degree: direct_sum((Spinor(None), mult))
-                for degree, mult in multiplicities.items()
-                if mult
-            },
-        ) if multiplicities else E
-        if multiplicities and not hyper_table(rebuilt, window).table.same_entries(
-            hyper.table
-        ):
+        rebuilt = {
+            degree: direct_sum((Spinor(None), mult))
+            for degree, mult in multiplicities.items()
+        }
+        if multiplicities and not _rebuilds(model, rebuilt, window, hyper.table):
             raise NotUlrich("table does not match any sum of shifted spinors")
         return multiplicities
 
@@ -459,17 +463,9 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         parts = [(atoms[sign], mult) for sign, mult in counts.items() if mult]
         if parts:
             rebuilt_sheaves[degree] = direct_sum(*parts)
-    if rebuilt_sheaves:
-        rebuilt = formal_complex(model, rebuilt_sheaves)
-        if not hyper_table(rebuilt, window).table.same_entries(hyper.table):
-            raise NotUlrich("table does not match any sum of shifted spinor lines")
+    if rebuilt_sheaves and not _rebuilds(model, rebuilt_sheaves, window, hyper.table):
+        raise NotUlrich("table does not match any sum of shifted spinor lines")
     return {degree: dict(counts) for degree, counts in sorted(split.items())}
-
-
-def _line_like_twist(desc: SheafDescriptor) -> tuple[int, ...] | None:
-    if isinstance(desc, LineBundle):
-        return desc.twists
-    return None
 
 
 def ext_dimension(
@@ -477,7 +473,6 @@ def ext_dimension(
     G: SheafDescriptor,
     k: int,
     model: VarietyModel,
-    _self_check: bool = True,
 ) -> int:
     """dim Ext^k(F, G) computed as h^k of (dual of F) tensor G.
 
@@ -495,17 +490,15 @@ def ext_dimension(
             product_form(G, model),
             k,
             product_proj(1, 1),
-            _self_check=_self_check,
         )
     value = _ext_primary(F, G, k, model)
-    if _self_check:
-        expected = _ext_serre_partner(F, G, k, model)
-        if expected is not None and expected != value:
-            raise OracleDefect(
-                f"Serre duality cross-check failed:"
-                f" ext^{k}({format_sheaf(F)}, {format_sheaf(G)}) = {value}"
-                f" but the dual side gave {expected}"
-            )
+    expected = _ext_serre_partner(F, G, k, model)
+    if expected is not None and expected != value:
+        raise OracleDefect(
+            f"Serre duality cross-check failed:"
+            f" ext^{k}({format_sheaf(F)}, {format_sheaf(G)}) = {value}"
+            f" but the dual side gave {expected}"
+        )
     return value
 
 
@@ -516,13 +509,12 @@ def _ext_primary(F, G, k: int, model: VarietyModel) -> int:
         )
     if model.kind == KIND_ELLIPTIC:
         return _ext_elliptic(F, G, k, model)
-    twists = _line_like_twist(F)
-    if twists is None:
+    if not isinstance(F, LineBundle):
         raise NoDualRule(f"{format_sheaf(F)} has no dual rule here")
     if model.kind == KIND_PRODUCT:
-        shifted = tensor_line(G, tuple(-a for a in twists), model)
+        shifted = tensor_line(G, tuple(-a for a in F.twists), model)
         return sheaf_column(shifted, model, 0).get(k, 0)
-    return sheaf_column(G, model, -twists[0]).get(k, 0)
+    return sheaf_column(G, model, -F.twists[0]).get(k, 0)
 
 
 def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
@@ -533,24 +525,22 @@ def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
     for atom, mult in flatten_atoms(normalize_elliptic(G, model)):
         if not isinstance(atom, SemistableEC):
             raise NoDualRule(f"{format_sheaf(atom)} has no genus-one oracle")
-        delta = atom.degree - atom.rank * f.degree
-        if delta != 0:
-            pair = {0: delta} if delta > 0 else {1: -delta}
+        # whether F^dual tensor atom is trivial, read only at degree zero
+        if atom.rank == 1 and atom == f:
+            trivial = True
+        elif (
+            atom.rank == 1
+            and atom.trivial_type is not None
+            and f.trivial_type is not None
+        ):
+            trivial = False  # distinct rank-one data of the same degree
         else:
-            if atom.rank == 1 and atom == f:
-                trivial = True
-            elif (
-                atom.rank == 1
-                and atom.trivial_type is not None
-                and f.trivial_type is not None
-            ):
-                trivial = False  # distinct rank-one data of the same degree
-            else:
-                raise UnknownSlopeZero(
-                    f"hom data between {format_sheaf(F)} and {format_sheaf(atom)}"
-                    " needs the triviality bit"
-                )
-            pair = {0: 1, 1: 1} if trivial else {}
+            trivial = None
+        pair = _elliptic_pair(
+            atom.degree - atom.rank * f.degree,
+            trivial,
+            f"hom data between {format_sheaf(F)} and {format_sheaf(atom)}",
+        )
         total += mult * pair.get(k, 0)
     return total
 
@@ -576,8 +566,7 @@ def _ext_serre_partner(F, G, k: int, model: VarietyModel) -> int | None:
         if model.kind == KIND_ELLIPTIC:
             twisted = normalize_elliptic(F, model)  # canonical twist is trivial
         else:
-            twists = _line_like_twist(canonical)
-            twisted = tensor_line(F, twists, model)
+            twisted = tensor_line(F, canonical.twists, model)
         return _ext_primary(G, twisted, model.dim - k, model)
     except (NoDualRule, UnknownSlopeZero):
         return None

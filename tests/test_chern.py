@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrich_kit import (
+    ExternalTensor,
     LineBundle,
     NumClass,
     SemistableEC,
@@ -136,6 +137,28 @@ class TestClassOf:
             NumClass(e3, 1, Fraction(0), Fraction(0))
         with pytest.raises(MalformedDescriptor):
             NumClass(proj_space(2), 1, Fraction(0))
+
+
+line_sums_on_p1 = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=line_sums_on_p1, right=line_sums_on_p1)
+def test_external_tensor_class_matches_its_expanded_sum(left, right):
+    p11 = product_proj(1, 1)
+    L = direct_sum(*((line_bundle(a), m) for a, m in left))
+    R = direct_sum(*((line_bundle(b), n) for b, n in right))
+    expanded = direct_sum(
+        *((LineBundle((a, b)), m * n) for a, m in left for b, n in right)
+    )
+    assert class_of(ExternalTensor(L, R), p11) == class_of(expanded, p11)
+
+
+def test_external_tensor_class_needs_two_lines():
+    with pytest.raises(Indeterminate):
+        class_of(ExternalTensor(line_bundle(1), line_bundle(0)), product_proj(2, 1))
 
 
 class TestTwistAction:

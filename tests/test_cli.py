@@ -142,6 +142,33 @@ class TestCheck:
         code, report = run_json(capsys, "check", "--object", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"variety": "pn:2", "sheaves": {"0": 5}},
+            {"variety": 3, "sheaves": {"0": "O(0)"}},
+            {"variety": "pn:2", "sheaves": ["O(0)"]},
+            {
+                "variety": "pn:2",
+                "sheaves": {"0": "O(0)", "-1": "O(0)"},
+                "glue": [{"from": "a", "to": -1}],
+            },
+            {"variety": "pn:2", "sheaves": {"0": "O(0)"}, "glue": 5},
+        ],
+    )
+    def test_mistyped_object_file_gets_the_error_envelope(
+        self, capsys, tmp_path, data
+    ):
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", "--object", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_mode_flag(self, capsys):
         code, report = run_json(
             capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
@@ -369,6 +396,16 @@ class TestConfig:
             "--config", str(config),
         )
         assert code == 2
+
+    def test_negative_probe_depth_is_exit_two(self, capsys, tmp_path):
+        config = tmp_path / "kit.conf"
+        config.write_text("probe_depth=-3\n")
+        code, report = run_json(
+            capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
+            "--config", str(config),
+        )
+        assert code == 2
+        assert "probe_depth" in report["error"]
 
     def test_missing_config_file_is_exit_two(self, capsys, tmp_path):
         code, report = run_json(

@@ -22,7 +22,6 @@ from ulrich_kit import (
     chi_proj,
     direct_sum,
     elliptic_curve,
-    elliptic_table,
     line_bundle,
     parse_sheaf,
     product_proj,
@@ -252,7 +251,7 @@ class TestEllipticDichotomy:
 
     def test_elliptic_table_helper_agrees(self):
         model = elliptic_curve(3)
-        assert elliptic_table(SemistableEC(1, 7), 0, model) == {0: 7}
+        assert sheaf_column(SemistableEC(1, 7), model, 0) == {0: 7}
 
 
 class TestSpinor:

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrich_kit import (
+    AbstractSheaf,
+    CohomologyTable,
     GlueWitness,
     LineBundle,
     Spinor,
     bott_table,
+    default_window,
     direct_sum,
     direct_sum_complexes,
     external_product,
@@ -329,6 +332,23 @@ class TestPushforward:
         assert report.trivialized
         assert report.multiplicities == {-1: 1, 0: 2}
         assert report.reconstruction_ok is True
+
+    def test_impostor_table_fails_the_reconstruction(self):
+        # vanishes at the probed twists, but its tail deviates from O
+        p2 = proj_space(2)
+        window = default_window(p2)
+        base = sheaf_table(line_bundle(0), p2, window)
+        entries = dict(base.entries)
+        entries[(0, 4)] = base.h(0, 4) + 1
+        impostor = AbstractSheaf(
+            rank=1,
+            label="drifting-tail",
+            table=CohomologyTable(window=window, entries=entries),
+        )
+        report = pushforward_finite(formal_complex(p2, {0: impostor}))
+        assert report.trivialized
+        assert report.multiplicities == {0: 1}
+        assert report.reconstruction_ok is False
 
     def test_non_ulrich_input_reports_a_witness(self):
         p2 = proj_space(2)

@@ -28,12 +28,15 @@ from ulrich_kit import (
     is_ulrich_object,
     is_ulrich_sheaf,
     line_bundle,
+    parse_sheaf,
+    parse_variety,
     pn_decompose,
     product_proj,
     proj_space,
     quadric,
     quadric_decompose,
     rank1_surface,
+    sheaf_column,
     sheaf_table,
     shift,
     twist_class,
@@ -47,6 +50,7 @@ from ulrich_kit.errors import (
     NonDivisibleRank,
     NotUlrich,
     NotUlrichInput,
+    OracleDefect,
     UnknownSlopeZero,
     ZeroExt,
 )
@@ -60,7 +64,63 @@ def scaled_entries(table: CohomologyTable, num: int, den: int) -> dict:
     return out
 
 
+def scanned_initialization_witness(desc, model, depth):
+    """The initialization witness found by probing one column at a time."""
+    sections = sheaf_column(desc, model, 0).get(0, 0)
+    if sections == 0:
+        return (0, 0, 0)
+    for t in range(-1, -depth - 1, -1):
+        sections = sheaf_column(desc, model, t).get(0, 0)
+        if sections:
+            return (0, t, sections)
+    return None
+
+
+INITIALIZATION_CASES = [
+    ("pn:2", "O(0)"),
+    ("pn:2", "O(-1)"),
+    ("pn:3", "O(1)"),
+    ("pn:2", "O(3)+2*O(0)"),
+    ("quadric:3", "S"),
+    ("quadric:3", "S+O(-1)"),
+    ("quadric:2", "S-"),
+    ("prod:1x1", "O(1,0)"),
+    ("prod:1x1", "O(0,-1)+O(2,1)"),
+    ("elliptic:3", "ss(1,3,nontrivial)"),
+    ("elliptic:3", "ss(2,7)"),
+    ("elliptic:3", "O(1)"),
+]
+
+
 class TestInitialized:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(INITIALIZATION_CASES),
+        depth=st.integers(min_value=0, max_value=10),
+    )
+    def test_matches_a_column_by_column_scan(self, case, depth):
+        model = parse_variety(case[0])
+        desc = parse_sheaf(case[1], model)
+        expected = scanned_initialization_witness(desc, model, depth)
+        report = is_initialized(desc, model, probe_depth=depth)
+        assert report.witness == expected
+        assert report.ok == (expected is None)
+        # the verdict reuses its own table when that covers [-depth, 0]
+        # and probes a table of its own otherwise
+        n = model.dim
+        for window in ((-max(depth, n), 2), (-n, 2)):
+            verdict = is_ulrich_sheaf(desc, model, window, probe_depth=depth)
+            (criterion,) = [c for c in verdict.criteria if c.name == "initialized"]
+            assert criterion.witness == expected
+            assert criterion.passed == (expected is None)
+
+    def test_negative_probe_depth_is_refused(self):
+        p2 = proj_space(2)
+        with pytest.raises(MalformedDescriptor):
+            is_initialized(line_bundle(0), p2, probe_depth=-3)
+        with pytest.raises(MalformedDescriptor):
+            is_ulrich_sheaf(line_bundle(0), p2, probe_depth=-3)
+
     def test_structure_sheaf_is_initialized(self):
         report = is_initialized(line_bundle(0), proj_space(2))
         assert report.ok and report.global_verdict
@@ -401,6 +461,15 @@ class TestExtDimension:
             ext_dimension(SemistableEC(1, 0, True), SemistableEC(1, 0), 0, model)
         with pytest.raises(NoDualRule):
             ext_dimension(SemistableEC(2, 0, True), SemistableEC(1, 1), 0, model)
+
+    def test_serre_cross_check_always_runs(self, monkeypatch):
+        import ulrich_kit.ulrich
+
+        monkeypatch.setattr(
+            ulrich_kit.ulrich, "_ext_serre_partner", lambda F, G, k, model: 99
+        )
+        with pytest.raises(OracleDefect):
+            ext_dimension(line_bundle(0), line_bundle(1), 0, proj_space(2))
 
     def test_product_pairs(self):
         p11 = product_proj(1, 1)
