@@ -46,7 +46,6 @@ from .variety import (
     VarietyModel,
     curve_data,
     format_variety,
-    proj_space,
     surface_data,
 )
 
@@ -147,9 +146,9 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
                 f"no numerical class rule for {format_sheaf(desc)}"
                 f" on {format_variety(model)}"
             )
-        line = proj_space(1)
-        left = _class_of_descriptor(desc.left, line)
-        right = _class_of_descriptor(desc.right, line)
+        left_line, right_line = model.factor_models
+        left = _class_of_descriptor(desc.left, left_line)
+        right = _class_of_descriptor(desc.right, right_line)
         # (left.r + left.e1 H1)(right.r + right.e1 H2) projected to the H-lattice
         e1 = (right.r * left.e1 + left.r * right.e1) / 2
         e2 = left.e1 * right.e1 / 2
@@ -191,6 +190,17 @@ def euler_supported(model: VarietyModel) -> bool:
     if model.dim == 1:
         return True
     return model.dim == 2 and model.canonical_coeff is not None
+
+
+def class_or_none(obj, model: VarietyModel) -> NumClass | None:
+    """The class a cohomology table carries: ``class_of`` where the model
+    has exact Euler characteristics and a class rule applies, else None."""
+    if not euler_supported(model):
+        return None
+    try:
+        return class_of(obj, model)
+    except Indeterminate:
+        return None
 
 
 def _solve_2x2(rows) -> tuple[Fraction, Fraction]:

@@ -8,7 +8,7 @@ byte-identical output.
 
 Exit codes: 0 pass/true or informational success, 1 fail/false
 verdict, 2 usage or malformed input, 3 unsupported model or missing
-oracle.
+oracle, 4 internal error (a defect in the kit, reported in the envelope).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import shlex
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,12 @@ from .variety import (
 )
 
 TOOL_NAME = "ulrich-kit"
+INTERNAL_ERROR_EXIT = 4
+# Work bounds, checked before anything is allocated: the most twists one
+# table may span (a window's width, a probe depth plus one) and the most
+# points a scan grid may hold.
+MAX_TWISTS = 20_000
+MAX_GRID_POINTS = 10_000
 
 
 def to_jsonable(value):
@@ -105,6 +112,8 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ParseError(f"window must look like a:b, got {text!r}") from exc
     if not sep or lo > hi:
         raise ParseError(f"window must look like a:b with a <= b, got {text!r}")
+    if hi - lo + 1 > MAX_TWISTS:
+        raise ParseError(f"window {text!r} spans more than {MAX_TWISTS} twists")
     return (lo, hi)
 
 
@@ -117,7 +126,7 @@ def _window(args, config) -> tuple[int, int] | None:
 
 
 def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
-    ranges: dict[str, list[Fraction]] = {}
+    ranges: dict[str, tuple[Fraction, Fraction, int]] = {}  # lo, step, count
     for part in text.split(","):
         name, sep, rest = part.partition("=")
         name = name.strip()
@@ -132,15 +141,18 @@ def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
         step = parse_rational(step_txt) if step_txt else Fraction(1)
         if step <= 0:
             raise ParseError(f"grid step must be positive, got {step_txt!r}")
-        values = []
-        v = lo
-        while v <= hi:
-            values.append(v)
-            v += step
-        ranges[name] = values
+        ranges[name] = (lo, step, max(0, (hi - lo) // step + 1))
     if "s" not in ranges or "t" not in ranges:
         raise ParseError("grid needs both an s range and a t range")
-    return [(s, t) for s in ranges["s"] for t in ranges["t"]]
+    (s_lo, s_step, s_count), (t_lo, t_step, t_count) = ranges["s"], ranges["t"]
+    # each axis on its own too: beside an empty axis the other still loops
+    if max(s_count, t_count, s_count * t_count) > MAX_GRID_POINTS:
+        raise ParseError(f"grid {text!r} holds more than {MAX_GRID_POINTS} points")
+    return [
+        (s_lo + i * s_step, t_lo + j * t_step)
+        for i in range(s_count)
+        for j in range(t_count)
+    ]
 
 
 def _load_config(path: str | None) -> dict:
@@ -166,8 +178,10 @@ def _load_config(path: str | None) -> dict:
                 depth = int(value)
             except ValueError as exc:
                 raise ParseError(f"probe_depth must be an integer, got {value!r}") from exc
-            if depth < 0:
-                raise ParseError(f"probe_depth must be nonnegative, got {value!r}")
+            if not 0 <= depth < MAX_TWISTS:
+                raise ParseError(
+                    f"probe_depth must be in 0..{MAX_TWISTS - 1}, got {value!r}"
+                )
             config["probe_depth"] = depth
         elif key == "slope_convention":
             config["slope_convention"] = value
@@ -472,6 +486,12 @@ def main(argv=None) -> int:
         report = _report(command_echo, None, None, None, None, error=str(exc))
         _emit(report, fmt, out)
         return exc.exit_code
+    except Exception as exc:  # a defect in the kit: keep it apart from exit 1
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+        error = f"internal error: {type(exc).__name__}: {exc} (at {where})"
+        _emit(_report(command_echo, None, None, None, None, error=error), fmt, out)
+        return INTERNAL_ERROR_EXIT
     report = _report(command_echo, model_spec, convention, payload, verdict)
     _emit(report, fmt, out)
     return code

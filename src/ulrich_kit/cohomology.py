@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .chern import class_or_none
 from .errors import NoOracle, UnknownSlopeZero, UnsupportedQuadricDim
 from .sheaves import (
     AbstractSheaf,
@@ -34,6 +35,7 @@ from .sheaves import (
     Spinor,
     format_sheaf,
     normalize_elliptic,
+    product_form,
     validate_descriptor,
 )
 from .tables import CohomologyTable
@@ -46,7 +48,7 @@ from .variety import (
     VarietyModel,
     default_window,
     format_variety,
-    proj_space,
+    product_proj,
 )
 
 
@@ -135,8 +137,7 @@ def spinor_table(model: VarietyModel, sign: str | None, k: int) -> dict[int, int
     desc = Spinor(sign)
     validate_descriptor(desc, model)
     if model.dim == 2:
-        a, b = (1, 0) if sign == "+" else (0, 1)
-        return _convolve(bott_table(1, a + k), bott_table(1, b + k))
+        return _sheaf_column(product_form(desc, model), product_proj(1, 1), k)
     if model.dim == 3:
         column: dict[int, int] = {}
         h0 = _spinor3_h0(k)
@@ -186,9 +187,10 @@ def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[in
             a, b = desc.twists
             return _convolve(bott_table(n1, a + t), bott_table(n2, b + t))
         if isinstance(desc, ExternalTensor):
-            left = _sheaf_column(desc.left, proj_space(n1), t)
-            right = _sheaf_column(desc.right, proj_space(n2), t)
-            return _convolve(left, right)
+            left, right = model.factor_models
+            return _convolve(
+                _sheaf_column(desc.left, left, t), _sheaf_column(desc.right, right, t)
+            )
     elif model.kind == KIND_ELLIPTIC:
         atom = normalize_elliptic(desc, model)
         if isinstance(atom, SemistableEC):
@@ -234,12 +236,5 @@ def sheaf_table(
         for i, h in _sheaf_column(desc, model, t).items():
             entries[(i, t)] = h
     table = CohomologyTable(window=window, entries=entries, complete=True)
-    from .chern import class_of, euler_supported
-    from .errors import Indeterminate
-
-    if euler_supported(model):
-        try:
-            table.num_class = class_of(desc, model)
-        except Indeterminate:
-            pass
+    table.num_class = class_or_none(desc, model)
     return table

@@ -22,22 +22,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .cohomology import sheaf_table
+from .chern import class_or_none
+from .cohomology import _sheaf_column, sheaf_table
 from .errors import (
     DimensionMismatch,
     IncompleteTable,
     MalformedDescriptor,
     ModelMismatch,
+    NonDivisibleRank,
     NoRestrictionRule,
     UnsupportedProduct,
 )
 from .sheaves import (
     DirectSum,
+    ExternalTensor,
     LineBundle,
     SheafDescriptor,
     Spinor,
     direct_sum as sheaf_direct_sum,
+    flatten_atoms,
     format_sheaf,
+    map_parts,
     tensor_line,
     validate_descriptor,
 )
@@ -189,14 +194,7 @@ def _hyper_from_tables(
     else:
         certificates = dict.fromkeys(range(lo, hi + 1), CERT_EXACT)
     table = CohomologyTable(window=window, entries=entries, complete=complete)
-    from .chern import class_of, euler_supported
-    from .errors import Indeterminate
-
-    if euler_supported(E.model):
-        try:
-            table.num_class = class_of(E, E.model)
-        except Indeterminate:
-            pass
+    table.num_class = class_or_none(E, E.model)
     return HyperTableResult(table=table, certificates=certificates)
 
 
@@ -210,6 +208,22 @@ def _rebuilds(
     degree, has the given table over the window."""
     rebuilt = hyper_table(formal_complex(model, sheaves), window)
     return rebuilt.table.same_entries(table)
+
+
+def _unit_multiples(
+    model: VarietyModel, unit: SheafDescriptor, window: tuple[int, int], table: CohomologyTable
+) -> tuple[dict[int, int], bool]:
+    """Multiplicity of ``unit`` in each degree, read from the twist-0
+    column of the table, and whether the split complex of those sums of
+    ``unit`` rebuilds the table over the window."""
+    sections = _sheaf_column(unit, model, 0)[0]
+    multiplicities: dict[int, int] = {}
+    for degree, h in sorted(table.column(0).items()):
+        if h % sections:
+            raise NonDivisibleRank(f"h^{degree}(E) = {h} is not a multiple of {sections}")
+        multiplicities[degree] = h // sections
+    rebuilt = {d: sheaf_direct_sum((unit, m)) for d, m in multiplicities.items()}
+    return multiplicities, _rebuilds(model, rebuilt, window, table)
 
 
 @dataclass
@@ -303,13 +317,12 @@ def external_product(
             )
     if side not in (TWIST_LEFT, TWIST_RIGHT):
         raise MalformedDescriptor(f"unknown twist side {side!r}")
-    line = proj_space(1)
     left = {
-        d: tensor_line(desc, (1,), line) if side == TWIST_LEFT else desc
+        d: tensor_line(desc, (1,), E.model) if side == TWIST_LEFT else desc
         for d, desc in E.sheaves
     }
     right = {
-        d: tensor_line(desc, (1,), line) if side == TWIST_RIGHT else desc
+        d: tensor_line(desc, (1,), F.model) if side == TWIST_RIGHT else desc
         for d, desc in F.sheaves
     }
     target = product_proj(1, 1)
@@ -326,16 +339,12 @@ def external_product(
 
 def _external_tensor_atoms(left: SheafDescriptor, right: SheafDescriptor):
     """O(a) x O(b) simplifies to O(a,b); sums distribute."""
-    from .sheaves import flatten_atoms
-
     out = []
     for latom, lmult in flatten_atoms(left):
         for ratom, rmult in flatten_atoms(right):
             if isinstance(latom, LineBundle) and isinstance(ratom, LineBundle):
                 atom = LineBundle((latom.twists[0], ratom.twists[0]))
             else:
-                from .sheaves import ExternalTensor
-
                 atom = ExternalTensor(latom, ratom)
             out.append((atom, lmult * rmult))
     return out
@@ -364,11 +373,7 @@ def _restrict_descriptor(
     if isinstance(desc, Spinor) and model.kind == KIND_QUADRIC and model.dim == 3:
         return sheaf_direct_sum(Spinor("+"), Spinor("-"))
     if isinstance(desc, DirectSum):
-        return DirectSum(
-            tuple(
-                (_restrict_descriptor(p, model, target), m) for p, m in desc.parts
-            )
-        )
+        return map_parts(desc, lambda part: _restrict_descriptor(part, model, target))
     raise NoRestrictionRule(
         f"no hyperplane rule for {format_sheaf(desc)} on {format_variety(model)}"
     )
@@ -412,18 +417,12 @@ def pushforward_finite(
             witness=witness,
             reconstruction_ok=None,
         )
-    multiplicities = {
-        i: h for i, h in sorted(hyper.table.column(0).items()) if h
-    }
-    rebuilt = {
-        degree: sheaf_direct_sum((LineBundle((0,)), mult))
-        for degree, mult in multiplicities.items()
-    }
+    multiplicities, rebuilds = _unit_multiples(target, LineBundle((0,)), window, hyper.table)
     return PushforwardReport(
         target=target,
         table=hyper.table,
         trivialized=True,
         multiplicities=multiplicities,
         witness=None,
-        reconstruction_ok=_rebuilds(target, rebuilt, window, hyper.table),
+        reconstruction_ok=rebuilds,
     )

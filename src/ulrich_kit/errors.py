@@ -2,6 +2,7 @@
 
 Exit code conventions for the command line layer: 2 for malformed input
 or an invalid request, 3 for a model family the kit does not support.
+Any other exception is a defect and exits with 4.
 """
 
 

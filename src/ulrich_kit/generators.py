@@ -100,7 +100,11 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
     if isinstance(obj, FormalComplex):
         if obj.model != model:
             raise MalformedDescriptor("complex lives on a different model")
-        total = K0Class(model, (Fraction(0),) * _coord_width(model))
+        if model.k0_rank is None:  # no lattice to hold even the zero class
+            raise Indeterminate(
+                f"no K-group coordinates implemented for {format_variety(model)}"
+            )
+        total = K0Class(model, (Fraction(0),) * model.k0_rank)
         for degree, desc in obj.sheaves:
             part = k0_class(desc, model)
             total = total + (-part if degree % 2 else part)
@@ -113,18 +117,6 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
     if model.kind == KIND_ELLIPTIC:
         cls = class_of(obj, model)
         return K0Class(model, (Fraction(cls.r), cls.e1 * model.deg))
-    raise Indeterminate(
-        f"no K-group coordinates implemented for {format_variety(model)}"
-    )
-
-
-def _coord_width(model: VarietyModel) -> int:
-    if model.kind == KIND_PROJ:
-        return model.dim + 1
-    if model.kind == KIND_PRODUCT and model.factors == (1, 1):
-        return 4
-    if model.kind == KIND_ELLIPTIC:
-        return 2
     raise Indeterminate(
         f"no K-group coordinates implemented for {format_variety(model)}"
     )

@@ -118,6 +118,11 @@ def flatten_atoms(desc: SheafDescriptor) -> list[tuple[SheafDescriptor, int]]:
     return [(desc, 1)]
 
 
+def map_parts(desc: DirectSum, fn) -> DirectSum:
+    """The sum of fn(part) over the parts, multiplicities kept."""
+    return DirectSum(tuple((fn(part), mult) for part, mult in desc.parts))
+
+
 def twist_components(model: VarietyModel) -> int:
     return 2 if model.kind == KIND_PRODUCT else 1
 
@@ -163,11 +168,9 @@ def validate_descriptor(desc: SheafDescriptor, model: VarietyModel) -> None:
     if isinstance(desc, ExternalTensor):
         if model.kind != KIND_PRODUCT:
             raise MalformedDescriptor("external tensors live on product models")
-        from .variety import proj_space  # local to avoid import noise
-
-        n1, n2 = model.factors
-        validate_descriptor(desc.left, proj_space(n1))
-        validate_descriptor(desc.right, proj_space(n2))
+        left, right = model.factor_models
+        validate_descriptor(desc.left, left)
+        validate_descriptor(desc.right, right)
         return
     if isinstance(desc, AbstractSheaf):
         if desc.rank < 0:
@@ -186,10 +189,8 @@ def rank_of(desc: SheafDescriptor, model: VarietyModel) -> int:
     if isinstance(desc, DirectSum):
         return sum(mult * rank_of(part, model) for part, mult in desc.parts)
     if isinstance(desc, ExternalTensor):
-        from .variety import proj_space
-
-        n1, n2 = model.factors
-        return rank_of(desc.left, proj_space(n1)) * rank_of(desc.right, proj_space(n2))
+        left, right = model.factor_models
+        return rank_of(desc.left, left) * rank_of(desc.right, right)
     if isinstance(desc, AbstractSheaf):
         return desc.rank
     raise MalformedDescriptor(f"unknown descriptor {desc!r}")
@@ -204,9 +205,7 @@ def normalize_elliptic(desc: SheafDescriptor, model: VarietyModel) -> SheafDescr
     if isinstance(desc, LineBundle):
         return SemistableEC(rank=1, degree=desc.twists[0] * model.deg, trivial_type=True)
     if isinstance(desc, DirectSum):
-        return DirectSum(
-            tuple((normalize_elliptic(p, model), m) for p, m in desc.parts)
-        )
+        return map_parts(desc, lambda part: normalize_elliptic(part, model))
     return desc
 
 
@@ -229,16 +228,12 @@ def tensor_line(
             trivial_type=desc.trivial_type,
         )
     if isinstance(desc, DirectSum):
-        return DirectSum(
-            tuple((tensor_line(p, shift, model), m) for p, m in desc.parts)
-        )
+        return map_parts(desc, lambda part: tensor_line(part, shift, model))
     if isinstance(desc, ExternalTensor):
-        from .variety import proj_space
-
-        n1, n2 = model.factors
+        left, right = model.factor_models
         return ExternalTensor(
-            tensor_line(desc.left, (shift[0],), proj_space(n1)),
-            tensor_line(desc.right, (shift[1],), proj_space(n2)),
+            tensor_line(desc.left, shift[:1], left),
+            tensor_line(desc.right, shift[1:], right),
         )
     raise NoDualRule(f"no line twist rule for {format_sheaf(desc)} on this model")
 
@@ -252,9 +247,7 @@ def dual_descriptor(desc: SheafDescriptor, model: VarietyModel) -> SheafDescript
     if isinstance(desc, SemistableEC) and desc.rank == 1:
         return SemistableEC(1, -desc.degree, desc.trivial_type)
     if isinstance(desc, DirectSum):
-        return DirectSum(
-            tuple((dual_descriptor(p, model), m) for p, m in desc.parts)
-        )
+        return map_parts(desc, lambda part: dual_descriptor(part, model))
     raise NoDualRule(f"no dual rule for {format_sheaf(desc)}")
 
 
@@ -269,7 +262,7 @@ def product_form(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
     if isinstance(desc, Spinor):
         return LineBundle((1, 0)) if desc.sign == "+" else LineBundle((0, 1))
     if isinstance(desc, DirectSum):
-        return DirectSum(tuple((product_form(p, model), m) for p, m in desc.parts))
+        return map_parts(desc, lambda part: product_form(part, model))
     raise MalformedDescriptor(
         f"{format_sheaf(desc)} has no quadric-surface product form"
     )

@@ -11,7 +11,7 @@ cohomology sheaf separately) checks must always agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .chern import euler_char, twist_class, ulrich_chern_solve
 from .cohomology import _elliptic_pair, sheaf_column, sheaf_table
@@ -22,6 +22,7 @@ from .complexes import (
     HyperTableResult,
     _hyper_from_tables,
     _rebuilds,
+    _unit_multiples,
     formal_complex,
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
 )
@@ -140,7 +141,7 @@ def is_initialized(
 
 def _probe_depth(model: VarietyModel, probe_depth: int | None) -> int:
     if probe_depth is None:
-        return 2 * model.dim + 5
+        return -default_window(model)[0]
     if probe_depth < 0:
         raise MalformedDescriptor(
             f"probe depth must be a nonnegative integer, got {probe_depth}"
@@ -182,18 +183,18 @@ def is_ulrich_sheaf(
     if window is None:
         window = default_window(model)
     table = sheaf_table(desc, model, window)
-    return _sheaf_verdict(desc, model, window, probe_depth, table)
+    return _sheaf_verdict(desc, model, window, _probe_depth(model, probe_depth), table)
 
 
 def _sheaf_verdict(
     desc: SheafDescriptor,
     model: VarietyModel,
     window: tuple[int, int],
-    probe_depth: int | None,
+    depth: int,
     table: CohomologyTable,
 ) -> UlrichVerdict:
     """``is_ulrich_sheaf`` on the already assembled table of desc over
-    the window."""
+    the window, with the probe depth already checked."""
     n = model.dim
     ulrich_twists = tuple(range(-1, -n - 1, -1))
     criteria: list[Criterion] = []
@@ -208,7 +209,6 @@ def _sheaf_verdict(
         )
     )
 
-    depth = _probe_depth(model, probe_depth)
     probe_table = table
     if not (table.covers(-depth) and table.covers(0)):
         probe_table = sheaf_table(desc, model, (-depth, 0))
@@ -280,6 +280,7 @@ def _object_verdict(
     is built once and read by both checks."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
+    depth = _probe_depth(E.model, probe_depth)
     if window is None:
         window = default_window(E.model)
     n = E.model.dim
@@ -313,20 +314,12 @@ def _object_verdict(
         criteria: list[Criterion] = []
         passed = True
         for degree, desc in E.sheaves:
-            sub = _sheaf_verdict(
-                desc, E.model, window, probe_depth, table_of(degree, desc)
-            )
+            sub = _sheaf_verdict(desc, E.model, window, depth, table_of(degree, desc))
             passed = passed and sub.passed
-            for criterion in sub.criteria:
-                criteria.append(
-                    Criterion(
-                        name=f"degree {degree}: {criterion.name}",
-                        twists=criterion.twists,
-                        passed=criterion.passed,
-                        witness=criterion.witness,
-                        note=criterion.note,
-                    )
-                )
+            criteria.extend(
+                replace(criterion, name=f"degree {degree}: {criterion.name}")
+                for criterion in sub.criteria
+            )
         return UlrichVerdict(passed=passed, mode="sheafwise", criteria=criteria)
 
     if mode == "direct":
@@ -365,12 +358,8 @@ def pn_decompose(
     verdict, hyper = _object_verdict(E, "both", window)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    multiplicities = dict(sorted(hyper.table.column(0).items()))
-    rebuilt = {
-        degree: direct_sum((LineBundle((0,)), mult))
-        for degree, mult in multiplicities.items()
-    }
-    if multiplicities and not _rebuilds(E.model, rebuilt, window, hyper.table):
+    multiplicities, rebuilds = _unit_multiples(E.model, LineBundle((0,)), window, hyper.table)
+    if not rebuilds:
         raise NotUlrich(
             "table does not match any sum of shifts of the structure sheaf"
         )
@@ -414,19 +403,8 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
 
     if odd:
-        spinor_sections = sheaf_column(Spinor(None), model, 0)[0]
-        multiplicities: dict[int, int] = {}
-        for degree, h in sorted(hyper.table.column(0).items()):
-            if h % spinor_sections:
-                raise NonDivisibleRank(
-                    f"h^{degree}(E) = {h} is not a multiple of {spinor_sections}"
-                )
-            multiplicities[degree] = h // spinor_sections
-        rebuilt = {
-            degree: direct_sum((Spinor(None), mult))
-            for degree, mult in multiplicities.items()
-        }
-        if multiplicities and not _rebuilds(model, rebuilt, window, hyper.table):
+        multiplicities, rebuilds = _unit_multiples(model, Spinor(None), window, hyper.table)
+        if not rebuilds:
             raise NotUlrich("table does not match any sum of shifted spinors")
         return multiplicities
 
@@ -545,28 +523,11 @@ def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
     return total
 
 
-def _canonical_descriptor(model: VarietyModel) -> SheafDescriptor | None:
-    if model.kind == KIND_PROJ:
-        return LineBundle((-model.dim - 1,))
-    if model.kind == KIND_QUADRIC:
-        return LineBundle((-model.dim,))
-    if model.kind == KIND_PRODUCT:
-        n1, n2 = model.factors
-        return LineBundle((-n1 - 1, -n2 - 1))
-    if model.kind == KIND_ELLIPTIC:
-        return SemistableEC(1, 0, True)
-    return None
-
-
 def _ext_serre_partner(F, G, k: int, model: VarietyModel) -> int | None:
-    canonical = _canonical_descriptor(model)
-    if canonical is None:
+    if model.canonical_twists is None:
         return None
     try:
-        if model.kind == KIND_ELLIPTIC:
-            twisted = normalize_elliptic(F, model)  # canonical twist is trivial
-        else:
-            twisted = tensor_line(F, canonical.twists, model)
+        twisted = tensor_line(F, model.canonical_twists, model)
         return _ext_primary(G, twisted, model.dim - k, model)
     except (NoDualRule, UnknownSlopeZero):
         return None

@@ -43,6 +43,22 @@ class VarietyModel:
     ambient_dim: int | None
     factors: tuple[int, int] | None = None  # product models only
 
+    @property
+    def canonical_twists(self) -> tuple[int, ...] | None:
+        """Twist vector of K_X, or None where K_X is no known line-bundle twist."""
+        if self.factors is not None:
+            return tuple(-n - 1 for n in self.factors)
+        if self.kind == KIND_SURFACE:
+            return None
+        return (int(self.canonical_coeff),)
+
+    @property
+    def factor_models(self) -> tuple[VarietyModel, ...] | None:
+        """The projective-space factors of a product model."""
+        if self.factors is None:
+            return None
+        return tuple(proj_space(n) for n in self.factors)
+
 
 def proj_space(n: int) -> VarietyModel:
     if not isinstance(n, int) or n < 1:

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import ulrich_kit
-from ulrich_kit.cli import main, to_jsonable, _parse_grid, _parse_window
+import ulrich_kit.cli
+from ulrich_kit.cli import (
+    MAX_GRID_POINTS,
+    MAX_TWISTS,
+    main,
+    to_jsonable,
+    _parse_grid,
+    _parse_window,
+)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -407,6 +415,16 @@ class TestConfig:
         assert code == 2
         assert "probe_depth" in report["error"]
 
+    def test_probe_depth_past_the_cap_is_exit_two(self, capsys, tmp_path):
+        config = tmp_path / "kit.conf"
+        config.write_text(f"probe_depth={MAX_TWISTS}\n")
+        code, report = run_json(
+            capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
+            "--config", str(config),
+        )
+        assert code == 2
+        assert "probe_depth" in report["error"]
+
     def test_missing_config_file_is_exit_two(self, capsys, tmp_path):
         code, report = run_json(
             capsys, "table", "--variety", "pn:2", "--sheaf", "O(0)",
@@ -439,3 +457,43 @@ class TestHelpers:
 
         data = {"a": Fraction(1, 2), "b": [Fraction(3)], "c": {2: None}}
         assert to_jsonable(data) == {"a": "1/2", "b": ["3"], "c": {"2": None}}
+
+
+class TestBoundaries:
+    """Work is bounded before anything is allocated, and a defect in the
+    kit gets its own exit code instead of a traceback."""
+
+    def test_window_past_the_cap_is_exit_two(self, capsys):
+        code, report = run_json(
+            capsys, "table", "--variety", "pn:2", "--sheaf", "O(0)",
+            "--window=-1000000000:0",
+        )
+        assert code == 2
+        assert "twists" in report["error"]
+
+    def test_grid_past_the_cap_is_exit_two(self, capsys, tmp_path):
+        obj = tmp_path / "obj.json"
+        obj.write_text(json.dumps({"variety": "pn:2", "sheaves": {"0": "O(0)"}}))
+        code, report = run_json(
+            capsys, "scan", "--object", str(obj),
+            "--grid", "s=0..1000:1/1000000,t=1..1:1",
+        )
+        assert code == 2
+        assert "points" in report["error"]
+
+    def test_caps_admit_their_largest_value(self):
+        assert _parse_window(f"0:{MAX_TWISTS - 1}") == (0, MAX_TWISTS - 1)
+        assert len(_parse_grid(f"s=1..{MAX_GRID_POINTS}:1,t=1..1")) == MAX_GRID_POINTS
+
+    def test_internal_error_is_exit_four_without_traceback(self, capsys, monkeypatch):
+        def broken(args, config):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(ulrich_kit.cli, "_cmd_table", broken)
+        code = main(["table", "--variety", "pn:2", "--sheaf", "O(0)"])
+        captured = capsys.readouterr()
+        assert code == 4
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert "RuntimeError: simulated defect" in report["error"]
+        assert "Traceback" not in captured.out + captured.err

@@ -40,6 +40,7 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     UnsupportedQuadricDim,
 )
+from ulrich_kit.sheaves import product_form
 
 
 def count_monomials(n: int, k: int) -> int:
@@ -306,6 +307,15 @@ class TestSpinor:
         plus = sheaf_table(Spinor("+"), q2, (-4, 4))
         minus = sheaf_table(Spinor("-"), q2, (-4, 4))
         assert plus.same_entries(minus)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_q2_spinor_columns_are_their_product_form_columns(self, sign):
+        q2, p11 = quadric(2), product_proj(1, 1)
+        on_product = product_form(Spinor(sign), q2)
+        for t in range(-8, 8):
+            assert sheaf_column(Spinor(sign), q2, t) == sheaf_column(
+                on_product, p11, t
+            ), (sign, t)
 
     def test_sign_validation(self):
         with pytest.raises(MalformedDescriptor):

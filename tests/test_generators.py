@@ -24,6 +24,7 @@ from ulrich_kit import (
     lattice_rank,
     line_bundle,
     orthogonal_membership,
+    parse_variety,
     product_proj,
     proj_space,
     quadric,
@@ -38,6 +39,7 @@ from ulrich_kit.errors import (
     UnknownK0Rank,
     UnsupportedModel,
 )
+from ulrich_kit.sheaves import twist_components
 
 
 class TestK0Class:
@@ -79,6 +81,17 @@ class TestK0Class:
     def test_unsupported_models_are_indeterminate(self):
         with pytest.raises(Indeterminate):
             k0_class(line_bundle(0, 0), product_proj(2, 2))
+        surface = rank1_surface(4, 0, 2)
+        for E in (formal_complex(surface, {}), formal_complex(surface, {0: line_bundle(0)})):
+            with pytest.raises(Indeterminate):
+                k0_class(E, surface)
+
+    @pytest.mark.parametrize("spec", ["pn:1", "pn:2", "pn:3", "pn:4", "prod:1x1", "elliptic:4"])
+    def test_coordinate_width_is_the_lattice_rank(self, spec):
+        model = parse_variety(spec)
+        desc = LineBundle((1,) * twist_components(model))
+        for obj in (desc, formal_complex(model, {}), formal_complex(model, {0: desc, 1: desc})):
+            assert len(k0_class(obj, model).coords) == model.k0_rank
 
 
 class TestLatticeRank:

@@ -1,9 +1,12 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every module-level private function or class is referenced by some
+code in the package.
 
 The package re-exports its public names from ``__init__.py``, so that
-file is the one exception.  Elsewhere a name kept for other modules to
-read is imported as ``name as name``, the usual explicit re-export, and
-is not counted.  Only the standard library is needed here.
+file is the one exception to the import rule.  Elsewhere a name kept for
+other modules to read is imported as ``name as name``, the usual
+explicit re-export, and is not counted.  Only the standard library is
+needed here.
 """
 
 import ast
@@ -15,6 +18,7 @@ import ulrich_kit
 
 PACKAGE = Path(ulrich_kit.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +54,33 @@ def test_every_import_is_used(path):
         name: line for name, line in imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names read anywhere under the node: plain names, attributes and
+    names imported from another module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    """A private function or class no code refers to is a leftover.  A
+    definition's references to itself (recursion) do not count."""
+    refs = [(stmt, referenced_names(stmt)) for tree in TREES.values() for stmt in tree.body]
+    unreferenced = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for stmt, names in refs if stmt is not node)
+    ]
+    assert not unreferenced, f"unreferenced private definitions: {unreferenced}"

@@ -6,6 +6,8 @@ that pass the pointwise criteria but are not what they pretend to be.
 Those tests pin down that the reconstruction cross-checks actually run.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,13 @@ class TestInitialized:
             is_initialized(line_bundle(0), p2, probe_depth=-3)
         with pytest.raises(MalformedDescriptor):
             is_ulrich_sheaf(line_bundle(0), p2, probe_depth=-3)
+
+    @pytest.mark.parametrize("mode", ["direct", "sheafwise", "both"])
+    def test_negative_probe_depth_is_refused_in_every_mode(self, mode):
+        # direct mode never probes initialization, yet the depth is checked
+        E = formal_complex(proj_space(2), {0: line_bundle(0)})
+        with pytest.raises(MalformedDescriptor):
+            is_ulrich_object(E, mode, probe_depth=-3)
 
     def test_structure_sheaf_is_initialized(self):
         report = is_initialized(line_bundle(0), proj_space(2))
@@ -475,6 +484,22 @@ class TestExtDimension:
         p11 = product_proj(1, 1)
         assert ext_dimension(LineBundle((1, 0)), LineBundle((1, 1)), 0, p11) == 2
         assert ext_dimension(LineBundle((0, 0)), LineBundle((-2, -2)), 2, p11) == 1
+
+    @pytest.mark.parametrize(
+        "spec", ["pn:3", "quadric:3", "quadric:4", "prod:1x1", "prod:1x2", "elliptic:4"]
+    )
+    def test_serre_partner_runs_and_agrees_on_line_bundles(self, spec):
+        from ulrich_kit.sheaves import twist_components
+        from ulrich_kit.ulrich import _ext_primary, _ext_serre_partner
+
+        model = parse_variety(spec)
+        twists = itertools.product(range(-2, 3), repeat=twist_components(model))
+        lines = [LineBundle(twist) for twist in twists]
+        for F, G in itertools.product(lines, repeat=2):
+            for k in range(model.dim + 1):
+                partner = _ext_serre_partner(F, G, k, model)
+                assert partner is not None, (spec, F, G, k)
+                assert partner == _ext_primary(F, G, k, model), (spec, F, G, k)
 
 
 class TestYonedaBuild:
