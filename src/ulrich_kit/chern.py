@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
-    DegenerateSystem,
     Indeterminate,
     MalformedDescriptor,
     ModelMismatch,
@@ -203,43 +202,17 @@ def class_or_none(obj, model: VarietyModel) -> NumClass | None:
         return None
 
 
-def _solve_2x2(rows) -> tuple[Fraction, Fraction]:
-    """Exact Gaussian elimination for a 2x2 system given as
-    [(a, b, c), ...] meaning a*x + b*y = c."""
-    (a1, b1, c1), (a2, b2, c2) = rows
-    if a1 == 0:
-        (a1, b1, c1), (a2, b2, c2) = (a2, b2, c2), (a1, b1, c1)
-    if a1 == 0:
-        raise DegenerateSystem("no pivot in the first column")
-    factor = Fraction(a2, a1)
-    b2p = b2 - factor * b1
-    c2p = c2 - factor * c1
-    if b2p == 0:
-        raise DegenerateSystem("system is singular")
-    y = c2p / b2p
-    x = (c1 - b1 * y) / a1
-    return x, y
-
-
 def ulrich_chern_solve(model: VarietyModel, r: int) -> NumClass:
     """The unique class (r, e1, e2) with chi(E(-1)) = chi(E(-2)) = 0.
 
-    Solved by exact elimination of the two linear conditions.  The
-    solution simplifies to e1 = (r/2)(i_X + 3) and
+    The two conditions are linear in (e1, e2) with determinant d^2, and
+    their solution is e1 = (r/2)(i_X + 3) and
     e2*d = -r*chi0 + (r*d/4)(i_X^2 + 3*i_X + 4); rank r enters linearly,
     so nonpositive r is accepted as purely numerical data.
     """
     d, i_x, chi0 = surface_data(model)
-    rows = []
-    for j in (1, 2):
-        # chi(E(-j)) as an affine-linear function of (e1, e2)
-        coeff_e1 = Fraction(-j * d) - Fraction(i_x * d, 2)
-        coeff_e2 = Fraction(d)
-        constant = (
-            Fraction(r * j * j * d, 2) + Fraction(i_x * d * j * r, 2) + r * chi0
-        )
-        rows.append((coeff_e1, coeff_e2, -constant))
-    e1, e2 = _solve_2x2(rows)
+    e1 = Fraction(r, 2) * (i_x + 3)
+    e2 = (Fraction(r * d, 4) * (i_x * i_x + 3 * i_x + 4) - r * chi0) / d
     return NumClass(model, r, e1, e2)
 
 

@@ -94,14 +94,10 @@ def _tsv_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report, fmt: str, out: str | None):
+def _render(report, fmt: str) -> str:
     if fmt == "tsv":
-        text = _tsv_text(report)
-    else:
-        text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text)
+        return _tsv_text(report)
+    return json.dumps(report, indent=2) + "\n"
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -233,11 +229,13 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
         try:
             ends = (item["from"], item["to"])
             ext_degree = item.get("ext_degree", 2)
-            nonzero = bool(item.get("nonzero", True))
+            nonzero = item.get("nonzero", True)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed glue entry {item!r}") from exc
         if not all(type(end) is int for end in ends):  # bools are not degrees
             raise ParseError(f"glue degrees must be integers, got {item!r}")
+        if type(nonzero) is not bool:  # the string "false" would read as glued
+            raise ParseError(f"glue nonzero must be true or false, got {item!r}")
         glue.append(GlueWitness(ends[0], ends[1], ext_degree, nonzero))
     return formal_complex(use, sheaves, tuple(glue)), format_variety(use)
 
@@ -482,18 +480,25 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         payload, verdict, model_spec, convention, code = args.handler(args, config)
+        report = _report(command_echo, model_spec, convention, payload, verdict)
     except UlrichKitError as exc:
         report = _report(command_echo, None, None, None, None, error=str(exc))
-        _emit(report, fmt, out)
-        return exc.exit_code
+        code = exc.exit_code
     except Exception as exc:  # a defect in the kit: keep it apart from exit 1
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
         error = f"internal error: {type(exc).__name__}: {exc} (at {where})"
-        _emit(_report(command_echo, None, None, None, None, error=error), fmt, out)
-        return INTERNAL_ERROR_EXIT
-    report = _report(command_echo, model_spec, convention, payload, verdict)
-    _emit(report, fmt, out)
+        report = _report(command_echo, None, None, None, None, error=error)
+        code = INTERNAL_ERROR_EXIT
+    text = _render(report, fmt)
+    if out:
+        try:  # before printing, so a failed write prints only its own envelope
+            Path(out).write_text(text)
+        except OSError as exc:
+            error = f"cannot write the report to {out}: {exc}"
+            text = _render(_report(command_echo, None, None, None, None, error=error), fmt)
+            code = ParseError.exit_code
+    sys.stdout.write(text)
     return code
 
 

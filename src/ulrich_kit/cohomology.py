@@ -15,6 +15,10 @@ the twisted strands, the vanishing of the middle cohomology of O(k) on
 the quadric, and nonnegativity force the whole table from that data:
 h^1 and h^2 vanish everywhere, h^0 obeys a two-term recursion upward
 and h^3 the mirror recursion downward.
+
+Ulrich tables follow from the Eisenbud-Schreyer rule (2003, Prop. 2.1): a
+finite linear projection to P^n pushes an Ulrich object to a sum of shifted
+structure sheaves, so h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
 """
 
 from __future__ import annotations
@@ -103,6 +107,19 @@ def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
         for q, b in right.items():
             out[p + q] = out.get(p + q, 0) + a * b
     return out
+
+
+def ulrich_table(
+    n: int, column: dict[int, int], window: tuple[int, int]
+) -> CohomologyTable:
+    """The table an Ulrich object of dimension n with the given twist-0
+    column must have over the window (the rule in the module docstring)."""
+    lo, hi = window
+    entries: dict[tuple[int, int], int] = {}
+    for t in range(lo, hi + 1):
+        for i, h in _convolve(column, bott_table(n, t)).items():
+            entries[(i, t)] = h
+    return CohomologyTable(window=window, entries=entries)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .chern import class_or_none
-from .cohomology import _sheaf_column, sheaf_table
+from .cohomology import sheaf_table, ulrich_table
 from .errors import (
     DimensionMismatch,
     IncompleteTable,
@@ -198,32 +198,20 @@ def _hyper_from_tables(
     return HyperTableResult(table=table, certificates=certificates)
 
 
-def _rebuilds(
-    model: VarietyModel,
-    sheaves: Mapping[int, SheafDescriptor],
-    window: tuple[int, int],
-    table: CohomologyTable,
-) -> bool:
-    """Whether the split complex with these cohomology sheaves, keyed by
-    degree, has the given table over the window."""
-    rebuilt = hyper_table(formal_complex(model, sheaves), window)
-    return rebuilt.table.same_entries(table)
-
-
 def _unit_multiples(
-    model: VarietyModel, unit: SheafDescriptor, window: tuple[int, int], table: CohomologyTable
+    n: int, sections: int, table: CohomologyTable
 ) -> tuple[dict[int, int], bool]:
-    """Multiplicity of ``unit`` in each degree, read from the twist-0
-    column of the table, and whether the split complex of those sums of
-    ``unit`` rebuilds the table over the window."""
-    sections = _sheaf_column(unit, model, 0)[0]
+    """Multiplicity of the Ulrich unit in each degree, read from the
+    twist-0 column of the table of an object of dimension n as h^q(E)
+    over the unit's ``sections`` (deg * rank, by Eisenbud-Schreyer), and
+    whether the table is the one ``ulrich_table`` reads off that column."""
     multiplicities: dict[int, int] = {}
-    for degree, h in sorted(table.column(0).items()):
+    column = table.column(0)
+    for degree, h in sorted(column.items()):
         if h % sections:
             raise NonDivisibleRank(f"h^{degree}(E) = {h} is not a multiple of {sections}")
         multiplicities[degree] = h // sections
-    rebuilt = {d: sheaf_direct_sum((unit, m)) for d, m in multiplicities.items()}
-    return multiplicities, _rebuilds(model, rebuilt, window, table)
+    return multiplicities, ulrich_table(n, column, table.window).same_entries(table)
 
 
 @dataclass
@@ -417,7 +405,7 @@ def pushforward_finite(
             witness=witness,
             reconstruction_ok=None,
         )
-    multiplicities, rebuilds = _unit_multiples(target, LineBundle((0,)), window, hyper.table)
+    multiplicities, rebuilds = _unit_multiples(n, target.deg, hyper.table)
     return PushforwardReport(
         target=target,
         table=hyper.table,

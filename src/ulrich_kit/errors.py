@@ -61,10 +61,6 @@ class Indeterminate(UlrichKitError):
     pass
 
 
-class DegenerateSystem(UlrichKitError):
-    pass
-
-
 class IncompleteTable(UlrichKitError):
     pass
 

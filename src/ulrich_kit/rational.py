@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 
+# "p", "-p", "p/q" or a decimal; no exponents or "_" separators, which
+# would let a short text ask ``Fraction`` for an enormous number
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?|[+-]?[0-9]*\.[0-9]+")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "-p" or "p/q" into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational number: {text!r}") from exc
+    """Parse "p", "-p", "p/q" or a decimal such as "1.5" into a Fraction."""
+    body = text.strip()
+    if _RATIONAL.fullmatch(body):
+        try:
+            return Fraction(body)
+        except (ValueError, ZeroDivisionError):  # "p/0", or past int's digit limit
+            pass
+    raise ParseError(f"not a rational number: {text!r}")
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -7,21 +7,24 @@ formal complex the same vanishing is demanded of hypercohomology; the
 spectral sequence with entries H^p(H^q(E)(-j)) collapses over these
 twists, which is why the direct (hypercohomology) and sheafwise (each
 cohomology sheaf separately) checks must always agree.
+
+Decompositions and the abstract surface witness rest on the Eisenbud-Schreyer
+rule: an Ulrich object's table is ``cohomology.ulrich_table`` of its twist-0
+column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .chern import euler_char, twist_class, ulrich_chern_solve
-from .cohomology import _elliptic_pair, sheaf_column, sheaf_table
+from .chern import ulrich_chern_solve
+from .cohomology import _elliptic_pair, sheaf_column, sheaf_table, ulrich_table
 from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
     GlueWitness,
     HyperTableResult,
     _hyper_from_tables,
-    _rebuilds,
     _unit_multiples,
     formal_complex,
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
@@ -45,7 +48,6 @@ from .sheaves import (
     SemistableEC,
     SheafDescriptor,
     Spinor,
-    direct_sum,
     flatten_atoms,
     format_sheaf,
     normalize_elliptic,
@@ -348,8 +350,8 @@ def pn_decompose(
     """Shift multiplicities of an Ulrich object on projective space.
 
     The object must be a sum of shifts of the structure sheaf; the
-    multiplicity in degree i is h^i(E), and the reconstruction is
-    required to reproduce the whole table.
+    multiplicity in degree i is h^i(E), and the whole table must be the
+    Eisenbud-Schreyer table of its twist-0 column.
     """
     if E.model.kind != KIND_PROJ:
         raise MalformedDescriptor("decomposition over the structure sheaf needs pn")
@@ -358,7 +360,7 @@ def pn_decompose(
     verdict, hyper = _object_verdict(E, "both", window)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    multiplicities, rebuilds = _unit_multiples(E.model, LineBundle((0,)), window, hyper.table)
+    multiplicities, rebuilds = _unit_multiples(E.model.dim, E.model.deg, hyper.table)
     if not rebuilds:
         raise NotUlrich(
             "table does not match any sum of shifts of the structure sheaf"
@@ -385,7 +387,8 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     with an exact divisibility check.  Even case (dimension 2, either
     the quadric model or the product model): multiplicities split by
     spinor type, the split read off from sections against the two
-    rulings.  Both reconstructions must be table-identical.
+    rulings.  Either way the table must be the Eisenbud-Schreyer table
+    of its twist-0 column.
     """
     model = E.model
     even = (model.kind == KIND_QUADRIC and model.dim == 2) or (
@@ -403,7 +406,8 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
 
     if odd:
-        multiplicities, rebuilds = _unit_multiples(model, Spinor(None), window, hyper.table)
+        sections = model.deg * rank_of(Spinor(None), model)
+        multiplicities, rebuilds = _unit_multiples(model.dim, sections, hyper.table)
         if not rebuilds:
             raise NotUlrich("table does not match any sum of shifted spinors")
         return multiplicities
@@ -433,15 +437,7 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                     f" count {counts[sign]} in degree {degree}"
                 )
         split[degree] = counts
-    atoms = {"+": LineBundle((1, 0)), "-": LineBundle((0, 1))}
-    if model.kind == KIND_QUADRIC:
-        atoms = {"+": Spinor("+"), "-": Spinor("-")}
-    rebuilt_sheaves = {}
-    for degree, counts in split.items():
-        parts = [(atoms[sign], mult) for sign, mult in counts.items() if mult]
-        if parts:
-            rebuilt_sheaves[degree] = direct_sum(*parts)
-    if rebuilt_sheaves and not _rebuilds(model, rebuilt_sheaves, window, hyper.table):
+    if not ulrich_table(model.dim, hyper.table.column(0), window).same_entries(hyper.table):
         raise NotUlrich("table does not match any sum of shifted spinor lines")
     return {degree: dict(counts) for degree, counts in sorted(split.items())}
 
@@ -579,23 +575,12 @@ def abstract_ulrich_sheaf(
     """Abstract sheaf carrying the exact table and class every rank-r
     Ulrich sheaf on the given surface model must have.
 
-    The Euler polynomial of the solved class factors as
-    (r*d/2)(t+1)(t+2), which is positive outside the two vanishing
-    twists; sections sit in degree 0 on the right of the window and in
-    degree 2 on the left, as forced for an initialized sheaf with
-    vanishing intermediate cohomology.
+    Its projection to P^2 is O^(r*d), so the table is r*d times Bott's,
+    with Euler polynomial (r*d/2)(t+1)(t+2) as the class gives it.
     """
     if rank < 1:
         raise MalformedDescriptor(f"rank must be >= 1, got {rank}")
     num_class = ulrich_chern_solve(model, rank)
-    window = default_window(model)
-    entries: dict[tuple[int, int], int] = {}
-    for t in range(window[0], window[1] + 1):
-        chi = euler_char(twist_class(num_class, t))
-        if chi == 0:
-            continue
-        if chi != int(chi) or chi < 0:
-            raise OracleDefect(f"non-realizable Euler value {chi} at twist {t}")
-        entries[(0 if t >= 0 else 2, t)] = int(chi)
-    table = CohomologyTable(window=window, entries=entries, num_class=num_class)
+    table = ulrich_table(2, {0: rank * model.deg}, default_window(model))
+    table.num_class = num_class
     return AbstractSheaf(rank=rank, label=label, num_class=num_class, table=table)

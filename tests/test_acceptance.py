@@ -17,6 +17,7 @@ from ulrich_kit.bridgeland import (
     ulrich_charge_closed_form,
 )
 from ulrich_kit.chern import (
+    chern_admissible,
     class_of,
     euler_char,
     euler_supported,
@@ -93,7 +94,7 @@ def test_criterion_01_chern_solve_closed_form():
         cls = ulrich_chern_solve(model, r)
         e1_want = Fraction(r * (i + 3), 2)
         point_want = -r * chi0 + Fraction(r * d, 4) * (i * i + 3 * i + 4)
-        if cls.e1 != e1_want or cls.e2 * d != point_want:
+        if cls.e1 != e1_want or cls.e2 * d != point_want or not chern_admissible(cls):
             bad.append((d, i, chi0, r))
     ok = not bad
     report(

@@ -177,6 +177,32 @@ class TestCheck:
         assert report["error"]
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("nonzero", ["false", "true", 0, 1, None])
+    def test_glue_nonzero_must_be_a_json_boolean(self, capsys, tmp_path, nonzero):
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({
+            "variety": "pn:2",
+            "sheaves": {"0": "O(0)", "-1": "O(0)"},
+            "glue": [{"from": 0, "to": -1, "nonzero": nonzero}],
+        }))
+        code, report = run_json(capsys, "check", "--object", str(path))
+        assert code == 2
+        assert "nonzero" in report["error"]
+
+    def test_glue_nonzero_booleans_decide_the_certificate(self, capsys, tmp_path):
+        notes = {}
+        for nonzero in (True, False):
+            path = tmp_path / f"object-{nonzero}.json"
+            path.write_text(json.dumps({
+                "variety": "pn:2",
+                "sheaves": {"0": "O(0)", "-1": "O(0)"},
+                "glue": [{"from": 0, "to": -1, "nonzero": nonzero}],
+            }))
+            code, report = run_json(capsys, "check", "--object", str(path))
+            assert code == 0
+            notes[nonzero] = report["payload"]["criteria"][0]["note"]
+        assert notes == {True: "exact-by-vanishing", False: ""}
+
     def test_mode_flag(self, capsys):
         code, report = run_json(
             capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
@@ -226,6 +252,18 @@ class TestCharge:
         assert payload["central"] == {"re": "8", "im": "4"}
         assert payload["closed_form"] == {"re": "16", "im": "20"}
         assert payload["agree"] is False
+
+    def test_exponent_notation_is_exit_two(self, capsys):
+        code = main([
+            "charge", "--surface", "d=4,i=0,chi=2", "--rank", "1",
+            "--s", "1e1000000000", "--t", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert "not a rational number" in report["error"]
+        assert "Traceback" not in captured.out + captured.err
 
     def test_nonpositive_t_is_exit_two(self, capsys):
         code, report = run_json(
@@ -334,6 +372,19 @@ class TestEnvelope:
             "--rank", "1", "--out", str(out),
         )
         assert out.read_text() == text
+
+    def test_unwritable_out_file_is_exit_two(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        code = main(["table", "--variety", "pn:1", "--sheaf", "O(0)", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        # the file is written first, so only the error envelope is printed
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["payload"] is None
+        assert "cannot write the report" in report["error"]
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_command_is_echoed(self, capsys):
         code, report = run_json(

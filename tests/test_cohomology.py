@@ -40,7 +40,8 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     UnsupportedQuadricDim,
 )
-from ulrich_kit.sheaves import product_form
+from ulrich_kit.cohomology import ulrich_table
+from ulrich_kit.sheaves import product_form, rank_of
 
 
 def count_monomials(n: int, k: int) -> int:
@@ -381,3 +382,44 @@ def test_elliptic_chi_equals_degree(rank, degree):
     desc = SemistableEC(rank, degree, True)
     col = sheaf_column(desc, model, 0)
     assert col.get(0, 0) - col.get(1, 0) == degree
+
+
+# Ulrich atoms: each pushes forward to a sum of structure sheaves on P^n
+ULRICH_ATOMS = (
+    [(proj_space(n), line_bundle(0)) for n in range(1, 5)]
+    + [(product_proj(1, 1), LineBundle((1, 0))), (product_proj(1, 1), LineBundle((0, 1)))]
+    + [(quadric(2), Spinor("+")), (quadric(2), Spinor("-")), (quadric(3), Spinor(None))]
+    + [(elliptic_curve(d), SemistableEC(1, d, False)) for d in range(3, 7)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atom=st.sampled_from(ULRICH_ATOMS),
+    lo=st.integers(min_value=-300, max_value=300),
+    width=st.integers(min_value=0, max_value=600),
+)
+def test_ulrich_atoms_have_the_eisenbud_schreyer_table(atom, lo, width):
+    # the oracle tables are computed independently of ulrich_table
+    model, desc = atom
+    window = (lo, min(lo + width, 300))
+    table = sheaf_table(desc, model, window)
+    column = sheaf_column(desc, model, 0)
+    assert column == {0: model.deg * rank_of(desc, model)}
+    assert ulrich_table(model.dim, column, window).same_entries(table)
+
+
+@pytest.mark.parametrize(
+    "model, desc",
+    [
+        (proj_space(2), line_bundle(1)),
+        (quadric(3), line_bundle(0)),
+        (quadric(2), line_bundle(0)),
+        (product_proj(1, 1), LineBundle((1, 1))),
+        (elliptic_curve(3), SemistableEC(1, 3, True)),
+    ],
+)
+def test_non_ulrich_atoms_differ_from_the_eisenbud_schreyer_table(model, desc):
+    window = (-6, 6)
+    table = sheaf_table(desc, model, window)
+    assert not ulrich_table(model.dim, table.column(0), window).same_entries(table)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-and every module-level private function or class is referenced by some
-code in the package.
+every module-level private function or class is referenced by some
+code in the package, and every error class is named outside ``errors``.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -84,3 +84,22 @@ def test_every_private_definition_is_referenced():
         and not any(node.name in names for stmt, names in refs if stmt is not node)
     ]
     assert not unreferenced, f"unreferenced private definitions: {unreferenced}"
+
+
+def test_every_error_class_is_named_outside_errors():
+    """An error class that no other module names can never be raised: it
+    is a leftover, like an exception of a deleted solver."""
+    from ulrich_kit import errors
+
+    classes = [
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.UlrichKitError)
+        and obj is not errors.UlrichKitError
+    ]
+    named = set().union(
+        *(referenced_names(tree) for name, tree in TREES.items() if name != "errors.py")
+    )
+    unnamed = sorted(name for name in classes if name not in named)
+    assert classes and not unnamed, f"error classes nothing raises or catches: {unnamed}"

@@ -220,3 +220,9 @@ class TestRationalText:
     def test_decimal_input_is_exact(self):
         assert parse_rational("1.5") == Fraction(3, 2)
         assert parse_rational("0.1") == Fraction(1, 10)
+
+    def test_exponents_and_separators_are_refused(self):
+        # Fraction reads these, and "1e1000000000" would ask for 10**(10**9)
+        for text in ("1e3", "1E-2", "2_0", "1e1000000000", "1.", "inf", "nan"):
+            with pytest.raises(ParseError):
+                parse_rational(text)
