@@ -125,12 +125,26 @@ def central_charge(c: NumClass, s: Fraction, t: Fraction) -> ChargeValue:
     s, t = Fraction(s), Fraction(t)
     if t <= 0:
         raise NonpositiveT(f"t must be positive, got {t}")
+    at_s, half = _charge_in_s(c)
+    re_s, im_s = at_s(s)
+    return ChargeValue(re_s + t * t * half, t * im_s)
+
+
+def _charge_in_s(c: NumClass):
+    """Z of class c with its coefficients -e2*d, e1*d, r*d and d*r/2
+    computed once: a function s -> (re_s, im_s), and d*r/2, such that
+    Z(s, t) = re_s + t^2*d*r/2 + i*t*im_s.  Fractions are canonical, so
+    this grouping gives exactly the values of the expanded formula."""
     d = _surface_degree(c.model)
     if c.e2 is None:
         raise Indeterminate("central charge needs the degree-two coefficient")
-    re = -c.e2 * d + s * c.e1 * d - (s * s - t * t) * d * c.r / 2
-    im = t * d * (c.e1 - s * c.r)
-    return ChargeValue(Fraction(re), Fraction(im))
+    e2d, e1d, rd = -c.e2 * d, c.e1 * d, c.r * d
+    half = Fraction(rd, 2)
+
+    def at_s(s: Fraction) -> tuple[Fraction, Fraction]:
+        return e2d + s * e1d - s * s * half, e1d - s * rd
+
+    return at_s, half
 
 
 def ulrich_charge_closed_form(
@@ -154,14 +168,21 @@ def ulrich_charge_closed_form(
     return ChargeValue(Fraction(re), Fraction(im))
 
 
-def _threshold(s: Fraction, d: int, convention: str) -> Fraction:
+def _threshold_scale(d: int, convention: str) -> int:
+    """The threshold at s is s times this: s*d paper-literal, s normalized."""
     if convention == "paper-literal":
-        return Fraction(s) * d
+        return d
     if convention == "normalized":
-        return Fraction(s)
+        return 1
     raise MissingConvention(
         f"convention must be one of {CONVENTIONS}, got {convention!r}"
     )
+
+
+def _side(mu, threshold: Fraction) -> str:
+    """T for slope strictly above the threshold (torsion included), F for
+    slope at or below it."""
+    return "F" if mu <= threshold else "T"
 
 
 def torsion_classify(
@@ -176,11 +197,8 @@ def torsion_classify(
     if mu is None:
         c = obj if isinstance(obj, NumClass) else class_of(obj, model)
         mu = slope(c)
-    if isinstance(mu, _Infinite):
-        _threshold(s, _surface_degree(model), convention)  # validate convention
-        return "T"
-    threshold = _threshold(s, _surface_degree(model), convention)
-    return "F" if Fraction(mu) <= threshold else "T"
+    scale = _threshold_scale(_surface_degree(model), convention)
+    return _side(mu, Fraction(s) * scale)
 
 
 @dataclass
@@ -215,31 +233,47 @@ def heart_gate(
     way, at any s; that case is reported before the pointwise checks.
     Passing everything still only earns MaybeInHeart.
     """
-    s = Fraction(s)
-    _threshold(s, _surface_degree(E.model), convention)  # validate early
+    return _heart_rule(E, convention)(Fraction(s))
+
+
+def _heart_rule(E: FormalComplex, convention: str):
+    """heart_gate for E with everything that does not depend on s done
+    once (model and convention checks, support, amplitude, slopes, the
+    equal-slope case): a function s -> HeartVerdict that only compares
+    the slopes with the threshold at s."""
+    scale = _threshold_scale(_surface_degree(E.model), convention)
+
+    def constant(status: str, reason: str | None, best: int | None):
+        return lambda s: HeartVerdict(status, reason, best, s, convention)
+
     degrees = E.support()
     if not degrees:
-        return HeartVerdict("MaybeInHeart", None, 0, s, convention)
+        return constant("MaybeInHeart", None, 0)
     lo, hi = min(degrees), max(degrees)
     if hi - lo >= 2:
-        return HeartVerdict("NotInHeart", "amplitude", None, s, convention)
+        return constant("NotInHeart", "amplitude", None)
     sheaf_map = E.sheaf_map()
     if hi - lo == 1:
-        best = hi
         mu_low = _sheaf_slope(sheaf_map[lo], E.model)
         mu_high = _sheaf_slope(sheaf_map[hi], E.model)
         if mu_low == mu_high:
-            return HeartVerdict("NotInHeart", "equal-slope", best, s, convention)
-        low_ok = torsion_classify(mu_low, s, E.model, convention) == "F"
-        high_ok = torsion_classify(mu_high, s, E.model, convention) == "T"
-        if low_ok and high_ok:
-            return HeartVerdict("MaybeInHeart", None, best, s, convention)
-        return HeartVerdict("NotInHeart", "torsion-pair", best, s, convention)
+            return constant("NotInHeart", "equal-slope", hi)
+
+        def two_term(s: Fraction) -> HeartVerdict:
+            threshold = s * scale
+            if _side(mu_low, threshold) == "F" and _side(mu_high, threshold) == "T":
+                return HeartVerdict("MaybeInHeart", None, hi, s, convention)
+            return HeartVerdict("NotInHeart", "torsion-pair", hi, s, convention)
+
+        return two_term
     # single nonzero sheaf: try it in degree 0 (T side), then degree -1 (F side)
     mu = _sheaf_slope(sheaf_map[lo], E.model)
-    if torsion_classify(mu, s, E.model, convention) == "T":
-        return HeartVerdict("MaybeInHeart", None, lo, s, convention)
-    return HeartVerdict("MaybeInHeart", None, lo + 1, s, convention)
+
+    def single(s: Fraction) -> HeartVerdict:
+        best = lo if _side(mu, s * scale) == "T" else lo + 1
+        return HeartVerdict("MaybeInHeart", None, best, s, convention)
+
+    return single
 
 
 @dataclass
@@ -267,29 +301,48 @@ def question_scan(
     of the total class at (s,t).  No stability verdict is emitted:
     the underlying question is open and this is an instrument, not an
     answer.
+
+    The class, the heart rule and the charge coefficients are built
+    once per call, the heart verdict and the s-part of the charge once
+    per distinct s, so a point costs two Fraction operations.
     """
     if not grid:
         raise EmptyGrid("scan needs at least one grid point")
-    for s, t in grid:
-        if Fraction(t) <= 0:
+    ts = []
+    for _, t in grid:
+        t_q = Fraction(t)
+        if t_q <= 0:
             raise NonpositiveT(f"grid t values must be positive, got {t}")
+        ts.append(t_q)
+    # sorted s keys, then each s's sorted t values: the (s, t) order
+    by_s: dict[Fraction, list[Fraction]] = {}
+    for (s, _), t in zip(grid, ts):
+        by_s.setdefault(Fraction(s), []).append(t)
     total = class_of(E, E.model)
+    heart = _heart_rule(E, convention)
+    at_s, half = _charge_in_s(total)
+    t_terms: dict[Fraction, Fraction] = {}  # t -> t^2*d*r/2
     rows = []
-    for s, t in sorted((Fraction(s), Fraction(t)) for s, t in grid):
-        verdict = heart_gate(E, s, convention)
-        charge = central_charge(total, s, t)
-        rows.append(
-            ScanRow(
-                s=s,
-                t=t,
-                best_shift=verdict.best_shift,
-                heart_status=verdict.status,
-                heart_reason=verdict.reason,
-                re=charge.re,
-                im=charge.im,
-                im_zero=charge.im == 0,
-                phase_sector=charge.phase_sector(),
-                phase_display=charge.phase_display(),
+    for s in sorted(by_s):
+        verdict = heart(s)
+        re_s, im_s = at_s(s)
+        for t in sorted(by_s[s]):
+            t_term = t_terms.get(t)
+            if t_term is None:
+                t_term = t_terms[t] = t * t * half
+            charge = ChargeValue(re_s + t_term, t * im_s)
+            rows.append(
+                ScanRow(
+                    s=s,
+                    t=t,
+                    best_shift=verdict.best_shift,
+                    heart_status=verdict.status,
+                    heart_reason=verdict.reason,
+                    re=charge.re,
+                    im=charge.im,
+                    im_zero=charge.im == 0,
+                    phase_sector=charge.phase_sector(),
+                    phase_display=charge.phase_display(),
+                )
             )
-        )
     return rows

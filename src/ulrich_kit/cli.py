@@ -32,6 +32,7 @@ from .rational import format_rational, parse_rational
 from .sheaves import LineBundle, Spinor, parse_sheaf
 from .ulrich import abstract_ulrich_sheaf, is_ulrich_object, yoneda_build
 from .variety import (
+    MAX_TWISTS,
     elliptic_curve,
     format_variety,
     parse_variety,
@@ -43,10 +44,8 @@ from .variety import (
 
 TOOL_NAME = "ulrich-kit"
 INTERNAL_ERROR_EXIT = 4
-# Work bounds, checked before anything is allocated: the most twists one
-# table may span (a window's width, a probe depth plus one) and the most
-# points a scan grid may hold.
-MAX_TWISTS = 20_000
+# Work bound, checked before anything is allocated: the most points a
+# scan grid may hold (the twist bound MAX_TWISTS is the library's).
 MAX_GRID_POINTS = 10_000
 
 
@@ -413,8 +412,16 @@ def _cmd_demo(args, config):
     return payload, "pass" if all_pass else "fail", None, None, 0 if all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they get the error envelope like
+    any other malformed input; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL_NAME,
         description="Exact verification toolkit for twisted-vanishing objects",
     )
@@ -473,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     command_echo = shlex.join([str(a) for a in argv])
-    fmt, out = args.format, args.out
+    fmt, out = "json", None  # until the arguments parse
     try:
+        args = build_parser().parse_args(argv)
+        fmt, out = args.format, args.out
         config = _load_config(args.config)
         payload, verdict, model_spec, convention, code = args.handler(args, config)
         report = _report(command_echo, model_spec, convention, payload, verdict)

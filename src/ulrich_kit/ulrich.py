@@ -30,6 +30,7 @@ from .complexes import (
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
 )
 from .errors import (
+    Indeterminate,
     MalformedDescriptor,
     ModeDisagreement,
     NoDualRule,
@@ -62,6 +63,7 @@ from .variety import (
     KIND_PRODUCT,
     KIND_PROJ,
     KIND_QUADRIC,
+    MAX_TWISTS,
     VarietyModel,
     default_window,
     format_variety,
@@ -132,8 +134,8 @@ def is_initialized(
 ) -> InitializedReport:
     """Sections appear at twist zero and at no negative twist.
 
-    Negative twists are probed down to ``probe_depth``, which must be
-    nonnegative; for the closed descriptor classes the answer is
+    Negative twists are probed down to ``probe_depth``, which must lie
+    in 0..MAX_TWISTS - 1; for the closed descriptor classes the answer is
     provably global, for abstract data it is reported window-limited.
     """
     validate_descriptor(desc, model)
@@ -144,9 +146,9 @@ def is_initialized(
 def _probe_depth(model: VarietyModel, probe_depth: int | None) -> int:
     if probe_depth is None:
         return -default_window(model)[0]
-    if probe_depth < 0:
+    if not 0 <= probe_depth < MAX_TWISTS:
         raise MalformedDescriptor(
-            f"probe depth must be a nonnegative integer, got {probe_depth}"
+            f"probe depth must be an integer in 0..{MAX_TWISTS - 1}, got {probe_depth}"
         )
     return probe_depth
 
@@ -416,6 +418,11 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     product_model = product_proj(1, 1)
     split: dict[int, dict[str, int]] = {}
     for degree, desc in E.sheaves:
+        if any(isinstance(atom, AbstractSheaf) for atom, _ in flatten_atoms(desc)):
+            raise Indeterminate(
+                f"{format_sheaf(desc)} is abstract: a table alone cannot split"
+                " the two rulings"
+            )
         on_product = (
             product_form(desc, model) if model.kind == KIND_QUADRIC else desc
         )

@@ -162,6 +162,11 @@ def hyperplane_model(model: VarietyModel) -> VarietyModel:
     raise UnsupportedModel(f"no hyperplane model for {format_variety(model)}")
 
 
+# The most twists one table may span (a window's width, a probe depth
+# plus one), checked before anything is allocated.
+MAX_TWISTS = 20_000
+
+
 def default_window(model: VarietyModel) -> tuple[int, int]:
     """Twist window wide enough for every check the kit performs."""
     return (-(2 * model.dim + 5), model.dim + 2)

@@ -385,3 +385,167 @@ def test_charge_relation_on_every_surface(d, i_x, chi0, r, s, t):
     w = ulrich_charge_closed_form(model, r, -s, t)
     assert z.re == -w.re
     assert z.im == w.im
+
+
+# -------------------------------------------------- scan against its parts
+
+TORSION = AbstractSheaf(rank=0, label="T", num_class=NumClass(K3, 0, Fraction(1), Fraction(0)))
+SCAN_SHEAVES = (
+    line_bundle(-1),
+    line_bundle(0),
+    line_bundle(2),
+    abstract_ulrich_sheaf(K3, 1, label="F"),
+    abstract_ulrich_sheaf(K3, 2, label="G"),
+    TORSION,
+)
+# degree layouts: empty, one sheaf, the two heart-adjacent pairs, and
+# amplitude two; a repeated sheaf index gives an equal-slope pair
+SCAN_LAYOUTS = ((), (0,), (-1,), (-1, 0), (0, 1), (-1, 1), (-2, -1, 0))
+
+grid_value = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+positive_value = st.one_of(
+    st.integers(min_value=1, max_value=3),
+    st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def scan_complexes(draw):
+    layout = draw(st.sampled_from(SCAN_LAYOUTS))
+    picks = draw(
+        st.lists(st.sampled_from(SCAN_SHEAVES), min_size=len(layout), max_size=len(layout))
+    )
+    return formal_complex(K3, dict(zip(layout, picks)))
+
+
+@st.composite
+def scan_grids(draw):
+    points = draw(st.lists(st.tuples(grid_value, positive_value), min_size=1, max_size=12))
+    # duplicates, some as the same point in the other type
+    repeats = draw(st.lists(st.sampled_from(points), max_size=4))
+    mixed = [(Fraction(s), t) if isinstance(s, int) else (s, t) for s, t in repeats]
+    return draw(st.permutations(points + mixed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    E=scan_complexes(),
+    grid=scan_grids(),
+    convention=st.sampled_from(("paper-literal", "normalized")),
+)
+def test_scan_rows_are_the_gate_and_the_charge_at_each_point(E, grid, convention):
+    rows = question_scan(E, grid, convention)
+    # one row per point, duplicates kept, in (s, t) order
+    assert [(row.s, row.t) for row in rows] == sorted(
+        (Fraction(s), Fraction(t)) for s, t in grid
+    )
+    total = class_of(E, K3)
+    d = K3.deg
+    for row in rows:
+        assert type(row.s) is Fraction and type(row.t) is Fraction
+        verdict = heart_gate(E, row.s, convention)
+        assert (row.best_shift, row.heart_status, row.heart_reason) == (
+            verdict.best_shift, verdict.status, verdict.reason,
+        )
+        z = central_charge(total, row.s, row.t)
+        assert type(row.re) is Fraction and type(row.im) is Fraction
+        assert (row.re, row.im) == z.as_pair()
+        assert row.im_zero == (z.im == 0)
+        assert row.phase_sector == z.phase_sector()
+        assert row.phase_display == z.phase_display()
+        # the defining formula, expanded as written
+        s, t = row.s, row.t
+        assert z.re == (
+            -total.e2 * d + s * total.e1 * d - (s * s - t * t) * d * total.r / 2
+        )
+        assert z.im == t * d * (total.e1 - s * total.r)
+
+
+def test_scan_covers_every_heart_case():
+    F, G = SCAN_SHEAVES[3], SCAN_SHEAVES[4]
+    grid = [(Fraction(s, 2), 1) for s in range(-6, 7)]
+    cases = {
+        "equal-slope": formal_complex(K3, {-1: F, 0: G}),
+        "amplitude": formal_complex(K3, {-1: F, 1: G}),
+        "torsion-pair": formal_complex(K3, {-1: line_bundle(0), 0: TORSION}),
+        None: formal_complex(K3, {}),
+    }
+    for reason, E in cases.items():
+        for convention in ("paper-literal", "normalized"):
+            reasons = {row.heart_reason for row in question_scan(E, grid, convention)}
+            assert reason in reasons, (reason, convention)
+    # a torsion sheaf in degree 0 is on the T side at every s
+    single = question_scan(formal_complex(K3, {0: TORSION}), grid)
+    assert {row.best_shift for row in single} == {0}
+
+
+class TestScanErrors:
+    """The scan raises what its parts raise, in the same order: EmptyGrid,
+    NonpositiveT, the class, the heart gate, the charge."""
+
+    grid = [(Fraction(0), Fraction(1))]
+
+    def test_classless_sheaf(self):
+        E = formal_complex(K3, {0: line_bundle(0), -1: AbstractSheaf(rank=1)})
+        with pytest.raises(NoSlope):
+            heart_gate(E, Fraction(0))
+        # the total class is asked first, so the scan sees Indeterminate
+        with pytest.raises(Indeterminate):
+            class_of(E, K3)
+        with pytest.raises(Indeterminate):
+            question_scan(E, self.grid)
+
+    def test_unknown_convention(self):
+        E = formal_complex(K3, {0: line_bundle(0)})
+        with pytest.raises(MissingConvention):
+            question_scan(E, self.grid, "house-style")
+        with pytest.raises(MissingConvention):
+            question_scan(formal_complex(K3, {}), self.grid, "house-style")
+
+    def test_non_surface_models(self):
+        from ulrich_kit import elliptic_curve, SemistableEC
+
+        for E in (
+            formal_complex(proj_space(3), {0: line_bundle(0)}),
+            formal_complex(elliptic_curve(3), {0: SemistableEC(1, 3)}),
+            formal_complex(proj_space(3), {}),
+        ):
+            with pytest.raises(UnsupportedModel):
+                heart_gate(E, Fraction(0))
+            with pytest.raises(UnsupportedModel):
+                question_scan(E, self.grid)
+
+    def test_grid_errors_come_first(self):
+        E = formal_complex(proj_space(3), {0: AbstractSheaf(rank=1)})
+        with pytest.raises(EmptyGrid):
+            question_scan(E, [], "house-style")
+        with pytest.raises(NonpositiveT):
+            question_scan(E, [(Fraction(0), Fraction(1)), (Fraction(1), 0)], "house-style")
+        with pytest.raises(Indeterminate):
+            question_scan(E, self.grid, "house-style")
+
+
+def test_scan_asks_for_classes_once_per_object(monkeypatch):
+    import ulrich_kit.bridgeland
+    import ulrich_kit.chern
+
+    calls = []
+    original = ulrich_kit.chern.class_of
+
+    def counted(obj, model):
+        calls.append(obj)
+        return original(obj, model)
+
+    monkeypatch.setattr(ulrich_kit.chern, "class_of", counted)
+    monkeypatch.setattr(ulrich_kit.bridgeland, "class_of", counted)
+    E = formal_complex(K3, {-1: line_bundle(-1), 0: line_bundle(2)})
+    counts = []
+    for side in (2, 20):
+        calls.clear()
+        grid = [(Fraction(s, side), Fraction(t + 1, side)) for s in range(side) for t in range(side)]
+        assert len(question_scan(E, grid)) == side * side
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -404,9 +404,31 @@ class TestEnvelope:
         assert report["error"]
 
     def test_unknown_subcommand_exits_two(self, capsys):
+        code, report = run_json(capsys, "frobnicate")
+        assert code == 2
+        assert "frobnicate" in report["error"]
+        assert report["payload"] is None
+
+    @pytest.mark.parametrize("argv, words", [
+        (["chern-solve", "--surface", "d=4,i=0,chi=2", "--rank", "x"], "--rank"),
+        (["chern-solve", "--surface", "d=4,i=0,chi=2"], "required: --rank"),
+        (["check", "--variety", "pn:2", "--sheaf", "O(0)", "--mode", "sideways"], "--mode"),
+    ])
+    def test_usage_errors_get_the_error_envelope(self, capsys, argv, words):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert words in report["error"]
+        assert report["payload"] is None and report["verdict"] is None
+        assert captured.err == ""
+
+    def test_help_still_prints_help(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["frobnicate"])
-        assert info.value.code == 2
+            main(["chern-solve", "--help"])
+        assert info.value.code == 0
+        assert "--rank" in capsys.readouterr().out
 
     def test_error_reports_validate_too(self, capsys):
         code, report = run_json(

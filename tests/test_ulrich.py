@@ -46,7 +46,9 @@ from ulrich_kit import (
     ulrich_chern_solve,
     yoneda_build,
 )
+from ulrich_kit.variety import MAX_TWISTS
 from ulrich_kit.errors import (
+    Indeterminate,
     MalformedDescriptor,
     ModeDisagreement,
     NoDualRule,
@@ -123,6 +125,15 @@ class TestInitialized:
             is_initialized(line_bundle(0), p2, probe_depth=-3)
         with pytest.raises(MalformedDescriptor):
             is_ulrich_sheaf(line_bundle(0), p2, probe_depth=-3)
+
+    def test_probe_depth_is_bounded_by_the_twist_cap(self):
+        p1 = proj_space(1)
+        report = is_initialized(line_bundle(0), p1, probe_depth=MAX_TWISTS - 1)
+        assert report.ok and report.probed == (-(MAX_TWISTS - 1), 0)
+        with pytest.raises(MalformedDescriptor):
+            is_initialized(line_bundle(0), p1, probe_depth=MAX_TWISTS)
+        with pytest.raises(MalformedDescriptor):
+            is_ulrich_sheaf(line_bundle(0), p1, probe_depth=MAX_TWISTS)
 
     @pytest.mark.parametrize("mode", ["direct", "sheafwise", "both"])
     def test_negative_probe_depth_is_refused_in_every_mode(self, mode):
@@ -400,6 +411,18 @@ class TestQuadricDecompose:
         p2 = proj_space(2)
         with pytest.raises(MalformedDescriptor):
             quadric_decompose(formal_complex(p2, {0: line_bundle(0)}))
+
+    @pytest.mark.parametrize("spec, atom", [("quadric:2", "S+"), ("prod:1x1", "O(1,0)")])
+    def test_even_split_of_an_abstract_sheaf_is_indeterminate(self, spec, atom):
+        # the table is a spinor line's, but a table alone cannot tell
+        # which ruling the sheaf belongs to
+        model = parse_variety(spec)
+        window = default_window(model)
+        table = sheaf_table(parse_sheaf(atom, model), model, window)
+        E = formal_complex(model, {0: AbstractSheaf(rank=1, label="ruling", table=table)})
+        assert is_ulrich_object(E, "both").passed
+        with pytest.raises(Indeterminate):
+            quadric_decompose(E)
 
     def test_non_divisible_rank_is_reported(self):
         # an abstract table with the section counts of one and a half
