@@ -76,7 +76,6 @@ from .sheaves import (
     SemistableEC,
     Spinor,
     direct_sum,
-    dual_descriptor,
     format_sheaf,
     line_bundle,
     parse_sheaf,

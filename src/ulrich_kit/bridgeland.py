@@ -25,7 +25,6 @@ from .complexes import FormalComplex
 from .errors import (
     EmptyGrid,
     Indeterminate,
-    MalformedDescriptor,
     MissingConvention,
     NonpositiveT,
     NoSlope,
@@ -80,10 +79,8 @@ def _surface_degree(model: VarietyModel) -> int:
     return model.deg
 
 
-def slope(c: NumClass, model: VarietyModel | None = None):
+def slope(c: NumClass):
     """mu = (c1 . H) / (rank * H^2) = e1 / r; infinite for rank zero."""
-    if model is not None and model != c.model:
-        raise MalformedDescriptor("class belongs to a different model")
     _surface_degree(c.model)
     if c.r == 0:
         return INFINITE

@@ -155,10 +155,7 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
     if isinstance(desc, AbstractSheaf):
         if desc.num_class is None:
             raise Indeterminate(f"{format_sheaf(desc)} carries no numerical class")
-        cls = desc.num_class
-        if not isinstance(cls, NumClass) or cls.model != model:
-            raise ModelMismatch("attached class lives on a different model")
-        return cls
+        return desc.num_class
     raise MalformedDescriptor(f"unknown descriptor {desc!r}")
 
 
@@ -192,7 +189,7 @@ def euler_supported(model: VarietyModel) -> bool:
 
 
 def class_or_none(obj, model: VarietyModel) -> NumClass | None:
-    """The class a cohomology table carries: ``class_of`` where the model
+    """The class the ``table`` report echoes: ``class_of`` where the model
     has exact Euler characteristics and a class rule applies, else None."""
     if not euler_supported(model):
         return None

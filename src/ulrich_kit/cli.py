@@ -23,7 +23,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .bridgeland import central_charge, heart_gate, question_scan, slope, ulrich_charge_closed_form
-from .chern import ulrich_chern_solve
+from .chern import class_or_none, ulrich_chern_solve
 from .complexes import FormalComplex, GlueWitness, formal_complex, pushforward_finite
 from .cohomology import sheaf_table
 from .errors import ModelMismatch, ParseError, UlrichKitError
@@ -244,18 +244,15 @@ def _cmd_table(args, config):
     desc = parse_sheaf(args.sheaf, model)
     window = _window(args, config)
     table = sheaf_table(desc, model, window)
+    num_class = class_or_none(desc, model)
     payload = {
         "variety": format_variety(model),
         "sheaf": args.sheaf,
         "window": list(table.window),
         "rows": [{"i": i, "t": t, "h": h} for i, t, h in table.rows()],
         "num_class": None
-        if table.num_class is None
-        else {
-            "r": table.num_class.r,
-            "e1": table.num_class.e1,
-            "e2": table.num_class.e2,
-        },
+        if num_class is None
+        else {"r": num_class.r, "e1": num_class.e1, "e2": num_class.e2},
     }
     return payload, None, format_variety(model), None, 0
 
@@ -480,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command_echo = shlex.join([str(a) for a in argv])
+    command_echo = shlex.join([str(a) for a in argv]) or TOOL_NAME
     fmt, out = "json", None  # until the arguments parse
     try:
         args = build_parser().parse_args(argv)

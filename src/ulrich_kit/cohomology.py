@@ -27,8 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .chern import class_or_none
-from .errors import NoOracle, UnknownSlopeZero, UnsupportedQuadricDim
+from .errors import IncompleteTable, NoOracle, UnknownSlopeZero, UnsupportedQuadricDim
 from .sheaves import (
     AbstractSheaf,
     DirectSum,
@@ -234,24 +233,22 @@ def sheaf_table(
     model: VarietyModel,
     window: tuple[int, int] | None = None,
 ) -> CohomologyTable:
-    """Assembled table over the twist window (model default when omitted).
-
-    Attaches the numerical class whenever the model supports the exact
-    Euler characteristic, so alternating sums can be checked against
-    Riemann-Roch downstream.
-    """
+    """Assembled table over the twist window (model default when omitted)."""
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
     if isinstance(desc, AbstractSheaf):
         if desc.table is None:
             raise NoOracle(f"{format_sheaf(desc)} carries no table")
+        if not (desc.table.covers(window[0]) and desc.table.covers(window[1])):
+            raise IncompleteTable(
+                f"{format_sheaf(desc)} has a table on {desc.table.window},"
+                f" not on {window}"
+            )
         return desc.table.restricted(window)
     lo, hi = window
     entries: dict[tuple[int, int], int] = {}
     for t in range(lo, hi + 1):
         for i, h in _sheaf_column(desc, model, t).items():
             entries[(i, t)] = h
-    table = CohomologyTable(window=window, entries=entries, complete=True)
-    table.num_class = class_or_none(desc, model)
-    return table
+    return CohomologyTable(window=window, entries=entries)

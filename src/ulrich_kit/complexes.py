@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .chern import class_or_none
 from .cohomology import sheaf_table, ulrich_table
 from .errors import (
     DimensionMismatch,
@@ -180,7 +179,6 @@ def _hyper_from_tables(
     sheaves of E over the window, keyed by degree."""
     lo, hi = window
     entries: dict[tuple[int, int], int] = {}
-    complete = all(t.complete for t in tables.values())
     for degree, table in tables.items():
         for (i, t), h in table.entries.items():
             key = (i + degree, t)
@@ -193,8 +191,7 @@ def _hyper_from_tables(
         }
     else:
         certificates = dict.fromkeys(range(lo, hi + 1), CERT_EXACT)
-    table = CohomologyTable(window=window, entries=entries, complete=complete)
-    table.num_class = class_or_none(E, E.model)
+    table = CohomologyTable(window=window, entries=entries)
     return HyperTableResult(table=table, certificates=certificates)
 
 

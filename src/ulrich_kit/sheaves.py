@@ -22,7 +22,13 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import MalformedDescriptor, NoDualRule, ParseError, UnsupportedQuadricDim
+from .errors import (
+    MalformedDescriptor,
+    ModelMismatch,
+    NoDualRule,
+    ParseError,
+    UnsupportedQuadricDim,
+)
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
@@ -67,7 +73,8 @@ class ExternalTensor:
 class AbstractSheaf:
     """Opaque sheaf known only through explicit attached data.
 
-    Compares and hashes by identity: each instance is its own sheaf.
+    Compares and hashes by identity: each instance is its own sheaf.  An
+    attached class must live on the model the sheaf is used on.
     """
 
     rank: int
@@ -175,6 +182,8 @@ def validate_descriptor(desc: SheafDescriptor, model: VarietyModel) -> None:
     if isinstance(desc, AbstractSheaf):
         if desc.rank < 0:
             raise MalformedDescriptor(f"abstract rank must be >= 0, got {desc.rank}")
+        if desc.num_class is not None and getattr(desc.num_class, "model", None) != model:
+            raise ModelMismatch("attached class lives on a different model")
         return
     raise MalformedDescriptor(f"unknown descriptor {desc!r}")
 
@@ -236,19 +245,6 @@ def tensor_line(
             tensor_line(desc.right, shift[1:], right),
         )
     raise NoDualRule(f"no line twist rule for {format_sheaf(desc)} on this model")
-
-
-def dual_descriptor(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
-    """Dual sheaf where a rule exists: line bundles and rank-one
-    semistable data.  Spinors on the quadric surface dualize after the
-    product identification (handled by the Ext layer)."""
-    if isinstance(desc, LineBundle):
-        return LineBundle(tuple(-k for k in desc.twists))
-    if isinstance(desc, SemistableEC) and desc.rank == 1:
-        return SemistableEC(1, -desc.degree, desc.trivial_type)
-    if isinstance(desc, DirectSum):
-        return map_parts(desc, lambda part: dual_descriptor(part, model))
-    raise NoDualRule(f"no dual rule for {format_sheaf(desc)}")
 
 
 def product_form(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:

@@ -17,24 +17,16 @@ def alternating_sum(column: dict[int, int]) -> int:
 class CohomologyTable:
     """Dimensions h^i(E(t)) for t inside a closed twist window.
 
-    Only nonzero entries are stored.  ``complete`` records whether every
-    nonzero entry with t in the window is present; oracle outputs are
-    complete by construction, abstract passthrough data may not be.
-    ``num_class`` optionally carries truncated Chern data so alternating
-    sums can be cross-checked against Riemann-Roch.
-
-    ``entries`` maps (i, t) to h and is fixed at construction: the
-    per-twist index that column reads go through is built from it once,
-    so the mapping must not be mutated afterwards.  Derive a new table
-    (``added``, ``scaled``, ``degree_shifted``, ``restricted``) instead.
-    The index holds only the degrees stored at each twist; the values
-    stay in ``entries``.
+    ``entries`` maps (i, t) to h and stores only nonzero values.  It is
+    fixed at construction: the per-twist index that column reads go
+    through is built from it once, so the mapping must not be mutated
+    afterwards.  Derive a new table (``added``, ``scaled``,
+    ``degree_shifted``, ``restricted``) instead.  The index holds only
+    the degrees stored at each twist; the values stay in ``entries``.
     """
 
     window: tuple[int, int]
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    complete: bool = True
-    num_class: object | None = None
     _degrees: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -71,9 +63,6 @@ class CohomologyTable:
     def euler(self, t: int) -> int:
         return alternating_sum(self.column(t))
 
-    def degrees(self) -> list[int]:
-        return sorted({i for (i, _t) in self.entries})
-
     def first_nonzero(self, twists, degrees=None):
         """Witness (i, t, h) for the first nonzero entry over the given
         twists, or None when everything vanishes there."""
@@ -91,18 +80,12 @@ class CohomologyTable:
             for (i, t), h in table.entries.items():
                 if lo <= t <= hi:
                     merged[(i, t)] = merged.get((i, t), 0) + m * h
-        return CohomologyTable(
-            window=(lo, hi),
-            entries=merged,
-            complete=self.complete and other.complete,
-        )
+        return CohomologyTable(window=(lo, hi), entries=merged)
 
     def scaled(self, mult: int) -> "CohomologyTable":
         return CohomologyTable(
             window=self.window,
             entries={key: mult * h for key, h in self.entries.items()},
-            complete=self.complete,
-            num_class=None,
         )
 
     def degree_shifted(self, k: int) -> "CohomologyTable":
@@ -110,13 +93,10 @@ class CohomologyTable:
         return CohomologyTable(
             window=self.window,
             entries={(i - k, t): h for (i, t), h in self.entries.items()},
-            complete=self.complete,
-            num_class=None,
         )
 
     def restricted(self, window: tuple[int, int]) -> "CohomologyTable":
         lo, hi = window
-        inside = self.window[0] <= lo and hi <= self.window[1]
         slo, shi = max(lo, self.window[0]), min(hi, self.window[1])
         if slo > shi:
             raise IncompleteTable(
@@ -127,8 +107,6 @@ class CohomologyTable:
             entries={
                 (i, t): h for (i, t), h in self.entries.items() if slo <= t <= shi
             },
-            complete=self.complete and inside,
-            num_class=self.num_class,
         )
 
     def rows(self) -> list[tuple[int, int, int]]:

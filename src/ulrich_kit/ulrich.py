@@ -117,15 +117,15 @@ class InitializedReport:
     witness: tuple[int, int, int] | None = None
 
 
-def _globally_decided(desc: SheafDescriptor) -> bool:
-    """Section counts of these descriptors are monotone in the twist, so
-    a window probe decides initialization globally."""
-    if isinstance(desc, (LineBundle, Spinor, SemistableEC)):
+def _holds_abstract(desc: SheafDescriptor) -> bool:
+    """Whether an abstract sheaf sits anywhere in desc, as a summand or
+    as a factor of an external tensor."""
+    if isinstance(desc, AbstractSheaf):
         return True
     if isinstance(desc, DirectSum):
-        return all(_globally_decided(part) for part, _ in desc.parts)
+        return any(_holds_abstract(part) for part, _ in desc.parts)
     if isinstance(desc, ExternalTensor):
-        return _globally_decided(desc.left) and _globally_decided(desc.right)
+        return _holds_abstract(desc.left) or _holds_abstract(desc.right)
     return False
 
 
@@ -164,7 +164,9 @@ def _initialized(
         witness = table.first_nonzero(range(-1, -depth - 1, -1), degrees={0})
     return InitializedReport(
         ok=witness is None,
-        global_verdict=_globally_decided(desc),
+        # the oracle descriptors have section counts monotone in the
+        # twist, so the probe decides; abstract data ends at its window
+        global_verdict=not _holds_abstract(desc),
         probed=(-depth, 0),
         witness=witness,
     )
@@ -418,7 +420,7 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     product_model = product_proj(1, 1)
     split: dict[int, dict[str, int]] = {}
     for degree, desc in E.sheaves:
-        if any(isinstance(atom, AbstractSheaf) for atom, _ in flatten_atoms(desc)):
+        if _holds_abstract(desc):
             raise Indeterminate(
                 f"{format_sheaf(desc)} is abstract: a table alone cannot split"
                 " the two rulings"
@@ -587,7 +589,5 @@ def abstract_ulrich_sheaf(
     """
     if rank < 1:
         raise MalformedDescriptor(f"rank must be >= 1, got {rank}")
-    num_class = ulrich_chern_solve(model, rank)
     table = ulrich_table(2, {0: rank * model.deg}, default_window(model))
-    table.num_class = num_class
-    return AbstractSheaf(rank=rank, label=label, num_class=num_class, table=table)
+    return AbstractSheaf(rank, label, ulrich_chern_solve(model, rank), table)

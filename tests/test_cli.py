@@ -409,6 +409,16 @@ class TestEnvelope:
         assert "frobnicate" in report["error"]
         assert report["payload"] is None
 
+    def test_bare_invocation_echoes_the_tool_name(self, capsys):
+        code = main([])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["command"] == "ulrich-kit"
+        assert report["error"] and report["payload"] is None
+
     @pytest.mark.parametrize("argv, words", [
         (["chern-solve", "--surface", "d=4,i=0,chi=2", "--rank", "x"], "--rank"),
         (["chern-solve", "--surface", "d=4,i=0,chi=2"], "required: --rank"),

@@ -409,6 +409,36 @@ def test_ulrich_atoms_have_the_eisenbud_schreyer_table(atom, lo, width):
     assert ulrich_table(model.dim, column, window).same_entries(table)
 
 
+SPINOR_SEQUENCES = [
+    (quadric(3), Spinor(None), Spinor(None)),
+    (quadric(2), Spinor("+"), Spinor("-")),
+    (quadric(2), Spinor("-"), Spinor("+")),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sequence=st.sampled_from(SPINOR_SEQUENCES),
+    lo=st.integers(min_value=-299, max_value=300),
+    width=st.integers(min_value=0, max_value=599),
+)
+def test_spinor_tables_satisfy_the_defining_sequence(sequence, lo, width):
+    # 0 -> S(-1) -> O^N -> S' -> 0 with N = 2^floor((n+1)/2) (Ottaviani
+    # 1988); S' = S on Q^3 and the other sign on Q^2.  Spinors have no
+    # intermediate cohomology, so the long exact sequence leaves one h^0
+    # and one h^n identity against the quadric's line-bundle oracle.
+    model, S, S_prime = sequence
+    n = model.dim
+    N = 2 ** ((n + 1) // 2)
+    hi = min(lo + width, 300)
+    before = sheaf_table(S, model, (lo - 1, hi - 1))
+    after = sheaf_table(S_prime, model, (lo, hi))
+    for t in range(lo, hi + 1):
+        line = quadric_line_table(n, t)
+        assert after.h(0, t) == N * line.get(0, 0) - before.h(0, t - 1), t
+        assert before.h(n, t - 1) == N * line.get(n, 0) - after.h(n, t), t
+
+
 @pytest.mark.parametrize(
     "model, desc",
     [

@@ -30,6 +30,7 @@ from ulrich_kit import (
     shift,
     triangle_2of3,
 )
+from ulrich_kit.chern import class_or_none
 from ulrich_kit.complexes import (
     CERT_EXACT,
     CERT_EXACT_BY_VANISHING,
@@ -134,15 +135,15 @@ class TestHyperTable:
         assert result.certificate(-1) == CERT_EXACT_BY_VANISHING
         assert result.overall == CERT_UPPER_BOUND_ONLY
 
-    def test_num_class_is_attached_on_surfaces(self):
+    def test_complex_class_is_read_on_surfaces_only(self):
+        """A table is its window and entries; the class of a complex comes
+        from ``class_or_none``, which reads it where Riemann-Roch is exact."""
         p2 = proj_space(2)
         E = formal_complex(p2, {0: line_bundle(1), -1: line_bundle(0)})
-        result = hyper_table(E, (-3, 3))
-        assert result.table.num_class is not None
-        assert result.table.num_class.r == 0
+        cls = class_or_none(E, p2)
+        assert cls is not None and cls.r == 0
         p3 = proj_space(3)
-        result = hyper_table(formal_complex(p3, {0: line_bundle(0)}), (-4, 4))
-        assert result.table.num_class is None
+        assert class_or_none(formal_complex(p3, {0: line_bundle(0)}), p3) is None
 
 
 class TestTriangle:

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level private function or class is referenced by some
-code in the package, and every error class is named outside ``errors``.
+code in the package, every error class is named outside ``errors``, and
+every exported function is called outside its own module.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -10,6 +11,7 @@ needed here.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,34 @@ def test_every_error_class_is_named_outside_errors():
     )
     unnamed = sorted(name for name in classes if name not in named)
     assert classes and not unnamed, f"error classes nothing raises or catches: {unnamed}"
+
+
+def called_names(tree: ast.Module) -> set[str]:
+    """Names of everything called in the module, as f(...) or m.f(...)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def test_every_exported_function_is_called_elsewhere():
+    """An exported function that no other package module and no test
+    calls is dead API: nothing checks it and nothing needs it.  Exported
+    classes are exempt, since the functions return them."""
+    calls = {module: called_names(tree) for module, tree in TREES.items()}
+    tests = Path(__file__).parent.glob("*.py")
+    test_calls = set().union(*(called_names(ast.parse(p.read_text())) for p in tests))
+    uncalled = []
+    for name in ulrich_kit.__all__:
+        obj = getattr(ulrich_kit, name)
+        if not inspect.isfunction(obj):
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1] + ".py"
+        callers = [m for m in calls if m not in (home, "__init__.py")]
+        if name not in test_calls and not any(name in calls[m] for m in callers):
+            uncalled.append(f"{home} {name}")
+    assert not uncalled, f"exported functions nothing else calls: {uncalled}"

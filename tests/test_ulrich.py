@@ -16,16 +16,19 @@ from hypothesis import strategies as st
 from ulrich_kit import (
     AbstractSheaf,
     CohomologyTable,
+    FormalComplex,
     GlueWitness,
     LineBundle,
     SemistableEC,
     Spinor,
     abstract_ulrich_sheaf,
+    class_of,
     default_window,
     direct_sum,
     elliptic_curve,
     euler_char,
     ext_dimension,
+    external_product,
     formal_complex,
     is_initialized,
     is_ulrich_object,
@@ -48,9 +51,11 @@ from ulrich_kit import (
 )
 from ulrich_kit.variety import MAX_TWISTS
 from ulrich_kit.errors import (
+    IncompleteTable,
     Indeterminate,
     MalformedDescriptor,
     ModeDisagreement,
+    ModelMismatch,
     NoDualRule,
     NonDivisibleRank,
     NotUlrich,
@@ -335,6 +340,33 @@ class TestUlrichObject:
         # one for the object; the reconstruction is read off its column
         assert len(built) == 1
 
+    @pytest.mark.parametrize("mode", ["direct", "sheafwise", "both"])
+    def test_abstract_class_on_another_model_is_refused(self, mode):
+        # a sheaf on the K3-type surface carrying a class that lives on P^2
+        model = rank1_surface(4, 0, 2)
+        p2 = proj_space(2)
+        stray = AbstractSheaf(
+            rank=1,
+            label="stray",
+            num_class=class_of(line_bundle(0), p2),
+            table=abstract_ulrich_sheaf(model, 1).table,
+        )
+        with pytest.raises(ModelMismatch):
+            formal_complex(model, {0: stray})
+        E = FormalComplex(model=model, sheaves=((0, stray),))
+        with pytest.raises(ModelMismatch):
+            is_ulrich_object(E, mode)
+
+    @pytest.mark.parametrize("mode", ["direct", "sheafwise", "both"])
+    def test_abstract_table_short_of_the_window_is_refused(self, mode):
+        # O(1)'s table on twists 0..4 says nothing about the Ulrich twists
+        # -1, -2; no mode may read the missing columns as zero
+        p2 = proj_space(2)
+        short = sheaf_table(line_bundle(1), p2, (0, 4))
+        E = formal_complex(p2, {0: AbstractSheaf(rank=1, label="short", table=short)})
+        with pytest.raises(IncompleteTable):
+            is_ulrich_object(E, mode)
+
 
 class TestPnDecompose:
     def test_single_structure_sheaf(self):
@@ -420,6 +452,19 @@ class TestQuadricDecompose:
         window = default_window(model)
         table = sheaf_table(parse_sheaf(atom, model), model, window)
         E = formal_complex(model, {0: AbstractSheaf(rank=1, label="ruling", table=table)})
+        assert is_ulrich_object(E, "both").passed
+        with pytest.raises(Indeterminate):
+            quadric_decompose(E)
+
+    def test_abstract_factor_of_an_external_tensor_is_indeterminate(self):
+        # the abstract sheaf hides inside [A]x[O(1)] on P^1 x P^1, not as
+        # a summand; the split must still refuse rather than misread it
+        p1 = proj_space(1)
+        table = sheaf_table(line_bundle(0), p1, (-20, 20))
+        hidden = AbstractSheaf(rank=1, label="O-like", table=table)
+        E = external_product(
+            formal_complex(p1, {0: hidden}), formal_complex(p1, {0: line_bundle(0)})
+        )
         assert is_ulrich_object(E, "both").passed
         with pytest.raises(Indeterminate):
             quadric_decompose(E)
