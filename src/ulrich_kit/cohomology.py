@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import IncompleteTable, NoOracle, UnknownSlopeZero, UnsupportedQuadricDim
+from .errors import NoOracle, UnknownSlopeZero
 from .sheaves import (
     AbstractSheaf,
     DirectSum,
@@ -154,16 +154,14 @@ def spinor_table(model: VarietyModel, sign: str | None, k: int) -> dict[int, int
     validate_descriptor(desc, model)
     if model.dim == 2:
         return _sheaf_column(product_form(desc, model), product_proj(1, 1), k)
-    if model.dim == 3:
-        column: dict[int, int] = {}
-        h0 = _spinor3_h0(k)
-        h3 = _spinor3_h3(k)
-        if h0:
-            column[0] = h0
-        if h3:
-            column[3] = h3
-        return column
-    raise UnsupportedQuadricDim(f"no spinor oracle in dimension {model.dim}")
+    column: dict[int, int] = {}
+    h0 = _spinor3_h0(k)
+    h3 = _spinor3_h3(k)
+    if h0:
+        column[0] = h0
+    if h3:
+        column[3] = h3
+    return column
 
 
 def _elliptic_pair(delta: int, trivial: bool | None, label: str) -> dict[int, int]:
@@ -237,15 +235,6 @@ def sheaf_table(
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
-    if isinstance(desc, AbstractSheaf):
-        if desc.table is None:
-            raise NoOracle(f"{format_sheaf(desc)} carries no table")
-        if not (desc.table.covers(window[0]) and desc.table.covers(window[1])):
-            raise IncompleteTable(
-                f"{format_sheaf(desc)} has a table on {desc.table.window},"
-                f" not on {window}"
-            )
-        return desc.table.restricted(window)
     lo, hi = window
     entries: dict[tuple[int, int], int] = {}
     for t in range(lo, hi + 1):

@@ -139,22 +139,29 @@ def direct_sum_complexes(*parts: FormalComplex) -> FormalComplex:
 
 @dataclass
 class HyperTableResult:
-    """Hypercohomology sums with a per-twist exactness certificate."""
+    """Hypercohomology sums and the exactness certificate of each twist.
+
+    Without glue every twist is ``exact``.  With glue a twist is
+    ``upper-bound-only`` where its column is nonzero and
+    ``exact-by-vanishing`` where it vanishes; ``overall`` applies the
+    same rule to the whole table.
+    """
 
     table: CohomologyTable
-    certificates: dict[int, str]
+    glued: bool
+
+    def _certify(self, nonzero: bool) -> str:
+        if not self.glued:
+            return CERT_EXACT
+        return CERT_UPPER_BOUND_ONLY if nonzero else CERT_EXACT_BY_VANISHING
 
     def certificate(self, t: int) -> str:
-        return self.certificates[t]
+        return self._certify(bool(self.table.column(t)))
 
     @property
     def overall(self) -> str:
-        order = (CERT_EXACT, CERT_EXACT_BY_VANISHING, CERT_UPPER_BOUND_ONLY)
-        worst = CERT_EXACT
-        for cert in self.certificates.values():
-            if order.index(cert) > order.index(worst):
-                worst = cert
-        return worst
+        lo, hi = self.table.window
+        return self._certify(self.table.first_nonzero(range(lo, hi + 1)) is not None)
 
 
 def hyper_table(
@@ -177,22 +184,13 @@ def _hyper_from_tables(
 ) -> HyperTableResult:
     """``hyper_table`` from already assembled tables of the cohomology
     sheaves of E over the window, keyed by degree."""
-    lo, hi = window
     entries: dict[tuple[int, int], int] = {}
     for degree, table in tables.items():
         for (i, t), h in table.entries.items():
             key = (i + degree, t)
             entries[key] = entries.get(key, 0) + h
-    if E.has_glue():
-        nonzero = {t for (_i, t), h in entries.items() if h}
-        certificates = {
-            t: CERT_UPPER_BOUND_ONLY if t in nonzero else CERT_EXACT_BY_VANISHING
-            for t in range(lo, hi + 1)
-        }
-    else:
-        certificates = dict.fromkeys(range(lo, hi + 1), CERT_EXACT)
     table = CohomologyTable(window=window, entries=entries)
-    return HyperTableResult(table=table, certificates=certificates)
+    return HyperTableResult(table=table, glued=E.has_glue())
 
 
 def _unit_multiples(

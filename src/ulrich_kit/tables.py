@@ -20,9 +20,8 @@ class CohomologyTable:
     ``entries`` maps (i, t) to h and stores only nonzero values.  It is
     fixed at construction: the per-twist index that column reads go
     through is built from it once, so the mapping must not be mutated
-    afterwards.  Derive a new table (``added``, ``scaled``,
-    ``degree_shifted``, ``restricted``) instead.  The index holds only
-    the degrees stored at each twist; the values stay in ``entries``.
+    afterwards.  The index holds only the degrees stored at each twist;
+    the values stay in ``entries``.
     """
 
     window: tuple[int, int]
@@ -71,43 +70,6 @@ class CohomologyTable:
                 if degrees is None or i in degrees:
                     return (i, t, self.entries[(i, t)])
         return None
-
-    def added(self, other: "CohomologyTable", mult: int = 1) -> "CohomologyTable":
-        lo = max(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        merged: dict[tuple[int, int], int] = {}
-        for table, m in ((self, 1), (other, mult)):
-            for (i, t), h in table.entries.items():
-                if lo <= t <= hi:
-                    merged[(i, t)] = merged.get((i, t), 0) + m * h
-        return CohomologyTable(window=(lo, hi), entries=merged)
-
-    def scaled(self, mult: int) -> "CohomologyTable":
-        return CohomologyTable(
-            window=self.window,
-            entries={key: mult * h for key, h in self.entries.items()},
-        )
-
-    def degree_shifted(self, k: int) -> "CohomologyTable":
-        """Table of E[k]: entry (i, t) becomes the old entry (i + k, t)."""
-        return CohomologyTable(
-            window=self.window,
-            entries={(i - k, t): h for (i, t), h in self.entries.items()},
-        )
-
-    def restricted(self, window: tuple[int, int]) -> "CohomologyTable":
-        lo, hi = window
-        slo, shi = max(lo, self.window[0]), min(hi, self.window[1])
-        if slo > shi:
-            raise IncompleteTable(
-                f"window {window} does not meet stored window {self.window}"
-            )
-        return CohomologyTable(
-            window=(slo, shi),
-            entries={
-                (i, t): h for (i, t), h in self.entries.items() if slo <= t <= shi
-            },
-        )
 
     def rows(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as (i, t, h), sorted by twist then degree."""

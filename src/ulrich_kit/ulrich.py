@@ -24,6 +24,7 @@ from .complexes import (
     FormalComplex,
     GlueWitness,
     HyperTableResult,
+    _external_tensor_atoms,
     _hyper_from_tables,
     _unit_multiples,
     formal_complex,
@@ -185,7 +186,6 @@ def is_ulrich_sheaf(
     window-wide intermediate-cohomology vanishing as supporting
     evidence for the arithmetically-Cohen-Macaulay property.
     """
-    validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
     table = sheaf_table(desc, model, window)
@@ -377,10 +377,6 @@ def _product_sign_atom(atom: SheafDescriptor) -> str | None:
         return "+"
     if isinstance(atom, LineBundle) and atom.twists == (0, 1):
         return "-"
-    if isinstance(atom, ExternalTensor):
-        left, right = atom.left, atom.right
-        if isinstance(left, LineBundle) and isinstance(right, LineBundle):
-            return _product_sign_atom(LineBundle((left.twists[0], right.twists[0])))
     return None
 
 
@@ -430,12 +426,17 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         )
         counts = {"+": 0, "-": 0}
         for atom, mult in flatten_atoms(on_product):
-            sign = _product_sign_atom(atom)
-            if sign is None:
-                raise NonDivisibleRank(
-                    f"{format_sheaf(atom)} is not a spinor line bundle"
-                )
-            counts[sign] += mult
+            if isinstance(atom, ExternalTensor):
+                pieces = _external_tensor_atoms(atom.left, atom.right)
+            else:
+                pieces = [(atom, 1)]
+            for piece, m in pieces:
+                sign = _product_sign_atom(piece)
+                if sign is None:
+                    raise NonDivisibleRank(
+                        f"{format_sheaf(piece)} is not a spinor line bundle"
+                    )
+                counts[sign] += mult * m
         # cross-check the split against sections along the two rulings
         for sign, ruling in (("+", (-1, 0)), ("-", (0, -1))):
             twisted = tensor_line(on_product, ruling, product_model)

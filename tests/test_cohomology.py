@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrich_kit import (
+    AbstractSheaf,
+    CohomologyTable,
     LineBundle,
     SemistableEC,
     Spinor,
@@ -349,6 +351,30 @@ class TestTablePlumbing:
             table.h(0, 4)
         with pytest.raises(IncompleteTable):
             table.column(-4)
+
+    def test_abstract_table_is_read_inside_the_window(self):
+        # a stored table wider than the window gives back exactly its
+        # entries inside the window, bare and as a summand
+        p2 = proj_space(2)
+        stored = CohomologyTable(
+            window=(-5, 5),
+            entries={(0, t): t + 6 for t in range(-5, 6)}
+            | {(1, -4): 3, (1, 2): 1, (2, 4): 7, (2, 5): 2},
+        )
+        A = AbstractSheaf(rank=1, label="wide", table=stored)
+        window = (-3, 4)
+        inside = {(i, t): h for (i, t), h in stored.entries.items() if -3 <= t <= 4}
+        bare = sheaf_table(A, p2, window)
+        assert bare.window == window and bare.entries == inside
+        summed = sheaf_table(direct_sum(A, line_bundle(-4)), p2, window)
+        want = dict(inside)
+        for key, h in sheaf_table(line_bundle(-4), p2, window).entries.items():
+            want[key] = want.get(key, 0) + h
+        assert summed.window == window and summed.entries == want
+        with pytest.raises(IncompleteTable):
+            sheaf_table(A, p2, (-6, 0))
+        with pytest.raises(NoOracle):
+            sheaf_table(AbstractSheaf(rank=1), p2, window)
 
     def test_surface_model_has_no_oracle(self):
         surf = rank1_surface(4, -1, 1)

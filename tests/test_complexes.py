@@ -118,7 +118,7 @@ class TestHyperTable:
         p2 = proj_space(2)
         E = formal_complex(p2, {0: line_bundle(1), -1: line_bundle(-1)})
         result = hyper_table(E, (-3, 3))
-        assert all(c == CERT_EXACT for c in result.certificates.values())
+        assert all(result.certificate(t) == CERT_EXACT for t in range(-3, 4))
         assert result.overall == CERT_EXACT
 
     def test_certificates_with_glue(self):
@@ -399,11 +399,16 @@ def test_certificates_follow_the_per_twist_definition(top, below, glued, lo, wid
     E = formal_complex(p2, {0: line_bundle(top), -1: line_bundle(below)}, glue)
     window = (lo, lo + width)
     result = hyper_table(E, window)
-    assert list(result.certificates) == list(range(lo, lo + width + 1))
-    for t, cert in result.certificates.items():
+    certificates = [result.certificate(t) for t in range(lo, lo + width + 1)]
+    for t, cert in zip(range(lo, lo + width + 1), certificates):
         if not glued:
             assert cert == CERT_EXACT
         elif any(tt == t and h for (_i, tt), h in result.table.entries.items()):
             assert cert == CERT_UPPER_BOUND_ONLY
         else:
             assert cert == CERT_EXACT_BY_VANISHING
+    order = (CERT_EXACT, CERT_EXACT_BY_VANISHING, CERT_UPPER_BOUND_ONLY)
+    assert result.overall == max(certificates, key=order.index)
+    for t in (lo - 1, lo + width + 1):
+        with pytest.raises(IncompleteTable):
+            result.certificate(t)

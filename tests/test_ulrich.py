@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ulrich_kit import (
     AbstractSheaf,
     CohomologyTable,
+    ExternalTensor,
     FormalComplex,
     GlueWitness,
     LineBundle,
@@ -433,6 +434,20 @@ class TestQuadricDecompose:
             -1: {"+": 0, "-": 1},
             0: {"+": 1, "-": 0},
         }
+
+    @pytest.mark.parametrize(
+        "left, right, split",
+        [
+            (direct_sum((line_bundle(1), 2)), line_bundle(0), {"+": 2, "-": 0}),
+            (line_bundle(0), direct_sum((line_bundle(1), 3)), {"+": 0, "-": 3}),
+        ],
+    )
+    def test_external_tensor_of_a_sum_splits(self, left, right, split):
+        # [2*O(1)]x[O(0)] is O(1,0)^2: the sum distributes before the
+        # ruling of each line bundle is read
+        E = formal_complex(product_proj(1, 1), {0: ExternalTensor(left, right)})
+        assert is_ulrich_object(E, "both").passed
+        assert quadric_decompose(E) == {0: split}
 
     def test_rejects_non_ulrich_input(self):
         q3 = quadric(3)
