@@ -1,20 +1,29 @@
 """Exact twisted-cohomology oracles for the supported models.
 
-Projective space follows the classical two-sided dimension count: only
-h^0 and h^n are ever nonzero, with binomial values.  Quadric line
-bundles are driven by the long exact sequence of the ambient degree-two
-hypersurface.  Products use the Kunneth rule with a uniform diagonal
-twist.  Genus-one curves use degree counting plus the degree-zero
-dichotomy: one section exactly for the trivial-type member.  The spinor
-bundle on the quadric threefold is computed from its defining sequence
+A table is built one atom at a time: the family of each atom is decided
+once, and one rule fills the whole twist window.  A direct sum adds the
+entries of its parts times their multiplicities.  The rules:
+
+* Projective space (Bott): only h^0 and h^n are ever nonzero, with
+  binomial values on the two ranges t >= -a and t <= -n-1-a of O(a).
+* Quadric line bundles: the long exact sequence of the ambient
+  degree-two hypersurface collapses to two differences of those ranges.
+* Products: the Kunneth rule with a uniform diagonal twist combines the
+  two factor windows at equal twists.  The spinor lines on the quadric
+  surface are read through its product form.
+* Genus-one curves: the degree is linear in the twist; h^0 above the
+  degree-zero twist, h^1 below it, and at it the dichotomy: one section
+  exactly for the trivial-type member.
+* Abstract sheaves: the columns of their stored table.
+* The spinor bundle on the quadric threefold, from its defining sequence
 
     0 -> S(-1) -> O^4 -> S -> 0
 
-with the normalization that S is initialized of rank 2.  Exactness of
-the twisted strands, the vanishing of the middle cohomology of O(k) on
-the quadric, and nonnegativity force the whole table from that data:
-h^1 and h^2 vanish everywhere, h^0 obeys a two-term recursion upward
-and h^3 the mirror recursion downward.
+  with the normalization that S is initialized of rank 2.  Exactness of
+  the twisted strands, the vanishing of the middle cohomology of O(k) on
+  the quadric, and nonnegativity force the whole table from that data:
+  h^1 and h^2 vanish everywhere, h^0 obeys a two-term recursion upward
+  and h^3 the mirror recursion downward.
 
 Ulrich tables follow from the Eisenbud-Schreyer rule (2003, Prop. 2.1): a
 finite linear projection to P^n pushes an Ulrich object to a sum of shifted
@@ -54,6 +63,8 @@ from .variety import (
     product_proj,
 )
 
+Entries = dict[tuple[int, int], int]
+
 
 def _proj_h0(n: int, k: int) -> int:
     return comb(n + k, n) if k >= 0 else 0
@@ -63,62 +74,43 @@ def _proj_hn(n: int, k: int) -> int:
     return comb(-k - 1, n) if k <= -n - 1 else 0
 
 
-def bott_table(n: int, k: int) -> dict[int, int]:
-    """Nonzero h^i(O(k)) on P^n."""
-    column: dict[int, int] = {}
-    h0 = _proj_h0(n, k)
-    hn = _proj_hn(n, k)
-    if h0:
-        column[0] = h0
-    if hn:
-        column[n] = hn
-    return column
+def _add_bott(n: int, a: int, lo: int, hi: int, mult: int, out: Entries, shift: int = 0) -> None:
+    """Add mult * h^i(O(a)(t)) on P^n at (i + shift, t) for lo <= t <= hi."""
+    for t in range(max(lo, -a), hi + 1):
+        key = (shift, t)
+        out[key] = out.get(key, 0) + mult * comb(n + a + t, n)
+    top = n + shift
+    for t in range(lo, min(hi, -n - 1 - a) + 1):
+        key = (top, t)
+        out[key] = out.get(key, 0) + mult * comb(-a - t - 1, n)
 
 
-def chi_proj(n: int, k: int) -> Fraction:
-    """chi(O(k)) on P^n as the exact binomial polynomial, any integer k."""
-    num = 1
-    for i in range(1, n + 1):
-        num *= k + i
-    return Fraction(num, factorial(n))
+def _add_quadric_line(n: int, a: int, lo: int, hi: int, mult: int, out: Entries) -> None:
+    """O(a) on Q^n: the restriction sequence 0 -> O_P(k-2) -> O_P(k) ->
+    O_Q(k) -> 0 on P^{n+1} has cohomology concentrated at the ends, so the
+    long exact sequence collapses to two differences and kills everything
+    between."""
+    m = n + 1
+    for t in range(max(lo, -a), hi + 1):
+        k = a + t
+        key = (0, t)
+        out[key] = out.get(key, 0) + mult * (comb(m + k, m) - comb(m + k - 2, m))
+    for t in range(lo, min(hi, -n - a) + 1):
+        k = a + t
+        key = (n, t)
+        out[key] = out.get(key, 0) + mult * (comb(1 - k, m) - comb(-k - 1, m))
 
 
-def quadric_line_table(n: int, k: int) -> dict[int, int]:
-    """Nonzero h^i(O(k)) on Q^n, from the ambient hypersurface sequence.
-
-    The restriction sequence 0 -> O_P(k-2) -> O_P(k) -> O_Q(k) -> 0 on
-    P^{n+1} has cohomology concentrated at the ends, so the long exact
-    sequence collapses to two differences and kills everything between.
-    """
-    column: dict[int, int] = {}
-    h0 = _proj_h0(n + 1, k) - _proj_h0(n + 1, k - 2)
-    hn = _proj_hn(n + 1, k - 2) - _proj_hn(n + 1, k)
-    if h0:
-        column[0] = h0
-    if hn:
-        column[n] = hn
-    return column
-
-
-def _convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p, a in left.items():
-        for q, b in right.items():
-            out[p + q] = out.get(p + q, 0) + a * b
-    return out
-
-
-def ulrich_table(
-    n: int, column: dict[int, int], window: tuple[int, int]
-) -> CohomologyTable:
-    """The table an Ulrich object of dimension n with the given twist-0
-    column must have over the window (the rule in the module docstring)."""
-    lo, hi = window
-    entries: dict[tuple[int, int], int] = {}
-    for t in range(lo, hi + 1):
-        for i, h in _convolve(column, bott_table(n, t)).items():
-            entries[(i, t)] = h
-    return CohomologyTable(window=window, entries=entries)
+def _add_kuenneth(left: Entries, right: Entries, mult: int, out: Entries) -> None:
+    """Add mult times the Kunneth product of two factor windows, taken at
+    equal twists."""
+    right_at: dict[int, list[tuple[int, int]]] = {}
+    for (q, t), b in right.items():
+        right_at.setdefault(t, []).append((q, b))
+    for (p, t), a in left.items():
+        for q, b in right_at.get(t, ()):
+            key = (p + q, t)
+            out[key] = out.get(key, 0) + mult * a * b
 
 
 @lru_cache(maxsize=None)
@@ -142,26 +134,12 @@ def _spinor3_h3(k: int) -> int:
     return value
 
 
-def spinor_table(model: VarietyModel, sign: str | None, k: int) -> dict[int, int]:
-    """Nonzero h^i(S(k)) for the spinor bundle on Q^2 or Q^3.
-
-    On the quadric surface the two spinor line bundles are O(1,0) and
-    O(0,1) under the product identification, so the column is a Kunneth
-    computation.  On the threefold the defining sequence drives the
-    recursion described in the module docstring.
-    """
-    desc = Spinor(sign)
-    validate_descriptor(desc, model)
-    if model.dim == 2:
-        return _sheaf_column(product_form(desc, model), product_proj(1, 1), k)
-    column: dict[int, int] = {}
-    h0 = _spinor3_h0(k)
-    h3 = _spinor3_h3(k)
-    if h0:
-        column[0] = h0
-    if h3:
-        column[3] = h3
-    return column
+def _add_spinor3(lo: int, hi: int, mult: int, out: Entries) -> None:
+    # ascending twists, so each recursion finds its predecessor cached
+    for t in range(lo, hi + 1):
+        for i, h in ((0, _spinor3_h0(t)), (3, _spinor3_h3(t))):
+            if h:
+                out[(i, t)] = out.get((i, t), 0) + mult * h
 
 
 def _elliptic_pair(delta: int, trivial: bool | None, label: str) -> dict[int, int]:
@@ -176,40 +154,70 @@ def _elliptic_pair(delta: int, trivial: bool | None, label: str) -> dict[int, in
     return {0: 1, 1: 1} if trivial else {}
 
 
-def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
+def _add_elliptic(
+    desc: SheafDescriptor, atom: SemistableEC, d: int, lo: int, hi: int, mult: int, out: Entries
+) -> None:
+    """The degree of atom(t) on a curve of degree d is linear and
+    increasing in t: h^1 below its zero twist, h^0 above, and the
+    dichotomy at the zero twist when it is an integer."""
+    step = atom.rank * d
+    zero, rem = divmod(-atom.degree, step)  # the degree is positive past zero
+    last_negative = zero - 1 if rem == 0 else zero
+    for t in range(lo, min(hi, last_negative) + 1):
+        key = (1, t)
+        out[key] = out.get(key, 0) - mult * (atom.degree + step * t)
+    if rem == 0 and lo <= zero <= hi:
+        for i, h in _elliptic_pair(0, atom.trivial_type, format_sheaf(desc)).items():
+            out[(i, zero)] = out.get((i, zero), 0) + mult * h
+    for t in range(max(lo, zero + 1), hi + 1):
+        key = (0, t)
+        out[key] = out.get(key, 0) + mult * (atom.degree + step * t)
+
+
+def _add_entries(
+    desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, mult: int, out: Entries
+) -> None:
+    """Add mult * h^i(desc(t)) to out[(i, t)] for every lo <= t <= hi,
+    the parts of a sum in order, each over the whole window."""
+    if isinstance(desc, DirectSum):
+        for part, m in desc.parts:
+            _add_entries(part, model, lo, hi, mult * m, out)
+        return
     if isinstance(desc, AbstractSheaf):
         if desc.table is None:
             raise NoOracle(f"{format_sheaf(desc)} carries no table")
-        return desc.table.column(t)
-    if isinstance(desc, DirectSum):
-        out: dict[int, int] = {}
-        for part, mult in desc.parts:
-            for i, h in _sheaf_column(part, model, t).items():
-                out[i] = out.get(i, 0) + mult * h
-        return {i: h for i, h in out.items() if h}
+        for t in range(lo, hi + 1):
+            for i, h in desc.table.column(t).items():
+                out[(i, t)] = out.get((i, t), 0) + mult * h
+        return
     if model.kind == KIND_PROJ:
         if isinstance(desc, LineBundle):
-            return bott_table(model.dim, desc.twists[0] + t)
+            return _add_bott(model.dim, desc.twists[0], lo, hi, mult, out)
     elif model.kind == KIND_QUADRIC:
         if isinstance(desc, LineBundle):
-            return quadric_line_table(model.dim, desc.twists[0] + t)
+            return _add_quadric_line(model.dim, desc.twists[0], lo, hi, mult, out)
         if isinstance(desc, Spinor):
-            return spinor_table(model, desc.sign, t)
+            if model.dim == 2:
+                on_product = product_form(desc, model)
+                return _add_entries(on_product, product_proj(1, 1), lo, hi, mult, out)
+            return _add_spinor3(lo, hi, mult, out)
     elif model.kind == KIND_PRODUCT:
-        n1, n2 = model.factors
+        left: Entries = {}
+        right: Entries = {}
         if isinstance(desc, LineBundle):
-            a, b = desc.twists
-            return _convolve(bott_table(n1, a + t), bott_table(n2, b + t))
+            (n1, n2), (a, b) = model.factors, desc.twists
+            _add_bott(n1, a, lo, hi, 1, left)
+            _add_bott(n2, b, lo, hi, 1, right)
+            return _add_kuenneth(left, right, mult, out)
         if isinstance(desc, ExternalTensor):
-            left, right = model.factor_models
-            return _convolve(
-                _sheaf_column(desc.left, left, t), _sheaf_column(desc.right, right, t)
-            )
+            left_model, right_model = model.factor_models
+            _add_entries(desc.left, left_model, lo, hi, 1, left)
+            _add_entries(desc.right, right_model, lo, hi, 1, right)
+            return _add_kuenneth(left, right, mult, out)
     elif model.kind == KIND_ELLIPTIC:
         atom = normalize_elliptic(desc, model)
         if isinstance(atom, SemistableEC):
-            delta = atom.degree + atom.rank * t * model.deg
-            return _elliptic_pair(delta, atom.trivial_type, format_sheaf(desc))
+            return _add_elliptic(desc, atom, model.deg, lo, hi, mult, out)
     elif model.kind == KIND_SURFACE:
         raise NoOracle(
             f"abstract surfaces have no oracle for {format_sheaf(desc)};"
@@ -218,6 +226,65 @@ def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[in
     raise NoOracle(
         f"no oracle for {format_sheaf(desc)} on {format_variety(model)}"
     )
+
+
+def _column(entries: Entries) -> dict[int, int]:
+    """The nonzero column of entries built on a one-twist window."""
+    return {i: h for (i, _), h in entries.items() if h}
+
+
+def bott_table(n: int, k: int) -> dict[int, int]:
+    """Nonzero h^i(O(k)) on P^n."""
+    out: Entries = {}
+    _add_bott(n, k, 0, 0, 1, out)
+    return _column(out)
+
+
+def chi_proj(n: int, k: int) -> Fraction:
+    """chi(O(k)) on P^n as the exact binomial polynomial, any integer k."""
+    num = 1
+    for i in range(1, n + 1):
+        num *= k + i
+    return Fraction(num, factorial(n))
+
+
+def quadric_line_table(n: int, k: int) -> dict[int, int]:
+    """Nonzero h^i(O(k)) on Q^n, from the ambient hypersurface sequence."""
+    out: Entries = {}
+    _add_quadric_line(n, k, 0, 0, 1, out)
+    return _column(out)
+
+
+def ulrich_table(
+    n: int, column: dict[int, int], window: tuple[int, int]
+) -> CohomologyTable:
+    """The table an Ulrich object of dimension n with the given twist-0
+    column must have over the window (the rule in the module docstring)."""
+    lo, hi = window
+    entries: Entries = {}
+    for q, h in column.items():
+        _add_bott(n, 0, lo, hi, h, entries, shift=q)
+    return CohomologyTable(window=window, entries=entries)
+
+
+def spinor_table(model: VarietyModel, sign: str | None, k: int) -> dict[int, int]:
+    """Nonzero h^i(S(k)) for the spinor bundle on Q^2 or Q^3.
+
+    On the quadric surface the two spinor line bundles are O(1,0) and
+    O(0,1) under the product identification, so the column is a Kunneth
+    computation.  On the threefold the defining sequence drives the
+    recursion described in the module docstring.
+    """
+    desc = Spinor(sign)
+    validate_descriptor(desc, model)
+    return _sheaf_column(desc, model, k)
+
+
+def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
+    """The table builder on the one-twist window (t, t)."""
+    out: Entries = {}
+    _add_entries(desc, model, t, t, 1, out)
+    return _column(out)
 
 
 def sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
@@ -231,13 +298,17 @@ def sheaf_table(
     model: VarietyModel,
     window: tuple[int, int] | None = None,
 ) -> CohomologyTable:
-    """Assembled table over the twist window (model default when omitted)."""
+    """Assembled table over the twist window (model default when omitted).
+
+    The parts of a sum, and the factors of an external tensor, are each
+    built over the whole window in order, so when several fail, the first
+    one raises its error, whatever twist the others fail at.
+    """
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
     lo, hi = window
-    entries: dict[tuple[int, int], int] = {}
-    for t in range(lo, hi + 1):
-        for i, h in _sheaf_column(desc, model, t).items():
-            entries[(i, t)] = h
+    entries: Entries = {}
+    if lo <= hi:  # the table refuses an empty window before any oracle runs
+        _add_entries(desc, model, lo, hi, 1, entries)
     return CohomologyTable(window=window, entries=entries)

@@ -34,13 +34,24 @@ class CohomologyTable:
         lo, hi = self.window
         if lo > hi:
             raise IncompleteTable(f"empty window {self.window}")
-        self.entries = {key: h for key, h in self.entries.items() if h != 0}
-        by_twist: dict[int, tuple[int, ...]] = {}
-        for i, t in self.entries:
-            by_twist[t] = by_twist.get(t, ()) + (i,)
-        # few distinct degree tuples occur, so columns share them
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._degrees = {t: shared.setdefault(d, d) for t, d in by_twist.items()}
+        entries: dict[tuple[int, int], int] = {}
+        degrees: dict[int, tuple[int, ...]] = {}
+        # few distinct degree tuples occur, so columns share them; the
+        # tuple of a twist's first degree i is kept under the key i
+        shared: dict[int | tuple[int, ...], tuple[int, ...]] = {}
+        for key, h in self.entries.items():
+            if h != 0:
+                entries[key] = h
+                i, t = key
+                d = degrees.get(t)
+                if d is None:
+                    d = shared.get(i) or shared.setdefault(i, (i,))
+                else:
+                    d += (i,)
+                    d = shared.setdefault(d, d)
+                degrees[t] = d
+        self.entries = entries
+        self._degrees = degrees
 
     def covers(self, t: int) -> bool:
         lo, hi = self.window

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from ulrich_kit import (
     AbstractSheaf,
     CohomologyTable,
+    DirectSum,
+    ExternalTensor,
     LineBundle,
     SemistableEC,
     Spinor,
@@ -24,6 +26,8 @@ from ulrich_kit import (
     chi_proj,
     direct_sum,
     elliptic_curve,
+    format_sheaf,
+    format_variety,
     line_bundle,
     parse_sheaf,
     product_proj,
@@ -34,6 +38,7 @@ from ulrich_kit import (
     sheaf_column,
     sheaf_table,
     spinor_table,
+    tensor_line,
 )
 from ulrich_kit.errors import (
     IncompleteTable,
@@ -479,3 +484,317 @@ def test_non_ulrich_atoms_differ_from_the_eisenbud_schreyer_table(model, desc):
     window = (-6, 6)
     table = sheaf_table(desc, model, window)
     assert not ulrich_table(model.dim, table.column(0), window).same_entries(table)
+
+
+# ---------------------------------------------------------------------------
+# Whole-window tables against a per-twist reference.  The reference below
+# computes one column at a time from the formulas at the top of this file
+# (Bott binomials, quadric differences, Kunneth convolution, the elliptic
+# dichotomy) and never calls the kit's oracles.
+
+
+def convolve(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    out = {}
+    for p, a in left.items():
+        for q, b in right.items():
+            out[p + q] = out.get(p + q, 0) + a * b
+    return out
+
+
+def reference_column(desc, model, t: int) -> dict[int, int]:
+    """h^i(desc(t)) for one twist, raising what the kit raises for a
+    part without an oracle."""
+    if isinstance(desc, DirectSum):
+        out = {}
+        for part, mult in desc.parts:
+            for i, h in reference_column(part, model, t).items():
+                out[i] = out.get(i, 0) + mult * h
+        return {i: h for i, h in out.items() if h}
+    if isinstance(desc, AbstractSheaf):
+        if desc.table is None:
+            raise NoOracle(f"{format_sheaf(desc)} carries no table")
+        lo, hi = desc.table.window
+        if not lo <= t <= hi:
+            raise IncompleteTable(f"twist {t} outside window {desc.table.window}")
+        return {i: h for (i, s), h in desc.table.entries.items() if s == t}
+    if model.kind == "pn":
+        return ambient_line_table(model.dim, desc.twists[0] + t)
+    if model.kind == "quadric":
+        if isinstance(desc, LineBundle):
+            return quadric_by_les(model.dim, desc.twists[0] + t)
+        if model.dim == 2:  # the rulings O(1,0) and O(0,1) of P^1 x P^1
+            a, b = (1, 0) if desc.sign == "+" else (0, 1)
+            return convolve(ambient_line_table(1, a + t), ambient_line_table(1, b + t))
+        # S on Q^3 is Ulrich of rank 2 on a threefold of degree 2, so it
+        # pushes forward to O^4 on P^3 (Eisenbud-Schreyer)
+        return {i: 4 * h for i, h in ambient_line_table(3, t).items()}
+    if model.kind == "prod":
+        n1, n2 = model.factors
+        if isinstance(desc, LineBundle):
+            a, b = desc.twists
+            return convolve(ambient_line_table(n1, a + t), ambient_line_table(n2, b + t))
+        return convolve(
+            reference_column(desc.left, proj_space(n1), t),
+            reference_column(desc.right, proj_space(n2), t),
+        )
+    if model.kind == "elliptic":
+        if isinstance(desc, LineBundle):
+            rank, degree, trivial = 1, desc.twists[0] * model.deg, True
+        else:
+            rank, degree, trivial = desc.rank, desc.degree, desc.trivial_type
+        delta = degree + rank * model.deg * t
+        if delta > 0:
+            return {0: delta}
+        if delta < 0:
+            return {1: -delta}
+        if trivial is None:
+            raise UnknownSlopeZero(
+                f"{format_sheaf(desc)}: twisted degree zero needs the triviality bit"
+            )
+        return {0: 1, 1: 1} if trivial else {}
+    raise NoOracle(
+        f"abstract surfaces have no oracle for {format_sheaf(desc)};"
+        " attach an explicit table"
+    )
+
+
+def reference_entries(desc, model, window) -> dict[tuple[int, int], int]:
+    lo, hi = window
+    return {
+        (i, t): h
+        for t in range(lo, hi + 1)
+        for i, h in reference_column(desc, model, t).items()
+    }
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of its error."""
+    try:
+        return ("ok", fn(*args))
+    except (NoOracle, IncompleteTable, UnknownSlopeZero) as err:
+        return (type(err), str(err))
+
+
+ORACLE_MODELS = (
+    [proj_space(n) for n in range(1, 5)]
+    + [quadric(n) for n in range(2, 5)]
+    + [product_proj(1, 1), product_proj(1, 2)]
+    + [elliptic_curve(d) for d in range(3, 7)]
+)
+
+windows = st.one_of(
+    st.tuples(st.integers(-12, 4), st.integers(0, 12)),  # across the vanishing gaps
+    st.tuples(st.integers(-300, 300), st.integers(0, 600)),
+).map(lambda pair: (pair[0], min(pair[0] + pair[1], 300)))
+
+
+@st.composite
+def stored_tables(draw, window, short=False):
+    """An abstract sheaf whose table covers the window, or misses one end
+    of it when ``short``."""
+    lo, hi = window
+    a, b = lo - draw(st.integers(0, 3)), hi + draw(st.integers(0, 3))
+    if short and draw(st.booleans()):
+        a = lo + draw(st.integers(1, 3))
+        b = max(a, b)
+    elif short:
+        b = hi - draw(st.integers(1, 3))
+        a = min(a, b)
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(-1, 3), st.integers(a, b)), st.integers(1, 9), max_size=8
+        )
+    )
+    return AbstractSheaf(rank=1, label="stored", table=CohomologyTable((a, b), entries))
+
+
+@st.composite
+def oracle_atoms(draw, model, window, opaque=True):
+    """An atom the kit has an oracle for on the model; elliptic atoms
+    carry the triviality bit.  ``opaque`` admits stored tables and
+    spinors, the atoms without a line twist rule."""
+    choices = ["line"]
+    if opaque and model.kind == "quadric" and model.dim in (2, 3):
+        choices.append("spinor")
+    if model.kind == "prod":
+        choices.append("tensor")
+    if model.kind == "elliptic":
+        choices.append("ss")
+    if opaque:
+        choices.append("abstract")
+    choice = draw(st.sampled_from(choices))
+    if choice == "abstract":
+        return draw(stored_tables(window))
+    if choice == "spinor":
+        return Spinor(draw(st.sampled_from("+-")) if model.dim == 2 else None)
+    if choice == "tensor":
+        left, right = model.factor_models
+        return ExternalTensor(
+            draw(oracle_descriptors(left, window, 1, opaque)),
+            draw(oracle_descriptors(right, window, 1, opaque)),
+        )
+    if choice == "ss":
+        return SemistableEC(draw(st.integers(1, 3)), draw(st.integers(-20, 20)), draw(st.booleans()))
+    width = 2 if model.kind == "prod" else 1
+    return LineBundle(tuple(draw(st.integers(-8, 8)) for _ in range(width)))
+
+
+@st.composite
+def oracle_descriptors(draw, model, window, depth=2, opaque=True):
+    """An atom or a sum nested up to ``depth`` deep, multiplicities 1 to 3."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(oracle_atoms(model, window, opaque))
+    parts = st.tuples(oracle_descriptors(model, window, depth - 1, opaque), st.integers(1, 3))
+    return DirectSum(tuple(draw(st.lists(parts, min_size=1, max_size=3))))
+
+
+@st.composite
+def tables_to_build(draw):
+    model = draw(st.sampled_from(ORACLE_MODELS))
+    window = draw(windows)
+    return model, draw(oracle_descriptors(model, window)), window
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=tables_to_build(), data=st.data())
+def test_tables_and_columns_match_the_per_twist_reference(case, data):
+    model, desc, window = case
+    lo, hi = window
+    table = sheaf_table(desc, model, window)
+    assert table.window == window
+    assert table.entries == reference_entries(desc, model, window)
+    t = data.draw(st.integers(lo, hi))
+    for s in {lo, t, hi}:
+        assert sheaf_column(desc, model, s) == reference_column(desc, model, s), s
+
+
+def small_atoms(model):
+    """Every line bundle with twists in -6..6, every spinor, and every
+    semistable atom of rank 1..3 and degree -20..20 with its bit."""
+    if model.kind == "prod":
+        yield from (LineBundle((a, b)) for a in range(-6, 7) for b in range(-6, 7))
+    else:
+        yield from (LineBundle((a,)) for a in range(-6, 7))
+    if model.kind == "quadric" and model.dim == 2:
+        yield from (Spinor("+"), Spinor("-"))
+    if model.kind == "quadric" and model.dim == 3:
+        yield Spinor(None)
+    if model.kind == "elliptic":
+        for rank, degree, bit in itertools.product(range(1, 4), range(-20, 21), (True, False)):
+            yield SemistableEC(rank, degree, bit)
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=format_variety)
+def test_every_small_atom_matches_the_per_twist_reference(model):
+    # every boundary of every rule lies inside this window
+    window = (-12, 12)
+    for desc in small_atoms(model):
+        table = sheaf_table(desc, model, window)
+        assert table.entries == reference_entries(desc, model, window), desc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    column=st.dictionaries(st.integers(-2, 4), st.integers(1, 9), max_size=3),
+    window=windows,
+)
+def test_ulrich_table_matches_the_per_twist_convolution(n, column, window):
+    lo, hi = window
+    want = {}
+    for t in range(lo, hi + 1):
+        for i, h in convolve(column, ambient_line_table(n, t)).items():
+            want[(i, t)] = h
+    assert ulrich_table(n, column, window).entries == want
+
+
+@st.composite
+def failing_parts(draw, model, window):
+    """A part whose oracle fails somewhere in the window."""
+    lo, hi = window
+    choices = ["no table", "short table"]
+    if model.kind == "elliptic":
+        choices.append("no bit")
+    if model.kind == "surface":
+        choices.append("surface line")
+    choice = draw(st.sampled_from(choices))
+    if choice == "no table":
+        return AbstractSheaf(rank=1)
+    if choice == "short table":
+        return draw(stored_tables(window, short=True))
+    if choice == "surface line":
+        return LineBundle((draw(st.integers(-8, 8)),))
+    rank, zero = draw(st.integers(1, 3)), draw(st.integers(lo, hi))
+    return SemistableEC(rank, -rank * model.deg * zero)  # degree zero at twist zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(ORACLE_MODELS + [rank1_surface(4, -1, 1)]),
+    window=windows,
+    data=st.data(),
+)
+def test_one_failing_part_raises_what_the_per_twist_path_raises(model, window, data):
+    if model.kind == "surface":  # only stored tables have an oracle there
+        good = st.lists(stored_tables(window), max_size=3)
+    else:
+        good = st.lists(oracle_descriptors(model, window, 1), max_size=3)
+    parts = data.draw(good)
+    parts.insert(data.draw(st.integers(0, len(parts))), data.draw(failing_parts(model, window)))
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(parts), max_size=len(parts)))
+    desc = parts[0] if len(parts) == 1 else DirectSum(tuple(zip(parts, mults)))
+    want = outcome(reference_entries, desc, model, window)
+    assert want[0] != "ok"
+    got = outcome(sheaf_table, desc, model, window)
+    assert got == want
+    lo, hi = window
+    for t in {lo, hi}:
+        assert outcome(sheaf_column, desc, model, t) == outcome(reference_column, desc, model, t)
+
+
+def test_slope_zero_without_the_bit_is_refused_only_inside_the_window():
+    model = elliptic_curve(3)
+    desc = direct_sum(SemistableEC(2, 12), line_bundle(1))  # degree zero at twist -2
+    for window in ((-40, -3), (-1, 40)):
+        assert sheaf_table(desc, model, window).entries == reference_entries(desc, model, window)
+    for window in ((-2, -2), (-40, 40)):
+        with pytest.raises(UnknownSlopeZero, match=r"^ss\(2,12\): twisted degree zero"):
+            sheaf_table(desc, model, window)
+
+
+def test_of_two_failing_parts_the_first_in_the_sum_raises():
+    """``sheaf_table`` builds the parts of a sum in order, each over the
+    whole window, so the first failing part raises, even when a later one
+    fails at a lower twist."""
+    model, window = elliptic_curve(3), (-3, 3)
+    late, early = SemistableEC(1, -6), SemistableEC(2, 0)  # zero at twists 2 and 0
+    for first, second in ((late, early), (early, late)):
+        desc = DirectSum(((first, 1), (second, 2)))
+        with pytest.raises(UnknownSlopeZero) as err:
+            sheaf_table(desc, model, window)
+        assert str(err.value).startswith(format_sheaf(first) + ":")
+    short = CohomologyTable((0, 3), {(0, 1): 2})
+    desc = DirectSum(((AbstractSheaf(rank=1), 1), (AbstractSheaf(1, table=short), 1)))
+    with pytest.raises(NoOracle):
+        sheaf_table(desc, proj_space(2), window)
+    desc = DirectSum(((AbstractSheaf(1, table=short), 1), (AbstractSheaf(rank=1), 1)))
+    with pytest.raises(IncompleteTable, match=r"^twist -3 outside window \(0, 3\)$"):
+        sheaf_table(desc, proj_space(2), window)
+
+
+# Twist equivariance: an identity of the oracles themselves, independent of
+# the reference above.  E(k) read at twist t is E read at twist t + k.
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(ORACLE_MODELS),
+    window=windows,
+    k=st.integers(-40, 40),
+    data=st.data(),
+)
+def test_twisting_the_sheaf_translates_its_table(model, window, k, data):
+    desc = data.draw(oracle_descriptors(model, window, opaque=False))
+    lo, hi = window
+    shift = (k, k) if model.kind == "prod" else (k,)
+    base = sheaf_table(desc, model, window)
+    twisted = sheaf_table(tensor_line(desc, shift, model), model, (lo - k, hi - k))
+    assert twisted.entries == {(i, t - k): h for (i, t), h in base.entries.items()}
