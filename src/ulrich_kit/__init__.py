@@ -28,14 +28,7 @@ from .chern import (
     twist_class,
     ulrich_chern_solve,
 )
-from .cohomology import (
-    bott_table,
-    chi_proj,
-    quadric_line_table,
-    sheaf_column,
-    sheaf_table,
-    spinor_table,
-)
+from .cohomology import sheaf_column, sheaf_table
 from .complexes import (
     FormalComplex,
     GlueWitness,

@@ -28,10 +28,9 @@ from .errors import (
     MissingConvention,
     NonpositiveT,
     NoSlope,
-    UnsupportedModel,
 )
 from .sheaves import SheafDescriptor
-from .variety import VarietyModel, format_variety, surface_data
+from .variety import VarietyModel, surface_data
 
 CONVENTIONS = ("paper-literal", "normalized")
 
@@ -71,17 +70,9 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-def _surface_degree(model: VarietyModel) -> int:
-    if model.dim != 2:
-        raise UnsupportedModel(
-            f"divisorial numerics need a surface, got {format_variety(model)}"
-        )
-    return model.deg
-
-
 def slope(c: NumClass):
     """mu = (c1 . H) / (rank * H^2) = e1 / r; infinite for rank zero."""
-    _surface_degree(c.model)
+    surface_data(c.model)  # divisorial numerics need a surface
     if c.r == 0:
         return INFINITE
     return c.e1 / c.r
@@ -132,7 +123,7 @@ def _charge_in_s(c: NumClass):
     computed once: a function s -> (re_s, im_s), and d*r/2, such that
     Z(s, t) = re_s + t^2*d*r/2 + i*t*im_s.  Fractions are canonical, so
     this grouping gives exactly the values of the expanded formula."""
-    d = _surface_degree(c.model)
+    d = surface_data(c.model)[0]
     if c.e2 is None:
         raise Indeterminate("central charge needs the degree-two coefficient")
     e2d, e1d, rd = -c.e2 * d, c.e1 * d, c.r * d
@@ -194,7 +185,7 @@ def torsion_classify(
     if mu is None:
         c = obj if isinstance(obj, NumClass) else class_of(obj, model)
         mu = slope(c)
-    scale = _threshold_scale(_surface_degree(model), convention)
+    scale = _threshold_scale(surface_data(model)[0], convention)
     return _side(mu, Fraction(s) * scale)
 
 
@@ -238,7 +229,7 @@ def _heart_rule(E: FormalComplex, convention: str):
     once (model and convention checks, support, amplitude, slopes, the
     equal-slope case): a function s -> HeartVerdict that only compares
     the slopes with the threshold at s."""
-    scale = _threshold_scale(_surface_degree(E.model), convention)
+    scale = _threshold_scale(surface_data(E.model)[0], convention)
 
     def constant(status: str, reason: str | None, best: int | None):
         return lambda s: HeartVerdict(status, reason, best, s, convention)

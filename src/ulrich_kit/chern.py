@@ -126,12 +126,11 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
             return NumClass(model, 1, Fraction(k))
         return NumClass(model, 1, Fraction(k), Fraction(k * k, 2))
     if isinstance(desc, Spinor):
-        if model.dim == 2:
-            # identification with O(1,0) or O(0,1) on the product
-            return NumClass(model, 1, Fraction(1, 2), Fraction(0))
-        # normalized so the bundle is initialized with c1 = H; then
-        # c2 is the degree-one line class and ch2 vanishes
-        return NumClass(model, 2, Fraction(1), Fraction(0))
+        # normalized so the bundle of rank r is initialized, with
+        # c1 = (r/2) H and ch2 = 0: O(1,0) or O(0,1) on the quadric
+        # surface, and c2 the line class on the threefold
+        r = model.spinor_rank
+        return NumClass(model, r, Fraction(r, 2), Fraction(0))
     if isinstance(desc, SemistableEC):
         return NumClass(model, desc.rank, Fraction(desc.degree, model.deg))
     if isinstance(desc, DirectSum):
@@ -140,14 +139,15 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
             ((_class_of_descriptor(part, model), mult) for part, mult in desc.parts),
         )
     if isinstance(desc, ExternalTensor):
-        if model.factors != (1, 1):
+        left_model, right_model = model.factor_models
+        left = _class_of_descriptor(desc.left, left_model)
+        right = _class_of_descriptor(desc.right, right_model)
+        if left.e2 is not None or right.e2 is not None:
+            # the rule below multiplies curve classes, which stop at e1
             raise Indeterminate(
                 f"no numerical class rule for {format_sheaf(desc)}"
                 f" on {format_variety(model)}"
             )
-        left_line, right_line = model.factor_models
-        left = _class_of_descriptor(desc.left, left_line)
-        right = _class_of_descriptor(desc.right, right_line)
         # (left.r + left.e1 H1)(right.r + right.e1 H2) projected to the H-lattice
         e1 = (right.r * left.e1 + left.r * right.e1) / 2
         e2 = left.e1 * right.e1 / 2
@@ -171,21 +171,21 @@ def twist_class(c: NumClass, k: int) -> NumClass:
 def euler_char(c: NumClass) -> Fraction:
     """Exact Euler characteristic from the class, curve or surface data."""
     model = c.model
+    if not euler_supported(model):
+        raise UnsupportedModel(
+            f"no Euler characteristic rule for {format_variety(model)}"
+        )
     if model.dim == 1:
         d, chi0 = curve_data(model)
         return c.e1 * d + c.r * chi0
-    if model.dim == 2:
-        d, i_x, chi0 = surface_data(model)
-        return c.e2 * d - Fraction(i_x * d, 2) * c.e1 + c.r * chi0
-    raise UnsupportedModel(
-        f"no Euler characteristic rule for {format_variety(model)}"
-    )
+    d, i_x, chi0 = surface_data(model)
+    return c.e2 * d - Fraction(i_x * d, 2) * c.e1 + c.r * chi0
 
 
 def euler_supported(model: VarietyModel) -> bool:
-    if model.dim == 1:
-        return True
-    return model.dim == 2 and model.canonical_coeff is not None
+    """Riemann-Roch is written for curves and surfaces; every model of
+    dimension at most two carries their data."""
+    return model.dim <= 2
 
 
 def class_or_none(obj, model: VarietyModel) -> NumClass | None:

@@ -194,6 +194,8 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"object file {path} is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(f"object file {path} holds an integer too long to read") from None
     if not isinstance(data, dict):
         raise ParseError("object file must hold a JSON object")
     variety = data.get("variety")
@@ -479,28 +481,34 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     command_echo = shlex.join([str(a) for a in argv]) or TOOL_NAME
     fmt, out = "json", None  # until the arguments parse
+
+    def error_text(error: str) -> str:
+        return _render(_report(command_echo, None, None, None, None, error=error), fmt)
+
     try:
         args = build_parser().parse_args(argv)
         fmt, out = args.format, args.out
         config = _load_config(args.config)
         payload, verdict, model_spec, convention, code = args.handler(args, config)
-        report = _report(command_echo, model_spec, convention, payload, verdict)
+        try:
+            report = _report(command_echo, model_spec, convention, payload, verdict)
+            text = _render(report, fmt)
+        except ValueError:  # str() of an integer past the interpreter's digit limit
+            raise ParseError("the report holds an integer too long to print") from None
     except UlrichKitError as exc:
-        report = _report(command_echo, None, None, None, None, error=str(exc))
+        text = error_text(str(exc))
         code = exc.exit_code
     except Exception as exc:  # a defect in the kit: keep it apart from exit 1
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
         error = f"internal error: {type(exc).__name__}: {exc} (at {where})"
-        report = _report(command_echo, None, None, None, None, error=error)
+        text = error_text(error)
         code = INTERNAL_ERROR_EXIT
-    text = _render(report, fmt)
     if out:
         try:  # before printing, so a failed write prints only its own envelope
             Path(out).write_text(text)
         except OSError as exc:
-            error = f"cannot write the report to {out}: {exc}"
-            text = _render(_report(command_echo, None, None, None, None, error=error), fmt)
+            text = error_text(f"cannot write the report to {out}: {exc}")
             code = ParseError.exit_code
     sys.stdout.write(text)
     return code

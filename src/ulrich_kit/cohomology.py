@@ -10,7 +10,7 @@ entries of its parts times their multiplicities.  The rules:
   degree-two hypersurface collapses to two differences of those ranges.
 * Products: the Kunneth rule with a uniform diagonal twist combines the
   two factor windows at equal twists.  The spinor lines on the quadric
-  surface are read through its product form.
+  surface are read on its product form (``model.product_form_model``).
 * Genus-one curves: the degree is linear in the twist; h^0 above the
   degree-zero twist, h^1 below it, and at it the dichotomy: one section
   exactly for the trivial-type member.
@@ -32,11 +32,10 @@ structure sheaves, so h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
-from .errors import NoOracle, UnknownSlopeZero
+from .errors import MalformedDescriptor, NoOracle, UnknownSlopeZero
 from .sheaves import (
     AbstractSheaf,
     DirectSum,
@@ -57,10 +56,10 @@ from .variety import (
     KIND_PROJ,
     KIND_QUADRIC,
     KIND_SURFACE,
+    MAX_TWISTS,
     VarietyModel,
     default_window,
     format_variety,
-    product_proj,
 )
 
 Entries = dict[tuple[int, int], int]
@@ -197,9 +196,9 @@ def _add_entries(
         if isinstance(desc, LineBundle):
             return _add_quadric_line(model.dim, desc.twists[0], lo, hi, mult, out)
         if isinstance(desc, Spinor):
-            if model.dim == 2:
-                on_product = product_form(desc, model)
-                return _add_entries(on_product, product_proj(1, 1), lo, hi, mult, out)
+            on_product = model.product_form_model
+            if on_product is not None:
+                return _add_entries(product_form(desc, model), on_product, lo, hi, mult, out)
             return _add_spinor3(lo, hi, mult, out)
     elif model.kind == KIND_PRODUCT:
         left: Entries = {}
@@ -228,33 +227,6 @@ def _add_entries(
     )
 
 
-def _column(entries: Entries) -> dict[int, int]:
-    """The nonzero column of entries built on a one-twist window."""
-    return {i: h for (i, _), h in entries.items() if h}
-
-
-def bott_table(n: int, k: int) -> dict[int, int]:
-    """Nonzero h^i(O(k)) on P^n."""
-    out: Entries = {}
-    _add_bott(n, k, 0, 0, 1, out)
-    return _column(out)
-
-
-def chi_proj(n: int, k: int) -> Fraction:
-    """chi(O(k)) on P^n as the exact binomial polynomial, any integer k."""
-    num = 1
-    for i in range(1, n + 1):
-        num *= k + i
-    return Fraction(num, factorial(n))
-
-
-def quadric_line_table(n: int, k: int) -> dict[int, int]:
-    """Nonzero h^i(O(k)) on Q^n, from the ambient hypersurface sequence."""
-    out: Entries = {}
-    _add_quadric_line(n, k, 0, 0, 1, out)
-    return _column(out)
-
-
 def ulrich_table(
     n: int, column: dict[int, int], window: tuple[int, int]
 ) -> CohomologyTable:
@@ -267,24 +239,11 @@ def ulrich_table(
     return CohomologyTable(window=window, entries=entries)
 
 
-def spinor_table(model: VarietyModel, sign: str | None, k: int) -> dict[int, int]:
-    """Nonzero h^i(S(k)) for the spinor bundle on Q^2 or Q^3.
-
-    On the quadric surface the two spinor line bundles are O(1,0) and
-    O(0,1) under the product identification, so the column is a Kunneth
-    computation.  On the threefold the defining sequence drives the
-    recursion described in the module docstring.
-    """
-    desc = Spinor(sign)
-    validate_descriptor(desc, model)
-    return _sheaf_column(desc, model, k)
-
-
 def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
     """The table builder on the one-twist window (t, t)."""
     out: Entries = {}
     _add_entries(desc, model, t, t, 1, out)
-    return _column(out)
+    return {i: h for (i, _), h in out.items() if h}
 
 
 def sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
@@ -302,12 +261,17 @@ def sheaf_table(
 
     The parts of a sum, and the factors of an external tensor, are each
     built over the whole window in order, so when several fail, the first
-    one raises its error, whatever twist the others fail at.
+    one raises its error, whatever twist the others fail at.  A window,
+    the default one included, spans at most MAX_TWISTS twists.
     """
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
     lo, hi = window
+    if hi - lo + 1 > MAX_TWISTS:
+        raise MalformedDescriptor(
+            f"window {window} spans more than {MAX_TWISTS} twists"
+        )
     entries: Entries = {}
     if lo <= hi:  # the table refuses an empty window before any oracle runs
         _add_entries(desc, model, lo, hi, 1, entries)

@@ -41,14 +41,12 @@ from .sheaves import (
     direct_sum as sheaf_direct_sum,
     flatten_atoms,
     format_sheaf,
-    map_parts,
     tensor_line,
     validate_descriptor,
 )
 from .tables import CohomologyTable
 from .variety import (
     KIND_PROJ,
-    KIND_QUADRIC,
     VarietyModel,
     default_window,
     format_variety,
@@ -336,9 +334,10 @@ def _external_tensor_atoms(left: SheafDescriptor, right: SheafDescriptor):
 def restrict_hyperplane(E: FormalComplex) -> FormalComplex:
     """Restriction to a general hyperplane section, degreewise.
 
-    Line bundles restrict to line bundles with the same twist; the
-    quadric-threefold spinor restricts to the sum of the two spinor
-    line bundles on the quadric surface.
+    Line bundles restrict to line bundles with the same twist, and a
+    spinor bundle to the sum of the spinor bundles of the hyperplane
+    quadric (Ottaviani 1988): S on Q^3 to S+ + S- on Q^2.  Sums come
+    back normalized, as ``direct_sum`` gives them.
     """
     target = hyperplane_model(E.model)
     sheaves = {
@@ -353,10 +352,12 @@ def _restrict_descriptor(
 ) -> SheafDescriptor:
     if isinstance(desc, LineBundle):
         return desc
-    if isinstance(desc, Spinor) and model.kind == KIND_QUADRIC and model.dim == 3:
-        return sheaf_direct_sum(Spinor("+"), Spinor("-"))
+    if isinstance(desc, Spinor):
+        return sheaf_direct_sum(*(Spinor(sign) for sign in target.spinor_signs))
     if isinstance(desc, DirectSum):
-        return map_parts(desc, lambda part: _restrict_descriptor(part, model, target))
+        return sheaf_direct_sum(
+            *((_restrict_descriptor(part, model, target), m) for part, m in desc.parts)
+        )
     raise NoRestrictionRule(
         f"no hyperplane rule for {format_sheaf(desc)} on {format_variety(model)}"
     )

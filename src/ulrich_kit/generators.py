@@ -20,6 +20,7 @@ from .complexes import FormalComplex, formal_complex, hyper_table
 from .errors import (
     Indeterminate,
     MalformedDescriptor,
+    ModelMismatch,
     NoDualRule,
     OracleDefect,
     UnknownK0Rank,
@@ -99,7 +100,7 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
     """
     if isinstance(obj, FormalComplex):
         if obj.model != model:
-            raise MalformedDescriptor("complex lives on a different model")
+            raise ModelMismatch("complex lives on a different model")
         if model.k0_rank is None:  # no lattice to hold even the zero class
             raise Indeterminate(
                 f"no K-group coordinates implemented for {format_variety(model)}"
@@ -198,13 +199,13 @@ def beilinson_collection(model: VarietyModel) -> Collection:
 
 
 def kapranov_collection(model: VarietyModel) -> Collection:
-    """Spinor-augmented collections on the low quadrics."""
+    """Kapranov's collection on a quadric: O, then the spinor bundles,
+    then O(1), ..., O(n-1)."""
     if model.kind != KIND_QUADRIC or model.dim not in (2, 3):
         raise UnsupportedModel("spinor collections implemented on Q2 and Q3 only")
-    if model.dim == 2:
-        members = (LineBundle((0,)), Spinor("+"), Spinor("-"), LineBundle((1,)))
-    else:
-        members = (LineBundle((0,)), Spinor(None), LineBundle((1,)), LineBundle((2,)))
+    spinors = tuple(Spinor(sign) for sign in model.spinor_signs)
+    twists = tuple(LineBundle((k,)) for k in range(1, model.dim))
+    members = (LineBundle((0,)), *spinors, *twists)
     return register_collection(Collection(model, members, kind="Kapranov"))
 
 
@@ -259,6 +260,8 @@ def orthogonal_membership(
     if not isinstance(E, FormalComplex):
         validate_descriptor(E, model)
         E = formal_complex(model, {0: E})
+    elif E.model != model:
+        raise ModelMismatch("complex lives on a different model")
     if window is None:
         window = default_window(E.model)
     member_twists = []

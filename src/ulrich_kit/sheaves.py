@@ -10,7 +10,8 @@ with ``m*``):
 
     O(k)        line bundle twist, one entry per polarization component
     O(a,b)      line bundle on a product
-    S, S+, S-   spinor bundle on a quadric (signed on even quadrics)
+    S, S+, S-   spinor bundle on a quadric, with the signs the model
+                admits (``model.spinor_signs``: + and - on even quadrics)
     ss(r,d)     semistable bundle of rank r and degree d on a genus-one
                 curve; ss(r,0,trivial) / ss(r,0,nontrivial) fixes the
                 degree-zero dichotomy bit
@@ -32,7 +33,6 @@ from .errors import (
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
-    KIND_QUADRIC,
     VarietyModel,
     format_variety,
 )
@@ -144,17 +144,20 @@ def validate_descriptor(desc: SheafDescriptor, model: VarietyModel) -> None:
             )
         return
     if isinstance(desc, Spinor):
-        if model.kind != KIND_QUADRIC:
+        signs = model.spinor_signs
+        if not signs:
             raise MalformedDescriptor("spinor descriptors live on quadrics only")
         if model.dim not in (2, 3):
             raise UnsupportedQuadricDim(
                 f"spinor oracle implemented for quadric dimensions 2 and 3,"
                 f" not {model.dim}"
             )
-        if model.dim % 2 == 0 and desc.sign not in ("+", "-"):
-            raise MalformedDescriptor("even quadric spinors need a sign + or -")
-        if model.dim % 2 == 1 and desc.sign is not None:
-            raise MalformedDescriptor("odd quadric spinors carry no sign")
+        if desc.sign not in signs:
+            raise MalformedDescriptor(
+                "odd quadric spinors carry no sign"
+                if None in signs
+                else "even quadric spinors need a sign + or -"
+            )
         return
     if isinstance(desc, SemistableEC):
         if model.kind != KIND_ELLIPTIC:
@@ -192,7 +195,7 @@ def rank_of(desc: SheafDescriptor, model: VarietyModel) -> int:
     if isinstance(desc, LineBundle):
         return 1
     if isinstance(desc, Spinor):
-        return 1 if model.dim == 2 else 2
+        return model.spinor_rank
     if isinstance(desc, SemistableEC):
         return desc.rank
     if isinstance(desc, DirectSum):
@@ -248,9 +251,10 @@ def tensor_line(
 
 
 def product_form(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
-    """Quadric-surface descriptors under the standard identification of
-    Q^2 with P^1 x P^1 carrying O(1) = O(1,1)."""
-    if model.kind != KIND_QUADRIC or model.dim != 2:
+    """Quadric-surface descriptors on ``model.product_form_model``, under
+    the standard identification of Q^2 with P^1 x P^1 carrying
+    O(1) = O(1,1)."""
+    if model.product_form_model is None:
         raise MalformedDescriptor("product form applies to the quadric surface only")
     if isinstance(desc, LineBundle):
         k = desc.twists[0]
@@ -301,13 +305,20 @@ _ATOM_RE = re.compile(
 # signed spinor colliding with the next atom.
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # the grammar matched digits: past the interpreter's limit
+        raise ParseError("sheaf expression holds an integer too long to read") from None
+
+
 def _parse_atom(text: str) -> SheafDescriptor:
     if text.startswith("O("):
         inner = text[2:-1]
-        return LineBundle(tuple(int(p.strip()) for p in inner.split(",")))
+        return LineBundle(tuple(_parse_int(p) for p in inner.split(",")))
     if text.startswith("ss("):
         inner = [p.strip() for p in text[3:-1].split(",")]
-        rank, degree = int(inner[0]), int(inner[1])
+        rank, degree = _parse_int(inner[0]), _parse_int(inner[1])
         trivial = None
         if len(inner) == 3:
             trivial = inner[2] == "trivial"
@@ -337,7 +348,7 @@ def parse_sheaf(text: str, model: VarietyModel | None = None) -> SheafDescriptor
         match = _ATOM_RE.match(stripped, pos)
         if match is None:
             raise ParseError(f"cannot read a sheaf atom at position {pos} in {text!r}")
-        mult = int(match.group("mult") or 1)
+        mult = _parse_int(match.group("mult") or "1")
         parts.append((_parse_atom(match.group("atom")), mult))
         pos = match.end()
         expect_atom = False

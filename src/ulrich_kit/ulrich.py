@@ -49,7 +49,6 @@ from .sheaves import (
     LineBundle,
     SemistableEC,
     SheafDescriptor,
-    Spinor,
     flatten_atoms,
     format_sheaf,
     normalize_elliptic,
@@ -63,12 +62,10 @@ from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
     KIND_PROJ,
-    KIND_QUADRIC,
     MAX_TWISTS,
     VarietyModel,
     default_window,
     format_variety,
-    product_proj,
 )
 
 
@@ -383,18 +380,17 @@ def _product_sign_atom(atom: SheafDescriptor) -> str | None:
 def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     """Spinor multiplicities of an Ulrich object on a quadric.
 
-    Odd case (dimension 3): multiplicities h^i(E) / h^0(S) per degree,
-    with an exact divisibility check.  Even case (dimension 2, either
-    the quadric model or the product model): multiplicities split by
-    spinor type, the split read off from sections against the two
-    rulings.  Either way the table must be the Eisenbud-Schreyer table
-    of its twist-0 column.
+    Odd case (the threefold, whose one spinor S has h^0(S) = deg * rank):
+    multiplicities h^i(E) / h^0(S) per degree, with an exact divisibility
+    check.  Even case (the quadric surface, read on its product form,
+    or P^1 x P^1 itself): multiplicities split by spinor type, the split
+    read off from sections against the two rulings.  Either way the table
+    must be the Eisenbud-Schreyer table of its twist-0 column.
     """
     model = E.model
-    even = (model.kind == KIND_QUADRIC and model.dim == 2) or (
-        model.kind == KIND_PRODUCT and model.factors == (1, 1)
-    )
-    odd = model.kind == KIND_QUADRIC and model.dim == 3
+    product_model = model.product_form_model or model
+    even = product_model.factors == (1, 1)
+    odd = model.spinor_signs == (None,) and model.dim == 3
     if not (even or odd):
         raise MalformedDescriptor(
             f"spinor decomposition is for quadric models, not {format_variety(model)}"
@@ -406,14 +402,13 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
 
     if odd:
-        sections = model.deg * rank_of(Spinor(None), model)
+        sections = model.deg * model.spinor_rank
         multiplicities, rebuilds = _unit_multiples(model.dim, sections, hyper.table)
         if not rebuilds:
             raise NotUlrich("table does not match any sum of shifted spinors")
         return multiplicities
 
     # even case: work on the product side where the rulings are visible
-    product_model = product_proj(1, 1)
     split: dict[int, dict[str, int]] = {}
     for degree, desc in E.sheaves:
         if _holds_abstract(desc):
@@ -421,9 +416,7 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                 f"{format_sheaf(desc)} is abstract: a table alone cannot split"
                 " the two rulings"
             )
-        on_product = (
-            product_form(desc, model) if model.kind == KIND_QUADRIC else desc
-        )
+        on_product = desc if product_model is model else product_form(desc, model)
         counts = {"+": 0, "-": 0}
         for atom, mult in flatten_atoms(on_product):
             if isinstance(atom, ExternalTensor):
@@ -468,13 +461,9 @@ def ext_dimension(
     """
     validate_descriptor(F, model)
     validate_descriptor(G, model)
-    if model.kind == KIND_QUADRIC and model.dim == 2:
-        return ext_dimension(
-            product_form(F, model),
-            product_form(G, model),
-            k,
-            product_proj(1, 1),
-        )
+    on_product = model.product_form_model
+    if on_product is not None:
+        return ext_dimension(product_form(F, model), product_form(G, model), k, on_product)
     value = _ext_primary(F, G, k, model)
     expected = _ext_serre_partner(F, G, k, model)
     if expected is not None and expected != value:

@@ -13,6 +13,10 @@ Supported families:
 * a product of projective spaces, polarized by O(1,1);
 * an abstract Picard-rank-1 surface given by (d, i_X, chi(O));
 * a smooth curve of genus one embedded by a degree-d line bundle, d >= 3.
+
+Family facts other modules read (canonical twists, product factors,
+spinor signs and rank, the quadric surface's product form) are
+read-only model properties, derived from kind and dimension only here.
 """
 
 from __future__ import annotations
@@ -58,6 +62,27 @@ class VarietyModel:
         if self.factors is None:
             return None
         return tuple(proj_space(n) for n in self.factors)
+
+    @property
+    def spinor_signs(self) -> tuple[str | None, ...]:
+        """Signs of the spinor bundles: S+ and S- on an even quadric, the
+        one unsigned S on an odd quadric, none off the quadrics."""
+        if self.kind != KIND_QUADRIC:
+            return ()
+        return ("+", "-") if self.dim % 2 == 0 else (None,)
+
+    @property
+    def spinor_rank(self) -> int:
+        """Rank 2^((n-1)//2) of a spinor bundle on Q^n (Ottaviani 1988)."""
+        return 2 ** ((self.dim - 1) // 2)
+
+    @property
+    def product_form_model(self) -> VarietyModel | None:
+        """P^1 x P^1, which the quadric surface is, with O(1) = O(1,1);
+        None for every other model."""
+        if self.kind == KIND_QUADRIC and self.dim == 2:
+            return product_proj(1, 1)
+        return None
 
 
 def proj_space(n: int) -> VarietyModel:

@@ -564,6 +564,43 @@ class TestBoundaries:
         assert code == 2
         assert "points" in report["error"]
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_an_integer_too_long_to_print_is_exit_two(self, capsys, fmt):
+        # h^0(O(10^600)) on P^8 has about 4,800 digits, past the
+        # interpreter's limit for printing an integer
+        code = main([
+            "table", "--variety", "pn:8", "--sheaf", f"O(1{'0' * 600})",
+            "--window=0:0", "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "too long to print" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("sheaf", ["O({})", "{}*O(0)", "ss(1,{})"])
+    def test_an_integer_too_long_to_read_is_exit_two(self, capsys, sheaf):
+        variety = "elliptic:3" if sheaf.startswith("ss") else "pn:2"
+        code, report = run_json(
+            capsys, "table", "--variety", variety, "--sheaf", sheaf.format("7" * 5000),
+        )
+        assert code == 2
+        assert "too long to read" in report["error"]
+
+    def test_an_object_file_integer_too_long_to_read_is_exit_two(self, capsys, tmp_path):
+        obj = tmp_path / "obj.json"
+        obj.write_text(
+            '{"variety": "pn:2", "sheaves": {"0": "O(0)", "-1": "O(0)"},'
+            f' "glue": [{{"from": 0, "to": {"7" * 5000}}}]}}'
+        )
+        code, report = run_json(capsys, "check", "--object", str(obj))
+        assert code == 2
+        assert "too long to read" in report["error"]
+
+    def test_a_default_window_past_the_cap_is_exit_two(self, capsys):
+        code, report = run_json(capsys, "table", "--variety", "pn:8000", "--sheaf", "O(0)")
+        assert code == 2
+        assert "twists" in report["error"]
+
     def test_caps_admit_their_largest_value(self):
         assert _parse_window(f"0:{MAX_TWISTS - 1}") == (0, MAX_TWISTS - 1)
         assert len(_parse_grid(f"s=1..{MAX_GRID_POINTS}:1,t=1..1")) == MAX_GRID_POINTS

@@ -22,8 +22,6 @@ from ulrich_kit import (
     LineBundle,
     SemistableEC,
     Spinor,
-    bott_table,
-    chi_proj,
     direct_sum,
     elliptic_curve,
     format_sheaf,
@@ -33,11 +31,9 @@ from ulrich_kit import (
     product_proj,
     proj_space,
     quadric,
-    quadric_line_table,
     rank1_surface,
     sheaf_column,
     sheaf_table,
-    spinor_table,
     tensor_line,
 )
 from ulrich_kit.errors import (
@@ -48,6 +44,7 @@ from ulrich_kit.errors import (
     UnsupportedQuadricDim,
 )
 from ulrich_kit.cohomology import ulrich_table
+from ulrich_kit.variety import MAX_TWISTS, default_window
 from ulrich_kit.sheaves import product_form, rank_of
 
 
@@ -99,13 +96,14 @@ class TestProjectiveLine:
     def test_sections_by_monomial_count(self):
         for n in range(1, 5):
             for k in range(0, 7):
-                assert bott_table(n, k).get(0, 0) == count_monomials(n, k)
+                column = sheaf_column(line_bundle(k), proj_space(n), 0)
+                assert column.get(0, 0) == count_monomials(n, k)
 
     def test_top_cohomology_by_serre(self):
         for n in range(1, 5):
             for k in range(-12, 13):
-                table = bott_table(n, k)
-                dual = bott_table(n, -k - n - 1)
+                table = sheaf_column(line_bundle(k), proj_space(n), 0)
+                dual = sheaf_column(line_bundle(-k - n - 1), proj_space(n), 0)
                 for i in range(0, n + 1):
                     assert table.get(i, 0) == dual.get(n - i, 0), (n, k, i)
 
@@ -113,43 +111,44 @@ class TestProjectiveLine:
         for n in range(2, 5):
             for k in range(-12, 13):
                 for i in range(1, n):
-                    assert bott_table(n, k).get(i, 0) == 0
+                    assert sheaf_column(line_bundle(k), proj_space(n), 0).get(i, 0) == 0
 
     def test_euler_characteristic_matches_polynomial(self):
         for n in range(1, 6):
             for k in range(-10, 11):
-                table = bott_table(n, k)
+                table = sheaf_column(line_bundle(k), proj_space(n), 0)
                 chi = sum((-1) ** i * h for i, h in table.items())
                 assert chi == chi_by_polynomial(n, k)
-                assert chi_proj(n, k) == chi_by_polynomial(n, k)
 
     def test_zero_region_is_exactly_the_gap(self):
         for n in range(1, 5):
             for k in range(-n, 0):
-                assert bott_table(n, k) == {}
+                assert sheaf_column(line_bundle(k), proj_space(n), 0) == {}
 
     def test_frozen_values(self):
-        assert bott_table(2, 0) == {0: 1}
-        assert bott_table(2, 3) == {0: 10}
-        assert bott_table(2, -3) == {2: 1}
-        assert bott_table(3, -4) == {3: 1}
-        assert bott_table(3, -6) == {3: 10}
-        assert bott_table(1, 5) == {0: 6}
-        assert bott_table(1, -2) == {1: 1}
+        assert sheaf_column(line_bundle(0), proj_space(2), 0) == {0: 1}
+        assert sheaf_column(line_bundle(3), proj_space(2), 0) == {0: 10}
+        assert sheaf_column(line_bundle(-3), proj_space(2), 0) == {2: 1}
+        assert sheaf_column(line_bundle(-4), proj_space(3), 0) == {3: 1}
+        assert sheaf_column(line_bundle(-6), proj_space(3), 0) == {3: 10}
+        assert sheaf_column(line_bundle(5), proj_space(1), 0) == {0: 6}
+        assert sheaf_column(line_bundle(-2), proj_space(1), 0) == {1: 1}
 
 
 class TestQuadric:
     def test_against_ambient_sequence(self):
         for n in (2, 3, 4, 5):
             for k in range(-10, 11):
-                assert quadric_line_table(n, k) == quadric_by_les(n, k), (n, k)
+                column = sheaf_column(line_bundle(k), quadric(n), 0)
+                assert column == quadric_by_les(n, k), (n, k)
 
     def test_degree_doubles_the_leading_count(self):
         # h^0(O_Q(k)) grows like deg * k^n / n!; spot the degree at k
         # large via the difference against projective space
         q3 = quadric(3)
         for k in (5, 8):
-            assert quadric_line_table(3, k)[0] == comb(4 + k, 4) - comb(2 + k, 4)
+            column = sheaf_column(line_bundle(k), quadric(3), 0)
+            assert column[0] == comb(4 + k, 4) - comb(2 + k, 4)
         assert q3.deg == 2
 
     def test_diagonal_matches_the_product_surface(self):
@@ -161,13 +160,13 @@ class TestQuadric:
             assert a.same_entries(b), k
 
     def test_frozen_values(self):
-        assert quadric_line_table(2, 0) == {0: 1}
-        assert quadric_line_table(2, 1) == {0: 4}
-        assert quadric_line_table(2, -2) == {2: 1}
-        assert quadric_line_table(3, 1) == {0: 5}
-        assert quadric_line_table(3, -3) == {3: 1}
-        assert quadric_line_table(3, -1) == {}
-        assert quadric_line_table(3, -2) == {}
+        assert sheaf_column(line_bundle(0), quadric(2), 0) == {0: 1}
+        assert sheaf_column(line_bundle(1), quadric(2), 0) == {0: 4}
+        assert sheaf_column(line_bundle(-2), quadric(2), 0) == {2: 1}
+        assert sheaf_column(line_bundle(1), quadric(3), 0) == {0: 5}
+        assert sheaf_column(line_bundle(-3), quadric(3), 0) == {3: 1}
+        assert sheaf_column(line_bundle(-1), quadric(3), 0) == {}
+        assert sheaf_column(line_bundle(-2), quadric(3), 0) == {}
 
 
 class TestProductKuenneth:
@@ -268,18 +267,18 @@ class TestSpinor:
         q3 = quadric(3)
         expected = {0: 4, 1: 16, 2: 40, -1: 0, -2: 0}
         for k, h0 in expected.items():
-            assert spinor_table(q3, None, k).get(0, 0) == h0, k
+            assert sheaf_column(Spinor(None), q3, k).get(0, 0) == h0, k
 
     def test_frozen_top_on_q3(self):
         q3 = quadric(3)
         expected = {-4: 4, -5: 16, -6: 40, -3: 0, -2: 0}
         for k, h3 in expected.items():
-            assert spinor_table(q3, None, k).get(3, 0) == h3, k
+            assert sheaf_column(Spinor(None), q3, k).get(3, 0) == h3, k
 
     def test_no_intermediate_cohomology_q3(self):
         q3 = quadric(3)
         for k in range(-9, 9):
-            table = spinor_table(q3, None, k)
+            table = sheaf_column(Spinor(None), q3, k)
             assert table.get(1, 0) == 0 and table.get(2, 0) == 0, k
 
     def test_duality_symmetry_q3(self):
@@ -287,8 +286,8 @@ class TestSpinor:
         # folds the table onto itself around k = -2
         q3 = quadric(3)
         for k in range(-9, 9):
-            table = spinor_table(q3, None, k)
-            folded = spinor_table(q3, None, -4 - k)
+            table = sheaf_column(Spinor(None), q3, k)
+            folded = sheaf_column(Spinor(None), q3, -4 - k)
             for i in range(4):
                 assert table.get(i, 0) == folded.get(3 - i, 0), (k, i)
 
@@ -296,11 +295,11 @@ class TestSpinor:
         q3 = quadric(3)
 
         def chi_s(k):
-            table = spinor_table(q3, None, k)
+            table = sheaf_column(Spinor(None), q3, k)
             return sum((-1) ** i * h for i, h in table.items())
 
         def chi_q(k):
-            table = quadric_line_table(3, k)
+            table = sheaf_column(line_bundle(k), quadric(3), 0)
             return sum((-1) ** i * h for i, h in table.items())
 
         for k in range(-7, 8):
@@ -309,8 +308,8 @@ class TestSpinor:
     def test_q2_spinor_lines(self):
         q2 = quadric(2)
         for sign in ("+", "-"):
-            assert spinor_table(q2, sign, 0) == {0: 2}
-            assert spinor_table(q2, sign, -1) == {}
+            assert sheaf_column(Spinor(sign), q2, 0) == {0: 2}
+            assert sheaf_column(Spinor(sign), q2, -1) == {}
         # the two rulings are exchanged, not equal, off the diagonal
         plus = sheaf_table(Spinor("+"), q2, (-4, 4))
         minus = sheaf_table(Spinor("-"), q2, (-4, 4))
@@ -332,6 +331,15 @@ class TestSpinor:
             sheaf_column(Spinor("+"), quadric(3), 0)
         with pytest.raises(UnsupportedQuadricDim):
             sheaf_column(Spinor(None), quadric(5), 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spinor_rank_is_the_ulrich_section_count(self, n):
+        # spinors are Ulrich, so h^0(S) = deg * rank (Eisenbud-Schreyer);
+        # the rank the model states must be the one the oracle implies
+        model = quadric(n)
+        for sign in model.spinor_signs:
+            h0 = sheaf_column(Spinor(sign), model, 0)[0]
+            assert Fraction(h0, model.deg) == model.spinor_rank, sign
 
 
 class TestTablePlumbing:
@@ -356,6 +364,17 @@ class TestTablePlumbing:
             table.h(0, 4)
         with pytest.raises(IncompleteTable):
             table.column(-4)
+
+    def test_windows_past_the_twist_cap_are_refused(self):
+        # pn:8000's default window spans 3 * 8000 + 8 twists
+        wide = proj_space(8000)
+        assert default_window(wide)[1] - default_window(wide)[0] + 1 > MAX_TWISTS
+        with pytest.raises(MalformedDescriptor, match="twists"):
+            sheaf_table(line_bundle(0), wide)
+        with pytest.raises(MalformedDescriptor, match="twists"):
+            sheaf_table(line_bundle(0), proj_space(1), (0, MAX_TWISTS))
+        table = sheaf_table(line_bundle(0), proj_space(1), (0, MAX_TWISTS - 1))
+        assert table.h(0, MAX_TWISTS - 1) == MAX_TWISTS
 
     def test_abstract_table_is_read_inside_the_window(self):
         # a stored table wider than the window gives back exactly its
@@ -400,7 +419,8 @@ class TestTablePlumbing:
     t=st.integers(min_value=-4, max_value=4),
 )
 def test_twist_is_translation_on_pn(n, k, t):
-    assert bott_table(n, k + t) == sheaf_column(LineBundle((k,)), proj_space(n), t)
+    pn = proj_space(n)
+    assert sheaf_column(line_bundle(k + t), pn, 0) == sheaf_column(LineBundle((k,)), pn, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,7 +485,7 @@ def test_spinor_tables_satisfy_the_defining_sequence(sequence, lo, width):
     before = sheaf_table(S, model, (lo - 1, hi - 1))
     after = sheaf_table(S_prime, model, (lo, hi))
     for t in range(lo, hi + 1):
-        line = quadric_line_table(n, t)
+        line = sheaf_column(line_bundle(t), quadric(n), 0)
         assert after.h(0, t) == N * line.get(0, 0) - before.h(0, t - 1), t
         assert before.h(n, t - 1) == N * line.get(n, 0) - after.h(n, t), t
 

@@ -13,19 +13,21 @@ from ulrich_kit import (
     GlueWitness,
     LineBundle,
     Spinor,
-    bott_table,
     default_window,
     direct_sum,
     direct_sum_complexes,
     external_product,
+    format_sheaf,
     formal_complex,
     hyper_table,
     line_bundle,
+    parse_sheaf,
     product_proj,
     proj_space,
     pushforward_finite,
     quadric,
     restrict_hyperplane,
+    sheaf_column,
     sheaf_table,
     shift,
     triangle_2of3,
@@ -240,8 +242,8 @@ class TestExternalProduct:
         assert product.model == product_proj(1, 1)
         table = hyper_table(product, (-4, 4)).table
         for t in range(-4, 5):
-            left = bott_table(1, t)
-            right = bott_table(1, 1 + t)
+            left = sheaf_column(line_bundle(t), proj_space(1), 0)
+            right = sheaf_column(line_bundle(1 + t), proj_space(1), 0)
             want = {}
             for i1, h1 in left.items():
                 for i2, h2 in right.items():
@@ -289,6 +291,15 @@ class TestRestriction:
         # the split preserves the section count 4 = 2 + 2
         column = hyper_table(restricted, (-4, 4)).table.column(0)
         assert column == {0: 4}
+
+    def test_restricted_sums_are_normalized(self):
+        # a nested sum would print as 2*S++S-+O(1), which reads back as a
+        # different sheaf
+        q2, q3 = quadric(2), quadric(3)
+        E = formal_complex(q3, {0: parse_sheaf("2*S+O(1)", q3)})
+        restricted = restrict_hyperplane(E).sheaf_map()[0]
+        assert restricted == parse_sheaf("2*S+ + 2*S- + O(1)", q2)
+        assert parse_sheaf(format_sheaf(restricted), q2) == restricted
 
     def test_no_rule_surfaces_cleanly(self):
         from ulrich_kit import AbstractSheaf

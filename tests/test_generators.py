@@ -35,6 +35,7 @@ from ulrich_kit import (
 from ulrich_kit.errors import (
     Indeterminate,
     MalformedDescriptor,
+    ModelMismatch,
     OracleDefect,
     UnknownK0Rank,
     UnsupportedModel,
@@ -267,6 +268,14 @@ class TestOrthogonalMembership:
         member, i, t, h = verdict.witness
         assert (member, i, t) == ("O(12)", 2, -12)
         assert h == 55  # h^2(O(-12)) on the plane
+
+    def test_a_complex_from_another_model_is_refused(self):
+        # membership and K-classes refuse it alike, as class_of does
+        E = formal_complex(proj_space(3), {0: line_bundle(0)})
+        with pytest.raises(ModelMismatch):
+            orthogonal_membership(E, beilinson_collection(proj_space(2)))
+        with pytest.raises(ModelMismatch):
+            k0_class(E, proj_space(2))
 
     def test_model_is_required_for_bare_members(self):
         with pytest.raises(MalformedDescriptor):

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level private function or class is referenced by some
-code in the package, every error class is named outside ``errors``, and
-every exported function is called outside its own module.
+code in the package, every error class is named outside ``errors``,
+every exported function is called outside its own module, and no module
+but ``variety`` re-decides a quadric or product fact from a literal
+dimension or factor shape.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -136,3 +138,81 @@ def test_every_exported_function_is_called_elsewhere():
         if name not in test_calls and not any(name in calls[m] for m in callers):
             uncalled.append(f"{home} {name}")
     assert not uncalled, f"exported functions nothing else calls: {uncalled}"
+
+
+# The only literal quadric-dimension and product-shape tests allowed
+# outside ``variety.py``: oracle limits, each to be dropped with the rule
+# that lifts it.  Every other module reads the family facts written once
+# on ``VarietyModel`` (``spinor_signs``, ``spinor_rank``,
+# ``product_form_model``).
+ORACLE_LIMITS = {
+    ("sheaves.py", "validate_descriptor"): (
+        1, "the spinor tables exist on Q^2 and Q^3 only"
+    ),
+    ("generators.py", "kapranov_collection"): (
+        1, "collections with spinors need the Q^2/Q^3 spinor tables"
+    ),
+    ("ulrich.py", "quadric_decompose"): (
+        2, "odd decomposition needs the Q^3 spinor table; even decomposition"
+        " reads the two rulings of P^1 x P^1"
+    ),
+    ("generators.py", "k0_class"): (
+        1, "K-group coordinates are written for P^1 x P^1 among the products"
+    ),
+}
+
+
+def _literal_shape_test(left: ast.expr, op: ast.cmpop, right: ast.expr) -> bool:
+    """Whether left op right compares ``.dim`` with 2 or 3, or ``.factors``
+    with (1, 1), by equality or membership (either way round)."""
+    if not isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)):
+        return False
+    for attr, other in ((left, right), (right, left)):
+        if not isinstance(attr, ast.Attribute):
+            continue
+        try:
+            value = ast.literal_eval(other)
+        except ValueError:
+            continue
+        if attr.attr == "dim":
+            values = value if isinstance(value, (tuple, list, set)) else (value,)
+            if {2, 3} & set(values):
+                return True
+        if attr.attr == "factors" and value == (1, 1):
+            return True
+    return False
+
+
+def module_functions(tree: ast.Module):
+    """Module-level functions and class methods; nested ones count as
+    part of the function they sit in."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from (s for s in stmt.body if isinstance(s, ast.FunctionDef))
+
+
+def test_quadric_and_product_facts_are_read_from_the_model():
+    found: dict[tuple[str, str], int] = {}
+    for name, tree in TREES.items():
+        if name == "variety.py":
+            continue
+        for func in module_functions(tree):
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                hits = sum(
+                    _literal_shape_test(a, op, b)
+                    for a, op, b in zip(operands, node.ops, operands[1:])
+                )
+                if hits:
+                    key = (name, func.name)
+                    found[key] = found.get(key, 0) + hits
+    allowed = {site: count for site, (count, _reason) in ORACLE_LIMITS.items()}
+    assert found == allowed, (
+        "literal .dim in (2, 3) or .factors == (1, 1) tests outside variety.py:"
+        f" found {found}, allowed {allowed}; read a VarietyModel property"
+        " instead, or drop a lifted limit from ORACLE_LIMITS"
+    )

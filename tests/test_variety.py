@@ -62,6 +62,19 @@ class TestFactories:
         assert p12.canonical_coeff is None
         assert p12.k0_rank == 6
 
+    def test_quadric_family_facts(self):
+        assert [quadric(n).spinor_signs for n in (2, 3, 4, 5)] == [
+            ("+", "-"), (None,), ("+", "-"), (None,)
+        ]
+        assert [quadric(n).spinor_rank for n in (2, 3, 4, 5, 6, 7)] == [1, 2, 2, 4, 4, 8]
+        assert quadric(2).product_form_model == product_proj(1, 1)
+        others = (proj_space(2), quadric(3), product_proj(1, 1), rank1_surface(4, 0, 2),
+                  elliptic_curve(3))
+        for model in others:
+            assert model.product_form_model is None
+            if model.kind != "quadric":
+                assert model.spinor_signs == ()
+
     def test_surface_record(self):
         k3 = rank1_surface(4, 0, 2)
         assert surface_data(k3) == (4, Fraction(0), 2)
