@@ -99,6 +99,7 @@ def class_of(obj, model: VarietyModel) -> NumClass:
                 for degree, desc in obj.sheaf_map().items()
             ),
         )
+    validate_descriptor(obj, model)
     return _class_of_descriptor(obj, model)
 
 
@@ -115,7 +116,7 @@ def _class_sum(model: VarietyModel, terms) -> NumClass:
 
 
 def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass:
-    validate_descriptor(desc, model)
+    """``class_of`` on a descriptor ``class_of`` has already validated."""
     if isinstance(desc, LineBundle):
         if model.kind == KIND_PRODUCT:
             a, b = desc.twists

@@ -191,20 +191,22 @@ def _hyper_from_tables(
     return HyperTableResult(table=table, glued=E.has_glue())
 
 
-def _unit_multiples(
-    n: int, sections: int, table: CohomologyTable
-) -> tuple[dict[int, int], bool]:
+def _unit_multiples(sections: int, table: CohomologyTable) -> dict[int, int]:
     """Multiplicity of the Ulrich unit in each degree, read from the
-    twist-0 column of the table of an object of dimension n as h^q(E)
-    over the unit's ``sections`` (deg * rank, by Eisenbud-Schreyer), and
-    whether the table is the one ``ulrich_table`` reads off that column."""
+    twist-0 column of an object's table as h^q(E) over the unit's
+    ``sections`` (deg * rank, by Eisenbud-Schreyer)."""
     multiplicities: dict[int, int] = {}
-    column = table.column(0)
-    for degree, h in sorted(column.items()):
+    for degree, h in sorted(table.column(0).items()):
         if h % sections:
             raise NonDivisibleRank(f"h^{degree}(E) = {h} is not a multiple of {sections}")
         multiplicities[degree] = h // sections
-    return multiplicities, ulrich_table(n, column, table.window).same_entries(table)
+    return multiplicities
+
+
+def _rebuilds(n: int, table: CohomologyTable) -> bool:
+    """Whether the table of an object of dimension n is the one
+    ``ulrich_table`` reads off its twist-0 column (Eisenbud-Schreyer)."""
+    return ulrich_table(n, table.column(0), table.window).same_entries(table)
 
 
 @dataclass
@@ -212,10 +214,13 @@ class TriangleVerdict:
     """Outcome of the two-out-of-three transfer on a triangle E -> F -> G."""
 
     third_role: str
-    certified: bool
     witness: tuple[str, int, int, int] | None
     implied_euler: dict[int, Fraction] | None
     chi_additive: bool | None
+
+    @property
+    def certified(self) -> bool:
+        return self.witness is None
 
 
 def triangle_2of3(
@@ -228,7 +233,7 @@ def triangle_2of3(
     ``given`` holds exactly two of the roles E, F, G.  When both given
     tables vanish at the twists -1..-dim (every degree), the third
     vertex provably vanishes there too.  Euler columns for the third
-    vertex follow from additivity chi(F) = chi(E) + chi(G); when a
+    vertex follow from additivity chi(E) - chi(F) + chi(G) = 0; when a
     claimed third table is supplied its alternating sums are checked
     against that.
     """
@@ -237,7 +242,6 @@ def triangle_2of3(
         raise MalformedDescriptor("exactly two of the roles E, F, G must be given")
     (third_role,) = {"E", "F", "G"} - roles
     n = model.dim
-    ulrich_twists = range(-1, -n - 1, -1)
     for role, table in given.items():
         if not (table.window[0] <= -n and -1 <= table.window[1]):
             raise IncompleteTable(
@@ -245,21 +249,18 @@ def triangle_2of3(
             )
     witness = None
     for role in sorted(given):
-        hit = given[role].first_nonzero(ulrich_twists)
+        hit = given[role].first_nonzero(model.ulrich_twists)
         if hit is not None:
             witness = (role,) + hit
             break
     lo = max(table.window[0] for table in given.values())
     hi = min(table.window[1] for table in given.values())
-    implied: dict[int, Fraction] = {}
-    for t in range(lo, hi + 1):
-        chis = {role: Fraction(table.euler(t)) for role, table in given.items()}
-        if third_role == "F":
-            implied[t] = chis["E"] + chis["G"]
-        elif third_role == "E":
-            implied[t] = chis["F"] - chis["G"]
-        else:
-            implied[t] = chis["F"] - chis["E"]
+    sign = {"E": 1, "F": -1, "G": 1}  # chi(E) - chi(F) + chi(G) = 0
+    implied = {
+        t: -sign[third_role]
+        * sum(sign[role] * Fraction(table.euler(t)) for role, table in given.items())
+        for t in range(lo, hi + 1)
+    }
     chi_additive = None
     if third_table is not None:
         chi_additive = all(
@@ -270,7 +271,6 @@ def triangle_2of3(
         )
     return TriangleVerdict(
         third_role=third_role,
-        certified=witness is None,
         witness=witness,
         implied_euler=implied,
         chi_additive=chi_additive,
@@ -372,10 +372,13 @@ class PushforwardReport:
 
     target: VarietyModel
     table: CohomologyTable
-    trivialized: bool
     multiplicities: dict[int, int] | None
     witness: tuple[int, int, int] | None
     reconstruction_ok: bool | None
+
+    @property
+    def trivialized(self) -> bool:
+        return self.witness is None
 
 
 def pushforward_finite(
@@ -388,25 +391,13 @@ def pushforward_finite(
             f"finite projection target must be pn:{E.model.dim},"
             f" got {format_variety(target)}"
         )
-    window = default_window(E.model)
-    hyper = hyper_table(E, window)
-    n = E.model.dim
-    witness = hyper.table.first_nonzero(range(-1, -n - 1, -1))
-    if witness is not None:
-        return PushforwardReport(
-            target=target,
-            table=hyper.table,
-            trivialized=False,
-            multiplicities=None,
-            witness=witness,
-            reconstruction_ok=None,
-        )
-    multiplicities, rebuilds = _unit_multiples(n, target.deg, hyper.table)
+    table = hyper_table(E, default_window(E.model)).table
+    witness = table.first_nonzero(E.model.ulrich_twists)
+    vanishes = witness is None
     return PushforwardReport(
         target=target,
-        table=hyper.table,
-        trivialized=True,
-        multiplicities=multiplicities,
-        witness=None,
-        reconstruction_ok=rebuilds,
+        table=table,
+        multiplicities=_unit_multiples(target.deg, table) if vanishes else None,
+        witness=witness,
+        reconstruction_ok=_rebuilds(E.model.dim, table) if vanishes else None,
     )

@@ -2,12 +2,15 @@
 
 Exit code conventions for the command line layer: 2 for malformed input
 or an invalid request, 3 for a model family the kit does not support.
-Any other exception is a defect and exits with 4.
+Any other exception is a defect and exits with 4; the two defects the
+kit detects itself, ``ModeDisagreement`` and ``OracleDefect``, are such
+exceptions on purpose.
 """
 
 
 class UlrichKitError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error that a property of the input or of the
+    model raises; the kit's own defects stand outside it."""
 
     exit_code = 2
 
@@ -101,7 +104,7 @@ class EmptyGrid(UlrichKitError):
     pass
 
 
-class ModeDisagreement(UlrichKitError):
+class ModeDisagreement(Exception):
     """The direct and sheafwise Ulrich checks returned different verdicts.
 
     This is a defect in the kit, never a property of the input; it must
@@ -109,8 +112,9 @@ class ModeDisagreement(UlrichKitError):
     """
 
 
-class OracleDefect(UlrichKitError):
-    """An internal cross-check (for example Serre duality) failed."""
+class OracleDefect(Exception):
+    """An internal cross-check (for example Serre duality) failed: a
+    defect in the kit, like ``ModeDisagreement``."""
 
 
 class ParseError(UlrichKitError):

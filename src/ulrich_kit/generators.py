@@ -158,9 +158,12 @@ def lattice_rank(vectors: list[tuple[Fraction, ...]]) -> int:
 
 @dataclass
 class GateResult:
-    passed: bool
     rank: int
     needed: int
+
+    @property
+    def passed(self) -> bool:
+        return self.rank == self.needed
 
     @property
     def verdict(self) -> str:
@@ -179,8 +182,7 @@ def generator_gate(descs: list, model: VarietyModel) -> GateResult:
             f"numerical K-group rank not recorded for {format_variety(model)}"
         )
     vectors = [k0_class(desc, model).coords for desc in descs]
-    rank = lattice_rank(vectors)
-    return GateResult(passed=rank == model.k0_rank, rank=rank, needed=model.k0_rank)
+    return GateResult(rank=lattice_rank(vectors), needed=model.k0_rank)
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,11 @@ def register_collection(collection: Collection) -> Collection:
 
 @dataclass
 class MembershipVerdict:
-    member_of_orthogonal: bool
     witness: tuple[str, int, int, int] | None = None
+
+    @property
+    def member_of_orthogonal(self) -> bool:
+        return self.witness is None
 
 
 def orthogonal_membership(
@@ -258,7 +263,6 @@ def orthogonal_membership(
     if model is None:
         raise MalformedDescriptor("membership test needs a model")
     if not isinstance(E, FormalComplex):
-        validate_descriptor(E, model)
         E = formal_complex(model, {0: E})
     elif E.model != model:
         raise ModelMismatch("complex lives on a different model")
@@ -280,10 +284,8 @@ def orthogonal_membership(
     for member, twist in member_twists:
         hit = hyper.table.first_nonzero((twist,))
         if hit is not None:
-            return MembershipVerdict(
-                member_of_orthogonal=False, witness=(format_sheaf(member),) + hit
-            )
-    return MembershipVerdict(member_of_orthogonal=True)
+            return MembershipVerdict(witness=(format_sheaf(member),) + hit)
+    return MembershipVerdict()
 
 
 @dataclass

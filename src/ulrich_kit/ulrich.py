@@ -26,6 +26,7 @@ from .complexes import (
     HyperTableResult,
     _external_tensor_atoms,
     _hyper_from_tables,
+    _rebuilds,
     _unit_multiples,
     formal_complex,
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
@@ -71,24 +72,33 @@ from .variety import (
 
 @dataclass
 class Criterion:
+    """One check of a verdict.  Its flag is read off its witness: the
+    check passes exactly when it found none."""
+
     name: str
     twists: tuple[int, ...]
-    passed: bool
     witness: tuple[int, int, int] | None = None
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass
 class UlrichVerdict:
-    passed: bool
+    """Criteria in the order they ran; the verdict passes when every
+    criterion passes, so its flag too is read off the witnesses."""
+
     mode: str
     criteria: list[Criterion] = field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.criteria)
+
     def witness(self):
-        for criterion in self.criteria:
-            if not criterion.passed:
-                return criterion.witness
-        return None
+        return next((c.witness for c in self.criteria if not c.passed), None)
 
     def as_dict(self) -> dict:
         return {
@@ -109,10 +119,13 @@ class UlrichVerdict:
 
 @dataclass
 class InitializedReport:
-    ok: bool
     global_verdict: bool
     probed: tuple[int, int]
     witness: tuple[int, int, int] | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 def _holds_abstract(desc: SheafDescriptor) -> bool:
@@ -161,7 +174,6 @@ def _initialized(
     else:
         witness = table.first_nonzero(range(-1, -depth - 1, -1), degrees={0})
     return InitializedReport(
-        ok=witness is None,
         # the oracle descriptors have section counts monotone in the
         # twist, so the probe decides; abstract data ends at its window
         global_verdict=not _holds_abstract(desc),
@@ -198,19 +210,14 @@ def _sheaf_verdict(
 ) -> UlrichVerdict:
     """``is_ulrich_sheaf`` on the already assembled table of desc over
     the window, with the probe depth already checked."""
-    n = model.dim
-    ulrich_twists = tuple(range(-1, -n - 1, -1))
-    criteria: list[Criterion] = []
-
-    hit = table.first_nonzero(ulrich_twists)
-    criteria.append(
+    ulrich_twists = model.ulrich_twists
+    criteria = [
         Criterion(
             name="twisted-vanishing",
             twists=ulrich_twists,
-            passed=hit is None,
-            witness=hit,
+            witness=table.first_nonzero(ulrich_twists),
         )
-    )
+    ]
 
     probe_table = table
     if not (table.covers(-depth) and table.covers(0)):
@@ -220,7 +227,6 @@ def _sheaf_verdict(
         Criterion(
             name="initialized",
             twists=tuple(range(init.probed[0], 0)),
-            passed=init.ok,
             witness=init.witness,
             note="global" if init.global_verdict else "window-limited",
         )
@@ -232,27 +238,16 @@ def _sheaf_verdict(
         Criterion(
             name="section-count",
             twists=(0,),
-            passed=h0 == expected,
             witness=None if h0 == expected else (0, 0, h0),
             note=f"h0 = {h0}, deg * rank = {expected}",
         )
     )
 
     middle = tuple(range(window[0], window[1] + 1))
-    inner_degrees = set(range(1, n))
+    inner_degrees = set(range(1, model.dim))
     acm_hit = table.first_nonzero(middle, degrees=inner_degrees) if inner_degrees else None
-    criteria.append(
-        Criterion(
-            name="acm-window",
-            twists=middle,
-            passed=acm_hit is None,
-            witness=acm_hit,
-        )
-    )
-
-    return UlrichVerdict(
-        passed=all(c.passed for c in criteria), mode="sheaf", criteria=criteria
-    )
+    criteria.append(Criterion(name="acm-window", twists=middle, witness=acm_hit))
+    return UlrichVerdict(mode="sheaf", criteria=criteria)
 
 
 def is_ulrich_object(
@@ -268,6 +263,10 @@ def is_ulrich_object(
     pins a nonvanishing cohomology sheaf, so failure is also honest.
     sheafwise: every cohomology sheaf passes the sheaf-level check.
     both: run the two and insist they agree.
+
+    Every mode builds the table of each cohomology sheaf before any
+    check reads it, so when a table and a sheafwise probe table would
+    both fail, the table's error is the one raised.
     """
     return _object_verdict(E, mode, window, probe_depth)[0]
 
@@ -280,69 +279,63 @@ def _object_verdict(
 ) -> tuple[UlrichVerdict, HyperTableResult | None]:
     """``is_ulrich_object`` together with the hyper table its direct
     check read (None in sheafwise mode).  Each cohomology sheaf's table
-    is built once and read by both checks."""
+    is built once and read by both checks; mode ``both`` lists the
+    direct criterion, then the sheafwise ones."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     depth = _probe_depth(E.model, probe_depth)
     if window is None:
         window = default_window(E.model)
-    n = E.model.dim
-    ulrich_twists = tuple(range(-1, -n - 1, -1))
-    tables: dict[int, CohomologyTable] = {}
-
-    def table_of(degree: int, desc: SheafDescriptor) -> CohomologyTable:
-        if degree not in tables:
-            tables[degree] = sheaf_table(desc, E.model, window)
-        return tables[degree]
-
-    def direct_verdict() -> tuple[UlrichVerdict, HyperTableResult]:
-        hyper = _hyper_from_tables(
-            E, window, {degree: table_of(degree, desc) for degree, desc in E.sheaves}
-        )
+    tables = {degree: sheaf_table(desc, E.model, window) for degree, desc in E.sheaves}
+    criteria: list[Criterion] = []
+    hyper = None
+    if mode != "sheafwise":
+        hyper = _hyper_from_tables(E, window, tables)
+        ulrich_twists = E.model.ulrich_twists
         hit = hyper.table.first_nonzero(ulrich_twists)
-        note = ""
-        if E.has_glue() and hit is None:
-            note = CERT_EXACT_BY_VANISHING
-        criterion = Criterion(
-            name="hyper-vanishing",
-            twists=ulrich_twists,
-            passed=hit is None,
-            witness=hit,
-            note=note,
+        criteria.append(
+            Criterion(
+                name="hyper-vanishing",
+                twists=ulrich_twists,
+                witness=hit,
+                note=CERT_EXACT_BY_VANISHING if E.has_glue() and hit is None else "",
+            )
         )
-        verdict = UlrichVerdict(passed=hit is None, mode="direct", criteria=[criterion])
-        return verdict, hyper
-
-    def sheafwise_verdict() -> UlrichVerdict:
-        criteria: list[Criterion] = []
-        passed = True
+    if mode != "direct":
         for degree, desc in E.sheaves:
-            sub = _sheaf_verdict(desc, E.model, window, depth, table_of(degree, desc))
-            passed = passed and sub.passed
+            sub = _sheaf_verdict(desc, E.model, window, depth, tables[degree])
             criteria.extend(
                 replace(criterion, name=f"degree {degree}: {criterion.name}")
                 for criterion in sub.criteria
             )
-        return UlrichVerdict(passed=passed, mode="sheafwise", criteria=criteria)
+    if mode == "both":
+        direct, sheafwise = criteria[0], UlrichVerdict(mode, criteria[1:])
+        if direct.passed != sheafwise.passed:
+            raise ModeDisagreement(
+                f"direct verdict {direct.passed} but sheafwise verdict"
+                f" {sheafwise.passed}; this is a defect, witnesses:"
+                f" {direct.witness} / {sheafwise.witness()}"
+            )
+    return UlrichVerdict(mode=mode, criteria=criteria), hyper
 
-    if mode == "direct":
-        return direct_verdict()
-    if mode == "sheafwise":
-        return sheafwise_verdict(), None
-    direct, hyper = direct_verdict()
-    sheafwise = sheafwise_verdict()
-    if direct.passed != sheafwise.passed:
-        raise ModeDisagreement(
-            f"direct verdict {direct.passed} but sheafwise verdict"
-            f" {sheafwise.passed}; this is a defect, witnesses:"
-            f" {direct.witness()} / {sheafwise.witness()}"
-        )
-    verdict = UlrichVerdict(
-        passed=direct.passed,
-        mode="both",
-        criteria=direct.criteria + sheafwise.criteria,
-    )
-    return verdict, hyper
+
+def _ulrich_hyper_table(
+    E: FormalComplex, window: tuple[int, int] | None
+) -> CohomologyTable:
+    """The hypercohomology table of E over the window (the default one
+    for None), once mode ``both`` finds E Ulrich; the decomposers read
+    nothing else."""
+    verdict, hyper = _object_verdict(E, "both", window)
+    if not verdict.passed:
+        raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
+    return hyper.table
+
+
+def _require_rebuild(model: VarietyModel, table: CohomologyTable, units: str) -> None:
+    """NotUlrich unless the table is the Eisenbud-Schreyer table of its
+    twist-0 column, as every sum of shifted Ulrich units has."""
+    if not _rebuilds(model.dim, table):
+        raise NotUlrich(f"table does not match any sum of {units}")
 
 
 def pn_decompose(
@@ -356,16 +349,9 @@ def pn_decompose(
     """
     if E.model.kind != KIND_PROJ:
         raise MalformedDescriptor("decomposition over the structure sheaf needs pn")
-    if window is None:
-        window = default_window(E.model)
-    verdict, hyper = _object_verdict(E, "both", window)
-    if not verdict.passed:
-        raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    multiplicities, rebuilds = _unit_multiples(E.model.dim, E.model.deg, hyper.table)
-    if not rebuilds:
-        raise NotUlrich(
-            "table does not match any sum of shifts of the structure sheaf"
-        )
+    table = _ulrich_hyper_table(E, window)
+    multiplicities = _unit_multiples(E.model.deg, table)
+    _require_rebuild(E.model, table, "shifts of the structure sheaf")
     return multiplicities
 
 
@@ -395,17 +381,10 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         raise MalformedDescriptor(
             f"spinor decomposition is for quadric models, not {format_variety(model)}"
         )
-    if window is None:
-        window = default_window(model)
-    verdict, hyper = _object_verdict(E, "both", window)
-    if not verdict.passed:
-        raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-
+    table = _ulrich_hyper_table(E, window)
     if odd:
-        sections = model.deg * model.spinor_rank
-        multiplicities, rebuilds = _unit_multiples(model.dim, sections, hyper.table)
-        if not rebuilds:
-            raise NotUlrich("table does not match any sum of shifted spinors")
+        multiplicities = _unit_multiples(model.deg * model.spinor_rank, table)
+        _require_rebuild(model, table, "shifted spinors")
         return multiplicities
 
     # even case: work on the product side where the rulings are visible
@@ -440,8 +419,7 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                     f" count {counts[sign]} in degree {degree}"
                 )
         split[degree] = counts
-    if not ulrich_table(model.dim, hyper.table.column(0), window).same_entries(hyper.table):
-        raise NotUlrich("table does not match any sum of shifted spinor lines")
+    _require_rebuild(model, table, "shifted spinor lines")
     return {degree: dict(counts) for degree, counts in sorted(split.items())}
 
 

@@ -14,9 +14,10 @@ Supported families:
 * an abstract Picard-rank-1 surface given by (d, i_X, chi(O));
 * a smooth curve of genus one embedded by a degree-d line bundle, d >= 3.
 
-Family facts other modules read (canonical twists, product factors,
-spinor signs and rank, the quadric surface's product form) are
-read-only model properties, derived from kind and dimension only here.
+Family facts other modules read (the Ulrich twists, canonical twists,
+product factors, spinor signs and rank, the quadric surface's product
+form) are read-only model properties, derived from kind and dimension
+only here.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ class VarietyModel:
         if self.kind == KIND_SURFACE:
             return None
         return (int(self.canonical_coeff),)
+
+    @property
+    def ulrich_twists(self) -> tuple[int, ...]:
+        """The twists -1..-dim at which an Ulrich object's cohomology vanishes."""
+        return tuple(range(-1, -self.dim - 1, -1))
 
     @property
     def factor_models(self) -> tuple[VarietyModel, ...] | None:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrich_kit import (
+    AbstractSheaf,
+    DirectSum,
     ExternalTensor,
     LineBundle,
     NumClass,
@@ -128,6 +130,20 @@ class TestClassOf:
         assert type(c.r) is int
         assert type(c.e1) is Fraction and type(c.e2) is Fraction
         assert (c.r, c.e1, c.e2) == (-1, Fraction(0), Fraction(-2))
+
+    @pytest.mark.parametrize(
+        "desc, model",
+        [
+            (DirectSum(((AbstractSheaf(rank=1), 1), (LineBundle((1, 2)), 1))), proj_space(2)),
+            (ExternalTensor(AbstractSheaf(rank=1), LineBundle((1, 2))), product_proj(1, 1)),
+        ],
+        ids=["sum", "tensor"],
+    )
+    def test_the_whole_descriptor_is_validated_before_any_part_is_classed(self, desc, model):
+        # the first part has no class rule, the second is malformed: the
+        # malformed part is what the caller hears about
+        with pytest.raises(MalformedDescriptor):
+            class_of(desc, model)
 
     def test_curve_classes_have_no_e2(self):
         e3 = elliptic_curve(3)

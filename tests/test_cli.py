@@ -17,6 +17,7 @@ from ulrich_kit.cli import (
     _parse_grid,
     _parse_window,
 )
+from ulrich_kit.errors import ModeDisagreement, OracleDefect
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -616,4 +617,20 @@ class TestBoundaries:
         report = json.loads(captured.out)
         jsonschema.validate(report, SCHEMA)
         assert "RuntimeError: simulated defect" in report["error"]
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("defect", [ModeDisagreement, OracleDefect])
+    def test_kit_defects_are_exit_four(self, capsys, monkeypatch, defect):
+        def broken(*args, **kwargs):
+            raise defect("simulated disagreement")
+
+        monkeypatch.setattr(ulrich_kit.cli, "is_ulrich_object", broken)
+        code = main(["check", "--variety", "pn:2", "--sheaf", "O(0)"])
+        captured = capsys.readouterr()
+        assert code == 4
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"].startswith(
+            f"internal error: {defect.__name__}: simulated disagreement (at "
+        )
         assert "Traceback" not in captured.out + captured.err

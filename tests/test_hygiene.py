@@ -3,7 +3,7 @@ every module-level private function or class is referenced by some
 code in the package, every error class is named outside ``errors``,
 every exported function is called outside its own module, and no module
 but ``variety`` re-decides a quadric or product fact from a literal
-dimension or factor shape.
+dimension or factor shape, or writes out the Ulrich twists -1..-dim.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -99,7 +99,7 @@ def test_every_error_class_is_named_outside_errors():
         name
         for name, obj in vars(errors).items()
         if isinstance(obj, type)
-        and issubclass(obj, errors.UlrichKitError)
+        and issubclass(obj, Exception)
         and obj is not errors.UlrichKitError
     ]
     named = set().union(
@@ -216,3 +216,39 @@ def test_quadric_and_product_facts_are_read_from_the_model():
         f" found {found}, allowed {allowed}; read a VarietyModel property"
         " instead, or drop a lifted limit from ORACLE_LIMITS"
     )
+
+
+def _reads_dimension(node: ast.expr) -> bool:
+    """Whether the expression reads a ``.dim`` attribute or a name ``n``."""
+    return any(
+        (isinstance(sub, ast.Attribute) and sub.attr == "dim")
+        or (isinstance(sub, ast.Name) and sub.id == "n")
+        for sub in ast.walk(node)
+    )
+
+
+def _is_minus_one(node: ast.expr) -> bool:
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:
+        return False
+
+
+def test_ulrich_twists_are_read_from_the_model():
+    """``range(-1, -n - 1, -1)`` over a dimension is written once, as
+    ``VarietyModel.ulrich_twists``; a probe range down to a depth is not
+    this range and stays legal."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "variety.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "range"
+        and len(node.args) == 3
+        and _is_minus_one(node.args[0])
+        and _is_minus_one(node.args[2])
+        and _reads_dimension(node.args[1])
+    ]
+    assert not found, f"hand-built Ulrich-twist ranges, read model.ulrich_twists: {found}"

@@ -40,6 +40,7 @@ from ulrich_kit import (
     pn_decompose,
     product_proj,
     proj_space,
+    pushforward_finite,
     quadric,
     quadric_decompose,
     rank1_surface,
@@ -65,6 +66,7 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     ZeroExt,
 )
+from test_cohomology import ORACLE_MODELS, oracle_descriptors
 
 
 def scaled_entries(table: CohomologyTable, num: int, den: int) -> dict:
@@ -723,3 +725,43 @@ def test_no_nonzero_twist_is_ulrich(n, k):
     verdict = is_ulrich_object(E, "both")
     assert not verdict.passed
     assert verdict.witness() is not None
+
+
+@pytest.mark.parametrize("mults", [{0: 1}, {-1: 1, 0: 2}, {-2: 1, 1: 3}], ids=str)
+@pytest.mark.parametrize("spec", ["pn:1", "pn:2", "pn:3", "pn:4", "quadric:3"])
+def test_the_eisenbud_schreyer_readers_agree(spec, mults):
+    # pushforward_finite reads h^q(E) off the projection to P^n; the
+    # decomposers divide it by the sections of their unit: 1 for O on
+    # P^n, 4 for S on Q^3, which pushes forward to O^4
+    model = parse_variety(spec)
+    unit = parse_sheaf("S" if model.spinor_signs else "O(0)", model)
+    E = formal_complex(model, {d: direct_sum((unit, m)) for d, m in mults.items()})
+    pushed = pushforward_finite(E)
+    assert pushed.trivialized and pushed.reconstruction_ok
+    if model.spinor_signs:
+        split = quadric_decompose(E)
+        assert split == mults
+        assert pushed.multiplicities == {d: 4 * m for d, m in split.items()}
+    else:
+        assert pushed.multiplicities == pn_decompose(E) == mults
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(ORACLE_MODELS), data=st.data())
+def test_both_mode_is_the_direct_criterion_then_the_sheafwise_ones(model, data):
+    window = default_window(model)
+    degrees = data.draw(st.sets(st.integers(-2, 1), min_size=1, max_size=3))
+    E = formal_complex(
+        model, {d: data.draw(oracle_descriptors(model, window, 1)) for d in degrees}
+    )
+    direct = is_ulrich_object(E, "direct")
+    sheafwise = is_ulrich_object(E, "sheafwise")
+    for verdict in (direct, sheafwise):
+        assert verdict.passed == (verdict.witness() is None)
+    if direct.passed != sheafwise.passed:  # a stored table can pass one and fail the other
+        with pytest.raises(ModeDisagreement):
+            is_ulrich_object(E, "both")
+        return
+    both = is_ulrich_object(E, "both")
+    assert both.criteria == direct.criteria + sheafwise.criteria
+    assert both.passed == (both.witness() is None) == direct.passed
