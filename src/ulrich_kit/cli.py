@@ -26,7 +26,7 @@ from .bridgeland import central_charge, heart_gate, question_scan, slope, ulrich
 from .chern import class_or_none, ulrich_chern_solve
 from .complexes import FormalComplex, GlueWitness, formal_complex, pushforward_finite
 from .cohomology import sheaf_table
-from .errors import ModelMismatch, ParseError, UlrichKitError
+from .errors import MalformedDescriptor, ModelMismatch, ParseError, UlrichKitError
 from .generators import elliptic_witness, generator_gate
 from .rational import format_rational, parse_rational
 from .sheaves import LineBundle, Spinor, parse_sheaf
@@ -112,12 +112,10 @@ def _parse_window(text: str) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _window(args, config) -> tuple[int, int] | None:
+def _window(args) -> tuple[int, int] | None:
     """--window, parsed here rather than by argparse so a malformed one
-    gets the error envelope; the config file's window otherwise."""
-    if args.window is not None:
-        return _parse_window(args.window)
-    return config.get("window")
+    gets the error envelope."""
+    return None if args.window is None else _parse_window(args.window)
 
 
 def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -148,41 +146,6 @@ def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
         for i in range(s_count)
         for j in range(t_count)
     ]
-
-
-def _load_config(path: str | None) -> dict:
-    config: dict = {}
-    if not path:
-        return config
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(f"config lines are key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key == "window":
-            config["window"] = _parse_window(value)
-        elif key == "probe_depth":
-            try:
-                depth = int(value)
-            except ValueError as exc:
-                raise ParseError(f"probe_depth must be an integer, got {value!r}") from exc
-            if not 0 <= depth < MAX_TWISTS:
-                raise ParseError(
-                    f"probe_depth must be in 0..{MAX_TWISTS - 1}, got {value!r}"
-                )
-            config["probe_depth"] = depth
-        elif key == "slope_convention":
-            config["slope_convention"] = value
-        else:
-            raise ParseError(f"unknown config key {key!r}")
-    return config
 
 
 def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
@@ -237,14 +200,16 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
             raise ParseError(f"glue degrees must be integers, got {item!r}")
         if type(nonzero) is not bool:  # the string "false" would read as glued
             raise ParseError(f"glue nonzero must be true or false, got {item!r}")
-        glue.append(GlueWitness(ends[0], ends[1], ext_degree, nonzero))
+        if ext_degree != 2:
+            raise MalformedDescriptor("glue witnesses carry degree-two extensions")
+        glue.append(GlueWitness(ends[0], ends[1], nonzero))
     return formal_complex(use, sheaves, tuple(glue)), format_variety(use)
 
 
-def _cmd_table(args, config):
+def _cmd_table(args):
     model = parse_variety(args.variety)
     desc = parse_sheaf(args.sheaf, model)
-    window = _window(args, config)
+    window = _window(args)
     table = sheaf_table(desc, model, window)
     num_class = class_or_none(desc, model)
     payload = {
@@ -259,7 +224,7 @@ def _cmd_table(args, config):
     return payload, None, format_variety(model), None, 0
 
 
-def _cmd_check(args, config):
+def _cmd_check(args):
     model = parse_variety(args.variety) if args.variety else None
     if args.object:
         E, model_spec = _load_complex(args.object, model)
@@ -270,8 +235,8 @@ def _cmd_check(args, config):
             raise ParseError("check needs --object or --sheaf")
         E = formal_complex(model, {0: parse_sheaf(args.sheaf, model)})
         model_spec = format_variety(model)
-    window = _window(args, config)
-    verdict = is_ulrich_object(E, args.mode, window, config.get("probe_depth"))
+    window = _window(args)
+    verdict = is_ulrich_object(E, args.mode, window)
     payload = verdict.as_dict()
     payload["object"] = args.object or args.sheaf
     return payload, "pass" if verdict.passed else "fail", model_spec, None, (
@@ -279,14 +244,14 @@ def _cmd_check(args, config):
     )
 
 
-def _cmd_chern_solve(args, config):
+def _cmd_chern_solve(args):
     model = parse_variety(f"surface:{args.surface}")
     c = ulrich_chern_solve(model, args.rank)
     payload = {"r": c.r, "e1": c.e1, "e2": c.e2}
     return payload, None, format_variety(model), None, 0
 
 
-def _cmd_charge(args, config):
+def _cmd_charge(args):
     model = parse_variety(f"surface:{args.surface}")
     s = parse_rational(args.s)
     t = parse_rational(args.t)
@@ -305,7 +270,7 @@ def _cmd_charge(args, config):
     return payload, None, format_variety(model), None, 0
 
 
-def _cmd_gate(args, config):
+def _cmd_gate(args):
     model = parse_variety(args.variety)
     descs = [
         parse_sheaf(piece.strip(), model)
@@ -320,12 +285,11 @@ def _cmd_gate(args, config):
     return payload, verdict, format_variety(model), None, 0 if result.passed else 1
 
 
-def _cmd_scan(args, config):
+def _cmd_scan(args):
     model = parse_variety(args.variety) if args.variety else None
     E, model_spec = _load_complex(args.object, model)
     grid = _parse_grid(args.grid)
-    convention = args.convention or config.get("slope_convention") or "paper-literal"
-    rows = question_scan(E, grid, convention)
+    rows = question_scan(E, grid, args.convention)
     payload = {
         "grid": args.grid,
         "rows": [
@@ -344,7 +308,7 @@ def _cmd_scan(args, config):
             for row in rows
         ],
     }
-    return payload, None, model_spec, convention, 0
+    return payload, None, model_spec, args.convention, 0
 
 
 def _demo_cases() -> list[tuple[str, bool]]:
@@ -402,7 +366,7 @@ def _demo_cases() -> list[tuple[str, bool]]:
     return cases
 
 
-def _cmd_demo(args, config):
+def _cmd_demo(args):
     cases = _demo_cases()
     payload = {
         "cases": [{"name": name, "passed": passed} for name, passed in cases]
@@ -427,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--out", help="also write the report to this path")
-    common.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_table = sub.add_parser(
@@ -467,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--variety")
     p_scan.add_argument("--object", required=True)
     p_scan.add_argument("--grid", required=True, help="s=lo..hi:step,t=lo..hi:step")
-    p_scan.add_argument("--convention", choices=("paper-literal", "normalized"))
+    p_scan.add_argument("--convention", choices=("paper-literal", "normalized"), default="paper-literal")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_demo = sub.add_parser("demo", parents=[common], help="run the curated example verifications")
@@ -488,8 +451,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         fmt, out = args.format, args.out
-        config = _load_config(args.config)
-        payload, verdict, model_spec, convention, code = args.handler(args, config)
+        payload, verdict, model_spec, convention, code = args.handler(args)
         try:
             report = _report(command_echo, model_spec, convention, payload, verdict)
             text = _render(report, fmt)

@@ -13,7 +13,8 @@ except that an all-zero column certifies vanishing outright.
 
 Glue witnesses record a nonzero degree-two extension between adjacent
 cohomology sheaves (from degree i to degree i-1), the shape arising
-from two-term extensions on surfaces.
+from two-term extensions on surfaces.  The extension degree is always
+two, so a witness does not carry it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Mapping
 
 from .cohomology import sheaf_table, ulrich_table
 from .errors import (
-    DimensionMismatch,
     IncompleteTable,
     MalformedDescriptor,
     ModelMismatch,
@@ -62,9 +62,11 @@ CERT_UPPER_BOUND_ONLY = "upper-bound-only"
 
 @dataclass(frozen=True)
 class GlueWitness:
+    """A degree-two extension from the sheaf in ``from_degree`` to the
+    one directly below it; degree two is the only one a witness records."""
+
     from_degree: int
     to_degree: int
-    ext_degree: int = 2
     nonzero: bool = True
 
 
@@ -93,8 +95,6 @@ def formal_complex(
         validate_descriptor(desc, model)
     support = set(sheaves)
     for witness in glue:
-        if witness.ext_degree != 2:
-            raise MalformedDescriptor("glue witnesses carry degree-two extensions")
         if witness.from_degree - witness.to_degree != 1:
             raise MalformedDescriptor(
                 "glue connects a degree to the one directly below it"
@@ -111,7 +111,7 @@ def shift(E: FormalComplex, k: int) -> FormalComplex:
         model=E.model,
         sheaves=tuple(sorted((d - k, desc) for d, desc in E.sheaves)),
         glue=tuple(
-            GlueWitness(w.from_degree - k, w.to_degree - k, w.ext_degree, w.nonzero)
+            GlueWitness(w.from_degree - k, w.to_degree - k, w.nonzero)
             for w in E.glue
         ),
     )
@@ -381,16 +381,10 @@ class PushforwardReport:
         return self.witness is None
 
 
-def pushforward_finite(
-    E: FormalComplex, target: VarietyModel | None = None
-) -> PushforwardReport:
-    if target is None:
-        target = proj_space(E.model.dim)
-    if target.kind != KIND_PROJ or target.dim != E.model.dim:
-        raise DimensionMismatch(
-            f"finite projection target must be pn:{E.model.dim},"
-            f" got {format_variety(target)}"
-        )
+def pushforward_finite(E: FormalComplex) -> PushforwardReport:
+    """Push E along a finite projection to the projective space of its
+    own dimension, the only target there is; the report names it."""
+    target = proj_space(E.model.dim)
     table = hyper_table(E, default_window(E.model)).table
     witness = table.first_nonzero(E.model.ulrich_twists)
     vanishes = witness is None

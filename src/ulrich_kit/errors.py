@@ -68,10 +68,6 @@ class IncompleteTable(UlrichKitError):
     pass
 
 
-class DimensionMismatch(UlrichKitError):
-    pass
-
-
 class NotUlrich(UlrichKitError):
     pass
 

@@ -22,7 +22,6 @@ from .errors import (
     MalformedDescriptor,
     ModelMismatch,
     NoDualRule,
-    OracleDefect,
     UnknownK0Rank,
     UnsupportedModel,
 )
@@ -216,7 +215,8 @@ def register_collection(collection: Collection) -> Collection:
 
     For members E_i, E_j with i < j, every Ext^k(E_j, E_i) must
     vanish.  Pairs whose source has no dual rule (the odd spinor) are
-    skipped; those pairs carry the standard spinor orthogonality.
+    skipped; those pairs carry the standard spinor orthogonality.  A
+    backward map is a fault of the given list: MalformedDescriptor.
     """
     members = collection.members
     for member in members:
@@ -227,7 +227,7 @@ def register_collection(collection: Collection) -> Collection:
                 for k in range(0, collection.model.dim + 1):
                     value = ext_dimension(members[j], members[i], k, collection.model)
                     if value:
-                        raise OracleDefect(
+                        raise MalformedDescriptor(
                             f"backward map: Ext^{k}({format_sheaf(members[j])},"
                             f" {format_sheaf(members[i])}) = {value}"
                         )

@@ -63,7 +63,6 @@ from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
     KIND_PROJ,
-    MAX_TWISTS,
     VarietyModel,
     default_window,
     format_variety,
@@ -140,44 +139,30 @@ def _holds_abstract(desc: SheafDescriptor) -> bool:
     return False
 
 
-def is_initialized(
-    desc: SheafDescriptor, model: VarietyModel, probe_depth: int | None = None
-) -> InitializedReport:
+def is_initialized(desc: SheafDescriptor, model: VarietyModel) -> InitializedReport:
     """Sections appear at twist zero and at no negative twist.
 
-    Negative twists are probed down to ``probe_depth``, which must lie
-    in 0..MAX_TWISTS - 1; for the closed descriptor classes the answer is
-    provably global, for abstract data it is reported window-limited.
+    Negative twists are probed down to the low end of the model's
+    default window, -(2n + 5); the depth is fixed, not a setting.  For
+    the closed descriptor classes the answer is provably global, for
+    abstract data it is reported window-limited.
     """
-    validate_descriptor(desc, model)
-    depth = _probe_depth(model, probe_depth)
-    return _initialized(desc, depth, sheaf_table(desc, model, (-depth, 0)))
+    lo = default_window(model)[0]
+    return _initialized(desc, lo, sheaf_table(desc, model, (lo, 0)))
 
 
-def _probe_depth(model: VarietyModel, probe_depth: int | None) -> int:
-    if probe_depth is None:
-        return -default_window(model)[0]
-    if not 0 <= probe_depth < MAX_TWISTS:
-        raise MalformedDescriptor(
-            f"probe depth must be an integer in 0..{MAX_TWISTS - 1}, got {probe_depth}"
-        )
-    return probe_depth
-
-
-def _initialized(
-    desc: SheafDescriptor, depth: int, table: CohomologyTable
-) -> InitializedReport:
-    """``is_initialized`` read off a table of desc covering [-depth, 0]."""
+def _initialized(desc: SheafDescriptor, lo: int, table: CohomologyTable) -> InitializedReport:
+    """``is_initialized`` read off a table of desc covering [lo, 0]."""
     h0 = table.h(0, 0)
     if h0 == 0:
         witness = (0, 0, 0)
     else:
-        witness = table.first_nonzero(range(-1, -depth - 1, -1), degrees={0})
+        witness = table.first_nonzero(range(-1, lo - 1, -1), degrees={0})
     return InitializedReport(
         # the oracle descriptors have section counts monotone in the
         # twist, so the probe decides; abstract data ends at its window
         global_verdict=not _holds_abstract(desc),
-        probed=(-depth, 0),
+        probed=(lo, 0),
         witness=witness,
     )
 
@@ -186,30 +171,30 @@ def is_ulrich_sheaf(
     desc: SheafDescriptor,
     model: VarietyModel,
     window: tuple[int, int] | None = None,
-    probe_depth: int | None = None,
 ) -> UlrichVerdict:
     """Full sheaf-level verdict.
 
     Criteria, in order: vanishing of all cohomology at twists -1..-dim,
-    the initialization probe, the section count h^0 = deg * rank, and
-    window-wide intermediate-cohomology vanishing as supporting
-    evidence for the arithmetically-Cohen-Macaulay property.
+    the initialization probe (down to the fixed depth of
+    ``is_initialized``, whatever the window), the section count
+    h^0 = deg * rank, and window-wide intermediate-cohomology vanishing
+    as supporting evidence for the arithmetically-Cohen-Macaulay property.
     """
     if window is None:
         window = default_window(model)
     table = sheaf_table(desc, model, window)
-    return _sheaf_verdict(desc, model, window, _probe_depth(model, probe_depth), table)
+    return _sheaf_verdict(desc, model, window, table)
 
 
 def _sheaf_verdict(
     desc: SheafDescriptor,
     model: VarietyModel,
     window: tuple[int, int],
-    depth: int,
     table: CohomologyTable,
 ) -> UlrichVerdict:
     """``is_ulrich_sheaf`` on the already assembled table of desc over
-    the window, with the probe depth already checked."""
+    the window; a window that does not reach the probe depth gets a
+    probe table of its own."""
     ulrich_twists = model.ulrich_twists
     criteria = [
         Criterion(
@@ -219,10 +204,11 @@ def _sheaf_verdict(
         )
     ]
 
+    lo = default_window(model)[0]
     probe_table = table
-    if not (table.covers(-depth) and table.covers(0)):
-        probe_table = sheaf_table(desc, model, (-depth, 0))
-    init = _initialized(desc, depth, probe_table)
+    if not (table.covers(lo) and table.covers(0)):
+        probe_table = sheaf_table(desc, model, (lo, 0))
+    init = _initialized(desc, lo, probe_table)
     criteria.append(
         Criterion(
             name="initialized",
@@ -254,28 +240,27 @@ def is_ulrich_object(
     E: FormalComplex,
     mode: str = "both",
     window: tuple[int, int] | None = None,
-    probe_depth: int | None = None,
 ) -> UlrichVerdict:
     """Complex-level verdict in the requested mode.
 
     direct: hypercohomology sums vanish at twists -1..-dim.  With glue
     present, an all-zero column is certified vanishing; a nonzero sum
     pins a nonvanishing cohomology sheaf, so failure is also honest.
-    sheafwise: every cohomology sheaf passes the sheaf-level check.
+    sheafwise: every cohomology sheaf passes the sheaf-level check,
+    initialization probed to the fixed depth of ``is_initialized``.
     both: run the two and insist they agree.
 
     Every mode builds the table of each cohomology sheaf before any
     check reads it, so when a table and a sheafwise probe table would
     both fail, the table's error is the one raised.
     """
-    return _object_verdict(E, mode, window, probe_depth)[0]
+    return _object_verdict(E, mode, window)[0]
 
 
 def _object_verdict(
     E: FormalComplex,
     mode: str,
     window: tuple[int, int] | None,
-    probe_depth: int | None = None,
 ) -> tuple[UlrichVerdict, HyperTableResult | None]:
     """``is_ulrich_object`` together with the hyper table its direct
     check read (None in sheafwise mode).  Each cohomology sheaf's table
@@ -283,7 +268,6 @@ def _object_verdict(
     direct criterion, then the sheafwise ones."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
-    depth = _probe_depth(E.model, probe_depth)
     if window is None:
         window = default_window(E.model)
     tables = {degree: sheaf_table(desc, E.model, window) for degree, desc in E.sheaves}
@@ -303,7 +287,7 @@ def _object_verdict(
         )
     if mode != "direct":
         for degree, desc in E.sheaves:
-            sub = _sheaf_verdict(desc, E.model, window, depth, tables[degree])
+            sub = _sheaf_verdict(desc, E.model, window, tables[degree])
             criteria.extend(
                 replace(criterion, name=f"degree {degree}: {criterion.name}")
                 for criterion in sub.criteria
@@ -542,7 +526,7 @@ def yoneda_build(
                 f"Ext^{m}({format_sheaf(F)}, {format_sheaf(G)}) = 0;"
                 " no nonsplit extension exists"
             )
-    glue = (GlueWitness(0, -1, 2, True),) if m == 2 else ()
+    glue = (GlueWitness(0, -1),) if m == 2 else ()
     return formal_complex(model, {0: F, -m + 1: G}, glue)
 
 

@@ -94,6 +94,7 @@ class VarietyModel:
 def proj_space(n: int) -> VarietyModel:
     if not isinstance(n, int) or n < 1:
         raise MalformedModel(f"projective space needs integer dimension >= 1, got {n}")
+    _check_dim(n)
     return VarietyModel(
         kind=KIND_PROJ,
         dim=n,
@@ -108,6 +109,7 @@ def proj_space(n: int) -> VarietyModel:
 def quadric(n: int) -> VarietyModel:
     if not isinstance(n, int) or n < 2:
         raise MalformedModel(f"smooth quadric needs integer dimension >= 2, got {n}")
+    _check_dim(n)
     return VarietyModel(
         kind=KIND_QUADRIC,
         dim=n,
@@ -123,6 +125,7 @@ def product_proj(n1: int, n2: int) -> VarietyModel:
     if not all(isinstance(m, int) and m >= 1 for m in (n1, n2)):
         raise MalformedModel(f"product factors must be integers >= 1, got {n1}x{n2}")
     dim = n1 + n2
+    _check_dim(dim)
     # K = -(n1+1)H1 - (n2+1)H2 is proportional to H = H1+H2 only when n1 = n2.
     canonical = Fraction(-(n1 + 1)) if n1 == n2 else None
     return VarietyModel(
@@ -193,9 +196,17 @@ def hyperplane_model(model: VarietyModel) -> VarietyModel:
     raise UnsupportedModel(f"no hyperplane model for {format_variety(model)}")
 
 
-# The most twists one table may span (a window's width, a probe depth
-# plus one), checked before anything is allocated.
+# Work bounds, checked before anything is allocated: the most twists one
+# table may span, and the largest model dimension.  Entries on a model of
+# dimension n are binomials of about n digits, and its default window
+# spans 3n + 8 twists, far inside MAX_TWISTS under the dimension cap.
 MAX_TWISTS = 20_000
+MAX_DIM = 1_000
+
+
+def _check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise MalformedModel(f"model dimension {dim} exceeds the cap of {MAX_DIM}")
 
 
 def default_window(model: VarietyModel) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Command-line surface: envelopes, exit codes, formats, config, and
+"""Command-line surface: envelopes, exit codes, formats and
 determinism.  Every captured report is validated against the shipped
 JSON schema."""
 
@@ -204,6 +204,43 @@ class TestCheck:
             notes[nonzero] = report["payload"]["criteria"][0]["note"]
         assert notes == {True: "exact-by-vanishing", False: ""}
 
+    def test_glue_of_another_extension_degree_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({
+            "variety": "pn:2",
+            "sheaves": {"0": "O(0)", "-1": "O(0)"},
+            "glue": [{"from": 0, "to": -1, "ext_degree": 3}],
+        }))
+        code, report = run_json(capsys, "check", "--object", str(path))
+        assert code == 2
+        assert report["error"] == "glue witnesses carry degree-two extensions"
+
+    def test_tsv_without_rows_prints_each_payload_key(self, capsys):
+        code, out = run(
+            capsys, "check", "--variety", "pn:2", "--sheaf", "O(1)", "--format", "tsv"
+        )
+        assert code == 1
+        criteria = (
+            '[{"name": "hyper-vanishing", "note": "", "passed": false,'
+            ' "twists": [-1, -2], "witness": [0, -1, 1]},'
+            ' {"name": "degree 0: twisted-vanishing", "note": "", "passed": false,'
+            ' "twists": [-1, -2], "witness": [0, -1, 1]},'
+            ' {"name": "degree 0: initialized", "note": "global", "passed": false,'
+            ' "twists": [-9, -8, -7, -6, -5, -4, -3, -2, -1], "witness": [0, -1, 1]},'
+            ' {"name": "degree 0: section-count", "note": "h0 = 3, deg * rank = 1",'
+            ' "passed": false, "twists": [0], "witness": [0, 0, 3]},'
+            ' {"name": "degree 0: acm-window", "note": "", "passed": true,'
+            ' "twists": [-9, -8, -7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4],'
+            ' "witness": null}]'
+        )
+        assert out == (
+            "passed\tfalse\n"
+            'mode\t"both"\n'
+            f"criteria\t{criteria}\n"
+            'object\t"O(1)"\n'
+            "verdict\tfail\n"
+        )
+
     def test_mode_flag(self, capsys):
         code, report = run_json(
             capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
@@ -253,6 +290,22 @@ class TestCharge:
         assert payload["central"] == {"re": "8", "im": "4"}
         assert payload["closed_form"] == {"re": "16", "im": "20"}
         assert payload["agree"] is False
+
+    def test_rank_zero_slope_is_infinite(self, capsys):
+        code, report = run_json(
+            capsys, "charge", "--surface", "d=4,i=0,chi=2", "--rank", "0",
+            "--s", "1", "--t", "1",
+        )
+        assert code == 0
+        assert report["payload"] == {
+            "class": {"r": 0, "e1": "0", "e2": "0"},
+            "slope": "infinite",
+            "s": "1",
+            "t": "1",
+            "central": {"re": "0", "im": "0"},
+            "closed_form": {"re": "0", "im": "0"},
+            "agree": True,
+        }
 
     def test_exponent_notation_is_exit_two(self, capsys):
         code = main([
@@ -435,6 +488,16 @@ class TestEnvelope:
         assert report["payload"] is None and report["verdict"] is None
         assert captured.err == ""
 
+    def test_config_is_a_usage_error(self, capsys):
+        code = main(["table", "--config", "x", "--variety", "pn:2", "--sheaf", "O(0)"])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert "unrecognized arguments: --config x" in report["error"]
+        assert report["payload"] is None and report["verdict"] is None
+        assert captured.err == ""
+
     def test_help_still_prints_help(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["chern-solve", "--help"])
@@ -447,74 +510,6 @@ class TestEnvelope:
         )
         assert code == 2
         assert report["verdict"] is None and report["payload"] is None
-
-
-class TestConfig:
-    def test_window_default_from_config(self, capsys, tmp_path):
-        config = tmp_path / "kit.conf"
-        config.write_text("window = -3:3  # narrow\n")
-        code, report = run_json(
-            capsys, "table", "--variety", "pn:2", "--sheaf", "O(0)",
-            "--config", str(config),
-        )
-        assert report["payload"]["window"] == [-3, 3]
-
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        config = tmp_path / "kit.conf"
-        config.write_text("window=-3:3\n")
-        code, report = run_json(
-            capsys, "table", "--variety", "pn:2", "--sheaf", "O(0)",
-            "--config", str(config), "--window=-2:2",
-        )
-        assert report["payload"]["window"] == [-2, 2]
-
-    def test_convention_default_from_config(self, capsys, tmp_path):
-        config = tmp_path / "kit.conf"
-        config.write_text("slope_convention=normalized\n")
-        data = {"variety": "surface:d=4,i=0,chi=2", "sheaves": {"0": "O(2)"}}
-        obj = tmp_path / "object.json"
-        obj.write_text(json.dumps(data))
-        code, report = run_json(
-            capsys, "scan", "--object", str(obj), "--grid", "s=0..0,t=1..1",
-            "--config", str(config),
-        )
-        assert report["convention"] == "normalized"
-
-    def test_unknown_key_is_exit_two(self, capsys, tmp_path):
-        config = tmp_path / "kit.conf"
-        config.write_text("depth=3\n")
-        code, report = run_json(
-            capsys, "table", "--variety", "pn:2", "--sheaf", "O(0)",
-            "--config", str(config),
-        )
-        assert code == 2
-
-    def test_negative_probe_depth_is_exit_two(self, capsys, tmp_path):
-        config = tmp_path / "kit.conf"
-        config.write_text("probe_depth=-3\n")
-        code, report = run_json(
-            capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
-            "--config", str(config),
-        )
-        assert code == 2
-        assert "probe_depth" in report["error"]
-
-    def test_probe_depth_past_the_cap_is_exit_two(self, capsys, tmp_path):
-        config = tmp_path / "kit.conf"
-        config.write_text(f"probe_depth={MAX_TWISTS}\n")
-        code, report = run_json(
-            capsys, "check", "--variety", "pn:2", "--sheaf", "O(0)",
-            "--config", str(config),
-        )
-        assert code == 2
-        assert "probe_depth" in report["error"]
-
-    def test_missing_config_file_is_exit_two(self, capsys, tmp_path):
-        code, report = run_json(
-            capsys, "table", "--variety", "pn:2", "--sheaf", "O(0)",
-            "--config", str(tmp_path / "absent.conf"),
-        )
-        assert code == 2
 
 
 class TestHelpers:
@@ -598,16 +593,18 @@ class TestBoundaries:
         assert "too long to read" in report["error"]
 
     def test_a_default_window_past_the_cap_is_exit_two(self, capsys):
+        # the dimension cap refuses pn:8000 before its default window,
+        # 3 * 8000 + 8 twists, is built
         code, report = run_json(capsys, "table", "--variety", "pn:8000", "--sheaf", "O(0)")
         assert code == 2
-        assert "twists" in report["error"]
+        assert report["error"] == "model dimension 8000 exceeds the cap of 1000"
 
     def test_caps_admit_their_largest_value(self):
         assert _parse_window(f"0:{MAX_TWISTS - 1}") == (0, MAX_TWISTS - 1)
         assert len(_parse_grid(f"s=1..{MAX_GRID_POINTS}:1,t=1..1")) == MAX_GRID_POINTS
 
     def test_internal_error_is_exit_four_without_traceback(self, capsys, monkeypatch):
-        def broken(args, config):
+        def broken(args):
             raise RuntimeError("simulated defect")
 
         monkeypatch.setattr(ulrich_kit.cli, "_cmd_table", broken)

@@ -39,12 +39,13 @@ from ulrich_kit import (
 from ulrich_kit.errors import (
     IncompleteTable,
     MalformedDescriptor,
+    MalformedModel,
     NoOracle,
     UnknownSlopeZero,
     UnsupportedQuadricDim,
 )
 from ulrich_kit.cohomology import ulrich_table
-from ulrich_kit.variety import MAX_TWISTS, default_window
+from ulrich_kit.variety import MAX_DIM, MAX_TWISTS, default_window
 from ulrich_kit.sheaves import product_form, rank_of
 
 
@@ -366,11 +367,12 @@ class TestTablePlumbing:
             table.column(-4)
 
     def test_windows_past_the_twist_cap_are_refused(self):
-        # pn:8000's default window spans 3 * 8000 + 8 twists
-        wide = proj_space(8000)
-        assert default_window(wide)[1] - default_window(wide)[0] + 1 > MAX_TWISTS
-        with pytest.raises(MalformedDescriptor, match="twists"):
-            sheaf_table(line_bundle(0), wide)
+        # pn:8000, whose default window would span 3 * 8000 + 8 twists,
+        # is refused by the dimension cap; under it every default fits
+        with pytest.raises(MalformedModel, match="dimension"):
+            proj_space(8000)
+        widest = proj_space(MAX_DIM)
+        assert default_window(widest)[1] - default_window(widest)[0] + 1 <= MAX_TWISTS
         with pytest.raises(MalformedDescriptor, match="twists"):
             sheaf_table(line_bundle(0), proj_space(1), (0, MAX_TWISTS))
         table = sheaf_table(line_bundle(0), proj_space(1), (0, MAX_TWISTS - 1))

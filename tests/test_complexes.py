@@ -41,7 +41,6 @@ from ulrich_kit.complexes import (
     TWIST_RIGHT,
 )
 from ulrich_kit.errors import (
-    DimensionMismatch,
     IncompleteTable,
     MalformedDescriptor,
     ModelMismatch,
@@ -63,8 +62,6 @@ class TestFormalComplex:
         sheaves = {0: line_bundle(0), -1: line_bundle(0)}
         ok = formal_complex(p2, sheaves, (GlueWitness(0, -1),))
         assert ok.has_glue()
-        with pytest.raises(MalformedDescriptor):
-            formal_complex(p2, sheaves, (GlueWitness(0, -1, ext_degree=3),))
         with pytest.raises(MalformedDescriptor):
             formal_complex(p2, sheaves, (GlueWitness(0, -2),))
         with pytest.raises(MalformedDescriptor):
@@ -369,12 +366,6 @@ class TestPushforward:
         assert not report.trivialized
         assert report.multiplicities is None
         assert report.witness == (0, -1, 1)
-
-    def test_target_dimension_is_checked(self):
-        p11 = product_proj(1, 1)
-        E = formal_complex(p11, {0: LineBundle((0, 1))})
-        with pytest.raises(DimensionMismatch):
-            pushforward_finite(E, target=proj_space(3))
 
 
 @settings(max_examples=40, deadline=None)

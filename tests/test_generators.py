@@ -36,7 +36,6 @@ from ulrich_kit.errors import (
     Indeterminate,
     MalformedDescriptor,
     ModelMismatch,
-    OracleDefect,
     UnknownK0Rank,
     UnsupportedModel,
 )
@@ -220,8 +219,10 @@ class TestCollections:
     def test_register_rejects_backward_maps(self):
         p2 = proj_space(2)
         backwards = Collection(p2, (line_bundle(1), line_bundle(0)))
-        with pytest.raises(OracleDefect):
+        # a list with a backward map is malformed input, not a kit defect
+        with pytest.raises(MalformedDescriptor) as info:
             register_collection(backwards)
+        assert str(info.value) == "backward map: Ext^0(O(0), O(1)) = 3"
 
     def test_register_accepts_orthogonal_pairs(self):
         model = elliptic_curve(3)

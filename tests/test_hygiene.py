@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level private function or class is referenced by some
 code in the package, every error class is named outside ``errors``,
-every exported function is called outside its own module, and no module
+every exported function is called outside its own module, no module
 but ``variety`` re-decides a quadric or product fact from a literal
-dimension or factor shape, or writes out the Ulrich twists -1..-dim.
+dimension or factor shape, or writes out the Ulrich twists -1..-dim,
+and every kit name the benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -13,6 +14,7 @@ needed here.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -252,3 +254,33 @@ def test_ulrich_twists_are_read_from_the_model():
         and _reads_dimension(node.args[1])
     ]
     assert not found, f"hand-built Ulrich-twist ranges, read model.ulrich_twists: {found}"
+
+
+TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+# Looked up by ``Tracer.install`` outside its TRACED table: the column
+# oracle it wraps with a counter and the default window it reads.
+TRACER_EXTRAS = (
+    ("ulrich_kit.cohomology", "_sheaf_column"),
+    ("ulrich_kit.variety", "default_window"),
+)
+
+
+def test_the_names_the_benchmark_tracer_wraps_resolve():
+    """The tracer finds what it wraps by module and attribute name at run
+    time, so a renamed function would break the benchmark, not a test.
+    The tracer is read with ``ast``, not imported."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    missing = []
+    for module_name, attr in [(m, a) for _, m, a in traced] + list(TRACER_EXTRAS):
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module_name}.{attr}")
+    assert traced and not missing, f"names the tracer wraps are gone: {missing}"
