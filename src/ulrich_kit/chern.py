@@ -2,10 +2,10 @@
 
 A numerical class stores (ch0, e1, e2) against the polarization H:
 ch1 = e1 * H numerically and ch2 integrates to e2 * H^dim.  On curves
-the e2 slot is absent.  On product models the class is the numerical
-H-projection e_k = ch_k . H^(dim-k) / H^dim, which is exact for every
-Euler characteristic computed here because the canonical class of the
-balanced product is proportional to H.
+the e2 slot is absent.  On a product the class of L x R (and of
+O(a, b) = O(a) x O(b)) is the H-projection e_k = ch_k . H^(dim-k) / H^dim
+of ch(L) ch(R), exact for every Euler characteristic computed here: those
+are on P^1 x P^1, whose canonical class is proportional to H.
 
 Twist action of O(k):
 
@@ -57,6 +57,12 @@ class NumClass:
     e2: Fraction | None = None
 
     def __post_init__(self) -> None:
+        for name in ("e1", "e2"):  # exact: an int becomes a Fraction, a float is refused
+            value = getattr(self, name)
+            if type(value) is int:
+                object.__setattr__(self, name, Fraction(value))
+            elif not isinstance(value, (Fraction, type(None))):
+                raise MalformedDescriptor(f"{name} must be a Fraction or an int, got {value!r}")
         if self.model.dim >= 2 and self.e2 is None:
             raise MalformedDescriptor("e2 required in dimension >= 2")
         if self.model.dim == 1 and self.e2 is not None:
@@ -67,18 +73,17 @@ def _binom(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
-def _product_projection(model: VarietyModel, a, b) -> tuple[Fraction, Fraction]:
-    """H-projection of rank + (a H1 + b H2) + ch2 for a product model."""
-    n1, n2 = model.factors
-    m = model.dim
-    hm = _binom(m, n1)
-    e1 = Fraction(a * _binom(m - 1, n1 - 1) + b * _binom(m - 1, n1), hm)
-    ch2_int = (
-        Fraction(a * a, 2) * _binom(m - 2, n1 - 2)
-        + Fraction(a * b) * _binom(m - 2, n1 - 1)
-        + Fraction(b * b, 2) * _binom(m - 2, n1)
+def _external_class(model: VarietyModel, left: NumClass, right: NumClass) -> NumClass:
+    """Class of L x R on P^a x P^b: ch(L) ch(R) up to degree two, with
+    H1^i H2^j . H^(m-i-j) = C(m-i-j, a-i) out of H^m = C(m, a).  A P^1
+    factor has no e2; there H1^2 = 0."""
+    a, m = model.factors[0], model.dim
+    lc, rc = (left.r, left.e1, left.e2 or 0), (right.r, right.e1, right.e2 or 0)
+    e1, e2 = (
+        sum(lc[i] * rc[k - i] * _binom(m - k, a - i) for i in range(k + 1)) / _binom(m, a)
+        for k in (1, 2)
     )
-    return e1, ch2_int / hm
+    return NumClass(model, left.r * right.r, e1, e2)
 
 
 def class_of(obj, model: VarietyModel) -> NumClass:
@@ -117,11 +122,9 @@ def _class_sum(model: VarietyModel, terms) -> NumClass:
 
 def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass:
     """``class_of`` on a descriptor ``class_of`` has already validated."""
+    if isinstance(desc, LineBundle) and model.kind == KIND_PRODUCT:
+        desc = ExternalTensor(LineBundle(desc.twists[:1]), LineBundle(desc.twists[1:]))
     if isinstance(desc, LineBundle):
-        if model.kind == KIND_PRODUCT:
-            a, b = desc.twists
-            e1, e2 = _product_projection(model, a, b)
-            return NumClass(model, 1, e1, e2)
         k = desc.twists[0]
         if model.dim == 1:
             return NumClass(model, 1, Fraction(k))
@@ -143,16 +146,7 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
         left_model, right_model = model.factor_models
         left = _class_of_descriptor(desc.left, left_model)
         right = _class_of_descriptor(desc.right, right_model)
-        if left.e2 is not None or right.e2 is not None:
-            # the rule below multiplies curve classes, which stop at e1
-            raise Indeterminate(
-                f"no numerical class rule for {format_sheaf(desc)}"
-                f" on {format_variety(model)}"
-            )
-        # (left.r + left.e1 H1)(right.r + right.e1 H2) projected to the H-lattice
-        e1 = (right.r * left.e1 + left.r * right.e1) / 2
-        e2 = left.e1 * right.e1 / 2
-        return NumClass(model, left.r * right.r, e1, e2)
+        return _external_class(model, left, right)
     if isinstance(desc, AbstractSheaf):
         if desc.num_class is None:
             raise Indeterminate(f"{format_sheaf(desc)} carries no numerical class")

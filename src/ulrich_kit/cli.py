@@ -151,7 +151,7 @@ def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
 def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
     try:
         raw = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not text
         raise ParseError(f"cannot read object file {path}: {exc}") from exc
     try:
         data = json.loads(raw)

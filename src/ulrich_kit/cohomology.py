@@ -47,6 +47,7 @@ from .sheaves import (
     format_sheaf,
     normalize_elliptic,
     product_form,
+    tensor_line,
     validate_descriptor,
 )
 from .tables import CohomologyTable
@@ -244,6 +245,18 @@ def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[in
     out: Entries = {}
     _add_entries(desc, model, t, t, 1, out)
     return {i: h for (i, _), h in out.items() if h}
+
+
+def _twisted_column(
+    desc: SheafDescriptor, model: VarietyModel, twists: tuple[int, ...]
+) -> dict[int, int]:
+    """Nonzero h^i of desc (validated) tensor O(twists): the column at
+    m = min(twists), after ``tensor_line`` by the rest twists - (m, ..., m)
+    only, so spinors and stored tables take every diagonal twist."""
+    m = min(twists)
+    if max(twists) != m:
+        desc = tensor_line(desc, tuple(a - m for a in twists), model)
+    return _sheaf_column(desc, model, m)
 
 
 def sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:

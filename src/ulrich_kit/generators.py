@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chern import class_of
-from .cohomology import sheaf_column
+from .cohomology import _twisted_column
 from .complexes import FormalComplex, formal_complex, hyper_table
 from .errors import (
     Indeterminate,
@@ -31,14 +31,12 @@ from .sheaves import (
     SheafDescriptor,
     Spinor,
     format_sheaf,
-    tensor_line,
     validate_descriptor,
 )
 from .tables import alternating_sum
 from .ulrich import UlrichVerdict, ext_dimension, is_ulrich_sheaf
 from .variety import (
     KIND_ELLIPTIC,
-    KIND_PRODUCT,
     KIND_PROJ,
     KIND_QUADRIC,
     VarietyModel,
@@ -52,9 +50,9 @@ class K0Class:
     """Coordinate vector of a class in the numerical K-group.
 
     Coordinates are model-specific pairings chosen to be injective on
-    the lattice: Euler characteristics against a twist basis on
-    projective space and on the product of two lines, (rank, degree)
-    on a genus-one curve.
+    the lattice: chi(E x L) for L in ``model.k0_box``, a basis of line
+    bundles on projective spaces and their products; (rank, degree) on a
+    genus-one curve.
     """
 
     model: VarietyModel
@@ -69,26 +67,6 @@ class K0Class:
 
     def __neg__(self) -> "K0Class":
         return K0Class(self.model, tuple(-a for a in self.coords))
-
-
-def _euler_of_column(column: dict[int, int]) -> Fraction:
-    return Fraction(alternating_sum(column))
-
-
-def _pn_coords(desc: SheafDescriptor, model: VarietyModel) -> tuple[Fraction, ...]:
-    # chi(E(j)) for j = 0..n is injective on the lattice: against the
-    # twist basis the pairing matrix is Vandermonde-like and invertible
-    return tuple(
-        _euler_of_column(sheaf_column(desc, model, j)) for j in range(model.dim + 1)
-    )
-
-
-def _product_coords(desc: SheafDescriptor, model: VarietyModel) -> tuple[Fraction, ...]:
-    coords = []
-    for shift in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        shifted = tensor_line(desc, shift, model)
-        coords.append(_euler_of_column(sheaf_column(shifted, model, 0)))
-    return tuple(coords)
 
 
 def k0_class(obj, model: VarietyModel) -> K0Class:
@@ -110,10 +88,10 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
             total = total + (-part if degree % 2 else part)
         return total
     validate_descriptor(obj, model)
-    if model.kind == KIND_PROJ:
-        return K0Class(model, _pn_coords(obj, model))
-    if model.kind == KIND_PRODUCT and model.factors == (1, 1):
-        return K0Class(model, _product_coords(obj, model))
+    box = model.k0_box
+    if box is not None:
+        columns = (_twisted_column(obj, model, twists) for twists in box)
+        return K0Class(model, tuple(Fraction(alternating_sum(c)) for c in columns))
     if model.kind == KIND_ELLIPTIC:
         cls = class_of(obj, model)
         return K0Class(model, (Fraction(cls.r), cls.e1 * model.deg))

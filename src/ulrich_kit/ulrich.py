@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .chern import ulrich_chern_solve
-from .cohomology import _elliptic_pair, sheaf_column, sheaf_table, ulrich_table
+from .cohomology import _elliptic_pair, _twisted_column, sheaf_table, ulrich_table
 from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
@@ -61,7 +61,6 @@ from .sheaves import (
 from .tables import CohomologyTable
 from .variety import (
     KIND_ELLIPTIC,
-    KIND_PRODUCT,
     KIND_PROJ,
     VarietyModel,
     default_window,
@@ -395,8 +394,7 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                 counts[sign] += mult * m
         # cross-check the split against sections along the two rulings
         for sign, ruling in (("+", (-1, 0)), ("-", (0, -1))):
-            twisted = tensor_line(on_product, ruling, product_model)
-            sections = sheaf_column(twisted, product_model, 0).get(0, 0)
+            sections = _twisted_column(on_product, product_model, ruling).get(0, 0)
             if sections != counts[sign]:
                 raise OracleDefect(
                     f"ruling sections {sections} disagree with the structural"
@@ -442,37 +440,38 @@ def _ext_primary(F, G, k: int, model: VarietyModel) -> int:
         return sum(
             mult * _ext_primary(atom, G, k, model) for atom, mult in flatten_atoms(F)
         )
+    if isinstance(F, SemistableEC):  # O(k) is ss(1, k*d, trivial), as normalize_elliptic reads it
+        line = LineBundle((F.degree // model.deg,))
+        if normalize_elliptic(line, model) == F:
+            F = line
+    if isinstance(F, LineBundle):
+        return _twisted_column(G, model, tuple(-a for a in F.twists)).get(k, 0)
     if model.kind == KIND_ELLIPTIC:
         return _ext_elliptic(F, G, k, model)
-    if not isinstance(F, LineBundle):
-        raise NoDualRule(f"{format_sheaf(F)} has no dual rule here")
-    if model.kind == KIND_PRODUCT:
-        shifted = tensor_line(G, tuple(-a for a in F.twists), model)
-        return sheaf_column(shifted, model, 0).get(k, 0)
-    return sheaf_column(G, model, -F.twists[0]).get(k, 0)
+    raise NoDualRule(f"{format_sheaf(F)} has no dual rule here")
 
 
 def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
-    f = normalize_elliptic(F, model)
-    if not isinstance(f, SemistableEC) or f.rank != 1:
+    """Ext out of rank-one semistable data that is no twist of O."""
+    if not (isinstance(F, SemistableEC) and F.rank == 1):
         raise NoDualRule(f"{format_sheaf(F)} has no dual rule on a genus-one curve")
     total = 0
     for atom, mult in flatten_atoms(normalize_elliptic(G, model)):
         if not isinstance(atom, SemistableEC):
             raise NoDualRule(f"{format_sheaf(atom)} has no genus-one oracle")
         # whether F^dual tensor atom is trivial, read only at degree zero
-        if atom.rank == 1 and atom == f:
+        if atom.rank == 1 and atom == F:
             trivial = True
         elif (
             atom.rank == 1
             and atom.trivial_type is not None
-            and f.trivial_type is not None
+            and F.trivial_type is not None
         ):
             trivial = False  # distinct rank-one data of the same degree
         else:
             trivial = None
         pair = _elliptic_pair(
-            atom.degree - atom.rank * f.degree,
+            atom.degree - atom.rank * F.degree,
             trivial,
             f"hom data between {format_sheaf(F)} and {format_sheaf(atom)}",
         )

@@ -70,6 +70,18 @@ class VarietyModel:
         return tuple(proj_space(n) for n in self.factors)
 
     @property
+    def k0_box(self) -> tuple[tuple[int, ...], ...] | None:
+        """Twists of the line bundles L whose chi(E x L) are K-group
+        coordinates: 0..n on P^n, (i, j) with i <= a, j <= b on P^a x P^b
+        (j outer); None elsewhere."""
+        if self.kind == KIND_PROJ:
+            return tuple((j,) for j in range(self.dim + 1))
+        if self.factors is not None:
+            a, b = self.factors
+            return tuple((i, j) for j in range(b + 1) for i in range(a + 1))
+        return None
+
+    @property
     def spinor_signs(self) -> tuple[str | None, ...]:
         """Signs of the spinor bundles: S+ and S- on an even quadric, the
         one unsigned S on an odd quadric, none off the quadrics."""

@@ -6,6 +6,7 @@ checked against the cohomology tables wherever both exist.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from ulrich_kit import (
     quadric,
     rank1_surface,
     sheaf_table,
+    slope,
     twist_class,
     ulrich_chern_solve,
 )
@@ -145,6 +147,15 @@ class TestClassOf:
         with pytest.raises(MalformedDescriptor):
             class_of(desc, model)
 
+    def test_coordinates_are_exact(self):
+        k3 = rank1_surface(4, 0, 2)
+        c = NumClass(k3, 2, 3, 1)
+        assert type(c.e1) is Fraction and type(c.e2) is Fraction
+        assert isinstance(slope(c), Fraction) and slope(c) == Fraction(3, 2)
+        for e1, e2 in ((1.5, Fraction(0)), (Fraction(0), 0.5), (True, Fraction(0)), ("1", 0)):
+            with pytest.raises(MalformedDescriptor):
+                NumClass(k3, 1, e1, e2)
+
     def test_curve_classes_have_no_e2(self):
         e3 = elliptic_curve(3)
         c = class_of(SemistableEC(2, 5), e3)
@@ -155,26 +166,73 @@ class TestClassOf:
             NumClass(proj_space(2), 1, Fraction(0))
 
 
-line_sums_on_p1 = st.lists(
+line_sums = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=3
 )
+PRODUCTS = [product_proj(a, b) for a in range(1, 4) for b in range(1, 5 - a)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(left=line_sums_on_p1, right=line_sums_on_p1)
-def test_external_tensor_class_matches_its_expanded_sum(left, right):
-    p11 = product_proj(1, 1)
+@given(model=st.sampled_from(PRODUCTS), left=line_sums, right=line_sums)
+def test_external_tensor_class_matches_its_expanded_sum(model, left, right):
     L = direct_sum(*((line_bundle(a), m) for a, m in left))
     R = direct_sum(*((line_bundle(b), n) for b, n in right))
     expanded = direct_sum(
         *((LineBundle((a, b)), m * n) for a, m in left for b, n in right)
     )
-    assert class_of(ExternalTensor(L, R), p11) == class_of(expanded, p11)
+    assert class_of(ExternalTensor(L, R), model) == class_of(expanded, model)
 
 
-def test_external_tensor_class_needs_two_lines():
-    with pytest.raises(Indeterminate):
-        class_of(ExternalTensor(line_bundle(1), line_bundle(0)), product_proj(2, 1))
+def test_external_tensor_class_on_a_plane_times_a_line():
+    # H = H1 + H2 on P^2 x P^1: H^3 = 3, H1.H^2 = 2, H1^2.H = 1, and
+    # ch(O(1) x O) = 1 + H1 + H1^2/2
+    model = product_proj(2, 1)
+    c = class_of(ExternalTensor(line_bundle(1), line_bundle(0)), model)
+    assert (c.r, c.e1, c.e2) == (1, Fraction(2, 3), Fraction(1, 6))
+    assert c == class_of(LineBundle((1, 0)), model)
+
+
+def hilbert_coefficients(values: list[int]) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial of degree
+    len(values) - 1 through (t, values[t]) for t = 0, 1, ...: Newton's
+    forward differences, expanded."""
+    diffs, row = [], [Fraction(v) for v in values]
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs = [Fraction(0)] * len(values)
+    binomial = [Fraction(1)]  # C(t, k) = t (t-1) ... (t-k+1) / k!, constant first
+    for k, delta in enumerate(diffs):
+        for j, c in enumerate(binomial):
+            coeffs[j] += delta * c
+        # C(t, k+1) = C(t, k) (t - k) / (k + 1)
+        binomial = [(a - k * b) / (k + 1) for a, b in zip([0, *binomial], [*binomial, 0])]
+    return coeffs
+
+
+product_sheaves = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(LineBundle),
+    st.tuples(line_sums, line_sums).map(
+        lambda pair: ExternalTensor(
+            direct_sum(*((line_bundle(a), m) for a, m in pair[0])),
+            direct_sum(*((line_bundle(b), n) for b, n in pair[1])),
+        )
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(PRODUCTS), desc=product_sheaves)
+def test_product_e1_is_the_hilbert_polynomial_subleading_coefficient(model, desc):
+    # chi(E(t)) = r*deg*t^m/m! + (e1*deg - r*K.H^(m-1)/2) t^(m-1)/(m-1)! + ...
+    a, b = model.factors
+    m = model.dim
+    k_dot = -(a + 1) * comb(m - 1, a - 1) - (b + 1) * comb(m - 1, a)
+    table = sheaf_table(desc, model, (0, m))
+    coeffs = hilbert_coefficients([table.euler(t) for t in range(m + 1)])
+    c = class_of(desc, model)
+    assert coeffs[m] == Fraction(c.r * model.deg, factorial(m))
+    assert coeffs[m - 1] == (c.e1 * model.deg - Fraction(c.r * k_dot, 2)) / factorial(m - 1)
 
 
 class TestTwistAction:

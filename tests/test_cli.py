@@ -2,10 +2,14 @@
 determinism.  Every captured report is validated against the shipped
 JSON schema."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ulrich_kit
 import ulrich_kit.cli
@@ -631,3 +635,146 @@ class TestBoundaries:
             f"internal error: {defect.__name__}: simulated disagreement (at "
         )
         assert "Traceback" not in captured.out + captured.err
+
+
+# Generated command lines: mostly well-formed and matched to their model,
+# with small numbers so every call stays cheap; one draw in four at each
+# position is free text or a number out of range instead.
+def noisy(valid, noise):
+    return st.integers(1, 4).flatmap(lambda k: noise if k == 1 else valid)
+
+
+MODEL_SPECS = [
+    "pn:1", "pn:2", "pn:3", "quadric:2", "quadric:3", "quadric:4", "prod:1x1", "prod:1x2",
+    "prod:2x2", "surface:d=4,i=0,chi=2", "surface:d=3,i=-1,chi=1", "elliptic:3", "elliptic:5",
+]
+small = st.integers(-3, 6).map(str)
+spec_noise = st.one_of(
+    st.builds("pn:{}".format, small),
+    st.builds("prod:{}x{}".format, small, small),
+    st.builds("surface:d={},i={},chi={}".format, small, small, small),
+    st.text(max_size=12),
+)
+atom_noise = st.one_of(
+    st.builds("O({},{})".format, small, small),
+    st.builds("ss({},{},{})".format, small, small, st.sampled_from(["trivial", "x"])),
+    st.text(alphabet="OS()+-*,0123456789 st", max_size=8),
+)
+
+
+def sheaf_texts(spec):
+    """Sums of up to three atoms the model has, or noise."""
+    twist = st.integers(-4, 4)
+    if spec.startswith("prod"):
+        atoms = [st.builds("O({},{})".format, twist, twist)]
+    else:
+        atoms = [st.builds("O({})".format, twist)]
+    if spec.startswith("quadric"):
+        atoms.append(st.sampled_from(["S", "S+", "S-"]))
+    if spec.startswith("elliptic"):
+        bits = st.sampled_from(["", ",trivial", ",nontrivial"])
+        atoms.append(st.builds("ss({},{}{})".format, st.integers(1, 3), st.integers(-9, 9), bits))
+    atom = noisy(st.one_of(atoms), atom_noise)
+    parts = st.lists(st.tuples(st.sampled_from(["", "2*"]), atom), min_size=1, max_size=3)
+    return noisy(parts.map(lambda ps: "+".join(m + a for m, a in ps)), st.text(max_size=12))
+
+
+rational_texts = noisy(
+    st.one_of(small, st.builds("{}/{}".format, small, st.integers(1, 4)), st.sampled_from(["1.5", "-.25"])),
+    st.sampled_from(["1e3", "inf", "nan", "", "1/0", " 1 "]) | st.text(max_size=6),
+)
+window_texts = noisy(
+    st.builds("{}:{}".format, st.integers(-12, 0), st.integers(0, 12)),
+    st.builds("{}:{}".format, small, small) | st.text(max_size=8),
+)
+grid_texts = noisy(
+    st.builds(
+        "s={}..{}:{},t={}..{}:{}".format,
+        small, small, st.sampled_from(["1", "1/2", "2"]), small, small, st.sampled_from(["1", "1/3"]),
+    ),
+    st.builds("s={}..{}:{},t={}..{}:{}".format, *[rational_texts] * 6) | st.text(max_size=16),
+)
+surface_texts = noisy(
+    st.builds("d={},i={},chi={}".format, st.integers(1, 6), st.integers(-3, 2), st.integers(-1, 3)),
+    st.builds("d={},i={},chi={}".format, small, small, small) | st.text(max_size=10),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def object_files(spec):
+    """The bytes of an object file on the model, or noise."""
+    glue = st.fixed_dictionaries(
+        {"from": st.integers(-2, 2), "to": st.integers(-2, 2)},
+        optional={"nonzero": noisy(st.booleans(), json_values), "ext_degree": st.integers(1, 3)},
+    )
+    sheaves = st.dictionaries(st.integers(-2, 2).map(str), sheaf_texts(spec), max_size=3)
+    valid = st.builds(
+        lambda variety, sheaves, glue: json.dumps({"variety": variety, "sheaves": sheaves, "glue": glue}),
+        noisy(st.just(spec), json_values),
+        noisy(sheaves, json_values),
+        noisy(st.lists(glue, max_size=2), json_values),
+    )
+    noise = json_values.map(json.dumps) | st.text(max_size=20)
+    return noisy(valid, noise).map(str.encode) | st.binary(max_size=12)
+
+
+@st.composite
+def cli_calls(draw, object_path):
+    """argv for one subcommand, with the object file's bytes."""
+    command = draw(st.sampled_from(["table", "check", "gate", "scan", "charge", "chern-solve"]))
+    spec = draw(noisy(st.sampled_from(MODEL_SPECS), spec_noise))
+    argv = [command]
+
+    def option(flag, values, required=True):
+        if required or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+
+    object_arg = noisy(st.just(str(object_path)), st.just(str(object_path) + "-missing"))
+    if command in ("table", "gate"):
+        argv.append(f"--variety={spec}")
+    if command == "table":
+        option("--sheaf", sheaf_texts(spec))
+        option("--window", window_texts, required=False)
+    if command == "gate":
+        option("--bundles", st.lists(sheaf_texts(spec), max_size=4).map(";".join))
+    if command == "check":
+        option("--variety", st.just(spec), required=False)
+        option("--object", object_arg, required=False)
+        option("--sheaf", sheaf_texts(spec), required=False)
+        option("--mode", noisy(st.sampled_from(["direct", "sheafwise", "both"]), st.just("x")), required=False)
+        option("--window", window_texts, required=False)
+    if command == "scan":
+        option("--variety", st.just(spec), required=False)
+        option("--object", object_arg)
+        option("--grid", grid_texts)
+        option("--convention", noisy(st.sampled_from(["paper-literal", "normalized"]), st.just("x")), required=False)
+    if command in ("charge", "chern-solve"):
+        option("--surface", surface_texts)
+        option("--rank", noisy(st.integers(1, 4).map(str), small | st.text(max_size=3)))
+    if command == "charge":
+        option("--s", rational_texts)
+        option("--t", rational_texts)
+    return argv, draw(object_files(spec))
+
+
+@pytest.fixture(scope="module")
+def object_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "object.json"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_generated_command_lines_get_an_envelope_and_no_defect(object_path, data):
+    argv, object_bytes = data.draw(cli_calls(object_path))
+    object_path.write_bytes(object_bytes)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    jsonschema.validate(report, SCHEMA)
+    assert code in (0, 1, 2, 3), report["error"]  # exit 4 is a defect in the kit
+    assert "Traceback" not in out.getvalue() + err.getvalue()

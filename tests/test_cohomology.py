@@ -690,6 +690,27 @@ def test_tables_and_columns_match_the_per_twist_reference(case, data):
         assert sheaf_column(desc, model, s) == reference_column(desc, model, s), s
 
 
+SERRE_MODELS = (
+    [quadric(n) for n in range(2, 6)]
+    + [product_proj(a, b) for a in range(1, 4) for b in range(1, 5 - a)]
+    + [elliptic_curve(d) for d in range(3, 7)]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(SERRE_MODELS), data=st.data())
+def test_line_bundle_tables_satisfy_serre_duality(model, data):
+    # h^i(O(a)(t)) = h^(n-i)(O(K - a)(-t))
+    n, canonical = model.dim, model.canonical_twists
+    a = data.draw(st.tuples(*[st.integers(-6, 6)] * len(canonical)))
+    dual = LineBundle(tuple(k - x for k, x in zip(canonical, a)))
+    table = sheaf_table(LineBundle(a), model, (-4, 5))
+    mirror = sheaf_table(dual, model, (-5, 4))
+    for t in range(-4, 6):
+        for i in range(n + 1):
+            assert table.h(i, t) == mirror.h(n - i, -t), (i, t)
+
+
 def small_atoms(model):
     """Every line bundle with twists in -6..6, every spinor, and every
     semistable atom of rank 1..3 and degree -20..20 with its bit."""

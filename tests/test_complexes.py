@@ -20,6 +20,7 @@ from ulrich_kit import (
     format_sheaf,
     formal_complex,
     hyper_table,
+    is_ulrich_object,
     line_bundle,
     parse_sheaf,
     product_proj,
@@ -309,6 +310,53 @@ class TestRestriction:
         bottom = formal_complex(proj_space(1), {0: line_bundle(0)})
         with pytest.raises(UnsupportedModel):
             restrict_hyperplane(bottom)  # the chain bottoms out at the line
+
+
+RESTRICTABLE = [proj_space(n) for n in range(2, 5)] + [quadric(n) for n in range(3, 6)]
+
+
+@st.composite
+def restrictable_complexes(draw):
+    """Sums of line bundles, and of S on Q^3, in up to three degrees."""
+    model = draw(st.sampled_from(RESTRICTABLE))
+    atoms = st.integers(-4, 4).map(line_bundle)
+    if model == quadric(3):
+        atoms = atoms | st.just(Spinor(None))
+    sums = st.lists(st.tuples(atoms, st.integers(1, 3)), min_size=1, max_size=3)
+    sheaves = draw(st.dictionaries(st.integers(-2, 1), sums, min_size=1, max_size=3))
+    return formal_complex(model, {d: direct_sum(*parts) for d, parts in sheaves.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(E=restrictable_complexes())
+def test_euler_characteristic_is_additive_along_the_hyperplane_sequence(E):
+    # 0 -> E(-1) -> E -> E|_H -> 0 gives chi(E(t)) - chi(E(t-1)) = chi(E|_H(t))
+    whole = hyper_table(E, (-7, 6)).table
+    cut = hyper_table(restrict_hyperplane(E), (-6, 6)).table
+    for t in range(-6, 7):
+        assert whole.euler(t) - whole.euler(t - 1) == cut.euler(t), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from([proj_space(n) for n in range(2, 5)] + [quadric(3)]),
+    mults=st.dictionaries(st.integers(-2, 2), st.integers(1, 3), min_size=1, max_size=3),
+    extra=st.none() | st.integers(-2, 2),
+)
+def test_restriction_keeps_ulrich_objects_ulrich(model, mults, extra):
+    # shifted sums of the Ulrich unit (O on P^n, S on Q^3) are Ulrich; an
+    # extra O(k) in degree 0 usually is not.  The converse fails, so only
+    # this direction is tested.
+    unit = Spinor(None) if model.spinor_signs else line_bundle(0)
+    sheaves = {d: direct_sum((unit, m)) for d, m in mults.items()}
+    if extra is not None:
+        parts = [sheaves[0]] if 0 in sheaves else []
+        sheaves[0] = direct_sum(*parts, line_bundle(extra))
+    E = formal_complex(model, sheaves)
+    verdict = is_ulrich_object(E)
+    assert verdict.passed or extra is not None
+    if verdict.passed:
+        assert is_ulrich_object(restrict_hyperplane(E)).passed
 
 
 class TestPushforward:

@@ -80,7 +80,7 @@ class TestK0Class:
 
     def test_unsupported_models_are_indeterminate(self):
         with pytest.raises(Indeterminate):
-            k0_class(line_bundle(0, 0), product_proj(2, 2))
+            k0_class(line_bundle(0), quadric(3))
         surface = rank1_surface(4, 0, 2)
         for E in (formal_complex(surface, {}), formal_complex(surface, {0: line_bundle(0)})):
             with pytest.raises(Indeterminate):
@@ -164,6 +164,15 @@ class TestGeneratorGate:
         rulings = [LineBundle((1, 0)), LineBundle((0, 1))]
         gate = generator_gate(rulings, p11)
         assert (gate.rank, gate.needed) == (2, 4)
+
+    @pytest.mark.parametrize("factors", [(a, b) for a in range(1, 4) for b in range(1, 5 - a)])
+    def test_every_product_box_fills_its_lattice(self, factors):
+        model = product_proj(*factors)
+        box = [LineBundle(twists) for twists in model.k0_box]
+        assert generator_gate(box, model).verdict == "FullRank"
+        for drop in range(len(box)):
+            rest = box[:drop] + box[drop + 1:]
+            assert generator_gate(rest, model).verdict == f"DeficientRank{{{model.k0_rank - 1}}}"
 
     def test_complexes_count_through_their_classes(self):
         model = elliptic_curve(3)

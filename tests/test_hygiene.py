@@ -4,7 +4,8 @@ code in the package, every error class is named outside ``errors``,
 every exported function is called outside its own module, no module
 but ``variety`` re-decides a quadric or product fact from a literal
 dimension or factor shape, or writes out the Ulrich twists -1..-dim,
-and every kit name the benchmark's tracer looks up still exists.
+no float appears outside the one display phase, and every kit name the
+benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -158,9 +159,6 @@ ORACLE_LIMITS = {
         2, "odd decomposition needs the Q^3 spinor table; even decomposition"
         " reads the two rulings of P^1 x P^1"
     ),
-    ("generators.py", "k0_class"): (
-        1, "K-group coordinates are written for P^1 x P^1 among the products"
-    ),
 }
 
 
@@ -254,6 +252,44 @@ def test_ulrich_twists_are_read_from_the_model():
         and _reads_dimension(node.args[1])
     ]
     assert not found, f"hand-built Ulrich-twist ranges, read model.ulrich_twists: {found}"
+
+
+# The one place a float may appear: the phase of a charge, for display.
+FLOAT_HOME = ("bridgeland.py", "ChargeValue", "phase_display")
+
+
+def _float_sites(tree: ast.Module):
+    """Line of every float literal and every ``float(...)`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            yield node.lineno
+
+
+def test_no_float_outside_the_phase_display():
+    """Every number the kit computes is a Fraction or an int."""
+    name, cls, method = FLOAT_HOME
+    (home,) = [
+        func
+        for stmt in TREES[name].body
+        if isinstance(stmt, ast.ClassDef) and stmt.name == cls
+        for func in stmt.body
+        if isinstance(func, ast.FunctionDef) and func.name == method
+    ]
+    allowed = set(_float_sites(home))
+    assert allowed, f"{name} {cls}.{method} no longer needs a float; drop FLOAT_HOME"
+    found = [
+        f"{module}:{line}"
+        for module, tree in TREES.items()
+        for line in _float_sites(tree)
+        if not (module == name and line in allowed)
+    ]
+    assert not found, f"floats outside {cls}.{method}: {found}"
 
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"

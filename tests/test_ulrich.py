@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ulrich_kit import (
     AbstractSheaf,
     CohomologyTable,
+    DirectSum,
     ExternalTensor,
     FormalComplex,
     GlueWitness,
@@ -30,6 +31,7 @@ from ulrich_kit import (
     euler_char,
     ext_dimension,
     external_product,
+    format_sheaf,
     formal_complex,
     is_initialized,
     is_ulrich_object,
@@ -65,7 +67,13 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     ZeroExt,
 )
-from test_cohomology import ORACLE_MODELS, oracle_descriptors
+from test_cohomology import (
+    ORACLE_MODELS,
+    ambient_line_table,
+    convolve,
+    oracle_descriptors,
+    reference_column,
+)
 
 
 def scaled_entries(table: CohomologyTable, num: int, den: int) -> dict:
@@ -522,9 +530,20 @@ class TestExtDimension:
         assert ext_dimension(triv, SemistableEC(1, 3), 1, model) == 0
         assert ext_dimension(SemistableEC(1, 2, True), triv, 1, model) == 2
 
+    def test_trivial_type_source_of_degree_k_d_is_a_line_bundle(self):
+        # ss(1, 3k, trivial) is O(k) on elliptic:3, so Ext out of it reads
+        # the twisted column of the target, of any rank
+        model = elliptic_curve(3)
+        target = SemistableEC(2, 0, True)
+        assert sheaf_column(target, model, 0) == {0: 1, 1: 1}
+        for source in (line_bundle(0), SemistableEC(1, 0, True)):
+            assert ext_dimension(source, target, 0, model) == 1
+            assert ext_dimension(source, target, 1, model) == 1
+        assert ext_dimension(SemistableEC(1, 3, True), SemistableEC(2, 6, True), 0, model) == 1
+
     def test_elliptic_unknowns_are_refused(self):
         model = elliptic_curve(3)
-        with pytest.raises(UnknownSlopeZero):
+        with pytest.raises(UnknownSlopeZero, match=r"^ss\(1,0\): twisted degree zero"):
             ext_dimension(SemistableEC(1, 0, True), SemistableEC(1, 0), 0, model)
         with pytest.raises(NoDualRule):
             ext_dimension(SemistableEC(2, 0, True), SemistableEC(1, 1), 0, model)
@@ -737,3 +756,40 @@ def test_both_mode_is_the_direct_criterion_then_the_sheafwise_ones(model, data):
     both = is_ulrich_object(E, "both")
     assert both.criteria == direct.criteria + sheafwise.criteria
     assert both.passed == (both.witness() is None) == direct.passed
+
+
+def product_reference(desc, model, twists) -> dict[int, int]:
+    """h^i(desc x O(a, b)) on P^n1 x P^n2, each factor twisted by its own
+    component, from the per-twist reference."""
+    if isinstance(desc, DirectSum):
+        out = {}
+        for part, mult in desc.parts:
+            for i, h in product_reference(part, model, twists).items():
+                out[i] = out.get(i, 0) + mult * h
+        return out
+    (n1, n2), (a, b) = model.factors, twists
+    if isinstance(desc, LineBundle):
+        c, d = desc.twists
+        return convolve(ambient_line_table(n1, c + a), ambient_line_table(n2, d + b))
+    return convolve(
+        reference_column(desc.left, proj_space(n1), a),
+        reference_column(desc.right, proj_space(n2), b),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(ORACLE_MODELS), data=st.data())
+def test_ext_from_a_line_bundle_is_a_twisted_column(model, data):
+    # Ext^k(O(v), G) = H^k(G(-v)) on every family; stored tables and
+    # spinors take no off-diagonal twist, so products draw neither
+    product = model.kind == "prod"
+    width = 2 if product else 1
+    twists = data.draw(st.tuples(*[st.integers(-8, 8)] * width))
+    targets = oracle_descriptors(model, (-8, 8), opaque=not product)
+    if model.product_form_model is not None:  # read on P^1 x P^1, which has no stored tables
+        targets = targets.filter(lambda d: "abstract" not in format_sheaf(d))
+    G = data.draw(targets)
+    minus = tuple(-a for a in twists)
+    want = product_reference(G, model, minus) if product else reference_column(G, model, minus[0])
+    for k in range(model.dim + 1):
+        assert ext_dimension(LineBundle(twists), G, k, model) == want.get(k, 0), k

@@ -75,6 +75,13 @@ class TestFactories:
             if model.kind != "quadric":
                 assert model.spinor_signs == ()
 
+    def test_k0_box(self):
+        assert proj_space(2).k0_box == ((0,), (1,), (2,))
+        assert product_proj(1, 1).k0_box == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert product_proj(2, 1).k0_box == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
+        for model in (quadric(3), rank1_surface(4, 0, 2), elliptic_curve(3)):
+            assert model.k0_box is None
+
     def test_surface_record(self):
         k3 = rank1_surface(4, 0, 2)
         assert surface_data(k3) == (4, Fraction(0), 2)
