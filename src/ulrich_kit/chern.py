@@ -31,12 +31,12 @@ from .errors import (
 )
 from .sheaves import (
     AbstractSheaf,
-    DirectSum,
     ExternalTensor,
     LineBundle,
     SemistableEC,
     SheafDescriptor,
     Spinor,
+    flatten_atoms,
     format_sheaf,
     validate_descriptor,
 )
@@ -105,7 +105,9 @@ def class_of(obj, model: VarietyModel) -> NumClass:
             ),
         )
     validate_descriptor(obj, model)
-    return _class_of_descriptor(obj, model)
+    return _class_sum(
+        model, ((_class_of_atom(atom, model), mult) for atom, mult in flatten_atoms(obj))
+    )
 
 
 def _class_sum(model: VarietyModel, terms) -> NumClass:
@@ -120,8 +122,8 @@ def _class_sum(model: VarietyModel, terms) -> NumClass:
     return NumClass(model, r, e1, e2)
 
 
-def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass:
-    """``class_of`` on a descriptor ``class_of`` has already validated."""
+def _class_of_atom(desc: SheafDescriptor, model: VarietyModel) -> NumClass:
+    """The class of one atom of a descriptor ``class_of`` has validated."""
     if isinstance(desc, LineBundle) and model.kind == KIND_PRODUCT:
         desc = ExternalTensor(LineBundle(desc.twists[:1]), LineBundle(desc.twists[1:]))
     if isinstance(desc, LineBundle):
@@ -137,15 +139,9 @@ def _class_of_descriptor(desc: SheafDescriptor, model: VarietyModel) -> NumClass
         return NumClass(model, r, Fraction(r, 2), Fraction(0))
     if isinstance(desc, SemistableEC):
         return NumClass(model, desc.rank, Fraction(desc.degree, model.deg))
-    if isinstance(desc, DirectSum):
-        return _class_sum(
-            model,
-            ((_class_of_descriptor(part, model), mult) for part, mult in desc.parts),
-        )
     if isinstance(desc, ExternalTensor):
         left_model, right_model = model.factor_models
-        left = _class_of_descriptor(desc.left, left_model)
-        right = _class_of_descriptor(desc.right, right_model)
+        left, right = class_of(desc.left, left_model), class_of(desc.right, right_model)
         return _external_class(model, left, right)
     if isinstance(desc, AbstractSheaf):
         if desc.num_class is None:

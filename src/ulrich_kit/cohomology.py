@@ -1,8 +1,8 @@
 """Exact twisted-cohomology oracles for the supported models.
 
-A table is built one atom at a time: the family of each atom is decided
-once, and one rule fills the whole twist window.  A direct sum adds the
-entries of its parts times their multiplicities.  The rules:
+A table is built one atom at a time, the atoms of a sum as
+``sheaves.flatten_atoms`` reads them: the family of each atom is decided
+once, and one rule fills the whole twist window.  The rules:
 
 * Projective space (Bott): only h^0 and h^n are ever nonzero, with
   binomial values on the two ranges t >= -a and t <= -n-1-a of O(a).
@@ -38,12 +38,12 @@ from math import comb
 from .errors import MalformedDescriptor, NoOracle, UnknownSlopeZero
 from .sheaves import (
     AbstractSheaf,
-    DirectSum,
     ExternalTensor,
     LineBundle,
     SemistableEC,
     SheafDescriptor,
     Spinor,
+    flatten_atoms,
     format_sheaf,
     normalize_elliptic,
     product_form,
@@ -174,15 +174,20 @@ def _add_elliptic(
         out[key] = out.get(key, 0) + mult * (atom.degree + step * t)
 
 
+def _add_atoms(
+    desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, out: Entries
+) -> None:
+    """Add h^i(desc(t)) to out[(i, t)] for every lo <= t <= hi, the atoms
+    of a sum in order, each over the whole window."""
+    for atom, mult in flatten_atoms(desc):
+        _add_entries(atom, model, lo, hi, mult, out)
+
+
 def _add_entries(
     desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, mult: int, out: Entries
 ) -> None:
-    """Add mult * h^i(desc(t)) to out[(i, t)] for every lo <= t <= hi,
-    the parts of a sum in order, each over the whole window."""
-    if isinstance(desc, DirectSum):
-        for part, m in desc.parts:
-            _add_entries(part, model, lo, hi, mult * m, out)
-        return
+    """Add mult * h^i(desc(t)) to out[(i, t)] for every lo <= t <= hi, desc
+    one atom; an external tensor's factors go through ``_add_atoms``."""
     if isinstance(desc, AbstractSheaf):
         if desc.table is None:
             raise NoOracle(f"{format_sheaf(desc)} carries no table")
@@ -211,8 +216,8 @@ def _add_entries(
             return _add_kuenneth(left, right, mult, out)
         if isinstance(desc, ExternalTensor):
             left_model, right_model = model.factor_models
-            _add_entries(desc.left, left_model, lo, hi, 1, left)
-            _add_entries(desc.right, right_model, lo, hi, 1, right)
+            _add_atoms(desc.left, left_model, lo, hi, left)
+            _add_atoms(desc.right, right_model, lo, hi, right)
             return _add_kuenneth(left, right, mult, out)
     elif model.kind == KIND_ELLIPTIC:
         atom = normalize_elliptic(desc, model)
@@ -243,7 +248,7 @@ def ulrich_table(
 def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
     """The table builder on the one-twist window (t, t)."""
     out: Entries = {}
-    _add_entries(desc, model, t, t, 1, out)
+    _add_atoms(desc, model, t, t, out)
     return {i: h for (i, _), h in out.items() if h}
 
 
@@ -272,10 +277,10 @@ def sheaf_table(
 ) -> CohomologyTable:
     """Assembled table over the twist window (model default when omitted).
 
-    The parts of a sum, and the factors of an external tensor, are each
-    built over the whole window in order, so when several fail, the first
-    one raises its error, whatever twist the others fail at.  A window,
-    the default one included, spans at most MAX_TWISTS twists.
+    The atoms of a sum, and the factors of an external tensor, are each
+    built over the whole window in order ([A + B] x [C]: A, B, then C), so
+    when several fail, the first one raises its error, whatever twist the
+    others fail at.  Any window, the default too, spans at most MAX_TWISTS twists.
     """
     validate_descriptor(desc, model)
     if window is None:
@@ -287,5 +292,5 @@ def sheaf_table(
         )
     entries: Entries = {}
     if lo <= hi:  # the table refuses an empty window before any oracle runs
-        _add_entries(desc, model, lo, hi, 1, entries)
+        _add_atoms(desc, model, lo, hi, entries)
     return CohomologyTable(window=window, entries=entries)

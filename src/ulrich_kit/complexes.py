@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedProduct,
 )
 from .sheaves import (
-    DirectSum,
     ExternalTensor,
     LineBundle,
     SheafDescriptor,
@@ -336,30 +335,28 @@ def restrict_hyperplane(E: FormalComplex) -> FormalComplex:
 
     Line bundles restrict to line bundles with the same twist, and a
     spinor bundle to the sum of the spinor bundles of the hyperplane
-    quadric (Ottaviani 1988): S on Q^3 to S+ + S- on Q^2.  Sums come
-    back normalized, as ``direct_sum`` gives them.
+    quadric (Ottaviani 1988): S on Q^3 to S+ + S- on Q^2.  A sum restricts
+    atom by atom and comes back normalized, as ``direct_sum`` gives it.
     """
     target = hyperplane_model(E.model)
     sheaves = {
-        degree: _restrict_descriptor(desc, E.model, target)
+        degree: sheaf_direct_sum(
+            *((_restrict_atom(atom, E.model, target), m) for atom, m in flatten_atoms(desc))
+        )
         for degree, desc in E.sheaves
     }
     return formal_complex(target, sheaves, E.glue)
 
 
-def _restrict_descriptor(
-    desc: SheafDescriptor, model: VarietyModel, target: VarietyModel
+def _restrict_atom(
+    atom: SheafDescriptor, model: VarietyModel, target: VarietyModel
 ) -> SheafDescriptor:
-    if isinstance(desc, LineBundle):
-        return desc
-    if isinstance(desc, Spinor):
+    if isinstance(atom, LineBundle):
+        return atom
+    if isinstance(atom, Spinor):
         return sheaf_direct_sum(*(Spinor(sign) for sign in target.spinor_signs))
-    if isinstance(desc, DirectSum):
-        return sheaf_direct_sum(
-            *((_restrict_descriptor(part, model, target), m) for part, m in desc.parts)
-        )
     raise NoRestrictionRule(
-        f"no hyperplane rule for {format_sheaf(desc)} on {format_variety(model)}"
+        f"no hyperplane rule for {format_sheaf(atom)} on {format_variety(model)}"
     )
 
 

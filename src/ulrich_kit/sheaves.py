@@ -15,12 +15,17 @@ with ``m*``):
     ss(r,d)     semistable bundle of rank r and degree d on a genus-one
                 curve; ss(r,0,trivial) / ss(r,0,nontrivial) fixes the
                 degree-zero dichotomy bit
+
+Every oracle is additive over direct summands, so a sum is read in one
+place, :func:`flatten_atoms`, and every rule takes one atom.  An external
+tensor is one atom, its factors read through the same reader, left then
+right; it is not distributed over sums.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import (
@@ -94,20 +99,15 @@ def line_bundle(*twists: int) -> LineBundle:
 
 def direct_sum(*parts) -> SheafDescriptor:
     """Normalized direct sum; accepts descriptors or (descriptor, mult)."""
-    flat: list[tuple[SheafDescriptor, int]] = []
+    merged: dict[SheafDescriptor, int] = {}
     for part in parts:
         desc, mult = part if isinstance(part, tuple) else (part, 1)
         if mult < 0:
             raise MalformedDescriptor(f"negative multiplicity {mult}")
         if mult == 0:
             continue
-        if isinstance(desc, DirectSum):
-            flat.extend((inner, m * mult) for inner, m in desc.parts)
-        else:
-            flat.append((desc, mult))
-    merged: dict[SheafDescriptor, int] = {}
-    for desc, mult in flat:
-        merged[desc] = merged.get(desc, 0) + mult
+        for atom, m in flatten_atoms(desc):
+            merged[atom] = merged.get(atom, 0) + m * mult
     parts_out = tuple(merged.items())
     if not parts_out:
         raise MalformedDescriptor("empty direct sum")
@@ -117,17 +117,11 @@ def direct_sum(*parts) -> SheafDescriptor:
 
 
 def flatten_atoms(desc: SheafDescriptor) -> list[tuple[SheafDescriptor, int]]:
-    if isinstance(desc, DirectSum):
-        out: list[tuple[SheafDescriptor, int]] = []
-        for part, mult in desc.parts:
-            out.extend((atom, m * mult) for atom, m in flatten_atoms(part))
-        return out
-    return [(desc, 1)]
-
-
-def map_parts(desc: DirectSum, fn) -> DirectSum:
-    """The sum of fn(part) over the parts, multiplicities kept."""
-    return DirectSum(tuple((fn(part), mult) for part, mult in desc.parts))
+    """(atom, mult) pairs: nested sums flattened in order, multiplicities
+    multiplied; any other descriptor, an external tensor too, is one atom."""
+    if not isinstance(desc, DirectSum):
+        return [(desc, 1)]
+    return [(atom, m * mult) for part, mult in desc.parts for atom, m in flatten_atoms(part)]
 
 
 def twist_components(model: VarietyModel) -> int:
@@ -192,62 +186,62 @@ def validate_descriptor(desc: SheafDescriptor, model: VarietyModel) -> None:
 
 
 def rank_of(desc: SheafDescriptor, model: VarietyModel) -> int:
-    if isinstance(desc, LineBundle):
-        return 1
-    if isinstance(desc, Spinor):
-        return model.spinor_rank
-    if isinstance(desc, SemistableEC):
-        return desc.rank
-    if isinstance(desc, DirectSum):
-        return sum(mult * rank_of(part, model) for part, mult in desc.parts)
-    if isinstance(desc, ExternalTensor):
-        left, right = model.factor_models
-        return rank_of(desc.left, left) * rank_of(desc.right, right)
-    if isinstance(desc, AbstractSheaf):
-        return desc.rank
-    raise MalformedDescriptor(f"unknown descriptor {desc!r}")
+    total = 0
+    for atom, mult in flatten_atoms(desc):
+        if isinstance(atom, LineBundle):
+            rank = 1
+        elif isinstance(atom, Spinor):
+            rank = model.spinor_rank
+        elif isinstance(atom, (SemistableEC, AbstractSheaf)):
+            rank = atom.rank
+        elif isinstance(atom, ExternalTensor):
+            left, right = model.factor_models
+            rank = rank_of(atom.left, left) * rank_of(atom.right, right)
+        else:
+            raise MalformedDescriptor(f"unknown descriptor {atom!r}")
+        total += mult * rank
+    return total
 
 
-def normalize_elliptic(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
-    """Rewrite genus-one descriptors into semistable (rank, degree) form.
+def normalize_elliptic(atom: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
+    """Rewrite a genus-one atom into semistable (rank, degree) form.
 
     O(k) is the k-th power of the polarization, so it has degree k*d and
     trivial type at the degree-zero twist.
     """
-    if isinstance(desc, LineBundle):
-        return SemistableEC(rank=1, degree=desc.twists[0] * model.deg, trivial_type=True)
-    if isinstance(desc, DirectSum):
-        return map_parts(desc, lambda part: normalize_elliptic(part, model))
-    return desc
+    if isinstance(atom, LineBundle):
+        return SemistableEC(rank=1, degree=atom.twists[0] * model.deg, trivial_type=True)
+    return atom
 
 
 def tensor_line(
     desc: SheafDescriptor, shift: tuple[int, ...], model: VarietyModel
 ) -> SheafDescriptor:
-    """Tensor by the line bundle with the given twist vector."""
+    """Tensor by the line bundle with the given twist vector, atom by
+    atom; a sum comes back as the flat sum of the twisted atoms."""
     if len(shift) != twist_components(model):
         raise MalformedDescriptor(
             f"twist vector {shift} has wrong length for {format_variety(model)}"
         )
     if all(s == 0 for s in shift):
         return desc
-    if isinstance(desc, LineBundle):
-        return LineBundle(tuple(a + b for a, b in zip(desc.twists, shift)))
-    if isinstance(desc, SemistableEC):
-        return SemistableEC(
-            rank=desc.rank,
-            degree=desc.degree + desc.rank * shift[0] * model.deg,
-            trivial_type=desc.trivial_type,
-        )
+
+    def twisted(atom: SheafDescriptor) -> SheafDescriptor:
+        if isinstance(atom, LineBundle):
+            return LineBundle(tuple(a + b for a, b in zip(atom.twists, shift)))
+        if isinstance(atom, SemistableEC):
+            return replace(atom, degree=atom.degree + atom.rank * shift[0] * model.deg)
+        if isinstance(atom, ExternalTensor):
+            left, right = model.factor_models
+            return ExternalTensor(
+                tensor_line(atom.left, shift[:1], left),
+                tensor_line(atom.right, shift[1:], right),
+            )
+        raise NoDualRule(f"no line twist rule for {format_sheaf(atom)} on this model")
+
     if isinstance(desc, DirectSum):
-        return map_parts(desc, lambda part: tensor_line(part, shift, model))
-    if isinstance(desc, ExternalTensor):
-        left, right = model.factor_models
-        return ExternalTensor(
-            tensor_line(desc.left, shift[:1], left),
-            tensor_line(desc.right, shift[1:], right),
-        )
-    raise NoDualRule(f"no line twist rule for {format_sheaf(desc)} on this model")
+        return DirectSum(tuple((twisted(atom), mult) for atom, mult in flatten_atoms(desc)))
+    return twisted(desc)
 
 
 def product_form(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
@@ -256,16 +250,17 @@ def product_form(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
     O(1) = O(1,1)."""
     if model.product_form_model is None:
         raise MalformedDescriptor("product form applies to the quadric surface only")
-    if isinstance(desc, LineBundle):
-        k = desc.twists[0]
-        return LineBundle((k, k))
-    if isinstance(desc, Spinor):
-        return LineBundle((1, 0)) if desc.sign == "+" else LineBundle((0, 1))
+
+    def on_product(atom: SheafDescriptor) -> LineBundle:
+        if isinstance(atom, LineBundle):
+            return LineBundle(atom.twists * 2)
+        if isinstance(atom, Spinor):
+            return LineBundle((1, 0) if atom.sign == "+" else (0, 1))
+        raise MalformedDescriptor(f"{format_sheaf(atom)} has no quadric-surface product form")
+
     if isinstance(desc, DirectSum):
-        return map_parts(desc, lambda part: product_form(part, model))
-    raise MalformedDescriptor(
-        f"{format_sheaf(desc)} has no quadric-surface product form"
-    )
+        return DirectSum(tuple((on_product(atom), mult) for atom, mult in flatten_atoms(desc)))
+    return on_product(desc)
 
 
 def format_sheaf(desc: SheafDescriptor) -> str:

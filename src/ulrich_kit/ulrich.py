@@ -45,11 +45,11 @@ from .errors import (
 )
 from .sheaves import (
     AbstractSheaf,
-    DirectSum,
     ExternalTensor,
     LineBundle,
     SemistableEC,
     SheafDescriptor,
+    Spinor,
     flatten_atoms,
     format_sheaf,
     normalize_elliptic,
@@ -128,14 +128,15 @@ class InitializedReport:
 
 def _holds_abstract(desc: SheafDescriptor) -> bool:
     """Whether an abstract sheaf sits anywhere in desc, as a summand or
-    as a factor of an external tensor."""
-    if isinstance(desc, AbstractSheaf):
-        return True
-    if isinstance(desc, DirectSum):
-        return any(_holds_abstract(part) for part, _ in desc.parts)
-    if isinstance(desc, ExternalTensor):
-        return _holds_abstract(desc.left) or _holds_abstract(desc.right)
-    return False
+    in a factor of an external tensor."""
+    return any(
+        isinstance(atom, AbstractSheaf)
+        or (
+            isinstance(atom, ExternalTensor)
+            and (_holds_abstract(atom.left) or _holds_abstract(atom.right))
+        )
+        for atom, _ in flatten_atoms(desc)
+    )
 
 
 def is_initialized(desc: SheafDescriptor, model: VarietyModel) -> InitializedReport:
@@ -411,20 +412,17 @@ def ext_dimension(
     k: int,
     model: VarietyModel,
 ) -> int:
-    """dim Ext^k(F, G) computed as h^k of (dual of F) tensor G.
+    """dim Ext^k(F, G) computed as h^k of (dual of F) tensor G, summed
+    over the atoms of F.
 
-    F must have a dual rule: a line bundle (spinor line bundles on the
-    quadric surface count, through the product identification) or
-    rank-one semistable data on a genus-one curve.  Where both sides
-    are dualizable and the canonical twist is available, the value is
-    cross-checked against Serre duality.
+    Each atom of F needs a dual rule: a line bundle (O(a) x O(b) is
+    O(a, b); the spinor lines of the quadric surface count, on its product
+    form) or rank-one semistable data on a genus-one curve.  Where the
+    dual side has rules too, the value is cross-checked by Serre duality.
     """
     validate_descriptor(F, model)
     validate_descriptor(G, model)
-    on_product = model.product_form_model
-    if on_product is not None:
-        return ext_dimension(product_form(F, model), product_form(G, model), k, on_product)
-    value = _ext_primary(F, G, k, model)
+    value = sum(mult * _ext_primary(atom, G, k, model) for atom, mult in flatten_atoms(F))
     expected = _ext_serre_partner(F, G, k, model)
     if expected is not None and expected != value:
         raise OracleDefect(
@@ -436,16 +434,18 @@ def ext_dimension(
 
 
 def _ext_primary(F, G, k: int, model: VarietyModel) -> int:
-    if isinstance(F, DirectSum):
-        return sum(
-            mult * _ext_primary(atom, G, k, model) for atom, mult in flatten_atoms(F)
-        )
+    """Ext^k(F, G) out of one atom F."""
     if isinstance(F, SemistableEC):  # O(k) is ss(1, k*d, trivial), as normalize_elliptic reads it
         line = LineBundle((F.degree // model.deg,))
         if normalize_elliptic(line, model) == F:
             F = line
+    if isinstance(F, ExternalTensor) and {type(F.left), type(F.right)} == {LineBundle}:
+        F = LineBundle(F.left.twists + F.right.twists)
     if isinstance(F, LineBundle):
         return _twisted_column(G, model, tuple(-a for a in F.twists)).get(k, 0)
+    on_product = model.product_form_model if isinstance(F, Spinor) else None
+    if on_product is not None:
+        return _ext_primary(product_form(F, model), product_form(G, model), k, on_product)
     if model.kind == KIND_ELLIPTIC:
         return _ext_elliptic(F, G, k, model)
     raise NoDualRule(f"{format_sheaf(F)} has no dual rule here")
@@ -456,7 +456,8 @@ def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
     if not (isinstance(F, SemistableEC) and F.rank == 1):
         raise NoDualRule(f"{format_sheaf(F)} has no dual rule on a genus-one curve")
     total = 0
-    for atom, mult in flatten_atoms(normalize_elliptic(G, model)):
+    for atom, mult in flatten_atoms(G):
+        atom = normalize_elliptic(atom, model)
         if not isinstance(atom, SemistableEC):
             raise NoDualRule(f"{format_sheaf(atom)} has no genus-one oracle")
         # whether F^dual tensor atom is trivial, read only at degree zero
@@ -480,12 +481,17 @@ def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
 
 
 def _ext_serre_partner(F, G, k: int, model: VarietyModel) -> int | None:
+    """Ext^(n-k)(G, F x K), None where a rule is missing; on the quadric
+    surface it is read on the product form, where the spinor lines twist."""
     if model.canonical_twists is None:
         return None
     try:
+        on_product = model.product_form_model
+        if on_product is not None:
+            F, G, model = product_form(F, model), product_form(G, model), on_product
         twisted = tensor_line(F, model.canonical_twists, model)
-        return _ext_primary(G, twisted, model.dim - k, model)
-    except (NoDualRule, UnknownSlopeZero):
+        return sum(m * _ext_primary(a, twisted, model.dim - k, model) for a, m in flatten_atoms(G))
+    except (NoDualRule, UnknownSlopeZero, MalformedDescriptor):  # abstract: no product form
         return None
 
 

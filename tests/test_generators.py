@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ulrich_kit import (
     Collection,
+    ExternalTensor,
     LineBundle,
     SemistableEC,
     Spinor,
@@ -232,6 +233,14 @@ class TestCollections:
         with pytest.raises(MalformedDescriptor) as info:
             register_collection(backwards)
         assert str(info.value) == "backward map: Ext^0(O(0), O(1)) = 3"
+
+    def test_a_tensor_of_two_lines_is_refused_as_its_line_bundle(self):
+        # [O(-1)]x[O(0)] is O(-1,0): both spellings have the backward map
+        # Ext^0(O(-1,0), O(0,0)) = h^0(O(1,0)) = 2
+        p11 = product_proj(1, 1)
+        for spelling in (LineBundle((-1, 0)), ExternalTensor(line_bundle(-1), line_bundle(0))):
+            with pytest.raises(MalformedDescriptor, match=r"^backward map: Ext\^0\(.*\) = 2$"):
+                register_collection(Collection(p11, (LineBundle((0, 0)), spelling)))
 
     def test_register_accepts_orthogonal_pairs(self):
         model = elliptic_curve(3)

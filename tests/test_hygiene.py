@@ -4,7 +4,8 @@ code in the package, every error class is named outside ``errors``,
 every exported function is called outside its own module, no module
 but ``variety`` re-decides a quadric or product fact from a literal
 dimension or factor shape, or writes out the Ulrich twists -1..-dim,
-no float appears outside the one display phase, and every kit name the
+no float appears outside the one display phase, no module but
+``sheaves`` looks inside a direct sum, and every kit name the
 benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
@@ -290,6 +291,39 @@ def test_no_float_outside_the_phase_display():
         if not (module == name and line in allowed)
     ]
     assert not found, f"floats outside {cls}.{method}: {found}"
+
+
+def _sum_walks(tree: ast.Module):
+    """Line of every ``isinstance(..., DirectSum)`` test and every
+    ``.parts`` read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "parts":
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(
+                (isinstance(sub, ast.Name) and sub.id == "DirectSum")
+                or (isinstance(sub, ast.Attribute) and sub.attr == "DirectSum")
+                for sub in ast.walk(node.args[1])
+            )
+        ):
+            yield node.lineno
+
+
+def test_sums_are_walked_only_in_sheaves():
+    """Every oracle is additive over direct summands, so a sum is read in
+    one place: ``sheaves.flatten_atoms`` gives its atoms, and every rule
+    elsewhere takes one atom."""
+    found = [
+        f"{name}:{line}"
+        for name, tree in TREES.items()
+        if name != "sheaves.py"
+        for line in _sum_walks(tree)
+    ]
+    assert not found, f"sums walked outside sheaves.py, read flatten_atoms: {found}"
 
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"

@@ -31,7 +31,6 @@ from ulrich_kit import (
     euler_char,
     ext_dimension,
     external_product,
-    format_sheaf,
     formal_complex,
     is_initialized,
     is_ulrich_object,
@@ -518,6 +517,38 @@ class TestExtDimension:
         with pytest.raises(NoDualRule):
             ext_dimension(Spinor(None), line_bundle(0), 0, q3)
 
+    def test_a_tensor_of_two_line_bundles_is_its_line_bundle_as_a_source(self):
+        p12 = product_proj(1, 2)
+        targets = (
+            LineBundle((1, 2)),
+            ExternalTensor(direct_sum(line_bundle(0), line_bundle(-3)), line_bundle(1)),
+        )
+        for a, b in itertools.product(range(-2, 3), repeat=2):
+            tensor = ExternalTensor(line_bundle(a), line_bundle(b))
+            for G, k in itertools.product(targets, range(4)):
+                assert ext_dimension(tensor, G, k, p12) == ext_dimension(
+                    LineBundle((a, b)), G, k, p12
+                )
+
+    def test_a_line_bundle_source_reads_a_stored_table_on_the_quadric_surface(self):
+        q2 = quadric(2)
+        stored = AbstractSheaf(rank=1, table=sheaf_table(line_bundle(1), q2, (-8, 8)))
+        assert sheaf_column(stored, q2, 0) == {0: 4}
+        assert [ext_dimension(line_bundle(0), stored, k, q2) for k in range(3)] == [4, 0, 0]
+        with pytest.raises(MalformedDescriptor, match="has no quadric-surface product form"):
+            ext_dimension(Spinor("+"), stored, 0, q2)  # a ruling twist is off the diagonal
+        with pytest.raises(NoDualRule):
+            ext_dimension(stored, line_bundle(0), 0, q2)
+
+    def test_serre_partner_reads_spinor_lines_on_the_product_form(self):
+        from ulrich_kit.ulrich import _ext_serre_partner
+
+        q2 = quadric(2)
+        sheaves = [Spinor("+"), Spinor("-"), line_bundle(-1), direct_sum(line_bundle(0), Spinor("+"))]
+        for F, G in itertools.product(sheaves, repeat=2):
+            for k in range(3):
+                assert _ext_serre_partner(F, G, k, q2) == ext_dimension(F, G, k, q2), (F, G, k)
+
     def test_elliptic_hom_spaces(self):
         model = elliptic_curve(3)
         triv = SemistableEC(1, 0, True)
@@ -563,7 +594,8 @@ class TestExtDimension:
         assert ext_dimension(LineBundle((0, 0)), LineBundle((-2, -2)), 2, p11) == 1
 
     @pytest.mark.parametrize(
-        "spec", ["pn:3", "quadric:3", "quadric:4", "prod:1x1", "prod:1x2", "elliptic:4"]
+        "spec",
+        ["pn:3", "quadric:2", "quadric:3", "quadric:4", "prod:1x1", "prod:1x2", "elliptic:4"],
     )
     def test_serre_partner_runs_and_agrees_on_line_bundles(self, spec):
         from ulrich_kit.sheaves import twist_components
@@ -785,10 +817,7 @@ def test_ext_from_a_line_bundle_is_a_twisted_column(model, data):
     product = model.kind == "prod"
     width = 2 if product else 1
     twists = data.draw(st.tuples(*[st.integers(-8, 8)] * width))
-    targets = oracle_descriptors(model, (-8, 8), opaque=not product)
-    if model.product_form_model is not None:  # read on P^1 x P^1, which has no stored tables
-        targets = targets.filter(lambda d: "abstract" not in format_sheaf(d))
-    G = data.draw(targets)
+    G = data.draw(oracle_descriptors(model, (-8, 8), opaque=not product))
     minus = tuple(-a for a in twists)
     want = product_reference(G, model, minus) if product else reference_column(G, model, minus[0])
     for k in range(model.dim + 1):
