@@ -38,13 +38,6 @@ CONVENTIONS = ("paper-literal", "normalized")
 class _Infinite:
     """Slope of a torsion class; compares above every rational."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "infinite"
 
@@ -87,20 +80,16 @@ class ChargeValue:
         return (self.re, self.im)
 
     def phase_sector(self) -> str:
-        if self.im > 0:
-            return "upper-half"
-        if self.im < 0:
-            return "lower-half"
-        if self.re < 0:
-            return "negative-real"
-        if self.re > 0:
-            return "positive-real"
+        """Read off the signs of the numerators, im first."""
+        im, re = self.im.numerator, self.re.numerator
+        if im:
+            return "upper-half" if im > 0 else "lower-half"
+        if re:
+            return "positive-real" if re > 0 else "negative-real"
         return "zero"
 
     def phase_display(self) -> float:
-        """Phase as a multiple of pi in (-1, 1]; display only."""
-        if self.re == 0 and self.im == 0:
-            return 0.0
+        """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only."""
         return atan2(float(self.im), float(self.re)) / pi
 
 
@@ -291,46 +280,50 @@ def question_scan(
     answer.
 
     The class, the heart rule and the charge coefficients are built
-    once per call, the heart verdict and the s-part of the charge once
-    per distinct s, so a point costs two Fraction operations.
+    once per call.  Each distinct t is converted, checked, sorted and
+    squared into t^2*d*r/2 once; each distinct s is converted, and gets
+    its heart verdict and the s-part of the charge, once.  A point then
+    costs re_s + t^2*d*r/2, t*im_s and its row, and is placed among its
+    s's points by the integer rank of its t.
     """
     if not grid:
         raise EmptyGrid("scan needs at least one grid point")
-    ts = []
+    places: dict = {}  # each distinct raw t -> its place in ts
+    ts: list[Fraction] = []
+    point_places = []
     for _, t in grid:
-        t_q = Fraction(t)
-        if t_q <= 0:
-            raise NonpositiveT(f"grid t values must be positive, got {t}")
-        ts.append(t_q)
-    # sorted s keys, then each s's sorted t values: the (s, t) order
-    by_s: dict[Fraction, list[Fraction]] = {}
-    for (s, _), t in zip(grid, ts):
-        by_s.setdefault(Fraction(s), []).append(t)
+        place = places.get(t)
+        if place is None:
+            place = places[t] = len(ts)
+            ts.append(Fraction(t))
+            if ts[-1] <= 0:
+                raise NonpositiveT(f"grid t values must be positive, got {t}")
+        point_places.append(place)
+    order = sorted(range(len(ts)), key=ts.__getitem__)
+    rank = sorted(range(len(ts)), key=order.__getitem__)  # place -> rank
+    ts = [ts[place] for place in order]
+    # the t ranks of each raw s's points, then one group per value of s
+    by_raw_s: dict = {}
+    for (s, _), place in zip(grid, point_places):
+        by_raw_s.setdefault(s, []).append(rank[place])
+    by_s: dict[Fraction, list[int]] = {}
+    for s, ranks in by_raw_s.items():
+        by_s.setdefault(Fraction(s), []).extend(ranks)
     total = class_of(E, E.model)
     heart = _heart_rule(E, convention)
     at_s, half = _charge_in_s(total)
-    t_terms: dict[Fraction, Fraction] = {}  # t -> t^2*d*r/2
+    t_terms = [t * t * half for t in ts]  # t^2*d*r/2, by rank
     rows = []
     for s in sorted(by_s):
         verdict = heart(s)
         re_s, im_s = at_s(s)
-        for t in sorted(by_s[s]):
-            t_term = t_terms.get(t)
-            if t_term is None:
-                t_term = t_terms[t] = t * t * half
-            charge = ChargeValue(re_s + t_term, t * im_s)
-            rows.append(
-                ScanRow(
-                    s=s,
-                    t=t,
-                    best_shift=verdict.best_shift,
-                    heart_status=verdict.status,
-                    heart_reason=verdict.reason,
-                    re=charge.re,
-                    im=charge.im,
-                    im_zero=charge.im == 0,
-                    phase_sector=charge.phase_sector(),
-                    phase_display=charge.phase_display(),
-                )
-            )
+        for r in sorted(by_s[s]):
+            t = ts[r]
+            charge = ChargeValue(re_s + t_terms[r], t * im_s)
+            rows.append(ScanRow(
+                s=s, t=t, best_shift=verdict.best_shift, heart_status=verdict.status,
+                heart_reason=verdict.reason, re=charge.re, im=charge.im,
+                im_zero=charge.im.numerator == 0, phase_sector=charge.phase_sector(),
+                phase_display=charge.phase_display(),
+            ))
     return rows

@@ -439,8 +439,10 @@ def _ext_primary(F, G, k: int, model: VarietyModel) -> int:
         line = LineBundle((F.degree // model.deg,))
         if normalize_elliptic(line, model) == F:
             F = line
-    if isinstance(F, ExternalTensor) and {type(F.left), type(F.right)} == {LineBundle}:
-        F = LineBundle(F.left.twists + F.right.twists)
+    if isinstance(F, ExternalTensor):  # sums distribute, O(a) x O(b) is O(a,b)
+        parts = _external_tensor_atoms(F.left, F.right)
+        if parts != [(F, 1)]:  # else a tensor of two atoms, not both lines
+            return sum(m * _ext_primary(atom, G, k, model) for atom, m in parts)
     if isinstance(F, LineBundle):
         return _twisted_column(G, model, tuple(-a for a in F.twists)).get(k, 0)
     on_product = model.product_form_model if isinstance(F, Spinor) else None

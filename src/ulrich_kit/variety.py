@@ -99,7 +99,7 @@ class VarietyModel:
         """P^1 x P^1, which the quadric surface is, with O(1) = O(1,1);
         None for every other model."""
         if self.kind == KIND_QUADRIC and self.dim == 2:
-            return product_proj(1, 1)
+            return _P1_X_P1
         return None
 
 
@@ -219,6 +219,9 @@ MAX_DIM = 1_000
 def _check_dim(dim: int) -> None:
     if dim > MAX_DIM:
         raise MalformedModel(f"model dimension {dim} exceeds the cap of {MAX_DIM}")
+
+
+_P1_X_P1 = product_proj(1, 1)  # the quadric surface's product form
 
 
 def default_window(model: VarietyModel) -> tuple[int, int]:

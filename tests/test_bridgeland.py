@@ -326,6 +326,33 @@ class TestQuestionScan:
         rows = question_scan(E, [(mu, Fraction(1)), (mu + 1, Fraction(1))])
         assert rows[0].im_zero and not rows[1].im_zero
 
+    def test_rows_at_the_wall_cross_the_real_axis(self):
+        # class (2, 1, 5/2): mu = 1/2, where im = 0 and re = -9 + 4t^2
+        # changes sign at t = 3/2
+        total = NumClass(K3, 2, Fraction(1), Fraction(5, 2))
+        E = formal_complex(K3, {0: AbstractSheaf(rank=2, label="W", num_class=total)})
+        mu = slope(class_of(E, K3))
+        assert mu == Fraction(1, 2)
+        ts = (Fraction(1), Fraction(3, 2), Fraction(2))
+        rows = question_scan(E, [(mu, t) for t in reversed(ts)])
+        assert [row.t for row in rows] == list(ts)
+        for row in rows:
+            z = central_charge(total, row.s, row.t)
+            assert (row.re, row.im) == z.as_pair()
+            assert row.im_zero
+            assert (row.phase_sector, row.phase_display) == (z.phase_sector(), z.phase_display())
+        assert [row.phase_sector for row in rows] == ["negative-real", "zero", "positive-real"]
+        assert [row.phase_display for row in rows] == [1.0, 0.0, 0.0]
+
+    def test_equal_s_values_of_two_types_are_one_group(self):
+        E = self.glued()
+        grid = [(1, Fraction(2)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1, 2))]
+        rows = question_scan(E, grid)
+        assert [(row.s, row.t) for row in rows] == [
+            (0, 1), (1, Fraction(1, 2)), (1, 2),
+        ]
+        assert all(type(row.s) is Fraction for row in rows)
+
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
             question_scan(self.glued(), [])

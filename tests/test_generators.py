@@ -242,6 +242,14 @@ class TestCollections:
             with pytest.raises(MalformedDescriptor, match=r"^backward map: Ext\^0\(.*\) = 2$"):
                 register_collection(Collection(p11, (LineBundle((0, 0)), spelling)))
 
+    def test_a_tensor_of_a_sum_is_refused_for_its_backward_map(self):
+        # Ext^0([O(-1)+O(-2)]x[O(0)], O(0,0)) = h^0(O(1,0)) + h^0(O(2,0)) = 5
+        p11 = product_proj(1, 1)
+        tensor = ExternalTensor(direct_sum(line_bundle(-1), line_bundle(-2)), line_bundle(0))
+        with pytest.raises(MalformedDescriptor, match=r"^backward map: Ext\^0\(.*\) = 5$") as info:
+            register_collection(Collection(p11, (LineBundle((0, 0)), tensor)))
+        assert info.value.exit_code == 2
+
     def test_register_accepts_orthogonal_pairs(self):
         model = elliptic_curve(3)
         pair = Collection(

@@ -4,9 +4,9 @@ code in the package, every error class is named outside ``errors``,
 every exported function is called outside its own module, no module
 but ``variety`` re-decides a quadric or product fact from a literal
 dimension or factor shape, or writes out the Ulrich twists -1..-dim,
-no float appears outside the one display phase, no module but
-``sheaves`` looks inside a direct sum, and every kit name the
-benchmark's tracer looks up still exists.
+no float appears outside the one display phase, each phase sector is
+named once, no module but ``sheaves`` looks inside a direct sum, and
+every kit name the benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -291,6 +291,20 @@ def test_no_float_outside_the_phase_display():
         if not (module == name and line in allowed)
     ]
     assert not found, f"floats outside {cls}.{method}: {found}"
+
+
+PHASE_SECTORS = ("upper-half", "lower-half", "negative-real", "positive-real")
+
+
+def test_each_phase_sector_is_named_once():
+    """One sector rule, ``ChargeValue.phase_sector``, serves the charge
+    and every scan row; a second copy of it would name the sectors again."""
+    counts = dict.fromkeys(PHASE_SECTORS, 0)
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in counts:
+                counts[node.value] += 1
+    assert counts == dict.fromkeys(PHASE_SECTORS, 1)
 
 
 def _sum_walks(tree: ast.Module):

@@ -530,6 +530,19 @@ class TestExtDimension:
                     LineBundle((a, b)), G, k, p12
                 )
 
+    def test_a_tensor_of_a_sum_distributes_as_a_source(self):
+        p11 = product_proj(1, 1)
+        tensor = ExternalTensor(direct_sum(line_bundle(-1), line_bundle(-2)), line_bundle(0))
+        # Ext^0 = h^0(O(1,0)) + h^0(O(2,0)) = 2 + 3
+        assert ext_dimension(tensor, LineBundle((0, 0)), 0, p11) == 5
+        for k in range(3):
+            assert ext_dimension(tensor, LineBundle((1, -2)), k, p11) == sum(
+                ext_dimension(LineBundle((a, 0)), LineBundle((1, -2)), k, p11) for a in (-1, -2)
+            )
+        with_abstract = ExternalTensor(direct_sum(line_bundle(-1), AbstractSheaf(rank=1)), line_bundle(0))
+        with pytest.raises(NoDualRule, match=r"^\[abstract"):
+            ext_dimension(with_abstract, LineBundle((0, 0)), 0, p11)
+
     def test_a_line_bundle_source_reads_a_stored_table_on_the_quadric_surface(self):
         q2 = quadric(2)
         stored = AbstractSheaf(rank=1, table=sheaf_table(line_bundle(1), q2, (-8, 8)))

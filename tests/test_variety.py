@@ -68,6 +68,8 @@ class TestFactories:
         ]
         assert [quadric(n).spinor_rank for n in (2, 3, 4, 5, 6, 7)] == [1, 2, 2, 4, 4, 8]
         assert quadric(2).product_form_model == product_proj(1, 1)
+        # one model, built once, not one per read
+        assert quadric(2).product_form_model is quadric(2).product_form_model
         others = (proj_space(2), quadric(3), product_proj(1, 1), rank1_surface(4, 0, 2),
                   elliptic_curve(3))
         for model in others:
