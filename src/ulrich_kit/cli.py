@@ -141,11 +141,9 @@ def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
     # each axis on its own too: beside an empty axis the other still loops
     if max(s_count, t_count, s_count * t_count) > MAX_GRID_POINTS:
         raise ParseError(f"grid {text!r} holds more than {MAX_GRID_POINTS} points")
-    return [
-        (s_lo + i * s_step, t_lo + j * t_step)
-        for i in range(s_count)
-        for j in range(t_count)
-    ]
+    s_axis = [s_lo + i * s_step for i in range(s_count)]
+    t_axis = [t_lo + j * t_step for j in range(t_count)]
+    return [(s, t) for s in s_axis for t in t_axis]
 
 
 def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:

@@ -283,29 +283,28 @@ TWIST_RIGHT = "twist-right"
 def external_product(
     E: FormalComplex, F: FormalComplex, side: str = TWIST_RIGHT
 ) -> FormalComplex:
-    """Box product of complexes on two projective lines, one side twisted
-    by the dimension of the other factor.
-
-    The result lives on P^1 x P^1.  Degreewise, the cohomology sheaves
-    are the convolved external tensors; on curves both inputs split, so
-    no glue appears.
+    """Box product on P^a x P^b of complexes on P^a and P^b, one side
+    twisted by the dimension of the other factor: Ulrich factors give an
+    Ulrich product (Eisenbud-Schreyer 2003, Prop. 2.6).  Degreewise the
+    sheaves are the convolved external tensors, and a glue witness of
+    either factor glues the same degrees beside each degree of the other.
     """
     for part in (E, F):
-        if part.model.kind != KIND_PROJ or part.model.dim != 1:
+        if part.model.kind != KIND_PROJ:
             raise UnsupportedProduct(
-                "external products are implemented for projective-line factors"
+                "external products are implemented for projective-space factors"
             )
     if side not in (TWIST_LEFT, TWIST_RIGHT):
         raise MalformedDescriptor(f"unknown twist side {side!r}")
+    a, b = E.model.dim, F.model.dim
     left = {
-        d: tensor_line(desc, (1,), E.model) if side == TWIST_LEFT else desc
+        d: tensor_line(desc, (b,), E.model) if side == TWIST_LEFT else desc
         for d, desc in E.sheaves
     }
     right = {
-        d: tensor_line(desc, (1,), F.model) if side == TWIST_RIGHT else desc
+        d: tensor_line(desc, (a,), F.model) if side == TWIST_RIGHT else desc
         for d, desc in F.sheaves
     }
-    target = product_proj(1, 1)
     merged: dict[int, list] = {}
     for dl, descl in left.items():
         for dr, descr in right.items():
@@ -314,7 +313,11 @@ def external_product(
     sheaves = {
         degree: sheaf_direct_sum(*parts) for degree, parts in merged.items()
     }
-    return formal_complex(target, sheaves)
+    glue = tuple(
+        GlueWitness(w.from_degree + d, w.to_degree + d, w.nonzero)
+        for X, Y in ((E, F), (F, E)) for w in X.glue for d, _ in Y.sheaves
+    )
+    return formal_complex(product_proj(a, b), sheaves, glue)
 
 
 def _external_tensor_atoms(left: SheafDescriptor, right: SheafDescriptor):

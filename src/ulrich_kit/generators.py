@@ -1,11 +1,13 @@
 """Numerical K-group classes, the rank gate for classical generation,
 exceptional collections, and orthogonal membership.
 
-The gate implements a one-sided test: a generator's summand classes
-must span the full numerical K-lattice, so a deficient span certifies
-non-generation.  Membership of E in the right orthogonal of listed
-line-bundle members is the vanishing of all twisted hypercohomology
-against them, which the exact tables decide.
+The gate is one-sided: a generator's summand classes must span the
+numerical K-lattice, so a deficient span certifies non-generation and a
+full one asserts nothing.  As H^*(E(-j)) = Ext^*(O(j), E), E is Ulrich
+exactly when it lies in <O(1), ..., O(n)>^perp, read one column per
+member.  Where O(1..n) is exceptional it generates an admissible
+subcategory, so a deficient gate on it certifies a nonzero orthogonal,
+that is a nonzero Ulrich object (Bondal-Kapranov 1989).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd
 
 from .chern import class_of
 from .cohomology import _twisted_column
-from .complexes import FormalComplex, formal_complex, hyper_table
+from .complexes import FormalComplex, formal_complex
 from .errors import (
     Indeterminate,
     MalformedDescriptor,
@@ -40,7 +42,6 @@ from .variety import (
     KIND_PROJ,
     KIND_QUADRIC,
     VarietyModel,
-    default_window,
     format_variety,
 )
 
@@ -216,7 +217,7 @@ def register_collection(collection: Collection) -> Collection:
 
 @dataclass
 class MembershipVerdict:
-    witness: tuple[str, int, int, int] | None = None
+    witness: tuple[str, int, int | tuple[int, ...], int] | None = None
 
     @property
     def member_of_orthogonal(self) -> bool:
@@ -229,11 +230,11 @@ def orthogonal_membership(
     model: VarietyModel | None = None,
     window: tuple[int, int] | None = None,
 ) -> MembershipVerdict:
-    """Whether all Hom-spaces from every listed member to E vanish.
-
-    For a member O(j) the question is the vanishing of the whole
-    hypercohomology column of E at twist -j.  The first nonzero entry
-    found is returned as (member, degree, twist, value).
+    """Whether Hom^*(O(v), E) = H^*(E(-v)) vanishes for each listed
+    member O(v): the column at -v of each cohomology sheaf of E, shifted
+    by its degree.  No table is built, so ``window`` is not read.  The
+    first nonzero entry is the witness (member, degree, twist, value),
+    the twist the int -j on one-twist models and the vector -v on products.
     """
     if isinstance(members, Collection):
         model = members.model
@@ -244,25 +245,22 @@ def orthogonal_membership(
         E = formal_complex(model, {0: E})
     elif E.model != model:
         raise ModelMismatch("complex lives on a different model")
-    if window is None:
-        window = default_window(E.model)
-    member_twists = []
     for member in members:
-        if not (isinstance(member, LineBundle) and len(member.twists) == 1):
+        if not isinstance(member, LineBundle):
             raise MalformedDescriptor(
-                f"membership test needs single-twist line-bundle members,"
-                f" got {format_sheaf(member)}"
+                f"membership test needs line-bundle members, got {format_sheaf(member)}"
             )
-        member_twists.append((member, -member.twists[0]))
-    if member_twists:
-        lo = min(window[0], *(t for _, t in member_twists))
-        hi = max(window[1], *(t for _, t in member_twists))
-        window = (lo, hi)
-    hyper = hyper_table(E, window)
-    for member, twist in member_twists:
-        hit = hyper.table.first_nonzero((twist,))
-        if hit is not None:
-            return MembershipVerdict(witness=(format_sheaf(member),) + hit)
+        validate_descriptor(member, model)
+    for member in members:
+        twists = tuple(-v for v in member.twists)
+        column: dict[int, int] = {}
+        for degree, desc in E.sheaves:
+            for i, h in _twisted_column(desc, model, twists).items():
+                column[i + degree] = column.get(i + degree, 0) + h
+        if column:
+            k = min(column)
+            twist = twists if len(twists) > 1 else twists[0]
+            return MembershipVerdict(witness=(format_sheaf(member), k, twist, column[k]))
     return MembershipVerdict()
 
 

@@ -21,6 +21,7 @@ from ulrich_kit import (
     formal_complex,
     hyper_table,
     is_ulrich_object,
+    k0_class,
     line_bundle,
     parse_sheaf,
     product_proj,
@@ -33,7 +34,7 @@ from ulrich_kit import (
     shift,
     triangle_2of3,
 )
-from ulrich_kit.chern import class_or_none
+from ulrich_kit.chern import _external_class, class_of, class_or_none
 from ulrich_kit.complexes import (
     CERT_EXACT,
     CERT_EXACT_BY_VANISHING,
@@ -263,9 +264,20 @@ class TestExternalProduct:
         assert product.support() == [-1]
         assert product.sheaf_map()[-1] == LineBundle((0, 1))
 
+    def test_glue_of_a_factor_is_kept_beside_every_degree_of_the_other(self):
+        p2 = proj_space(2)
+        E = formal_complex(
+            p2, {0: line_bundle(0), -1: line_bundle(0)}, (GlueWitness(0, -1),)
+        )
+        F = formal_complex(proj_space(1), {0: line_bundle(0), 1: line_bundle(0)})
+        product = external_product(E, F)
+        assert product.model == product_proj(2, 1)
+        assert set(product.glue) == {GlueWitness(0, -1), GlueWitness(1, 0)}
+        assert hyper_table(product).overall == CERT_UPPER_BOUND_ONLY
+
     def test_factor_validation(self):
         good = self.line_complex(0)
-        bad = formal_complex(proj_space(2), {0: line_bundle(0)})
+        bad = formal_complex(quadric(2), {0: line_bundle(0)})
         with pytest.raises(UnsupportedProduct):
             external_product(good, bad)
         with pytest.raises(MalformedDescriptor):
@@ -462,3 +474,70 @@ def test_certificates_follow_the_per_twist_definition(top, below, glued, lo, wid
     for t in (lo - 1, lo + width + 1):
         with pytest.raises(IncompleteTable):
             result.certificate(t)
+
+
+PRODUCT_SHAPES = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2))
+# split complexes of line bundles on P^n as degree -> twists
+SPLIT_LINE_COMPLEXES = st.dictionaries(
+    keys=st.integers(min_value=-1, max_value=1),
+    values=st.lists(st.integers(min_value=-3, max_value=2), min_size=1, max_size=2),
+    min_size=1,
+    max_size=2,
+)
+# sums of shifted structure sheaves, the Ulrich objects on P^n: degree -> copies
+SHIFTED_UNITS = st.dictionaries(
+    keys=st.integers(min_value=-1, max_value=1),
+    values=st.integers(min_value=1, max_value=2),
+    min_size=1,
+    max_size=2,
+)
+
+
+def line_complex_on(n: int, twists_by_degree, shift_by: int = 0):
+    return formal_complex(
+        proj_space(n),
+        {
+            d: direct_sum(*(line_bundle(k + shift_by) for k in twists))
+            for d, twists in twists_by_degree.items()
+        },
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(PRODUCT_SHAPES), left=SHIFTED_UNITS, right=SHIFTED_UNITS)
+def test_ulrich_box_ulrich_is_ulrich_on_either_side(shape, left, right):
+    """E x F(dim X) is Ulrich on X x Y (Eisenbud-Schreyer 2003, Prop. 2.6)."""
+    a, b = shape
+    E = line_complex_on(a, {d: [0] * m for d, m in left.items()})
+    F = line_complex_on(b, {d: [0] * m for d, m in right.items()})
+    for side in (TWIST_LEFT, TWIST_RIGHT):
+        product = external_product(E, F, side)
+        assert product.model == product_proj(a, b)
+        assert is_ulrich_object(product, "both").passed, side
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(PRODUCT_SHAPES),
+    left=SPLIT_LINE_COMPLEXES,
+    right=SPLIT_LINE_COMPLEXES,
+    twist_right=st.booleans(),
+)
+def test_products_obey_kuenneth_on_k_coordinates_and_classes(shape, left, right, twist_right):
+    """chi((E x F)(i, j)) = chi(E(i)) chi(F(j)) over the product's k0_box,
+    and the class of E x F is the external class of the factor classes;
+    the twisted side enters as the factor twisted by the other dimension."""
+    a, b = shape
+    E, F = line_complex_on(a, left), line_complex_on(b, right)
+    product = external_product(E, F, TWIST_RIGHT if twist_right else TWIST_LEFT)
+    E_twisted = line_complex_on(a, left, 0 if twist_right else b)
+    F_twisted = line_complex_on(b, right, a if twist_right else 0)
+    model = product.model
+    E_table = hyper_table(E_twisted, (0, a + b)).table
+    F_table = hyper_table(F_twisted, (0, a + b)).table
+    expected = tuple(E_table.euler(i) * F_table.euler(j) for i, j in model.k0_box)
+    assert k0_class(product, model).coords == expected
+    assert class_of(product, model) == _external_class(
+        model, class_of(E_twisted, E_twisted.model), class_of(F_twisted, F_twisted.model)
+    )
+

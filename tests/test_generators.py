@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrich_kit import (
+    AbstractSheaf,
+    CohomologyTable,
     Collection,
     ExternalTensor,
     LineBundle,
@@ -41,6 +43,7 @@ from ulrich_kit.errors import (
     UnsupportedModel,
 )
 from ulrich_kit.sheaves import twist_components
+from ulrich_kit.variety import MAX_TWISTS
 
 
 class TestK0Class:
@@ -296,6 +299,35 @@ class TestOrthogonalMembership:
         assert (member, i, t) == ("O(12)", 2, -12)
         assert h == 55  # h^2(O(-12)) on the plane
 
+    def test_a_member_past_the_twist_cap_is_decided(self):
+        # only the member's own twist is read, so no window has to reach it
+        p2 = proj_space(2)
+        far = MAX_TWISTS + 10_000
+        verdict = orthogonal_membership(line_bundle(0), (line_bundle(far),), model=p2)
+        assert verdict.witness == (f"O({far})", 2, -far, (far - 1) * (far - 2) // 2)
+
+    def test_an_abstract_sheaf_known_only_at_the_ulrich_twists_is_decided(self):
+        surface = rank1_surface(4, 0, 2)
+        members = (line_bundle(1), line_bundle(2))
+        blank = AbstractSheaf(2, table=CohomologyTable(window=(-2, -1), entries={}))
+        assert orthogonal_membership(blank, members, model=surface).member_of_orthogonal
+        marked = AbstractSheaf(
+            2, table=CohomologyTable(window=(-2, -1), entries={(1, -2): 3})
+        )
+        verdict = orthogonal_membership(shift(formal_complex(surface, {0: marked}), 1),
+                                        members, model=surface)
+        assert verdict.witness == ("O(2)", 0, -2, 3)
+
+    def test_product_members_are_read_at_their_twist_vector(self):
+        p12 = product_proj(1, 2)
+        members = (LineBundle((1, 1)), LineBundle((2, 2)), LineBundle((3, 3)))
+        assert orthogonal_membership(LineBundle((0, 1)), members, model=p12).member_of_orthogonal
+        verdict = orthogonal_membership(LineBundle((0, 0)), members, model=p12)
+        # h^1(O(-3)) = 2 on the line times h^2(O(-3)) = 1 on the plane
+        assert verdict.witness == ("O(3,3)", 3, (-3, -3), 2)
+        with pytest.raises(MalformedDescriptor):
+            orthogonal_membership(LineBundle((0, 0)), (line_bundle(1),), model=p12)
+
     def test_a_complex_from_another_model_is_refused(self):
         # membership and K-classes refuse it alike, as class_of does
         E = formal_complex(proj_space(3), {0: line_bundle(0)})
@@ -322,31 +354,96 @@ class TestEllipticWitness:
             elliptic_witness(proj_space(1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=3),
-    k=st.integers(min_value=-2, max_value=2),
-    mults=st.dictionaries(
-        keys=st.integers(min_value=-2, max_value=2),
-        values=st.integers(min_value=1, max_value=2),
-        min_size=1,
-        max_size=2,
-    ),
+MEMBERSHIP_MODELS = (
+    "pn:1", "pn:2", "pn:3", "prod:1x1", "prod:1x2", "prod:2x1", "quadric:2",
+    "quadric:3", "elliptic:3", "elliptic:4", "elliptic:5", "elliptic:6",
 )
-def test_membership_matches_the_ulrich_verdict(n, k, mults):
-    """Vanishing against O(1)..O(n) is the Ulrich condition itself."""
-    model = proj_space(n)
-    E = formal_complex(
-        model,
-        {
-            degree: direct_sum((line_bundle(k), mult))
-            for degree, mult in mults.items()
-        },
+
+
+@st.composite
+def model_and_complex(draw):
+    """A model and a split complex of its oracle atoms, one atom with a
+    multiplicity per degree; curve sheaves carry their triviality bit."""
+    spec = draw(st.sampled_from(MEMBERSHIP_MODELS))
+    model = parse_variety(spec)
+    lines = st.tuples(
+        *[st.integers(min_value=-2, max_value=2)] * twist_components(model)
+    ).map(LineBundle)
+    if model.spinor_signs:
+        atoms = st.one_of(lines, st.sampled_from([Spinor(s) for s in model.spinor_signs]))
+    elif spec.startswith("elliptic"):
+        atoms = st.builds(
+            lambda r, off, bit: SemistableEC(r, r * model.deg + off, bit),
+            st.integers(min_value=1, max_value=2),
+            st.integers(min_value=-1, max_value=1),
+            st.booleans(),
+        )
+    else:
+        atoms = lines
+    mults = draw(
+        st.dictionaries(
+            keys=st.integers(min_value=-2, max_value=2),
+            values=st.tuples(atoms, st.integers(min_value=1, max_value=2)),
+            min_size=1,
+            max_size=2,
+        )
     )
-    members = tuple(line_bundle(j) for j in range(1, n + 1))
+    return model, formal_complex(
+        model, {degree: direct_sum(part) for degree, part in mults.items()}
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn=model_and_complex())
+def test_membership_matches_the_ulrich_verdict(drawn):
+    """Vanishing against O(1)..O(n) is the Ulrich condition itself."""
+    model, E = drawn
+    members = tuple(
+        LineBundle((-t,) * twist_components(model)) for t in model.ulrich_twists
+    )
     membership = orthogonal_membership(E, members, model=model)
     verdict = is_ulrich_object(E, "both")
     assert membership.member_of_orthogonal == verdict.passed
+
+
+@pytest.mark.parametrize(
+    "spec, rank_with_units",
+    [
+        ("pn:1", 2), ("pn:2", 3), ("pn:3", 4), ("pn:4", 5), ("prod:1x1", 4),
+        ("prod:1x2", 5), ("prod:2x1", 5), ("prod:1x3", 6), ("prod:3x1", 6),
+        ("prod:2x2", 6),
+    ],
+)
+def test_the_generator_argument_on_every_k0_box_model(spec, rank_with_units):
+    """Ulrich objects are the right orthogonal of <O(1), ..., O(n)>.
+
+    Where O(1..n) is exceptional its deficient gate certifies a nonzero
+    orthogonal; the Ulrich units (O on P^n; O(0, A) and O(B, 0) on
+    P^A x P^B, Eisenbud-Schreyer's E x F(dim X)) lie in it, and the
+    rank they add is pinned.
+    """
+    model = parse_variety(spec)
+    components = twist_components(model)
+    members = tuple(LineBundle((-t,) * components) for t in model.ulrich_twists)
+    n = model.dim
+    if spec == "prod:2x2":
+        # K = O(-3,-3), so Serre duality gives a backward map
+        with pytest.raises(MalformedDescriptor, match=r"Ext\^4\(O\(4,4\), O\(1,1\)\) = 1"):
+            register_collection(Collection(model, members))
+    else:
+        register_collection(Collection(model, members))
+    assert generator_gate(list(members), model).verdict == f"DeficientRank{{{n}}}"
+    if components == 1:
+        units = [line_bundle(0)]
+    else:
+        a, b = model.factors
+        units = [LineBundle((0, a)), LineBundle((b, 0))]
+    for unit in units:
+        assert orthogonal_membership(unit, members, model=model).member_of_orthogonal
+        assert is_ulrich_object(formal_complex(model, {0: unit}), "both").passed
+    gate = generator_gate(list(members) + units, model)
+    assert (gate.rank, gate.needed) == (rank_with_units, model.k0_rank)
+    assert gate.passed == (rank_with_units == model.k0_rank)
 
 
 @settings(max_examples=40, deadline=None)

@@ -368,3 +368,34 @@ def test_the_names_the_benchmark_tracer_wraps_resolve():
         if not callable(obj):
             missing.append(f"{module_name}.{attr}")
     assert traced and not missing, f"names the tracer wraps are gone: {missing}"
+
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+
+
+def test_the_calls_the_benchmark_workloads_make_bind():
+    """Every ``uk.<name>(...)`` call in the benchmark's workloads must bind
+    to the kit's signature by its positional count and keyword names, so
+    a dropped or renamed parameter fails here, not only in the benchmark.
+    A call with ``*args`` or ``**kwargs`` is checked by what it spells out."""
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "uk"
+    ]
+    unbound = []
+    for call in calls:
+        name = call.func.attr
+        args = [None for arg in call.args if not isinstance(arg, ast.Starred)]
+        kwargs = {kw.arg: None for kw in call.keywords if kw.arg is not None}
+        starred = len(args) < len(call.args) or len(kwargs) < len(call.keywords)
+        try:
+            signature = inspect.signature(getattr(ulrich_kit, name))
+            (signature.bind_partial if starred else signature.bind)(*args, **kwargs)
+        except (AttributeError, TypeError) as exc:
+            unbound.append(f"workloads.py:{call.lineno} uk.{name}: {exc}")
+    assert calls and not unbound, f"benchmark calls that no longer bind: {unbound}"
