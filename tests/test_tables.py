@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ulrich_kit.complexes import (
+    CERT_EXACT,
+    CERT_EXACT_BY_VANISHING,
+    CERT_UPPER_BOUND_ONLY,
+    HyperTableResult,
+)
 from ulrich_kit.errors import IncompleteTable
 from ulrich_kit.tables import CohomologyTable
 
@@ -86,3 +92,44 @@ def test_column_is_a_copy():
     table.column(0)[0] = 7
     assert table.column(0) == {0: 2, 1: 3}
     assert table.euler(0) == -1
+
+
+def test_first_nonzero_reads_the_lowest_degree_of_descending_insertions():
+    # a hyper sum adds the table of a sheaf in complex degree q at
+    # degree i + q, so degrees at one twist can arrive in descending order
+    table = CohomologyTable(window=(-1, 1), entries={(3, 0): 1, (2, 0): 4, (0, 0): 5, (2, 1): 6})
+    assert table.first_nonzero([0]) == (0, 0, 5)
+    assert table.first_nonzero([0], degrees={2, 3}) == (2, 0, 4)
+    assert table.first_nonzero([-1, 1, 0]) == (2, 1, 6)
+    assert list(table.column(0)) == [0, 2, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=st.tuples(st.integers(-4, 2), st.integers(0, 6)), data=st.data())
+def test_entries_keep_the_nonzero_values_inside_the_window(window, data):
+    lo, hi = window[0], window[0] + window[1]
+    given_entries = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(-3, 4), st.integers(lo - 2, hi + 2)),
+            st.integers(-3, 5),
+            max_size=20,
+        )
+    )
+    table = CohomologyTable(window=(lo, hi), entries=dict(given_entries))
+    assert table.entries == {
+        (i, t): h for (i, t), h in given_entries.items() if h != 0 and lo <= t <= hi
+    }
+    assert table == CohomologyTable((lo, hi), table.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), glued=st.booleans())
+def test_overall_certificate_agrees_with_a_scan_of_the_window(table, glued):
+    lo, hi = table.window
+    result = HyperTableResult(table=table, glued=glued)
+    nonzero = scan_first_nonzero(table, range(lo, hi + 1)) is not None
+    if not glued:
+        want = CERT_EXACT
+    else:
+        want = CERT_UPPER_BOUND_ONLY if nonzero else CERT_EXACT_BY_VANISHING
+    assert result.overall == want

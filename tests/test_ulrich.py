@@ -10,9 +10,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ulrich_kit.ulrich
 from ulrich_kit import (
     AbstractSheaf,
     CohomologyTable,
@@ -32,6 +33,7 @@ from ulrich_kit import (
     ext_dimension,
     external_product,
     formal_complex,
+    hyper_table,
     is_initialized,
     is_ulrich_object,
     is_ulrich_sheaf,
@@ -63,9 +65,11 @@ from ulrich_kit.errors import (
     NotUlrich,
     NotUlrichInput,
     OracleDefect,
+    UlrichKitError,
     UnknownSlopeZero,
     ZeroExt,
 )
+from ulrich_kit.cohomology import ulrich_table
 from test_cohomology import (
     ORACLE_MODELS,
     ambient_line_table,
@@ -322,6 +326,44 @@ class TestUlrichObject:
         # one for the object; the reconstruction is read off its column
         assert len(built) == 1
 
+    COUNT_CASES = [
+        ("pn:2", {0: "O(0)", -1: "2*O(0)"}),
+        ("pn:3", {0: "O(1)"}),
+        ("quadric:3", {0: "2*S", -2: "S"}),
+        ("quadric:2", {0: "S+ + S-", 1: "S-"}),
+        ("prod:1x1", {0: "O(1,0)", -1: "O(0,1)"}),
+    ]
+
+    @pytest.mark.parametrize("spec, sheaves", COUNT_CASES)
+    @pytest.mark.parametrize("widen", [0, 3])
+    def test_table_builds_are_one_per_sheaf_and_two_per_decomposition(
+        self, monkeypatch, spec, sheaves, widen
+    ):
+        # every CohomologyTable built is counted, whoever builds it; the
+        # window reaches the probe depth, so no probe table is needed
+        model = parse_variety(spec)
+        E = formal_complex(model, {d: parse_sheaf(s, model) for d, s in sheaves.items()})
+        lo, hi = default_window(model)
+        window = (lo - widen, hi + widen)
+        built = []
+        post_init = CohomologyTable.__post_init__
+
+        def counting(table):
+            built.append(table.window)
+            post_init(table)
+
+        monkeypatch.setattr(CohomologyTable, "__post_init__", counting)
+        for mode in ("direct", "sheafwise", "both"):
+            built.clear()
+            ulrich = is_ulrich_object(E, mode, window).passed
+            assert built == [window] * len(sheaves), mode
+        decompose = pn_decompose if model.kind == "pn" else quadric_decompose
+        if ulrich:
+            built.clear()
+            decompose(E, window)
+            # the sheaf tables, then the hyper table and the rebuild
+            assert built == [window] * (len(sheaves) + 2)
+
     @pytest.mark.parametrize("mode", ["direct", "sheafwise", "both"])
     def test_abstract_class_on_another_model_is_refused(self, mode):
         # a sheaf on the K3-type surface carrying a class that lives on P^2
@@ -482,6 +524,166 @@ class TestQuadricDecompose:
         assert is_ulrich_object(E, "both").passed
         with pytest.raises(NonDivisibleRank):
             quadric_decompose(E)
+
+
+def kit_outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the error the
+    kit raises, its two self-detected defects included."""
+    try:
+        return ("ok", fn(*args))
+    except (UlrichKitError, ModeDisagreement, OracleDefect) as err:
+        return (type(err), str(err))
+
+
+@st.composite
+def signed_tables(draw, window):
+    """An abstract sheaf whose stored table was given zero and negative
+    entries (the zeros are dropped as it is built)."""
+    lo, hi = window
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(-1, 3), st.integers(lo, hi)), st.integers(-3, 3), max_size=8
+        )
+    )
+    return AbstractSheaf(rank=1, label="signed", table=CohomologyTable(window, entries))
+
+
+def cancelling_partner(sheaf: AbstractSheaf) -> AbstractSheaf:
+    """Placed one complex degree above sheaf, a table whose hyper sum with
+    sheaf's is zero: each entry negated, one cohomological degree lower."""
+    table = sheaf.table
+    entries = {(i - 1, t): -h for (i, t), h in table.entries.items()}
+    return AbstractSheaf(rank=1, label="cancelling", table=CohomologyTable(table.window, entries))
+
+
+def glue_between(draw, sheaves) -> tuple:
+    return tuple(
+        GlueWitness(d, d - 1) for d in sorted(sheaves) if d - 1 in sheaves and draw(st.booleans())
+    )
+
+
+@st.composite
+def direct_cases(draw):
+    """A complex on any family, abstract surfaces included, with zero to
+    three cohomology sheaves, and a window that may be empty or miss an
+    Ulrich twist.  Stored tables hold signed entries, and some cancel
+    across degrees in the hyper sum."""
+    model = draw(st.sampled_from(ORACLE_MODELS + [rank1_surface(4, 0, 2)]))
+    n = model.dim
+    if draw(st.booleans()):
+        window = (draw(st.integers(-n - 8, -n)), draw(st.integers(-1, 8)))
+    else:
+        lo = draw(st.integers(-12, 1))
+        window = (lo, lo + draw(st.integers(-1, 14)))
+    cover = (min(window), max(window))  # stored tables need a window that is not empty
+    degrees = sorted(draw(st.sets(st.integers(-3, 2), min_size=1, max_size=3)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        degrees = []
+    sheaves = {}
+    for degree in degrees:
+        if draw(st.booleans()):
+            sheaves[degree] = draw(oracle_descriptors(model, cover))
+            continue
+        sheaves[degree] = draw(signed_tables(cover))
+        if degree + 1 not in degrees and draw(st.booleans()):
+            sheaves[degree + 1] = cancelling_partner(sheaves[degree])
+    return formal_complex(model, sheaves, glue_between(draw, sheaves)), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=direct_cases())
+@example(case=(formal_complex(proj_space(2), {}), (0, 3)))
+def test_the_direct_witness_is_the_hyper_tables(case):
+    # the direct criterion reads the sheaf tables at the Ulrich twists;
+    # it must find what the whole hyper table finds there, or raise the
+    # same error (an empty complex on (0, 3) misses twist -1)
+    E, window = case
+    twists = E.model.ulrich_twists
+    want = kit_outcome(lambda: hyper_table(E, window).table.first_nonzero(twists))
+    got = kit_outcome(lambda: is_ulrich_object(E, "direct", window).criteria[0])
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    criterion = got[1]
+    assert criterion.twists == twists
+    assert criterion.witness == want[1]
+    vanishing = E.has_glue() and want[1] is None
+    assert criterion.note == ("exact-by-vanishing" if vanishing else "")
+
+
+def reference_ulrich_hyper_table(E, window):
+    """The decomposers' table as the whole hyper table gives it."""
+    verdict = is_ulrich_object(E, "both", window)
+    if not verdict.passed:
+        raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
+    return hyper_table(E, window).table
+
+
+def reference_rebuilds(n, table):
+    """The rebuild compared column by column over the window."""
+    return ulrich_table(n, table.column(0), table.window).same_entries(table)
+
+
+DECOMPOSE_ATOMS = {  # Ulrich units first, each drawn more often than the rest
+    "pn:1": ("O(0)", "O(1)"),
+    "pn:2": ("O(0)", "O(-1)"),
+    "pn:3": ("O(0)", "O(1)"),
+    "quadric:3": ("S", "O(0)"),
+    "quadric:2": ("S+", "S-", "O(0)"),
+    "prod:1x1": ("O(1,0)", "O(0,1)", "O(0,0)"),
+}
+
+
+@st.composite
+def decompose_cases(draw):
+    """A complex that is mostly a sum of shifted Ulrich units, with some
+    non-Ulrich atoms, abstract copies of a unit's table (scaled, and some
+    with one entry off), external tensors on P^1 x P^1, and a window that
+    is the default one or a random one."""
+    spec = draw(st.sampled_from(sorted(DECOMPOSE_ATOMS)))
+    model = parse_variety(spec)
+    atoms = DECOMPOSE_ATOMS[spec]
+    window = default_window(model)
+    if draw(st.integers(0, 2)) == 0:
+        lo = draw(st.integers(-12, 0))
+        window = (lo, lo + draw(st.integers(0, 14)))
+    sheaves = {}
+    for degree in draw(st.sets(st.integers(-3, 2), min_size=1, max_size=3)):
+        kind = draw(st.sampled_from(("units", "units", "abstract", "tensor")))
+        if kind == "abstract":
+            unit = parse_sheaf(atoms[0], model)
+            entries = {k: 2 * h for k, h in sheaf_table(unit, model, window).entries.items()}
+            lo, hi = window
+            if draw(st.booleans()) and hi >= 1:  # a tail no pointwise criterion reads
+                key = (0, draw(st.integers(1, hi)))
+                entries[key] = entries.get(key, 0) + 1
+            elif draw(st.booleans()):
+                key = (draw(st.integers(0, model.dim)), draw(st.integers(lo, hi)))
+                entries[key] = entries.get(key, 0) + 1
+            table = CohomologyTable(window, entries)
+            sheaves[degree] = AbstractSheaf(rank=2, label="unit-like", table=table)
+        elif kind == "tensor" and spec == "prod:1x1":
+            left = direct_sum((line_bundle(1), draw(st.integers(1, 2))))
+            sheaves[degree] = ExternalTensor(left, line_bundle(draw(st.integers(0, 1))))
+        else:
+            weights = [atoms[0]] * 3 + list(atoms[1:])
+            parts = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=3))
+            sheaves[degree] = parse_sheaf("+".join(parts), model)
+    return formal_complex(model, sheaves, glue_between(draw, sheaves)), window
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decompose_cases())
+def test_decompositions_match_the_whole_hyper_table_reference(case):
+    E, window = case
+    for decompose in (pn_decompose, quadric_decompose):
+        got = kit_outcome(decompose, E, window)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ulrich_kit.ulrich, "_ulrich_hyper_table", reference_ulrich_hyper_table)
+            patch.setattr(ulrich_kit.ulrich, "_rebuilds", reference_rebuilds)
+            want = kit_outcome(decompose, E, window)
+        assert got == want, decompose.__name__
 
 
 class TestExtDimension:
