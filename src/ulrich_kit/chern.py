@@ -23,12 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import (
-    Indeterminate,
-    MalformedDescriptor,
-    ModelMismatch,
-    UnsupportedModel,
-)
+from .complexes import sheaves_of
+from .errors import Indeterminate, MalformedDescriptor, UnsupportedModel
 from .sheaves import (
     AbstractSheaf,
     ExternalTensor,
@@ -38,7 +34,6 @@ from .sheaves import (
     Spinor,
     flatten_atoms,
     format_sheaf,
-    validate_descriptor,
 )
 from .variety import (
     KIND_PRODUCT,
@@ -87,26 +82,16 @@ def _external_class(model: VarietyModel, left: NumClass, right: NumClass) -> Num
 
 
 def class_of(obj, model: VarietyModel) -> NumClass:
-    """Numerical class of a descriptor or formal complex.
-
-    For complexes the class is the alternating sum of the classes of the
-    cohomology sheaves.
-    """
-    from .complexes import FormalComplex  # late import, complexes sits above
-
-    if isinstance(obj, FormalComplex):
-        if obj.model != model:
-            raise ModelMismatch("complex lives on a different model")
-        return _class_sum(
-            model,
-            (
-                (class_of(desc, model), -1 if degree % 2 else 1)
-                for degree, desc in obj.sheaf_map().items()
-            ),
-        )
-    validate_descriptor(obj, model)
+    """Numerical class of a descriptor or formal complex: one walk over
+    the atoms of its cohomology sheaves, the multiplicity of an atom in
+    degree q signed by (-1)^q."""
     return _class_sum(
-        model, ((_class_of_atom(atom, model), mult) for atom, mult in flatten_atoms(obj))
+        model,
+        (
+            (_class_of_atom(atom, model), -mult if degree % 2 else mult)
+            for degree, desc in sheaves_of(obj, model)
+            for atom, mult in flatten_atoms(desc)
+        ),
     )
 
 

@@ -11,6 +11,13 @@ whose E2 terms the sheaf oracles produce.  Without glue the complex is
 split and the E2 sums are exact.  With glue the sums are upper bounds,
 except that an all-zero column certifies vanishing outright.
 
+A reader that takes a descriptor or a complex goes through
+``sheaves_of``: a descriptor is the one sheaf in degree 0, a complex its
+(degree, sheaf) pairs.  The E2 sum h^k = sum_q h^(k-q)(H^q) of their
+columns is ``e2_sum``, and ``hyper_column`` reads it at one twist:
+Hom^*(O(v), E) = H^*(E(-v)), so E is Ulrich exactly when it vanishes
+at O(1..n).
+
 Glue witnesses record a nonzero degree-two extension between adjacent
 cohomology sheaves (from degree i to degree i-1), the shape arising
 from two-term extensions on surfaces.  The extension degree is always
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .cohomology import sheaf_table, ulrich_table
+from .cohomology import _twisted_column, sheaf_table, ulrich_table
 from .errors import (
     IncompleteTable,
     MalformedDescriptor,
@@ -102,6 +109,36 @@ def formal_complex(
             raise MalformedDescriptor("glue endpoints must carry sheaves")
     ordered = tuple(sorted(sheaves.items()))
     return FormalComplex(model=model, sheaves=ordered, glue=tuple(glue))
+
+
+def sheaves_of(obj, model: VarietyModel) -> tuple[tuple[int, SheafDescriptor], ...]:
+    """The (degree, sheaf) pairs of a descriptor or formal complex on the
+    model, every sheaf validated: a descriptor is the one pair (0, obj)."""
+    if isinstance(obj, FormalComplex):
+        if obj.model != model:
+            raise ModelMismatch("complex lives on a different model")
+        pairs = obj.sheaves
+    else:
+        pairs = ((0, obj),)
+    for _, desc in pairs:
+        validate_descriptor(desc, model)
+    return pairs
+
+
+def e2_sum(columns) -> dict[int, int]:
+    """Nonzero sums h^k = sum_q h^(k-q) over (degree q, column) pairs.  A
+    zero sum is dropped: abstract tables may hold negative entries."""
+    sums: dict[int, int] = {}
+    for degree, column in columns:
+        for i, h in column.items():
+            sums[i + degree] = sums.get(i + degree, 0) + h
+    return {k: h for k, h in sums.items() if h}
+
+
+def hyper_column(pairs, model: VarietyModel, twists: tuple[int, ...]) -> dict[int, int]:
+    """Nonzero h^k(E x O(twists)) of the (degree, sheaf) pairs of E, as
+    ``sheaves_of`` gives them: the E2 sum of their twisted columns."""
+    return e2_sum((degree, _twisted_column(desc, model, twists)) for degree, desc in pairs)
 
 
 def shift(E: FormalComplex, k: int) -> FormalComplex:

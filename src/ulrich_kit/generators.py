@@ -17,12 +17,10 @@ from fractions import Fraction
 from math import gcd
 
 from .chern import class_of
-from .cohomology import _twisted_column
-from .complexes import FormalComplex, formal_complex
+from .complexes import hyper_column, sheaves_of
 from .errors import (
     Indeterminate,
     MalformedDescriptor,
-    ModelMismatch,
     NoDualRule,
     UnknownK0Rank,
     UnsupportedModel,
@@ -59,46 +57,24 @@ class K0Class:
     model: VarietyModel
     coords: tuple[Fraction, ...]
 
-    def __add__(self, other: "K0Class") -> "K0Class":
-        if other.model != self.model:
-            raise MalformedDescriptor("classes live on different models")
-        return K0Class(
-            self.model, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "K0Class":
-        return K0Class(self.model, tuple(-a for a in self.coords))
-
 
 def k0_class(obj, model: VarietyModel) -> K0Class:
-    """Class of a descriptor or formal complex in lattice coordinates.
-
-    Complexes contribute their cohomology sheaves with alternating
-    signs, so the class of E[1] is minus the class of E.
-    """
-    if isinstance(obj, FormalComplex):
-        if obj.model != model:
-            raise ModelMismatch("complex lives on a different model")
-        if model.k0_rank is None:  # no lattice to hold even the zero class
-            raise Indeterminate(
-                f"no K-group coordinates implemented for {format_variety(model)}"
-            )
-        total = K0Class(model, (Fraction(0),) * model.k0_rank)
-        for degree, desc in obj.sheaves:
-            part = k0_class(desc, model)
-            total = total + (-part if degree % 2 else part)
-        return total
-    validate_descriptor(obj, model)
-    box = model.k0_box
-    if box is not None:
-        columns = (_twisted_column(obj, model, twists) for twists in box)
-        return K0Class(model, tuple(Fraction(alternating_sum(c)) for c in columns))
+    """Class of a descriptor or formal complex in lattice coordinates:
+    chi(E x L) for L in ``model.k0_box``, the alternating sum of the
+    hyper column there, or (rank, degree) from ``class_of`` on a
+    genus-one curve.  A cohomology sheaf in degree q counts with sign
+    (-1)^q, so the class of E[1] is minus the class of E."""
     if model.kind == KIND_ELLIPTIC:
         cls = class_of(obj, model)
         return K0Class(model, (Fraction(cls.r), cls.e1 * model.deg))
-    raise Indeterminate(
-        f"no K-group coordinates implemented for {format_variety(model)}"
-    )
+    pairs = sheaves_of(obj, model)
+    box = model.k0_box
+    if box is None:
+        raise Indeterminate(
+            f"no K-group coordinates implemented for {format_variety(model)}"
+        )
+    columns = (hyper_column(pairs, model, twists) for twists in box)
+    return K0Class(model, tuple(Fraction(alternating_sum(c)) for c in columns))
 
 
 def lattice_rank(vectors: list[tuple[Fraction, ...]]) -> int:
@@ -231,20 +207,18 @@ def orthogonal_membership(
     window: tuple[int, int] | None = None,
 ) -> MembershipVerdict:
     """Whether Hom^*(O(v), E) = H^*(E(-v)) vanishes for each listed
-    member O(v): the column at -v of each cohomology sheaf of E, shifted
-    by its degree.  No table is built, so ``window`` is not read.  The
-    first nonzero entry is the witness (member, degree, twist, value),
-    the twist the int -j on one-twist models and the vector -v on products.
+    member O(v): ``hyper_column`` of E at -v, zero sums dropped, so on
+    O(1..n) this is the direct Ulrich criterion.  No table is built, so
+    ``window`` is not read.  The first nonzero entry is the witness
+    (member, degree, twist, value), the twist the int -j on one-twist
+    models and the vector -v on products.
     """
     if isinstance(members, Collection):
         model = members.model
         members = members.members
     if model is None:
         raise MalformedDescriptor("membership test needs a model")
-    if not isinstance(E, FormalComplex):
-        E = formal_complex(model, {0: E})
-    elif E.model != model:
-        raise ModelMismatch("complex lives on a different model")
+    pairs = sheaves_of(E, model)
     for member in members:
         if not isinstance(member, LineBundle):
             raise MalformedDescriptor(
@@ -253,10 +227,7 @@ def orthogonal_membership(
         validate_descriptor(member, model)
     for member in members:
         twists = tuple(-v for v in member.twists)
-        column: dict[int, int] = {}
-        for degree, desc in E.sheaves:
-            for i, h in _twisted_column(desc, model, twists).items():
-                column[i + degree] = column.get(i + degree, 0) + h
+        column = hyper_column(pairs, model, twists)
         if column:
             k = min(column)
             twist = twists if len(twists) > 1 else twists[0]

@@ -27,6 +27,7 @@ from .complexes import (
     _hyper_from_tables,
     _rebuilds,
     _unit_multiples,
+    e2_sum,
     formal_complex,
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
 )
@@ -309,22 +310,17 @@ def _hyper_witness(
     tables: dict[int, CohomologyTable],
 ) -> tuple[int, int, int] | None:
     """``first_nonzero`` of the hyper table of the sheaf tables (keyed by
-    degree, over the window) at the given twists, read off their columns
-    there.  A degree whose sum is 0 is dropped: abstract tables may hold
-    negative entries."""
+    degree, over the window) at the given twists: the ``e2_sum`` of their
+    columns there."""
     lo, hi = window
     if lo > hi:  # as the hyper table refuses it, sheaves or none
         raise IncompleteTable(f"empty window {window}")
     for t in twists:
         if not lo <= t <= hi:
             raise outside_window(t, window)
-        sums: dict[int, int] = {}
-        for degree, table in tables.items():
-            for i, h in table.column(t).items():
-                sums[i + degree] = sums.get(i + degree, 0) + h
-        nonzero = [i for i, h in sums.items() if h]
-        if nonzero:
-            i = min(nonzero)
+        sums = e2_sum((degree, table.column(t)) for degree, table in tables.items())
+        if sums:
+            i = min(sums)
             return (i, t, sums[i])
     return None
 

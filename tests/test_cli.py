@@ -127,6 +127,12 @@ class TestCheck:
         assert code == 1
         assert report["verdict"] == "fail"
 
+    def test_a_model_without_an_object_is_exit_two(self, capsys):
+        code, report = run_json(capsys, "check", "--variety", "pn:2")
+        assert code == 2
+        assert report["error"] == "check needs --object or --sheaf"
+        assert report["payload"] is None
+
     def test_object_file_with_glue(self, capsys, tmp_path):
         payload = {
             "variety": "pn:2",
@@ -402,6 +408,15 @@ class TestScan:
                 capsys, "scan", "--object", str(path), "--grid", grid
             )
             assert code == 2, grid
+
+    def test_a_range_without_dots_names_itself(self, capsys, tmp_path):
+        path = self.write_object(tmp_path)
+        code, report = run_json(
+            capsys, "scan", "--object", str(path), "--grid", "s=0:1,t=1..2"
+        )
+        assert code == 2
+        assert report["error"] == "grid range needs lo..hi, got '0:1'"
+        assert report["payload"] is None
 
 
 class TestDemo:

@@ -12,10 +12,13 @@ from ulrich_kit import (
     CohomologyTable,
     Collection,
     ExternalTensor,
+    FormalComplex,
     LineBundle,
+    NumClass,
     SemistableEC,
     Spinor,
     beilinson_collection,
+    class_of,
     direct_sum,
     elliptic_curve,
     elliptic_witness,
@@ -44,6 +47,7 @@ from ulrich_kit.errors import (
 )
 from ulrich_kit.sheaves import twist_components
 from ulrich_kit.variety import MAX_TWISTS
+from test_cohomology import ORACLE_MODELS, oracle_descriptors
 
 
 class TestK0Class:
@@ -74,17 +78,12 @@ class TestK0Class:
         single = formal_complex(model, {0: line_bundle(1)})
         assert k0_class(shift(single, 1), model).coords == (-1, -3)
 
-    def test_operators(self):
-        p2 = proj_space(2)
-        a = k0_class(line_bundle(0), p2)
-        b = k0_class(line_bundle(1), p2)
-        total = a + b
-        assert total.coords == (4, 9, 16)
-        assert (-a).coords == (-1, -3, -6)
-
     def test_unsupported_models_are_indeterminate(self):
-        with pytest.raises(Indeterminate):
-            k0_class(line_bundle(0), quadric(3))
+        # the empty complex too: no lattice holds even the zero class
+        q3 = quadric(3)
+        for obj in (line_bundle(0), formal_complex(q3, {})):
+            with pytest.raises(Indeterminate):
+                k0_class(obj, q3)
         surface = rank1_surface(4, 0, 2)
         for E in (formal_complex(surface, {}), formal_complex(surface, {0: line_bundle(0)})):
             with pytest.raises(Indeterminate):
@@ -329,12 +328,26 @@ class TestOrthogonalMembership:
             orthogonal_membership(LineBundle((0, 0)), (line_bundle(1),), model=p12)
 
     def test_a_complex_from_another_model_is_refused(self):
-        # membership and K-classes refuse it alike, as class_of does
+        # membership, K-classes and numerical classes refuse it alike
         E = formal_complex(proj_space(3), {0: line_bundle(0)})
         with pytest.raises(ModelMismatch):
             orthogonal_membership(E, beilinson_collection(proj_space(2)))
         with pytest.raises(ModelMismatch):
             k0_class(E, proj_space(2))
+        with pytest.raises(ModelMismatch):
+            class_of(E, proj_space(2))
+
+    def test_a_hand_built_complex_is_validated(self):
+        # built without formal_complex, so no check ran on its sheaf
+        p2 = proj_space(2)
+        E = FormalComplex(p2, ((0, LineBundle((1, 2))),))
+        for read in (
+            lambda: orthogonal_membership(E, (line_bundle(1),), model=p2),
+            lambda: k0_class(E, p2),
+            lambda: class_of(E, p2),
+        ):
+            with pytest.raises(MalformedDescriptor):
+                read()
 
     def test_model_is_required_for_bare_members(self):
         with pytest.raises(MalformedDescriptor):
@@ -404,6 +417,54 @@ def test_membership_matches_the_ulrich_verdict(drawn):
     membership = orthogonal_membership(E, members, model=model)
     verdict = is_ulrich_object(E, "both")
     assert membership.member_of_orthogonal == verdict.passed
+
+
+CLASS_MODELS = ORACLE_MODELS + [rank1_surface(4, 0, 2)]
+
+
+@st.composite
+def classed_complexes(draw):
+    """A complex of sheaves that have a class rule, on any family: oracle
+    atoms and sums without a stored table, spinors on the quadrics that
+    have them, and on the abstract surface sheaves carrying a class."""
+    model = draw(st.sampled_from(CLASS_MODELS))
+    if model.kind == "surface":
+        sheaf = st.builds(
+            lambda r, e1, e2: AbstractSheaf(r, num_class=NumClass(model, r, e1, e2)),
+            st.integers(1, 3), st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4),
+        )
+    else:
+        sheaf = oracle_descriptors(model, (-3, 3), opaque=False)
+        if model.spinor_signs and model.dim in (2, 3):
+            sheaf = st.one_of(sheaf, st.sampled_from([Spinor(s) for s in model.spinor_signs]))
+    sheaves = draw(st.dictionaries(st.integers(-3, 3), sheaf, max_size=3))
+    return model, formal_complex(model, sheaves)
+
+
+def signed_total(parts: list, degrees: list[int], width: int) -> tuple:
+    """sum_q (-1)^q of the coordinate tuples of the degree-q parts."""
+    total = [Fraction(0)] * width
+    for q, coords in zip(degrees, parts):
+        for k, x in enumerate(coords):
+            total[k] += -x if q % 2 else x
+    return tuple(total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=classed_complexes())
+def test_classes_of_a_complex_alternate_over_its_sheaves(drawn):
+    model, E = drawn
+    degrees = [q for q, _ in E.sheaves]
+    classes = [class_of(desc, model) for _, desc in E.sheaves]
+    got = class_of(E, model)
+    want = signed_total([(c.r, c.e1, c.e2 or 0) for c in classes], degrees, 3)
+    assert (got.r, got.e1, got.e2 or 0) == want
+    if model.k0_box is None and model.kind != "elliptic":
+        with pytest.raises(Indeterminate):
+            k0_class(E, model)
+        return
+    parts = [k0_class(desc, model).coords for _, desc in E.sheaves]
+    assert k0_class(E, model).coords == signed_total(parts, degrees, model.k0_rank)
 
 
 @pytest.mark.parametrize(

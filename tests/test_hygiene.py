@@ -5,8 +5,10 @@ every exported function is called outside its own module, no module
 but ``variety`` re-decides a quadric or product fact from a literal
 dimension or factor shape, or writes out the Ulrich twists -1..-dim,
 no float appears outside the one display phase, each phase sector is
-named once, no module but ``sheaves`` looks inside a direct sum, and
-every kit name the benchmark's tracer looks up still exists.
+named once, no module but ``sheaves`` looks inside a direct sum, no
+module but ``complexes`` decides "sheaf or complex" or shifts a sum by
+a complex degree, and every kit name the benchmark's tracer looks up
+still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -338,6 +340,40 @@ def test_sums_are_walked_only_in_sheaves():
         for line in _sum_walks(tree)
     ]
     assert not found, f"sums walked outside sheaves.py, read flatten_atoms: {found}"
+
+
+def _object_readings(tree: ast.Module):
+    """Line of every ``isinstance(..., FormalComplex)`` test and every
+    sum shifted by a complex degree (``i + degree``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            if any(isinstance(side, ast.Name) and side.id == "degree"
+                   for side in (node.left, node.right)):
+                yield node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(
+                isinstance(sub, ast.Name) and sub.id == "FormalComplex"
+                for sub in ast.walk(node.args[1])
+            )
+        ):
+            yield node.lineno
+
+
+def test_objects_are_read_only_in_complexes():
+    """A descriptor or a complex is read in one place: ``complexes.sheaves_of``
+    gives its (degree, sheaf) pairs and ``complexes.e2_sum`` shifts their
+    columns by degree, so no other module decides "sheaf or complex"."""
+    found = [
+        f"{name}:{line}"
+        for name, tree in TREES.items()
+        if name != "complexes.py"
+        for line in _object_readings(tree)
+    ]
+    assert not found, f"objects read outside complexes.py, use sheaves_of/e2_sum: {found}"
 
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ulrich_kit.ulrich
@@ -38,6 +38,7 @@ from ulrich_kit import (
     is_ulrich_object,
     is_ulrich_sheaf,
     line_bundle,
+    orthogonal_membership,
     parse_sheaf,
     parse_variety,
     pn_decompose,
@@ -612,6 +613,53 @@ def test_the_direct_witness_is_the_hyper_tables(case):
     assert criterion.note == ("exact-by-vanishing" if vanishing else "")
 
 
+def covers_the_ulrich_twists(case) -> bool:
+    E, (lo, hi) = case
+    return lo <= -E.model.dim and -1 <= hi
+
+
+def membership_witness(E):
+    """``orthogonal_membership`` against O(1..n), diagonal on products,
+    its witness read as the direct criterion's (degree, twist, value)."""
+    width = len(E.model.factors or (0,))
+    members = [LineBundle((-t,) * width) for t in E.model.ulrich_twists]
+    witness = orthogonal_membership(E, members, E.model).witness
+    if witness is None:
+        return None
+    _, degree, twist, value = witness
+    return (degree, twist[0] if isinstance(twist, tuple) else twist, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=direct_cases().filter(covers_the_ulrich_twists))
+def test_membership_in_the_orthogonal_of_o1_to_on_is_the_direct_criterion(case):
+    # Hom^*(O(j), E) = H^*(E(-j)): the same E2 sums, zero sums dropped,
+    # so the same first witness, or none on both sides.  The direct
+    # criterion builds whole tables, so its errors at other twists of the
+    # window are not membership's and are left out
+    E, window = case
+    want = kit_outcome(lambda: is_ulrich_object(E, "direct", window).criteria[0].witness)
+    assume(want[0] == "ok")
+    assert membership_witness(E) == want[1]
+
+
+def test_a_cancelling_pair_is_in_the_orthogonal():
+    # h^1(A(-1)) = 1 in degree 0 and h^0(B(-1)) = -1 in degree 1 sum to
+    # zero in hyper degree 1: no witness, where a zero sum was one before
+    surface = parse_variety("surface:d=4,i=0,chi=2")
+    window = default_window(surface)
+    A = AbstractSheaf(rank=1, label="A", table=CohomologyTable(window, {(1, -1): 1}))
+    B = AbstractSheaf(rank=1, label="B", table=CohomologyTable(window, {(0, -1): -1}))
+    E = formal_complex(surface, {0: A, 1: B})
+    assert is_ulrich_object(E, "direct").passed
+    assert membership_witness(E) is None
+
+
+def test_the_direct_criterion_refuses_an_empty_window():
+    with pytest.raises(IncompleteTable, match=r"empty window \(3, 1\)"):
+        is_ulrich_object(formal_complex(proj_space(2), {}), "direct", (3, 1))
+
+
 def reference_ulrich_hyper_table(E, window):
     """The decomposers' table as the whole hyper table gives it."""
     verdict = is_ulrich_object(E, "both", window)
@@ -775,6 +823,11 @@ class TestExtDimension:
         assert ext_dimension(triv, SemistableEC(1, 3), 0, model) == 3
         assert ext_dimension(triv, SemistableEC(1, 3), 1, model) == 0
         assert ext_dimension(SemistableEC(1, 2, True), triv, 1, model) == 2
+        # ss(1, 1) is no twist of O, so the dual rule reads the degree
+        # gap 4 - 1 = 3: sections one way, h^1 the other
+        F, G = SemistableEC(1, 1, False), SemistableEC(1, 4, True)
+        assert [ext_dimension(F, G, k, model) for k in (0, 1)] == [3, 0]
+        assert [ext_dimension(G, F, k, model) for k in (0, 1)] == [0, 3]
 
     def test_trivial_type_source_of_degree_k_d_is_a_line_bundle(self):
         # ss(1, 3k, trivial) is O(k) on elliptic:3, so Ext out of it reads
