@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import MalformedDescriptor, NoOracle, UnknownSlopeZero
+from .errors import IncompleteTable, MalformedDescriptor, NoOracle, UnknownSlopeZero
 from .sheaves import (
     AbstractSheaf,
     ExternalTensor,
@@ -285,12 +285,16 @@ def sheaf_table(
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
-    lo, hi = window
-    if hi - lo + 1 > MAX_TWISTS:
-        raise MalformedDescriptor(
-            f"window {window} spans more than {MAX_TWISTS} twists"
-        )
+    check_window(window)
     entries: Entries = {}
-    if lo <= hi:  # the table refuses an empty window before any oracle runs
-        _add_atoms(desc, model, lo, hi, entries)
+    _add_atoms(desc, model, window[0], window[1], entries)
     return CohomologyTable(window=window, entries=entries)
+
+
+def check_window(window: tuple[int, int]) -> None:
+    """Refuse an empty window or one wider than MAX_TWISTS, before any oracle runs."""
+    lo, hi = window
+    if lo > hi:
+        raise IncompleteTable(f"empty window {window}")
+    if hi - lo + 1 > MAX_TWISTS:
+        raise MalformedDescriptor(f"window {window} spans more than {MAX_TWISTS} twists")

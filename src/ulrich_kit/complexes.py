@@ -13,10 +13,11 @@ except that an all-zero column certifies vanishing outright.
 
 A reader that takes a descriptor or a complex goes through
 ``sheaves_of``: a descriptor is the one sheaf in degree 0, a complex its
-(degree, sheaf) pairs.  The E2 sum h^k = sum_q h^(k-q)(H^q) of their
-columns is ``e2_sum``, and ``hyper_column`` reads it at one twist:
-Hom^*(O(v), E) = H^*(E(-v)), so E is Ulrich exactly when it vanishes
-at O(1..n).
+(degree, sheaf) pairs.  The one E2 sum h^k = sum_q h^(k-q)(H^q) of their
+columns at one twist is ``hyper_column``: Hom^*(O(v), E) = H^*(E(-v)),
+so E is Ulrich exactly when it vanishes at O(1..n).  Its first nonzero
+column over O(1..n), ``first_nonvanishing``, is the direct Ulrich
+criterion and orthogonal membership alike; neither builds a table.
 
 Glue witnesses record a nonzero degree-two extension between adjacent
 cohomology sheaves (from degree i to degree i-1), the shape arising
@@ -82,6 +83,11 @@ class FormalComplex:
     sheaves: tuple[tuple[int, SheafDescriptor], ...]
     glue: tuple[GlueWitness, ...] = ()
 
+    def __post_init__(self) -> None:
+        degrees = [degree for degree, _ in self.sheaves]
+        if len(set(degrees)) != len(degrees):
+            raise MalformedDescriptor(f"one sheaf per degree, got degrees {degrees}")
+
     def sheaf_map(self) -> dict[int, SheafDescriptor]:
         return dict(self.sheaves)
 
@@ -125,20 +131,28 @@ def sheaves_of(obj, model: VarietyModel) -> tuple[tuple[int, SheafDescriptor], .
     return pairs
 
 
-def e2_sum(columns) -> dict[int, int]:
-    """Nonzero sums h^k = sum_q h^(k-q) over (degree q, column) pairs.  A
-    zero sum is dropped: abstract tables may hold negative entries."""
+def hyper_column(pairs, model: VarietyModel, twists: tuple[int, ...]) -> dict[int, int]:
+    """Nonzero h^k(E x O(twists)) of the (degree, sheaf) pairs of E, as
+    ``sheaves_of`` gives them: the E2 sums h^k = sum_q h^(k-q) of their
+    twisted columns.  A zero sum is dropped: abstract tables may hold
+    negative entries."""
     sums: dict[int, int] = {}
-    for degree, column in columns:
-        for i, h in column.items():
+    for degree, desc in pairs:
+        for i, h in _twisted_column(desc, model, twists).items():
             sums[i + degree] = sums.get(i + degree, 0) + h
     return {k: h for k, h in sums.items() if h}
 
 
-def hyper_column(pairs, model: VarietyModel, twists: tuple[int, ...]) -> dict[int, int]:
-    """Nonzero h^k(E x O(twists)) of the (degree, sheaf) pairs of E, as
-    ``sheaves_of`` gives them: the E2 sum of their twisted columns."""
-    return e2_sum((degree, _twisted_column(desc, model, twists)) for degree, desc in pairs)
+def first_nonvanishing(pairs, model: VarietyModel, probes):
+    """The first nonzero ``hyper_column`` of the pairs over (label, twists)
+    probes, read in order: (label, k, twist, h^k) at its lowest degree k,
+    the twist an int where one is given; None where every column vanishes."""
+    for label, twists in probes:
+        column = hyper_column(pairs, model, twists)
+        if column:
+            k = min(column)
+            return label, k, twists if len(twists) > 1 else twists[0], column[k]
+    return None
 
 
 def shift(E: FormalComplex, k: int) -> FormalComplex:

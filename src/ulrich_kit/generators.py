@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chern import class_of
-from .complexes import hyper_column, sheaves_of
+from .complexes import first_nonvanishing, hyper_column, sheaves_of
 from .errors import (
     Indeterminate,
     MalformedDescriptor,
@@ -207,11 +207,11 @@ def orthogonal_membership(
     window: tuple[int, int] | None = None,
 ) -> MembershipVerdict:
     """Whether Hom^*(O(v), E) = H^*(E(-v)) vanishes for each listed
-    member O(v): ``hyper_column`` of E at -v, zero sums dropped, so on
-    O(1..n) this is the direct Ulrich criterion.  No table is built, so
-    ``window`` is not read.  The first nonzero entry is the witness
-    (member, degree, twist, value), the twist the int -j on one-twist
-    models and the vector -v on products.
+    member O(v): ``first_nonvanishing`` of E at the twists -v, so on
+    O(1..n) it is the direct Ulrich criterion: the same witness behind a
+    member label.  No table is built, so ``window`` is not read.
+    The witness is (member, degree, twist, value), the twist the int -j
+    on one-twist models and the vector -v on products.
     """
     if isinstance(members, Collection):
         model = members.model
@@ -225,14 +225,8 @@ def orthogonal_membership(
                 f"membership test needs line-bundle members, got {format_sheaf(member)}"
             )
         validate_descriptor(member, model)
-    for member in members:
-        twists = tuple(-v for v in member.twists)
-        column = hyper_column(pairs, model, twists)
-        if column:
-            k = min(column)
-            twist = twists if len(twists) > 1 else twists[0]
-            return MembershipVerdict(witness=(format_sheaf(member), k, twist, column[k]))
-    return MembershipVerdict()
+    hit = first_nonvanishing(pairs, model, ((m, tuple(-v for v in m.twists)) for m in members))
+    return MembershipVerdict(None if hit is None else (format_sheaf(hit[0]), *hit[1:]))
 
 
 @dataclass

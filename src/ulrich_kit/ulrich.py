@@ -6,7 +6,8 @@ exactly when H^i(E(-j)) = 0 for every i and every j in 1..n.  For a
 formal complex the same vanishing is demanded of hypercohomology; the
 spectral sequence with entries H^p(H^q(E)(-j)) collapses over these
 twists, which is why the direct (hypercohomology) and sheafwise (each
-cohomology sheaf separately) checks must always agree.
+cohomology sheaf separately) checks must always agree.  The direct check
+reads H^*(E(-j)) = Hom^*(O(j), E) as membership in <O(1), ..., O(n)>^perp does.
 
 Decompositions and the abstract surface witness rest on the Eisenbud-Schreyer
 rule: an Ulrich object's table is ``cohomology.ulrich_table`` of its twist-0
@@ -16,9 +17,10 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 
 from .chern import ulrich_chern_solve
-from .cohomology import _elliptic_pair, _twisted_column, sheaf_table, ulrich_table
+from .cohomology import _elliptic_pair, _twisted_column, check_window, sheaf_table, ulrich_table
 from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
@@ -27,12 +29,12 @@ from .complexes import (
     _hyper_from_tables,
     _rebuilds,
     _unit_multiples,
-    e2_sum,
+    first_nonvanishing,
     formal_complex,
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
+    sheaves_of,
 )
 from .errors import (
-    IncompleteTable,
     Indeterminate,
     MalformedDescriptor,
     ModeDisagreement,
@@ -244,18 +246,20 @@ def is_ulrich_object(
 ) -> UlrichVerdict:
     """Complex-level verdict in the requested mode.
 
-    direct: hypercohomology sums vanish at twists -1..-dim.  With glue
+    direct: hypercohomology sums vanish at twists -1..-dim, read in order
+    by ``complexes.first_nonvanishing``; no table is built.  With glue
     present, an all-zero column is certified vanishing; a nonzero sum
-    pins a nonvanishing cohomology sheaf, so failure is also honest.
-    The sums are read at those twists only, off the sheaf tables; no
-    hyper table is assembled.
+    pins a nonvanishing cohomology sheaf, so failure is also honest.  An
+    empty window, or one wider than MAX_TWISTS, is refused before any
+    read; each twist is checked as it is read, so the first Ulrich twist
+    outside the window raises IncompleteTable unless an earlier one is
+    the witness.
     sheafwise: every cohomology sheaf passes the sheaf-level check,
     initialization probed to the fixed depth of ``is_initialized``.
     both: run the two and insist they agree.
 
-    Every mode builds the table of each cohomology sheaf before any
-    check reads it, so when a table and a sheafwise probe table would
-    both fail, the table's error is the one raised.
+    Modes sheafwise and both build each cohomology sheaf's table before
+    any check reads it, so the table's error is the one raised.
     """
     return _object_verdict(E, mode, window)[0]
 
@@ -266,23 +270,28 @@ def _object_verdict(
     window: tuple[int, int] | None,
 ) -> tuple[UlrichVerdict, dict[int, CohomologyTable]]:
     """``is_ulrich_object`` together with the table of each cohomology
-    sheaf over the window, keyed by degree.  Each table is built once and
-    read by both checks; mode ``both`` lists the direct criterion, then
-    the sheafwise ones."""
+    sheaf over the window that the sheafwise checks read, keyed by degree
+    (none in mode ``direct``); mode ``both`` lists the direct criterion first."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     if window is None:
         window = default_window(E.model)
-    tables = {degree: sheaf_table(desc, E.model, window) for degree, desc in E.sheaves}
+    sheaves = () if mode == "direct" else E.sheaves
+    tables = {degree: sheaf_table(desc, E.model, window) for degree, desc in sheaves}
     criteria: list[Criterion] = []
     if mode != "sheafwise":
         ulrich_twists = E.model.ulrich_twists
-        hit = _hyper_witness(ulrich_twists, window, tables)
+        pairs = sheaves_of(E, E.model)
+        check_window(window)
+        inside = tuple(takewhile(lambda t: window[0] <= t <= window[1], ulrich_twists))
+        hit = first_nonvanishing(pairs, E.model, ((None, (t,)) for t in inside))
+        if hit is None and inside != ulrich_twists:  # the first twist the window misses
+            raise outside_window(ulrich_twists[len(inside)], window)
         criteria.append(
             Criterion(
                 name="hyper-vanishing",
                 twists=ulrich_twists,
-                witness=hit,
+                witness=None if hit is None else hit[1:],
                 note=CERT_EXACT_BY_VANISHING if E.has_glue() and hit is None else "",
             )
         )
@@ -302,27 +311,6 @@ def _object_verdict(
                 f" {direct.witness} / {sheafwise.witness()}"
             )
     return UlrichVerdict(mode=mode, criteria=criteria), tables
-
-
-def _hyper_witness(
-    twists: tuple[int, ...],
-    window: tuple[int, int],
-    tables: dict[int, CohomologyTable],
-) -> tuple[int, int, int] | None:
-    """``first_nonzero`` of the hyper table of the sheaf tables (keyed by
-    degree, over the window) at the given twists: the ``e2_sum`` of their
-    columns there."""
-    lo, hi = window
-    if lo > hi:  # as the hyper table refuses it, sheaves or none
-        raise IncompleteTable(f"empty window {window}")
-    for t in twists:
-        if not lo <= t <= hi:
-            raise outside_window(t, window)
-        sums = e2_sum((degree, table.column(t)) for degree, table in tables.items())
-        if sums:
-            i = min(sums)
-            return (i, t, sums[i])
-    return None
 
 
 def _ulrich_hyper_table(

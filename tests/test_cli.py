@@ -127,6 +127,21 @@ class TestCheck:
         assert code == 1
         assert report["verdict"] == "fail"
 
+    def test_the_direct_mode_reads_only_the_ulrich_twists(self, capsys):
+        # no table over the window: the spinor columns at -1..-3 and the
+        # elliptic column at -1 decide, whatever the other twists need
+        code, report = run_json(
+            capsys, "check", "--variety", "quadric:3", "--sheaf", "2*S",
+            "--mode", "direct", "--window=-800:800",
+        )
+        assert code == 0
+        assert report["verdict"] == "pass"
+        code, report = run_json(
+            capsys, "check", "--variety", "elliptic:3", "--sheaf", "ss(1,0)", "--mode", "direct"
+        )
+        assert code == 1
+        assert report["payload"]["criteria"][0]["witness"] == [1, -1, 3]
+
     def test_a_model_without_an_object_is_exit_two(self, capsys):
         code, report = run_json(capsys, "check", "--variety", "pn:2")
         assert code == 2

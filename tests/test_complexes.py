@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ulrich_kit import (
     AbstractSheaf,
     CohomologyTable,
+    FormalComplex,
     GlueWitness,
     LineBundle,
     Spinor,
@@ -68,6 +69,15 @@ class TestFormalComplex:
             formal_complex(p2, sheaves, (GlueWitness(0, -2),))
         with pytest.raises(MalformedDescriptor):
             formal_complex(p2, {0: line_bundle(0)}, (GlueWitness(0, -1),))
+
+    def test_a_repeated_degree_is_refused(self):
+        # readers of the pairs would count both sheaves (h^0 = 6 against
+        # O(0)) and readers keyed by degree one of them (h^0 = 3)
+        p2 = proj_space(2)
+        with pytest.raises(MalformedDescriptor, match="one sheaf per degree"):
+            FormalComplex(p2, ((0, line_bundle(1)), (0, line_bundle(1))))
+        E = FormalComplex(p2, ((0, line_bundle(1)), (1, line_bundle(1))))
+        assert E.support() == [0, 1]
 
     def test_shift_moves_cohomology(self):
         p2 = proj_space(2)

@@ -365,15 +365,15 @@ def _object_readings(tree: ast.Module):
 
 def test_objects_are_read_only_in_complexes():
     """A descriptor or a complex is read in one place: ``complexes.sheaves_of``
-    gives its (degree, sheaf) pairs and ``complexes.e2_sum`` shifts their
-    columns by degree, so no other module decides "sheaf or complex"."""
+    gives its (degree, sheaf) pairs and ``complexes.hyper_column`` shifts
+    their columns by degree, so no other module decides "sheaf or complex"."""
     found = [
         f"{name}:{line}"
         for name, tree in TREES.items()
         if name != "complexes.py"
         for line in _object_readings(tree)
     ]
-    assert not found, f"objects read outside complexes.py, use sheaves_of/e2_sum: {found}"
+    assert not found, f"objects read outside complexes.py, use sheaves_of/hyper_column: {found}"
 
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
