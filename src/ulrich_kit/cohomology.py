@@ -28,12 +28,31 @@ once, and one rule fills the whole twist window.  The rules:
 Ulrich tables follow from the Eisenbud-Schreyer rule (2003, Prop. 2.1): a
 finite linear projection to P^n pushes an Ulrich object to a sum of shifted
 structure sheaves, so h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
+
+Pieces.  Each closed-form rule has break twists, where its range form
+changes (``_breaks``, read off the bounds its fill loop reads): -a and
+-n-a for O(a) on P^n, -a and 1-n-a on Q^n, the breaks of both factors
+for Kunneth, and on a genus-one curve the zero twist and the one after
+it.  Between breaks every entry is a polynomial in t of degree at most
+the dimension n: a binomial in t, a difference of two, a product of the
+factors' polynomials, or a linear form.  A nonzero one has at most n
+roots, so an entry nonzero anywhere on a piece is nonzero at one of its
+first n + 1 twists and at one of its last n + 1.  ``_piece_table`` builds
+a table at those twists only, for the Ulrich verdicts, whose reads walk
+whole pieces and so find what the whole table finds.  Stored tables and
+the Q^3 spinor have no breaks and are built at every twist: a stored
+table is data, not a rule, and the spinor recursion reaches a twist
+only through the twists between it and zero (built cold at the top of a
+window such as (-2, 900), it would exceed the interpreter's recursion
+depth where the ascending fill of the whole window does not).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
+from typing import Iterable
 
 from .errors import IncompleteTable, MalformedDescriptor, NoOracle, UnknownSlopeZero
 from .sheaves import (
@@ -50,7 +69,7 @@ from .sheaves import (
     tensor_line,
     validate_descriptor,
 )
-from .tables import CohomologyTable
+from .tables import CohomologyTable, PieceTable
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
@@ -64,6 +83,7 @@ from .variety import (
 )
 
 Entries = dict[tuple[int, int], int]
+Spans = tuple[tuple[int, int], ...]
 
 
 def _proj_h0(n: int, k: int) -> int:
@@ -74,15 +94,26 @@ def _proj_hn(n: int, k: int) -> int:
     return comb(-k - 1, n) if k <= -n - 1 else 0
 
 
+def _bott_breaks(n: int, a: int) -> tuple[int, int]:
+    """(stop, start) for O(a) on P^n: h^n lives at t < stop, h^0 at t >= start."""
+    return -n - a, -a
+
+
 def _add_bott(n: int, a: int, lo: int, hi: int, mult: int, out: Entries, shift: int = 0) -> None:
     """Add mult * h^i(O(a)(t)) on P^n at (i + shift, t) for lo <= t <= hi."""
-    for t in range(max(lo, -a), hi + 1):
+    stop, start = _bott_breaks(n, a)
+    for t in range(max(lo, start), hi + 1):
         key = (shift, t)
         out[key] = out.get(key, 0) + mult * comb(n + a + t, n)
     top = n + shift
-    for t in range(lo, min(hi, -n - 1 - a) + 1):
+    for t in range(lo, min(hi + 1, stop)):
         key = (top, t)
         out[key] = out.get(key, 0) + mult * comb(-a - t - 1, n)
+
+
+def _quadric_breaks(n: int, a: int) -> tuple[int, int]:
+    """(stop, start) for O(a) on Q^n: h^n lives at t < stop, h^0 at t >= start."""
+    return 1 - n - a, -a
 
 
 def _add_quadric_line(n: int, a: int, lo: int, hi: int, mult: int, out: Entries) -> None:
@@ -91,11 +122,12 @@ def _add_quadric_line(n: int, a: int, lo: int, hi: int, mult: int, out: Entries)
     long exact sequence collapses to two differences and kills everything
     between."""
     m = n + 1
-    for t in range(max(lo, -a), hi + 1):
+    stop, start = _quadric_breaks(n, a)
+    for t in range(max(lo, start), hi + 1):
         k = a + t
         key = (0, t)
         out[key] = out.get(key, 0) + mult * (comb(m + k, m) - comb(m + k - 2, m))
-    for t in range(lo, min(hi, -n - a) + 1):
+    for t in range(lo, min(hi + 1, stop)):
         k = a + t
         key = (n, t)
         out[key] = out.get(key, 0) + mult * (comb(1 - k, m) - comb(-k - 1, m))
@@ -154,6 +186,13 @@ def _elliptic_pair(delta: int, trivial: bool | None, label: str) -> dict[int, in
     return {0: 1, 1: 1} if trivial else {}
 
 
+def _elliptic_zero(atom: SemistableEC, d: int) -> tuple[int, int]:
+    """(zero, rem) for atom(t) on a curve of degree d: the degree of
+    atom(t) is negative for t < zero and positive for t > zero; at zero
+    it is zero when rem is, negative otherwise."""
+    return divmod(-atom.degree, atom.rank * d)
+
+
 def _add_elliptic(
     desc: SheafDescriptor, atom: SemistableEC, d: int, lo: int, hi: int, mult: int, out: Entries
 ) -> None:
@@ -161,7 +200,7 @@ def _add_elliptic(
     increasing in t: h^1 below its zero twist, h^0 above, and the
     dichotomy at the zero twist when it is an integer."""
     step = atom.rank * d
-    zero, rem = divmod(-atom.degree, step)  # the degree is positive past zero
+    zero, rem = _elliptic_zero(atom, d)
     last_negative = zero - 1 if rem == 0 else zero
     for t in range(lo, min(hi, last_negative) + 1):
         key = (1, t)
@@ -175,12 +214,13 @@ def _add_elliptic(
 
 
 def _add_atoms(
-    desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, out: Entries
+    desc: SheafDescriptor, model: VarietyModel, spans: Spans, out: Entries
 ) -> None:
-    """Add h^i(desc(t)) to out[(i, t)] for every lo <= t <= hi, the atoms
-    of a sum in order, each over the whole window."""
+    """Add h^i(desc(t)) to out[(i, t)] for every t in the closed spans
+    (lo, hi), the atoms of a sum in order, each over all the spans."""
     for atom, mult in flatten_atoms(desc):
-        _add_entries(atom, model, lo, hi, mult, out)
+        for lo, hi in spans:
+            _add_entries(atom, model, lo, hi, mult, out)
 
 
 def _add_entries(
@@ -216,8 +256,8 @@ def _add_entries(
             return _add_kuenneth(left, right, mult, out)
         if isinstance(desc, ExternalTensor):
             left_model, right_model = model.factor_models
-            _add_atoms(desc.left, left_model, lo, hi, left)
-            _add_atoms(desc.right, right_model, lo, hi, right)
+            _add_atoms(desc.left, left_model, ((lo, hi),), left)
+            _add_atoms(desc.right, right_model, ((lo, hi),), right)
             return _add_kuenneth(left, right, mult, out)
     elif model.kind == KIND_ELLIPTIC:
         atom = normalize_elliptic(desc, model)
@@ -231,6 +271,87 @@ def _add_entries(
     raise NoOracle(
         f"no oracle for {format_sheaf(desc)} on {format_variety(model)}"
     )
+
+
+def _breaks(desc: SheafDescriptor, model: VarietyModel) -> set[int] | None:
+    """The break twists of desc: where the range form of some atom's rule
+    changes, read off the bounds its fill loop reads.  Between two breaks
+    every entry is one polynomial in t of degree at most ``model.dim``.
+    None where an atom has no closed form: a stored table, the Q^3
+    spinor's recursion, or no oracle at all."""
+    breaks: set[int] = set()
+    for atom, _ in flatten_atoms(desc):
+        found = _atom_breaks(atom, model)
+        if found is None:
+            return None
+        breaks.update(found)
+    return breaks
+
+
+def _atom_breaks(desc: SheafDescriptor, model: VarietyModel) -> Iterable[int] | None:
+    """``_breaks`` of one atom, dispatched as ``_add_entries`` fills it."""
+    if model.kind == KIND_PROJ:
+        if isinstance(desc, LineBundle):
+            return _bott_breaks(model.dim, desc.twists[0])
+    elif model.kind == KIND_QUADRIC:
+        if isinstance(desc, LineBundle):
+            return _quadric_breaks(model.dim, desc.twists[0])
+        on_product = model.product_form_model
+        if isinstance(desc, Spinor) and on_product is not None:
+            return _atom_breaks(product_form(desc, model), on_product)
+    elif model.kind == KIND_PRODUCT:
+        if isinstance(desc, LineBundle):
+            (n1, n2), (a, b) = model.factors, desc.twists
+            return _bott_breaks(n1, a) + _bott_breaks(n2, b)
+        if isinstance(desc, ExternalTensor):
+            left_model, right_model = model.factor_models
+            left, right = _breaks(desc.left, left_model), _breaks(desc.right, right_model)
+            if left is not None and right is not None:
+                return left | right
+    elif model.kind == KIND_ELLIPTIC:
+        atom = normalize_elliptic(desc, model)
+        if isinstance(atom, SemistableEC):
+            zero, _ = _elliptic_zero(atom, model.deg)
+            return zero, zero + 1
+    return None
+
+
+def _held_spans(lo: int, hi: int, starts: set[int], k: int) -> Spans:
+    """The first and the last k twists of each piece of [lo, hi], the
+    pieces starting at the twists of starts (lo among them), as sorted
+    closed spans, touching ones merged."""
+    bounds = sorted(starts) + [hi + 1]
+    spans: list[tuple[int, int]] = []
+    for start, stop in zip(bounds, bounds[1:]):
+        for a, b in ((start, min(start + k, stop) - 1), (max(start, stop - k), stop - 1)):
+            if spans and a <= spans[-1][1] + 1:
+                spans[-1] = (spans[-1][0], max(b, spans[-1][1]))
+            else:
+                spans.append((a, b))
+    return tuple(spans)
+
+
+def _piece_table(
+    desc: SheafDescriptor, model: VarietyModel, window: tuple[int, int], cuts: tuple[int, ...]
+) -> CohomologyTable:
+    """The table of a validated descriptor over the window, held only at
+    the first and the last dim + 1 twists of each piece (see Pieces in
+    the module docstring), the window cut at the cuts and at the breaks
+    of desc.  A descriptor with no breaks, or a window with no twist to
+    skip, gets the whole table."""
+    lo, hi = window
+    k = model.dim + 1
+    # at most 2k twists for each piece the cuts make leave little to skip:
+    # such a window is built whole, without looking for breaks
+    breaks = _breaks(desc, model) if hi - lo + 1 > 2 * k * (len(cuts) + 1) else None
+    if breaks is None:
+        return _window_table(desc, model, window)
+    check_window(window)
+    starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
+    spans = _held_spans(lo, hi, starts, k)
+    entries: Entries = {}
+    _add_atoms(desc, model, spans, entries)
+    return PieceTable(window=window, entries=entries, spans=spans)
 
 
 def ulrich_table(
@@ -248,7 +369,7 @@ def ulrich_table(
 def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
     """The table builder on the one-twist window (t, t)."""
     out: Entries = {}
-    _add_atoms(desc, model, t, t, out)
+    _add_atoms(desc, model, ((t, t),), out)
     return {i: h for (i, _), h in out.items() if h}
 
 
@@ -283,11 +404,16 @@ def sheaf_table(
     others fail at.  Any window, the default too, spans at most MAX_TWISTS twists.
     """
     validate_descriptor(desc, model)
-    if window is None:
-        window = default_window(model)
+    return _window_table(desc, model, default_window(model) if window is None else window)
+
+
+def _window_table(
+    desc: SheafDescriptor, model: VarietyModel, window: tuple[int, int]
+) -> CohomologyTable:
+    """``sheaf_table`` of a validated descriptor over a given window."""
     check_window(window)
     entries: Entries = {}
-    _add_atoms(desc, model, window[0], window[1], entries)
+    _add_atoms(desc, model, (window,), entries)
     return CohomologyTable(window=window, entries=entries)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import IncompleteTable
 
@@ -107,3 +108,41 @@ class CohomologyTable:
         lo = max(self.window[0], other.window[0])
         hi = min(self.window[1], other.window[1])
         return all(self.column(t) == other.column(t) for t in range(lo, hi + 1))
+
+
+@dataclass
+class PieceTable(CohomologyTable):
+    """A table holding its window's entries at the twists of ``spans``
+    only: sorted closed spans, the first and the last dim + 1 twists of
+    each piece of ``cohomology._piece_table``.  A read at any other twist
+    is refused as one outside the window is, and ``first_nonzero`` walks
+    the held twists only, which finds what the whole table finds on a
+    walk over whole pieces.  The Ulrich verdicts read it; no public
+    result carries it."""
+
+    spans: tuple[tuple[int, int], ...] = ()
+
+    def covers(self, t: int) -> bool:
+        return any(a <= t <= b for a, b in self.spans)
+
+    def first_nonzero(self, twists, degrees=None):
+        return super().first_nonzero(self._held(twists), degrees)
+
+    def _held(self, twists):
+        """The held twists of a walk, in its order, then its first twist
+        outside the window, where the read raises; a unit-step range is
+        cut against the spans, not walked."""
+        lo, hi = self.window
+        if not (isinstance(twists, range) and twists and twists.step in (1, -1)):
+            return [t for t in twists if self.covers(t) or not lo <= t <= hi]
+        first, last = twists[0], twists[-1]
+        if not lo <= first <= hi:
+            return [first]
+        if twists.step == 1:
+            held = (range(max(a, first), min(b, last) + 1) for a, b in self.spans)
+            beyond = hi + 1
+        else:
+            held = (range(min(b, first), max(a, last) - 1, -1) for a, b in reversed(self.spans))
+            beyond = lo - 1
+        walk = chain.from_iterable(held)
+        return walk if lo <= last <= hi else chain(walk, (beyond,))

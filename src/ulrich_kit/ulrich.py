@@ -9,9 +9,15 @@ twists, which is why the direct (hypercohomology) and sheafwise (each
 cohomology sheaf separately) checks must always agree.  The direct check
 reads H^*(E(-j)) = Hom^*(O(j), E) as membership in <O(1), ..., O(n)>^perp does.
 
+The sheafwise check reads each cohomology sheaf's table only at the ends
+of its pieces (``cohomology._piece_table``), cut also at twist 0, twist
+-dim and the probe depth, so its cost does not grow with the window and
+every criterion, witness and error is the one the whole table gives.
+
 Decompositions and the abstract surface witness rest on the Eisenbud-Schreyer
 rule: an Ulrich object's table is ``cohomology.ulrich_table`` of its twist-0
-column.
+column.  The decompositions read whole tables: their rebuild is the check
+of the oracles against that rule, so it does not lean on the piece argument.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from dataclasses import dataclass, field, replace
 from itertools import takewhile
 
 from .chern import ulrich_chern_solve
-from .cohomology import _elliptic_pair, _twisted_column, check_window, sheaf_table, ulrich_table
+from .cohomology import (
+    _elliptic_pair,
+    _piece_table,
+    _twisted_column,
+    _window_table,
+    check_window,
+    sheaf_table,
+    ulrich_table,
+)
 from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
@@ -183,10 +197,21 @@ def is_ulrich_sheaf(
     h^0 = deg * rank, and window-wide intermediate-cohomology vanishing
     as supporting evidence for the arithmetically-Cohen-Macaulay property.
     """
+    validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
-    table = sheaf_table(desc, model, window)
-    return _sheaf_verdict(desc, model, window, table)
+    return _sheaf_verdict(desc, model, window, _verdict_table(desc, model, window))
+
+
+def _verdict_table(
+    desc: SheafDescriptor, model: VarietyModel, window: tuple[int, int]
+) -> CohomologyTable:
+    """The table of a validated sheaf that ``_sheaf_verdict`` reads: held
+    at the ends of each piece, the window cut where its walks start and
+    stop (twist 0, twist -dim and the probe depth), so each walk covers
+    whole pieces."""
+    cuts = (0, -model.dim, default_window(model)[0])
+    return _piece_table(desc, model, window, cuts)
 
 
 def _sheaf_verdict(
@@ -195,9 +220,10 @@ def _sheaf_verdict(
     window: tuple[int, int],
     table: CohomologyTable,
 ) -> UlrichVerdict:
-    """``is_ulrich_sheaf`` on the already assembled table of desc over
-    the window; a window that does not reach the probe depth gets a
-    probe table of its own."""
+    """``is_ulrich_sheaf`` on a table of the validated desc over the
+    window, whole or as ``_verdict_table`` holds it: every read is a walk
+    over whole pieces of the latter.  A window that does not reach the
+    probe depth gets a probe table of its own."""
     ulrich_twists = model.ulrich_twists
     criteria = [
         Criterion(
@@ -210,7 +236,7 @@ def _sheaf_verdict(
     lo = default_window(model)[0]
     probe_table = table
     if not (table.covers(lo) and table.covers(0)):
-        probe_table = sheaf_table(desc, model, (lo, 0))
+        probe_table = _window_table(desc, model, (lo, 0))
     init = _initialized(desc, lo, probe_table)
     criteria.append(
         Criterion(
@@ -232,10 +258,10 @@ def _sheaf_verdict(
         )
     )
 
-    middle = tuple(range(window[0], window[1] + 1))
+    middle = range(window[0], window[1] + 1)
     inner_degrees = set(range(1, model.dim))
     acm_hit = table.first_nonzero(middle, degrees=inner_degrees) if inner_degrees else None
-    criteria.append(Criterion(name="acm-window", twists=middle, witness=acm_hit))
+    criteria.append(Criterion(name="acm-window", twists=tuple(middle), witness=acm_hit))
     return UlrichVerdict(mode="sheaf", criteria=criteria)
 
 
@@ -258,30 +284,34 @@ def is_ulrich_object(
     initialization probed to the fixed depth of ``is_initialized``.
     both: run the two and insist they agree.
 
-    Modes sheafwise and both build each cohomology sheaf's table before
-    any check reads it, so the table's error is the one raised.
+    Every cohomology sheaf is validated first, once, in degree order.
+    Modes sheafwise and both then build each sheaf's table before any
+    check reads it, so the table's error is the one raised; the tables
+    hold the ends of each piece only (``_verdict_table``).
     """
-    return _object_verdict(E, mode, window)[0]
+    return _object_verdict(E, mode, window, _verdict_table)[0]
 
 
 def _object_verdict(
     E: FormalComplex,
     mode: str,
     window: tuple[int, int] | None,
+    build,
 ) -> tuple[UlrichVerdict, dict[int, CohomologyTable]]:
     """``is_ulrich_object`` together with the table of each cohomology
-    sheaf over the window that the sheafwise checks read, keyed by degree
-    (none in mode ``direct``); mode ``both`` lists the direct criterion first."""
+    sheaf over the window that the sheafwise checks read, as build makes
+    it, keyed by degree (none in mode ``direct``); mode ``both`` lists the
+    direct criterion first."""
     if mode not in ("direct", "sheafwise", "both"):
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     if window is None:
         window = default_window(E.model)
-    sheaves = () if mode == "direct" else E.sheaves
-    tables = {degree: sheaf_table(desc, E.model, window) for degree, desc in sheaves}
+    pairs = sheaves_of(E, E.model)
+    sheaves = () if mode == "direct" else pairs
+    tables = {degree: build(desc, E.model, window) for degree, desc in sheaves}
     criteria: list[Criterion] = []
     if mode != "sheafwise":
         ulrich_twists = E.model.ulrich_twists
-        pairs = sheaves_of(E, E.model)
         check_window(window)
         inside = tuple(takewhile(lambda t: window[0] <= t <= window[1], ulrich_twists))
         hit = first_nonvanishing(pairs, E.model, ((None, (t,)) for t in inside))
@@ -296,7 +326,7 @@ def _object_verdict(
             )
         )
     if mode != "direct":
-        for degree, desc in E.sheaves:
+        for degree, desc in pairs:
             sub = _sheaf_verdict(desc, E.model, window, tables[degree])
             criteria.extend(
                 replace(criterion, name=f"degree {degree}: {criterion.name}")
@@ -318,11 +348,11 @@ def _ulrich_hyper_table(
 ) -> CohomologyTable:
     """The hypercohomology table of E over the window (the default one
     for None), once mode ``both`` finds E Ulrich; the decomposers read
-    nothing else, so it is assembled from the sheaf tables of the
+    nothing else, so it is assembled from the whole sheaf tables of the
     verdict only after it passes."""
     if window is None:
         window = default_window(E.model)
-    verdict, tables = _object_verdict(E, "both", window)
+    verdict, tables = _object_verdict(E, "both", window, _window_table)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
     return _hyper_from_tables(E, window, tables).table

@@ -7,8 +7,8 @@ dimension or factor shape, or writes out the Ulrich twists -1..-dim,
 no float appears outside the one display phase, each phase sector is
 named once, no module but ``sheaves`` looks inside a direct sum, no
 module but ``complexes`` decides "sheaf or complex" or shifts a sum by
-a complex degree, and every kit name the benchmark's tracer looks up
-still exists.
+a complex degree, no public table holds fewer twists than its window,
+and every kit name the benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -374,6 +374,39 @@ def test_objects_are_read_only_in_complexes():
         for line in _object_readings(tree)
     ]
     assert not found, f"objects read outside complexes.py, use sheaves_of/hyper_column: {found}"
+
+
+def test_public_tables_hold_their_whole_window(monkeypatch):
+    """Verdicts read tables held at the ends of their pieces only; no
+    table a public function returns, and none a decomposition reads, may
+    be one.  Every twist of the window of each must be readable, on
+    windows wide enough that the verdicts would skip twists."""
+    uk = ulrich_kit
+    built = []
+    post_init = uk.CohomologyTable.__post_init__
+
+    def recording(table):
+        built.append(table)
+        post_init(table)
+
+    def holds_its_window(table) -> bool:
+        lo, hi = table.window
+        return all(table.covers(t) for t in range(lo, hi + 1))
+
+    pn4, q2 = uk.parse_variety("pn:4"), uk.parse_variety("quadric:2")
+    window = (-300, 300)
+    E = uk.formal_complex(pn4, {0: uk.parse_sheaf("2*O(0)", pn4), -1: uk.parse_sheaf("O(0)", pn4)})
+    F = uk.formal_complex(q2, {0: uk.parse_sheaf("S+ + S-", q2)})
+    returned = [
+        uk.sheaf_table(uk.parse_sheaf("O(1) + O(-7)", pn4), pn4, window),
+        uk.hyper_table(E, window).table,
+        uk.pushforward_finite(E).table,
+    ]
+    assert all(map(holds_its_window, returned))
+    monkeypatch.setattr(uk.CohomologyTable, "__post_init__", recording)
+    assert uk.pn_decompose(E, window) == {-1: 1, 0: 2}
+    assert uk.quadric_decompose(F, window) == {0: {"+": 1, "-": 1}}
+    assert built and all(map(holds_its_window, built))
 
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"

@@ -77,6 +77,7 @@ from test_cohomology import (
     convolve,
     oracle_descriptors,
     reference_column,
+    stored_tables,
 )
 
 
@@ -300,19 +301,29 @@ class TestUlrichObject:
 
 
     def test_both_mode_builds_one_table_per_sheaf(self, monkeypatch):
-        # count table builds wherever the kit looks sheaf_table up, so a
-        # second build through hyper_table would be counted as well
+        # count table builds wherever the kit looks a table builder up:
+        # the verdict's and the decomposers' builders in ulrich, and
+        # sheaf_table there and in complexes, so a second build through
+        # hyper_table would be counted as well
         import ulrich_kit.complexes
         import ulrich_kit.ulrich
 
         built = []
 
-        def counting(desc, model, window=None):
-            built.append(desc)
-            return sheaf_table(desc, model, window)
+        def counting(build):
+            def count(desc, model, window=None):
+                built.append(desc)
+                return build(desc, model, window)
 
-        for module in (ulrich_kit.ulrich, ulrich_kit.complexes):
-            monkeypatch.setattr(module, "sheaf_table", counting)
+            return count
+
+        for module, name in (
+            (ulrich_kit.ulrich, "_verdict_table"),
+            (ulrich_kit.ulrich, "_window_table"),
+            (ulrich_kit.ulrich, "sheaf_table"),
+            (ulrich_kit.complexes, "sheaf_table"),
+        ):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
         model = rank1_surface(4, 0, 2)
         F = abstract_ulrich_sheaf(model, 1, "F")
         G = abstract_ulrich_sheaf(model, 2, "G")
@@ -404,6 +415,19 @@ class TestUlrichObject:
         short = sheaf_table(line_bundle(1), p2, (0, 4))
         E = formal_complex(p2, {0: AbstractSheaf(rank=1, label="short", table=short)})
         with pytest.raises(IncompleteTable):
+            is_ulrich_object(E, mode)
+
+    @pytest.mark.parametrize("mode", ["direct", "sheafwise", "both"])
+    def test_every_sheaf_is_validated_before_any_table_is_built(self, mode):
+        # a hand-built complex: degree 0's table raises at twist 0, where
+        # ss(1,0) needs its triviality bit, and the later degree 1 holds a
+        # line bundle with two twists on a curve; every mode validates all
+        # sheaves first, once, so the malformed one is what every mode reports
+        curve = parse_variety("elliptic:3")
+        E = FormalComplex(
+            model=curve, sheaves=((0, SemistableEC(1, 0)), (1, LineBundle((1, 2))))
+        )
+        with pytest.raises(MalformedDescriptor, match="needs 1 twist"):
             is_ulrich_object(E, mode)
 
 
@@ -687,6 +711,107 @@ def test_a_cancelling_pair_is_in_the_orthogonal():
 def test_the_direct_criterion_refuses_an_empty_window():
     with pytest.raises(IncompleteTable, match=r"empty window \(3, 1\)"):
         is_ulrich_object(formal_complex(proj_space(2), {}), "direct", (3, 1))
+
+
+PIECE_MODELS = (
+    [proj_space(n) for n in range(1, 5)]
+    + [product_proj(1, 1), quadric(2), quadric(3)]
+    + [elliptic_curve(d) for d in range(3, 7)]
+)
+
+
+@st.composite
+def piece_windows(draw, model):
+    """A window inside [-400, 400]: wide or narrow, and some that start
+    at the probe depth, at -dim or at 0, so miss the probe or twist 0;
+    a few are empty."""
+    probe = default_window(model)[0]
+    starts = st.sampled_from([probe, probe + 1, -model.dim, 0, 1])
+    lo = draw(st.one_of(st.integers(-400, 400), starts))
+    width = draw(st.one_of(st.integers(0, 800), st.integers(0, 40), st.just(-1)))
+    return lo, min(lo + width, 400)
+
+
+@st.composite
+def piece_sheaves(draw, model, window):
+    """An oracle descriptor, sums among them, at times with stored tables
+    and spinors, which have no breaks.  Some get a line bundle summand
+    with twists up to 300, whose breaks lie deep inside a wide window
+    (on P^1 x P^1 with intermediate cohomology over a long range), and
+    some a summand whose table raises: a stored table short of the
+    window, or on a curve an atom with no triviality bit."""
+    parts = [(draw(oracle_descriptors(model, window, opaque=draw(st.integers(0, 2)) == 0)), 1)]
+    if draw(st.booleans()):
+        width = 2 if model.kind == "prod" else 1
+        parts.append((LineBundle(tuple(draw(st.integers(-300, 300)) for _ in range(width))), 1))
+    if not draw(st.integers(0, 5)):
+        if model.kind == "elliptic":
+            degree = draw(st.integers(-1200, 1200))  # its zero twist anywhere in the window
+            parts.append((SemistableEC(draw(st.integers(1, 3)), degree), 1))
+        else:
+            parts.append((draw(stored_tables(window, short=True)), 1))
+    return DirectSum(tuple(draw(st.permutations(parts)))) if len(parts) > 1 else parts[0][0]
+
+
+@st.composite
+def piece_cases(draw):
+    model = draw(st.sampled_from(PIECE_MODELS))
+    window = draw(piece_windows(model))
+    cover = (window[0], max(window))  # stored tables need a window that is not empty
+    degrees = draw(st.sets(st.integers(-2, 1), min_size=1, max_size=3))
+    sheaves = {degree: draw(piece_sheaves(model, cover)) for degree in sorted(degrees)}
+    return formal_complex(model, sheaves, glue_between(draw, sheaves)), window
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=piece_cases())
+def test_verdicts_on_piece_ends_are_the_whole_table_verdicts(case):
+    # the verdicts hold each sheaf table at the ends of its pieces only;
+    # criteria, witnesses, notes and errors must be what the whole tables give
+    E, window = case
+    model = E.model
+    for mode in ("sheafwise", "both"):
+        want = kit_outcome(ulrich_kit.ulrich._object_verdict, E, mode, window, sheaf_table)
+        if want[0] == "ok":
+            want = ("ok", want[1][0])
+        assert kit_outcome(is_ulrich_object, E, mode, window) == want, mode
+    for _, desc in E.sheaves:
+        want = kit_outcome(
+            lambda: ulrich_kit.ulrich._sheaf_verdict(
+                desc, model, window, sheaf_table(desc, model, window)
+            )
+        )
+        assert kit_outcome(is_ulrich_sheaf, desc, model, window) == want
+
+
+def test_a_verdict_holds_as_many_twists_on_any_window(monkeypatch):
+    # pn:4, O(0) + O(3): breaks at -7, -4, -3 and 0, cuts at -13, -4 and
+    # 0; only the two outer pieces grow with the window, and each is held
+    # at its five first and five last twists.  (-10000, 9999) is the
+    # widest window MAX_TWISTS admits.
+    model = proj_space(4)
+    desc = parse_sheaf("O(0) + O(3)", model)
+    E = formal_complex(model, {0: desc})
+    tables = []
+    post_init = CohomologyTable.__post_init__
+
+    def recording(table):
+        tables.append(table)
+        post_init(table)
+
+    monkeypatch.setattr(CohomologyTable, "__post_init__", recording)
+    held = {}
+    for lo, hi in ((-100, 100), (-10_000, 9_999)):
+        for name, verdict in (
+            ("sheaf", lambda: is_ulrich_sheaf(desc, model, (lo, hi))),
+            ("sheafwise", lambda: is_ulrich_object(E, "sheafwise", (lo, hi))),
+            ("both", lambda: is_ulrich_object(E, "both", (lo, hi))),
+        ):
+            tables.clear()
+            verdict()
+            count = sum(table.covers(t) for table in tables for t in range(lo, hi + 1))
+            held.setdefault(name, []).append(count)
+    assert all(small == wide <= 60 for small, wide in held.values()), held
 
 
 def reference_ulrich_hyper_table(E, window):
