@@ -2,15 +2,16 @@
 
 A table is built one atom at a time, the atoms of a sum as
 ``sheaves.flatten_atoms`` reads them: the family of each atom is decided
-once, and one rule fills the whole twist window.  The rules:
+once, and one rule adds it into slices of the table's rows, one list
+per degree over the twists the table holds (``tables``).  The rules:
 
 * Projective space (Bott): only h^0 and h^n are ever nonzero, with
   binomial values on the two ranges t >= -a and t <= -n-1-a of O(a).
 * Quadric line bundles: the long exact sequence of the ambient
   degree-two hypersurface collapses to two differences of those ranges.
-* Products: the Kunneth rule with a uniform diagonal twist combines the
-  two factor windows at equal twists.  The spinor lines on the quadric
-  surface are read on its product form (``model.product_form_model``).
+* Products: the Kunneth rule with a uniform diagonal twist multiplies
+  the factor rows elementwise.  The spinor lines on the quadric surface
+  are read on its product form (``model.product_form_model``).
 * Genus-one curves: the degree is linear in the twist; h^0 above the
   degree-zero twist, h^1 below it, and at it the dichotomy: one section
   exactly for the trivial-type member.
@@ -37,8 +38,8 @@ it.  Between breaks every entry is a polynomial in t of degree at most
 the dimension n: a binomial in t, a difference of two, a product of the
 factors' polynomials, or a linear form.  A nonzero one has at most n
 roots, so an entry nonzero anywhere on a piece is nonzero at one of its
-first n + 1 twists and at one of its last n + 1.  ``_piece_table`` builds
-a table at those twists only, for the Ulrich verdicts, whose reads walk
+first n + 1 twists and at one of its last n + 1.  ``_piece_table`` holds
+rows at those twists only, for the Ulrich verdicts, whose reads walk
 whole pieces and so find what the whole table finds.  Stored tables and
 the Q^3 spinor have no breaks and are built at every twist: a stored
 table is data, not a rule, and the spinor recursion reaches a twist
@@ -69,7 +70,7 @@ from .sheaves import (
     tensor_line,
     validate_descriptor,
 )
-from .tables import CohomologyTable, PieceTable
+from .tables import CohomologyTable, Rows, Spans, placed, zero_rows
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
@@ -81,9 +82,6 @@ from .variety import (
     default_window,
     format_variety,
 )
-
-Entries = dict[tuple[int, int], int]
-Spans = tuple[tuple[int, int], ...]
 
 
 def _proj_h0(n: int, k: int) -> int:
@@ -99,16 +97,17 @@ def _bott_breaks(n: int, a: int) -> tuple[int, int]:
     return -n - a, -a
 
 
-def _add_bott(n: int, a: int, lo: int, hi: int, mult: int, out: Entries, shift: int = 0) -> None:
-    """Add mult * h^i(O(a)(t)) on P^n at (i + shift, t) for lo <= t <= hi."""
+def _add_bott(n: int, a: int, lo: int, hi: int, mult: int, rows: Rows, base: int, shift: int = 0):
+    """Add mult * h^i(O(a)(t)) on P^n to rows[i + shift][t - base] for lo <= t <= hi."""
     stop, start = _bott_breaks(n, a)
-    for t in range(max(lo, start), hi + 1):
-        key = (shift, t)
-        out[key] = out.get(key, 0) + mult * comb(n + a + t, n)
-    top = n + shift
-    for t in range(lo, min(hi + 1, stop)):
-        key = (top, t)
-        out[key] = out.get(key, 0) + mult * comb(-a - t - 1, n)
+    if start <= hi:
+        row = rows[shift]
+        for t in range(start if start > lo else lo, hi + 1):
+            row[t - base] += mult * comb(n + a + t, n)
+    if lo < stop:
+        row = rows[n + shift]
+        for t in range(lo, stop if stop <= hi else hi + 1):
+            row[t - base] += mult * comb(-a - t - 1, n)
 
 
 def _quadric_breaks(n: int, a: int) -> tuple[int, int]:
@@ -116,33 +115,50 @@ def _quadric_breaks(n: int, a: int) -> tuple[int, int]:
     return 1 - n - a, -a
 
 
-def _add_quadric_line(n: int, a: int, lo: int, hi: int, mult: int, out: Entries) -> None:
+def _add_quadric_line(n: int, a: int, lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
     """O(a) on Q^n: the restriction sequence 0 -> O_P(k-2) -> O_P(k) ->
     O_Q(k) -> 0 on P^{n+1} has cohomology concentrated at the ends, so the
     long exact sequence collapses to two differences and kills everything
     between."""
     m = n + 1
     stop, start = _quadric_breaks(n, a)
-    for t in range(max(lo, start), hi + 1):
-        k = a + t
-        key = (0, t)
-        out[key] = out.get(key, 0) + mult * (comb(m + k, m) - comb(m + k - 2, m))
-    for t in range(lo, min(hi + 1, stop)):
-        k = a + t
-        key = (n, t)
-        out[key] = out.get(key, 0) + mult * (comb(1 - k, m) - comb(-k - 1, m))
+    if start <= hi:
+        row = rows[0]
+        for k in range(a + (start if start > lo else lo), a + hi + 1):
+            row[k - a - base] += mult * (comb(m + k, m) - comb(m + k - 2, m))
+    if lo < stop:
+        row = rows[n]
+        for k in range(a + lo, a + (stop if stop <= hi else hi + 1)):
+            row[k - a - base] += mult * (comb(1 - k, m) - comb(-k - 1, m))
 
 
-def _add_kuenneth(left: Entries, right: Entries, mult: int, out: Entries) -> None:
-    """Add mult times the Kunneth product of two factor windows, taken at
-    equal twists."""
-    right_at: dict[int, list[tuple[int, int]]] = {}
-    for (q, t), b in right.items():
-        right_at.setdefault(t, []).append((q, b))
-    for (p, t), a in left.items():
-        for q, b in right_at.get(t, ()):
-            key = (p + q, t)
-            out[key] = out.get(key, 0) + mult * a * b
+def _add_bott_product(
+    n1: int, n2: int, a: int, b: int, lo: int, hi: int, mult: int, rows: Rows, base: int
+) -> None:
+    """O(a, b) on P^n1 x P^n2, the Kunneth product of two Bott rows taken at
+    equal twists: each pair of factor degrees over the twists both hold."""
+    (stop1, start1), (stop2, start2) = _bott_breaks(n1, a), _bott_breaks(n2, b)
+    for p, s1, e1 in ((0, max(lo, start1), hi), (n1, lo, min(hi, stop1 - 1))):
+        if s1 > e1:
+            continue
+        for q, s2, e2 in ((0, max(lo, start2), hi), (n2, lo, min(hi, stop2 - 1))):
+            twists = range(s1 if s1 > s2 else s2, (e1 if e1 < e2 else e2) + 1)
+            if twists:
+                row = rows[p + q]
+                for t in twists:
+                    x = comb(n1 + a + t, n1) if p == 0 else comb(-a - t - 1, n1)
+                    y = comb(n2 + b + t, n2) if q == 0 else comb(-b - t - 1, n2)
+                    row[t - base] += mult * x * y
+
+
+def _add_kuenneth(left: Rows, right: Rows, mult: int, rows: Rows, j: int) -> None:
+    """Add mult times the Kunneth product of two factor row sets over one
+    span, taken at equal twists, to the rows from position j on."""
+    for p, a in left.items():
+        for q, b in right.items():
+            row = rows[p + q]
+            for k, (x, y) in enumerate(zip(a, b), j):
+                row[k] += mult * x * y
 
 
 @lru_cache(maxsize=None)
@@ -166,12 +182,12 @@ def _spinor3_h3(k: int) -> int:
     return value
 
 
-def _add_spinor3(lo: int, hi: int, mult: int, out: Entries) -> None:
+def _add_spinor3(lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
     # ascending twists, so each recursion finds its predecessor cached
     for t in range(lo, hi + 1):
         for i, h in ((0, _spinor3_h0(t)), (3, _spinor3_h3(t))):
             if h:
-                out[(i, t)] = out.get((i, t), 0) + mult * h
+                rows[i][t - base] += mult * h
 
 
 def _elliptic_pair(delta: int, trivial: bool | None, label: str) -> dict[int, int]:
@@ -194,7 +210,8 @@ def _elliptic_zero(atom: SemistableEC, d: int) -> tuple[int, int]:
 
 
 def _add_elliptic(
-    desc: SheafDescriptor, atom: SemistableEC, d: int, lo: int, hi: int, mult: int, out: Entries
+    desc: SheafDescriptor, atom: SemistableEC, d: int, lo: int, hi: int, mult: int,
+    rows: Rows, base: int,
 ) -> None:
     """The degree of atom(t) on a curve of degree d is linear and
     increasing in t: h^1 below its zero twist, h^0 above, and the
@@ -202,67 +219,65 @@ def _add_elliptic(
     step = atom.rank * d
     zero, rem = _elliptic_zero(atom, d)
     last_negative = zero - 1 if rem == 0 else zero
-    for t in range(lo, min(hi, last_negative) + 1):
-        key = (1, t)
-        out[key] = out.get(key, 0) - mult * (atom.degree + step * t)
+    if lo <= last_negative:
+        row = rows[1]
+        for t in range(lo, min(hi, last_negative) + 1):
+            row[t - base] -= mult * (atom.degree + step * t)
     if rem == 0 and lo <= zero <= hi:
         for i, h in _elliptic_pair(0, atom.trivial_type, format_sheaf(desc)).items():
-            out[(i, zero)] = out.get((i, zero), 0) + mult * h
-    for t in range(max(lo, zero + 1), hi + 1):
-        key = (0, t)
-        out[key] = out.get(key, 0) + mult * (atom.degree + step * t)
+            rows[i][zero - base] += mult * h
+    if zero < hi:
+        row = rows[0]
+        for t in range(max(lo, zero + 1), hi + 1):
+            row[t - base] += mult * (atom.degree + step * t)
 
 
-def _add_atoms(
-    desc: SheafDescriptor, model: VarietyModel, spans: Spans, out: Entries
-) -> None:
-    """Add h^i(desc(t)) to out[(i, t)] for every t in the closed spans
-    (lo, hi), the atoms of a sum in order, each over all the spans."""
+def _add_atoms(desc: SheafDescriptor, model: VarietyModel, spans, rows: Rows) -> None:
+    """Add h^i(desc(t)) to rows[i][t - base] for every t in each closed
+    span (lo, hi) of the (lo, hi, base) spans, the atoms of a sum in
+    order, each over all the spans."""
     for atom, mult in flatten_atoms(desc):
-        for lo, hi in spans:
-            _add_entries(atom, model, lo, hi, mult, out)
+        for lo, hi, base in spans:
+            _add_entries(atom, model, lo, hi, mult, rows, base)
 
 
 def _add_entries(
-    desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, mult: int, out: Entries
+    desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, mult: int, rows: Rows, base: int
 ) -> None:
-    """Add mult * h^i(desc(t)) to out[(i, t)] for every lo <= t <= hi, desc
-    one atom; an external tensor's factors go through ``_add_atoms``."""
+    """Add mult * h^i(desc(t)) to rows[i][t - base] for every lo <= t <= hi,
+    desc one atom; an external tensor's factors go through ``_add_atoms``."""
     if isinstance(desc, AbstractSheaf):
         if desc.table is None:
             raise NoOracle(f"{format_sheaf(desc)} carries no table")
         for t in range(lo, hi + 1):
             for i, h in desc.table.column(t).items():
-                out[(i, t)] = out.get((i, t), 0) + mult * h
+                rows[i][t - base] += mult * h
         return
     if model.kind == KIND_PROJ:
         if isinstance(desc, LineBundle):
-            return _add_bott(model.dim, desc.twists[0], lo, hi, mult, out)
+            return _add_bott(model.dim, desc.twists[0], lo, hi, mult, rows, base)
     elif model.kind == KIND_QUADRIC:
         if isinstance(desc, LineBundle):
-            return _add_quadric_line(model.dim, desc.twists[0], lo, hi, mult, out)
+            return _add_quadric_line(model.dim, desc.twists[0], lo, hi, mult, rows, base)
         if isinstance(desc, Spinor):
             on_product = model.product_form_model
             if on_product is not None:
-                return _add_entries(product_form(desc, model), on_product, lo, hi, mult, out)
-            return _add_spinor3(lo, hi, mult, out)
+                return _add_entries(product_form(desc, model), on_product, lo, hi, mult, rows, base)
+            return _add_spinor3(lo, hi, mult, rows, base)
     elif model.kind == KIND_PRODUCT:
-        left: Entries = {}
-        right: Entries = {}
         if isinstance(desc, LineBundle):
             (n1, n2), (a, b) = model.factors, desc.twists
-            _add_bott(n1, a, lo, hi, 1, left)
-            _add_bott(n2, b, lo, hi, 1, right)
-            return _add_kuenneth(left, right, mult, out)
+            return _add_bott_product(n1, n2, a, b, lo, hi, mult, rows, base)
         if isinstance(desc, ExternalTensor):
             left_model, right_model = model.factor_models
-            _add_atoms(desc.left, left_model, ((lo, hi),), left)
-            _add_atoms(desc.right, right_model, ((lo, hi),), right)
-            return _add_kuenneth(left, right, mult, out)
+            left, right = zero_rows(hi - lo + 1), zero_rows(hi - lo + 1)
+            _add_atoms(desc.left, left_model, ((lo, hi, lo),), left)
+            _add_atoms(desc.right, right_model, ((lo, hi, lo),), right)
+            return _add_kuenneth(left, right, mult, rows, lo - base)
     elif model.kind == KIND_ELLIPTIC:
         atom = normalize_elliptic(desc, model)
         if isinstance(atom, SemistableEC):
-            return _add_elliptic(desc, atom, model.deg, lo, hi, mult, out)
+            return _add_elliptic(desc, atom, model.deg, lo, hi, mult, rows, base)
     elif model.kind == KIND_SURFACE:
         raise NoOracle(
             f"abstract surfaces have no oracle for {format_sheaf(desc)};"
@@ -349,9 +364,9 @@ def _piece_table(
     check_window(window)
     starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
     spans = _held_spans(lo, hi, starts, k)
-    entries: Entries = {}
-    _add_atoms(desc, model, spans, entries)
-    return PieceTable(window=window, entries=entries, spans=spans)
+    rows = zero_rows(sum(b - a + 1 for a, b in spans))
+    _add_atoms(desc, model, placed(spans), rows)
+    return CohomologyTable(window, rows=rows, spans=spans)
 
 
 def ulrich_table(
@@ -360,17 +375,17 @@ def ulrich_table(
     """The table an Ulrich object of dimension n with the given twist-0
     column must have over the window (the rule in the module docstring)."""
     lo, hi = window
-    entries: Entries = {}
+    rows = zero_rows(hi - lo + 1)
     for q, h in column.items():
-        _add_bott(n, 0, lo, hi, h, entries, shift=q)
-    return CohomologyTable(window=window, entries=entries)
+        _add_bott(n, 0, lo, hi, h, rows, lo, shift=q)
+    return CohomologyTable(window, rows=rows)
 
 
 def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
     """The table builder on the one-twist window (t, t)."""
-    out: Entries = {}
-    _add_atoms(desc, model, ((t, t),), out)
-    return {i: h for (i, _), h in out.items() if h}
+    rows = zero_rows(1)
+    _add_atoms(desc, model, ((t, t, t),), rows)
+    return {i: row[0] for i, row in rows.items() if row[0]}
 
 
 def _twisted_column(
@@ -412,9 +427,10 @@ def _window_table(
 ) -> CohomologyTable:
     """``sheaf_table`` of a validated descriptor over a given window."""
     check_window(window)
-    entries: Entries = {}
-    _add_atoms(desc, model, (window,), entries)
-    return CohomologyTable(window=window, entries=entries)
+    lo, hi = window
+    rows = zero_rows(hi - lo + 1)
+    _add_atoms(desc, model, ((lo, hi, lo),), rows)
+    return CohomologyTable(window, rows=rows)
 
 
 def check_window(window: tuple[int, int]) -> None:

@@ -51,7 +51,7 @@ from .sheaves import (
     tensor_line,
     validate_descriptor,
 )
-from .tables import CohomologyTable
+from .tables import CohomologyTable, shifted_sum
 from .variety import (
     KIND_PROJ,
     VarietyModel,
@@ -230,14 +230,10 @@ def _hyper_from_tables(
     window: tuple[int, int],
     tables: Mapping[int, CohomologyTable],
 ) -> HyperTableResult:
-    """``hyper_table`` from already assembled tables of the cohomology
-    sheaves of E over the window, keyed by degree."""
-    entries: dict[tuple[int, int], int] = {}
-    for degree, table in tables.items():
-        for (i, t), h in table.entries.items():
-            key = (i + degree, t)
-            entries[key] = entries.get(key, 0) + h
-    table = CohomologyTable(window=window, entries=entries)
+    """``hyper_table`` from already assembled whole tables of the
+    cohomology sheaves of E over the window, keyed by degree: the sheaf
+    in degree q adds its row i to row i + q."""
+    table = shifted_sum(window, tables.items())
     return HyperTableResult(table=table, glued=E.has_glue())
 
 
@@ -255,10 +251,9 @@ def _unit_multiples(sections: int, table: CohomologyTable) -> dict[int, int]:
 
 def _rebuilds(n: int, table: CohomologyTable) -> bool:
     """Whether the table of an object of dimension n is the one
-    ``ulrich_table`` reads off its twist-0 column (Eisenbud-Schreyer).
-    Both tables span the same window, and a table stores only nonzero
-    entries inside its window, so equal tables have equal entry mappings."""
-    return ulrich_table(n, table.column(0), table.window).entries == table.entries
+    ``ulrich_table`` reads off its twist-0 column (Eisenbud-Schreyer),
+    over the whole window: equal tables have equal entries."""
+    return ulrich_table(n, table.column(0), table.window) == table
 
 
 @dataclass

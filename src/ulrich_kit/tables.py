@@ -1,11 +1,26 @@
-"""Exact cohomology tables indexed by (degree, twist)."""
+"""Exact cohomology tables, one row per degree over a twist window.
+
+A table stores h^i(E(t)) as rows: for each degree i, its values at the
+held twists in ascending order, 0 where nothing is stored.  All-zero rows
+are dropped and the rest kept in ascending degree, so two tables are
+equal exactly when their windows, held twists and nonzero entries are.
+The rules of ``cohomology`` fill slices of the rows, which never change
+afterwards; ``entries``, the (i, t) -> h mapping of the nonzero values,
+is derived on its first read and kept.  A table holds every twist of its
+window, or, given ``spans``, those of the sorted closed spans only, laid
+out span after span (``placed``), so it never allocates the twists it
+skips: the piece tables the Ulrich verdicts read.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from collections import defaultdict
+from itertools import accumulate, chain
 
 from .errors import IncompleteTable
+
+Rows = dict[int, list[int]]
+Spans = tuple[tuple[int, int], ...]
 
 
 def alternating_sum(column: dict[int, int]) -> int:
@@ -19,65 +34,84 @@ def outside_window(t: int, window: tuple[int, int]) -> IncompleteTable:
     return IncompleteTable(f"twist {t} outside window {window}")
 
 
-@dataclass
-class CohomologyTable:
-    """Dimensions h^i(E(t)) for t inside a closed twist window.
+def zero_rows(size: int) -> Rows:
+    """Rows of the given length to fill: a new degree reads as zeros."""
+    return defaultdict(([0] * size).copy)
 
-    ``entries`` maps (i, t) to h and stores only nonzero values at twists
-    inside the window; construction drops the others.  It is
-    fixed at construction: the per-twist index that column reads go
-    through is built from it once, so the mapping must not be mutated
-    afterwards.  The index holds only the degrees stored at each twist,
-    as a sorted tuple; the values stay in ``entries``.
+
+def placed(spans: Spans) -> tuple[tuple[int, int, int], ...]:
+    """The closed spans (a, b) laid out one after the other, as (a, b,
+    base): twist t of the span sits at row position t - base."""
+    sizes = accumulate((b - a + 1 for a, b in spans), initial=0)
+    return tuple((a, b, a - size) for (a, b), size in zip(spans, sizes))
+
+
+class CohomologyTable:
+    """Dimensions h^i(E(t)) at the held twists of a closed twist window.
+
+    Built from ``entries``, a mapping (i, t) -> h of which the nonzero
+    values inside the window are kept, or from ``rows`` as ``zero_rows``
+    makes them, laid out over ``spans`` when given.  Every build passes
+    through ``__post_init__``.  A read at a twist the table does not hold
+    is refused as one outside the window is.
     """
 
-    window: tuple[int, int]
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    _degrees: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    def __init__(self, window, entries=None, *, rows: Rows | None = None, spans=None) -> None:
+        self.window, self.spans = window, spans
+        self._entries, self._rows = entries, rows
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         lo, hi = self.window
         if lo > hi:
             raise IncompleteTable(f"empty window {self.window}")
-        entries: dict[tuple[int, int], int] = {}
-        degrees: dict[int, tuple[int, ...]] = {}
-        # few distinct degree tuples occur, so columns share them; the
-        # tuple of a twist's first degree i is kept under the key i.  A
-        # tuple stays sorted: a degree above its last is appended, any
-        # other (a hyper sum adds shifted degrees in any order) re-sorts
-        shared: dict[int | tuple[int, ...], tuple[int, ...]] = {}
-        for key, h in self.entries.items():
-            i, t = key
-            if h != 0 and lo <= t <= hi:
-                entries[key] = h
-                d = degrees.get(t)
-                if d is None:
-                    d = shared.get(i) or shared.setdefault(i, (i,))
-                else:
-                    d = d + (i,) if i > d[-1] else tuple(sorted(d + (i,)))
-                    d = shared.setdefault(d, d)
-                degrees[t] = d
-        self.entries = entries
-        self._degrees = degrees
+        # the row position of each held twist; None when all are held
+        held = () if self.spans is None else placed(self.spans)
+        self._at = {t: t - base for a, b, base in held for t in range(a, b + 1)} if held else None
+        rows = self._rows
+        if rows is None:
+            rows, kept = zero_rows(hi - lo + 1), {}
+            for (i, t), h in (self._entries or {}).items():
+                if h and lo <= t <= hi:
+                    rows[i][t - lo] = kept[(i, t)] = h
+            self._entries = kept
+        self._rows = {i: rows[i] for i in sorted(rows) if any(rows[i])}
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero values as (i, t) -> h, derived once."""
+        if self._entries is None:
+            ts = range(self.window[0], self.window[1] + 1) if self._at is None else self._at
+            self._entries = {(i, t): h for i, r in self._rows.items() for t, h in zip(ts, r) if h}
+        return self._entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CohomologyTable):
+            return NotImplemented
+        return (self.window, self._at, self._rows) == (other.window, other._at, other._rows)
+
+    def __repr__(self) -> str:
+        return f"CohomologyTable(window={self.window!r}, entries={self.entries!r})"
 
     def covers(self, t: int) -> bool:
         lo, hi = self.window
-        return lo <= t <= hi
+        return lo <= t <= hi if self._at is None else t in self._at
 
-    def _degrees_at(self, t: int) -> tuple[int, ...]:
-        if not self.covers(t):
+    def _position(self, t: int) -> int:
+        lo, hi = self.window
+        j = (t - lo if lo <= t <= hi else None) if self._at is None else self._at.get(t)
+        if j is None:
             raise outside_window(t, self.window)
-        return self._degrees.get(t, ())
+        return j
 
     def h(self, i: int, t: int) -> int:
-        if not self.covers(t):
-            raise outside_window(t, self.window)
-        return self.entries.get((i, t), 0)
+        j = self._position(t)
+        row = self._rows.get(i)
+        return row[j] if row else 0
 
     def column(self, t: int) -> dict[int, int]:
-        return {i: self.entries[(i, t)] for i in self._degrees_at(t)}
+        j = self._position(t)
+        return {i: row[j] for i, row in self._rows.items() if row[j]}
 
     def euler(self, t: int) -> int:
         return alternating_sum(self.column(t))
@@ -85,48 +119,31 @@ class CohomologyTable:
     def first_nonzero(self, twists, degrees=None):
         """Witness (i, t, h) for the first nonzero entry over the given
         twists, or None when everything vanishes there; the lowest degree
-        of a twist comes first, as the index keeps its degrees sorted."""
+        of a twist comes first, as the rows are kept in degree order.  A
+        piece table walks its held twists only, which finds what the
+        whole table finds on a walk over whole pieces."""
         lo, hi = self.window
-        for t in twists:
-            # checked inline, not through _degrees_at: a method call per
-            # twist cost the wide-window workload about 5% of its ops/s
-            if not lo <= t <= hi:
+        at = self._at
+        rows = [(i, row) for i, row in self._rows.items() if degrees is None or i in degrees]
+        for t in twists if at is None else self._held(twists):
+            # positions found inline, not through _position: a method call
+            # per twist cost the wide-window workload about 5% of its ops/s
+            j = (t - lo if lo <= t <= hi else None) if at is None else at.get(t)
+            if j is None:
                 raise outside_window(t, self.window)
-            for i in self._degrees.get(t, ()):
-                if degrees is None or i in degrees:
-                    return (i, t, self.entries[(i, t)])
+            for i, row in rows:
+                if row[j]:
+                    return (i, t, row[j])
         return None
 
     def rows(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as (i, t, h), sorted by twist then degree."""
-        return sorted(
-            ((i, t, h) for (i, t), h in self.entries.items()),
-            key=lambda row: (row[1], row[0]),
-        )
+        return sorted(((i, t, h) for (i, t), h in self.entries.items()), key=lambda r: (r[1], r[0]))
 
     def same_entries(self, other: "CohomologyTable") -> bool:
         lo = max(self.window[0], other.window[0])
         hi = min(self.window[1], other.window[1])
         return all(self.column(t) == other.column(t) for t in range(lo, hi + 1))
-
-
-@dataclass
-class PieceTable(CohomologyTable):
-    """A table holding its window's entries at the twists of ``spans``
-    only: sorted closed spans, the first and the last dim + 1 twists of
-    each piece of ``cohomology._piece_table``.  A read at any other twist
-    is refused as one outside the window is, and ``first_nonzero`` walks
-    the held twists only, which finds what the whole table finds on a
-    walk over whole pieces.  The Ulrich verdicts read it; no public
-    result carries it."""
-
-    spans: tuple[tuple[int, int], ...] = ()
-
-    def covers(self, t: int) -> bool:
-        return any(a <= t <= b for a, b in self.spans)
-
-    def first_nonzero(self, twists, degrees=None):
-        return super().first_nonzero(self._held(twists), degrees)
 
     def _held(self, twists):
         """The held twists of a walk, in its order, then its first twist
@@ -146,3 +163,14 @@ class PieceTable(CohomologyTable):
             beyond = lo - 1
         walk = chain.from_iterable(held)
         return walk if lo <= last <= hi else chain(walk, (beyond,))
+
+
+def shifted_sum(window: tuple[int, int], parts) -> CohomologyTable:
+    """The table over the window whose row i + q sums row i of each
+    (q, table) of parts, every table holding the whole window."""
+    rows: Rows = {}
+    for q, table in parts:
+        for i, row in table._rows.items():
+            held = rows.get(i + q)
+            rows[i + q] = row if held is None else [x + y for x, y in zip(held, row)]
+    return CohomologyTable(window, rows=rows)

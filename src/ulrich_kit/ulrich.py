@@ -22,8 +22,9 @@ of the oracles against that rule, so it does not lean on the piece argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import takewhile
+from typing import Sequence
 
 from .chern import ulrich_chern_solve
 from .cohomology import (
@@ -91,7 +92,7 @@ class Criterion:
     check passes exactly when it found none."""
 
     name: str
-    twists: tuple[int, ...]
+    twists: Sequence[int]
     witness: tuple[int, int, int] | None = None
     note: str = ""
 
@@ -219,15 +220,17 @@ def _sheaf_verdict(
     model: VarietyModel,
     window: tuple[int, int],
     table: CohomologyTable,
+    prefix: str = "",
 ) -> UlrichVerdict:
     """``is_ulrich_sheaf`` on a table of the validated desc over the
     window, whole or as ``_verdict_table`` holds it: every read is a walk
     over whole pieces of the latter.  A window that does not reach the
-    probe depth gets a probe table of its own."""
+    probe depth gets a probe table of its own.  Every criterion's name
+    starts with prefix; the window criteria hold ``range``s."""
     ulrich_twists = model.ulrich_twists
     criteria = [
         Criterion(
-            name="twisted-vanishing",
+            name=prefix + "twisted-vanishing",
             twists=ulrich_twists,
             witness=table.first_nonzero(ulrich_twists),
         )
@@ -240,8 +243,8 @@ def _sheaf_verdict(
     init = _initialized(desc, lo, probe_table)
     criteria.append(
         Criterion(
-            name="initialized",
-            twists=tuple(range(init.probed[0], 0)),
+            name=prefix + "initialized",
+            twists=range(init.probed[0], 0),
             witness=init.witness,
             note="global" if init.global_verdict else "window-limited",
         )
@@ -251,7 +254,7 @@ def _sheaf_verdict(
     h0 = table.h(0, 0)
     criteria.append(
         Criterion(
-            name="section-count",
+            name=prefix + "section-count",
             twists=(0,),
             witness=None if h0 == expected else (0, 0, h0),
             note=f"h0 = {h0}, deg * rank = {expected}",
@@ -261,7 +264,7 @@ def _sheaf_verdict(
     middle = range(window[0], window[1] + 1)
     inner_degrees = set(range(1, model.dim))
     acm_hit = table.first_nonzero(middle, degrees=inner_degrees) if inner_degrees else None
-    criteria.append(Criterion(name="acm-window", twists=tuple(middle), witness=acm_hit))
+    criteria.append(Criterion(name=prefix + "acm-window", twists=middle, witness=acm_hit))
     return UlrichVerdict(mode="sheaf", criteria=criteria)
 
 
@@ -327,11 +330,8 @@ def _object_verdict(
         )
     if mode != "direct":
         for degree, desc in pairs:
-            sub = _sheaf_verdict(desc, E.model, window, tables[degree])
-            criteria.extend(
-                replace(criterion, name=f"degree {degree}: {criterion.name}")
-                for criterion in sub.criteria
-            )
+            sub = _sheaf_verdict(desc, E.model, window, tables[degree], f"degree {degree}: ")
+            criteria.extend(sub.criteria)
     if mode == "both":
         direct, sheafwise = criteria[0], UlrichVerdict(mode, criteria[1:])
         if direct.passed != sheafwise.passed:

@@ -3,6 +3,7 @@ determinism.  Every captured report is validated against the shipped
 JSON schema."""
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -239,6 +240,32 @@ class TestCheck:
         code, report = run_json(capsys, "check", "--object", str(path))
         assert code == 2
         assert report["error"] == "glue witnesses carry degree-two extensions"
+
+    def test_wide_window_reports_keep_their_bytes(self, capsys, tmp_path):
+        # the window criteria hold ranges; a report still writes out every
+        # twist, byte for byte as when they were tuples (digests recorded
+        # from that code)
+        code, out = run(
+            capsys, "check", "--variety", "pn:4", "--sheaf", "O(0) + O(3)",
+            "--window=-3200:3200",
+        )
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "09c3e587c97d1a80d17f1b49e52ecb08d3426380e84f042e5e8d1e0f2cacf480"
+        )
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({
+            "variety": "pn:4",
+            "sheaves": {"0": "2*O(0)", "-1": "O(0)", "-2": "O(0)"},
+            "glue": [{"from": 0, "to": -1}],
+        }))
+        code, report = run_json(capsys, "check", "--object", str(path), "--window=-3200:3200")
+        assert code == 0
+        criteria = json.dumps(report["payload"]["criteria"], sort_keys=True)
+        assert hashlib.sha256(criteria.encode()).hexdigest() == (
+            "dabad43f9d675985fbf77d2f6c9a92eb3a10b8c44459c33bf6adc1053ba889e1"
+        )
+        assert report["payload"]["criteria"][-1]["twists"] == list(range(-3200, 3201))
 
     def test_tsv_without_rows_prints_each_payload_key(self, capsys):
         code, out = run(

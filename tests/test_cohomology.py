@@ -26,6 +26,8 @@ from ulrich_kit import (
     elliptic_curve,
     format_sheaf,
     format_variety,
+    formal_complex,
+    hyper_table,
     line_bundle,
     parse_sheaf,
     product_proj,
@@ -44,7 +46,7 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     UnsupportedQuadricDim,
 )
-from ulrich_kit.cohomology import ulrich_table
+from ulrich_kit.cohomology import _piece_table, ulrich_table
 from ulrich_kit.variety import MAX_DIM, MAX_TWISTS, default_window
 from ulrich_kit.sheaves import product_form, rank_of
 
@@ -690,6 +692,51 @@ def test_tables_and_columns_match_the_per_twist_reference(case, data):
         assert sheaf_column(desc, model, s) == reference_column(desc, model, s), s
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=tables_to_build(), cuts=st.lists(st.integers(-320, 320), max_size=3))
+def test_piece_tables_hold_the_reference_at_their_held_twists_only(case, cuts):
+    # the rows of a piece table are laid out span after span; every held
+    # twist must read its own column, every other one the outside error
+    model, desc, window = case
+    lo, hi = window
+    table = _piece_table(desc, model, window, tuple(cuts))
+    assert table.covers(lo) and table.covers(hi)
+    for t in range(lo, hi + 1):
+        if table.covers(t):
+            assert table.column(t) == reference_column(desc, model, t), t
+        else:
+            with pytest.raises(IncompleteTable, match=rf"^twist {t} outside window"):
+                table.column(t)
+            with pytest.raises(IncompleteTable, match=rf"^twist {t} outside window"):
+                table.h(0, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(ORACLE_MODELS), window=windows, data=st.data())
+def test_hyper_tables_are_the_e2_sums_of_the_reference_columns(model, window, data):
+    lo, hi = window
+    degrees = data.draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3, unique=True))
+    E = formal_complex(model, {q: data.draw(oracle_descriptors(model, window)) for q in degrees})
+    want = {}
+    for q, desc in E.sheaves:
+        for t in range(lo, hi + 1):
+            for i, h in reference_column(desc, model, t).items():
+                want[(i + q, t)] = want.get((i + q, t), 0) + h
+    assert hyper_table(E, window).table.entries == {k: h for k, h in want.items() if h}
+
+
+def test_a_piece_table_stores_only_its_held_twists():
+    # the verdict table of O(0) + O(3) on pn:4 over the widest window
+    # MAX_TWISTS admits: no row reaches the twists it skips
+    model = proj_space(4)
+    window = (-10_000, 9_999)
+    table = _piece_table(parse_sheaf("O(0) + O(3)", model), model, window, (0, -4, -13))
+    held = sum(map(table.covers, range(window[0], window[1] + 1)))
+    degrees = {i for i, _ in table.entries}
+    assert held <= 60 and degrees == {0, 4}
+    assert sum(len(row) for row in table._rows.values()) <= held * len(degrees)
+
+
 SERRE_MODELS = (
     [quadric(n) for n in range(2, 6)]
     + [product_proj(a, b) for a in range(1, 4) for b in range(1, 5 - a)]
@@ -748,7 +795,9 @@ def test_ulrich_table_matches_the_per_twist_convolution(n, column, window):
     for t in range(lo, hi + 1):
         for i, h in convolve(column, ambient_line_table(n, t)).items():
             want[(i, t)] = h
-    assert ulrich_table(n, column, window).entries == want
+    table = ulrich_table(n, column, window)
+    assert table.entries == want
+    assert table == CohomologyTable(window, want)
 
 
 @st.composite

@@ -7,8 +7,9 @@ dimension or factor shape, or writes out the Ulrich twists -1..-dim,
 no float appears outside the one display phase, each phase sector is
 named once, no module but ``sheaves`` looks inside a direct sum, no
 module but ``complexes`` decides "sheaf or complex" or shifts a sum by
-a complex degree, no public table holds fewer twists than its window,
-and every kit name the benchmark's tracer looks up still exists.
+a complex degree, no module but ``tables`` and ``cohomology`` reads a
+table's rows, no public table holds fewer twists than its window, and
+every kit name the benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -374,6 +375,49 @@ def test_objects_are_read_only_in_complexes():
         for line in _object_readings(tree)
     ]
     assert not found, f"objects read outside complexes.py, use sheaves_of/hyper_column: {found}"
+
+
+ROW_STORAGE = ("_rows", "_at", "_entries")
+
+
+def _row_readings(tree: ast.Module):
+    """Line of every read of a table's row storage."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ROW_STORAGE:
+            yield node.lineno
+
+
+def test_table_rows_are_read_only_in_tables_and_cohomology():
+    """A table's rows are laid out by ``tables`` and filled by the rules
+    of ``cohomology``; everything else reads columns, entries and whole
+    tables.  The hyper sum goes through ``tables.shifted_sum`` and the
+    Eisenbud-Schreyer rebuild compares whole tables with ``==``."""
+    found = [
+        f"{name}:{line}"
+        for name, tree in TREES.items()
+        if name not in ("tables.py", "cohomology.py")
+        for line in _row_readings(tree)
+    ]
+    assert not found, f"table rows read outside tables.py and cohomology.py: {found}"
+    functions = {
+        node.name: node
+        for node in ast.walk(TREES["complexes.py"])
+        if isinstance(node, ast.FunctionDef)
+    }
+    hyper_calls = {
+        node.func.id
+        for node in ast.walk(functions["_hyper_from_tables"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "shifted_sum" in hyper_calls
+    rebuild = functions["_rebuilds"]
+    assert any(
+        isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops)
+        for node in ast.walk(rebuild)
+    )
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "entries" for node in ast.walk(rebuild)
+    )
 
 
 def test_public_tables_hold_their_whole_window(monkeypatch):

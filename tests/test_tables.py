@@ -1,5 +1,6 @@
-"""Cohomology tables: the per-twist index behind column reads agrees
-with a brute-force scan of the stored entries."""
+"""Cohomology tables: the rows behind column reads agree with a
+brute-force scan of the stored entries, and two tables are equal exactly
+when their windows and their nonzero entries are."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from ulrich_kit.complexes import (
     HyperTableResult,
 )
 from ulrich_kit.errors import IncompleteTable
-from ulrich_kit.tables import CohomologyTable
+from ulrich_kit.tables import CohomologyTable, shifted_sum
 
 
 def scan_column(table, t):
@@ -133,3 +134,43 @@ def test_overall_certificate_agrees_with_a_scan_of_the_window(table, glued):
     else:
         want = CERT_UPPER_BOUND_ONLY if nonzero else CERT_EXACT_BY_VANISHING
     assert result.overall == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), data=st.data())
+def test_tables_are_equal_exactly_when_their_entries_are(table, data):
+    # a table rebuilt from its entries, or from any mapping that adds
+    # zeros or twists outside the window, is the same table
+    lo, hi = table.window
+    padding = data.draw(
+        st.dictionaries(st.tuples(st.integers(-3, 4), st.integers(lo - 3, hi + 3)), st.just(0))
+    )
+    outside = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(-3, 4), st.integers(hi + 1, hi + 3) | st.integers(lo - 3, lo - 1)),
+            st.integers(-3, 5),
+        )
+    )
+    rebuilt = CohomologyTable(table.window, {**padding, **outside, **table.entries})
+    assert rebuilt == table and rebuilt.entries == table.entries
+    other = data.draw(tables(table.window) | tables())
+    same = other.window == table.window and other.entries == table.entries
+    assert (other == table) == same == (table == other)
+    assert table.rows() == sorted(
+        ((i, t, h) for (i, t), h in table.entries.items()), key=lambda row: (row[1], row[0])
+    )
+    assert [(t, i) for i, t, _ in table.rows()] == sorted((t, i) for i, t in table.entries)
+    # rows that cancel to zero everywhere are dropped, so the sum of a
+    # table and its negative is the empty table
+    q = data.draw(st.integers(-2, 2))
+    shifted = shifted_sum(table.window, [(q, table)])
+    assert shifted.entries == {(i + q, t): h for (i, t), h in table.entries.items()}
+    negated = CohomologyTable(table.window, {key: -h for key, h in table.entries.items()})
+    assert shifted_sum(table.window, [(q, table), (q, negated)]) == CohomologyTable(table.window)
+
+
+def test_entries_are_derived_once_and_kept():
+    table = shifted_sum((0, 2), [(0, CohomologyTable((0, 2), {(0, 1): 2, (1, 2): 3}))])
+    assert table.entries is table.entries
+    assert table.entries == {(0, 1): 2, (1, 2): 3}
+    assert repr(table) == "CohomologyTable(window=(0, 2), entries={(0, 1): 2, (1, 2): 3})"
