@@ -16,6 +16,7 @@ sign), and nothing here papers over that.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import atan2, pi
@@ -89,8 +90,13 @@ class ChargeValue:
         return "zero"
 
     def phase_display(self) -> float:
-        """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only."""
-        return atan2(float(self.im), float(self.re)) / pi
+        """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only.
+        Parts past the float range are first divided by one power of two."""
+        try:
+            return atan2(float(self.im), float(self.re)) / pi
+        except OverflowError:
+            scale = 1 << int(max(abs(self.im), abs(self.re))).bit_length()
+            return atan2(float(self.im / scale), float(self.re / scale)) / pi
 
 
 def central_charge(c: NumClass, s: Fraction, t: Fraction) -> ChargeValue:
@@ -269,7 +275,7 @@ class ScanRow:
 
 def question_scan(
     E: FormalComplex,
-    grid: list[tuple[Fraction, Fraction]],
+    grid: Iterable[tuple[Fraction, Fraction]],
     convention: str = "paper-literal",
 ) -> list[ScanRow]:
     """Evidence table over a rational (s,t) grid.
@@ -280,48 +286,57 @@ def question_scan(
     answer.
 
     The class, the heart rule and the charge coefficients are built
-    once per call.  Each distinct t is converted, checked, sorted and
-    squared into t^2*d*r/2 once; each distinct s is converted, and gets
-    its heart verdict and the s-part of the charge, once.  A point then
-    costs re_s + t^2*d*r/2, t*im_s and its row, and is placed among its
-    s's points by the integer rank of its t.
+    once per call, and the grid is read once.  Coordinates are grouped
+    by object, not by value: each distinct t object is converted,
+    checked, sorted and squared into t^2*d*r/2 once, and each distinct s
+    value (``1`` and ``Fraction(1)`` are one s) gets its heart verdict
+    and the s-part of the charge once, all kept as integer numerators
+    and denominators.  A point then hashes no Fraction and does no
+    Fraction arithmetic: re and im are each one Fraction(n, d) of
+    integer products, which its gcd makes canonical, and the point is
+    placed among its s's points by the integer rank of its t.
     """
-    if not grid:
+    points = list(grid)
+    if not points:
         raise EmptyGrid("scan needs at least one grid point")
-    places: dict = {}  # each distinct raw t -> its place in ts
+    # keyed by id(): points holds every raw coordinate for the whole call
+    t_places: dict[int, int] = {}  # raw t -> its place in ts
     ts: list[Fraction] = []
-    point_places = []
-    for _, t in grid:
-        place = places.get(t)
+    s_groups: dict[int, tuple] = {}  # raw s -> (raw s, places of its t's)
+    for s, t in points:
+        place = t_places.get(id(t))
         if place is None:
-            place = places[t] = len(ts)
+            place = t_places[id(t)] = len(ts)
             ts.append(Fraction(t))
             if ts[-1] <= 0:
                 raise NonpositiveT(f"grid t values must be positive, got {t}")
-        point_places.append(place)
+        group = s_groups.get(id(s))
+        if group is None:
+            group = s_groups[id(s)] = (s, [])
+        group[1].append(place)
     order = sorted(range(len(ts)), key=ts.__getitem__)
     rank = sorted(range(len(ts)), key=order.__getitem__)  # place -> rank
     ts = [ts[place] for place in order]
-    # the t ranks of each raw s's points, then one group per value of s
-    by_raw_s: dict = {}
-    for (s, _), place in zip(grid, point_places):
-        by_raw_s.setdefault(s, []).append(rank[place])
-    by_s: dict[Fraction, list[int]] = {}
-    for s, ranks in by_raw_s.items():
-        by_s.setdefault(Fraction(s), []).extend(ranks)
+    by_s: dict[Fraction, list[int]] = {}  # one group of t ranks per value of s
+    for s, places in s_groups.values():
+        by_s.setdefault(Fraction(s), []).extend(map(rank.__getitem__, places))
     total = class_of(E, E.model)
     heart = _heart_rule(E, convention)
     at_s, half = _charge_in_s(total)
-    t_terms = [t * t * half for t in ts]  # t^2*d*r/2, by rank
+    t_parts = []  # t and t^2*d*r/2 as numerators and denominators, by rank
+    for t in ts:
+        term = t * t * half
+        t_parts.append((t.numerator, t.denominator, term.numerator, term.denominator))
     rows = []
-    for s in sorted(by_s):
+    for s, ranks in sorted(by_s.items()):
         verdict = heart(s)
         re_s, im_s = at_s(s)
-        for r in sorted(by_s[s]):
-            t = ts[r]
-            charge = ChargeValue(re_s + t_terms[r], t * im_s)
+        an, ad, bn, bd = re_s.numerator, re_s.denominator, im_s.numerator, im_s.denominator
+        for r in sorted(ranks):
+            tn, td, un, ud = t_parts[r]
+            charge = ChargeValue(Fraction(an * ud + un * ad, ad * ud), Fraction(tn * bn, td * bd))
             rows.append(ScanRow(
-                s=s, t=t, best_shift=verdict.best_shift, heart_status=verdict.status,
+                s=s, t=ts[r], best_shift=verdict.best_shift, heart_status=verdict.status,
                 heart_reason=verdict.reason, re=charge.re, im=charge.im,
                 im_zero=charge.im.numerator == 0, phase_sector=charge.phase_sector(),
                 phase_display=charge.phase_display(),

@@ -9,6 +9,7 @@ down here as a property.
 """
 
 from fractions import Fraction
+from math import atan, pi
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,21 @@ class TestCentralCharge:
         assert mk(0, 0).phase_sector() == "zero"
         assert mk(-1, 0).phase_display() == 1.0
         assert mk(0, 1).phase_display() == 0.5
+
+    def test_phase_past_the_float_range(self):
+        from ulrich_kit import ChargeValue
+
+        # a multiple past every float has the phase of the point
+        for re, im in ((-1, 1), (3, -5), (-7, 0), (0, 2)):
+            small = ChargeValue(Fraction(re), Fraction(im))
+            big = ChargeValue(Fraction(re) * 10**400, Fraction(im) * 10**400)
+            assert big.phase_display() == pytest.approx(small.phase_display())
+        # at s = 10^200 the real part is about 10^400
+        c = NumClass(K3, -1, Fraction(0), Fraction(0))
+        z = central_charge(c, Fraction(10**200), Fraction(1))
+        assert z.phase_sector() == "upper-half"
+        assert -1 < z.phase_display() <= 1
+        assert z.phase_display() == pytest.approx(atan(z.im / z.re) / pi)
 
 
 class TestTorsionClassify:
@@ -356,6 +372,15 @@ class TestQuestionScan:
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
             question_scan(self.glued(), [])
+        with pytest.raises(EmptyGrid):
+            question_scan(self.glued(), iter([]))
+
+    def test_a_grid_is_read_once(self):
+        E = self.glued()
+        grid = self.grid()
+        rows = question_scan(E, grid)
+        assert question_scan(E, iter(grid)) == rows
+        assert question_scan(E, ((Fraction(s), Fraction(t)) for s, t in grid)) == rows
 
     def test_nonpositive_t_anywhere_is_rejected(self):
         grid = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
@@ -448,13 +473,24 @@ def scan_complexes(draw):
     return formal_complex(K3, dict(zip(layout, picks)))
 
 
+def _repeat(x, how: str):
+    """x itself, a new equal object, or x in the other type where it is whole."""
+    if how == "same":
+        return x
+    if how == "new" or x.denominator != 1:
+        return Fraction(x.numerator, x.denominator)
+    return int(x) if isinstance(x, Fraction) else Fraction(x)
+
+
 @st.composite
 def scan_grids(draw):
     points = draw(st.lists(st.tuples(grid_value, positive_value), min_size=1, max_size=12))
-    # duplicates, some as the same point in the other type
-    repeats = draw(st.lists(st.sampled_from(points), max_size=4))
-    mixed = [(Fraction(s), t) if isinstance(s, int) else (s, t) for s, t in repeats]
-    return draw(st.permutations(points + mixed))
+    # duplicates: each coordinate as the same object, as a new equal
+    # object, or in the other type
+    how = st.sampled_from(("same", "new", "other type"))
+    repeats = draw(st.lists(st.tuples(st.sampled_from(points), how, how), max_size=6))
+    copies = [(_repeat(s, hs), _repeat(t, ht)) for (s, t), hs, ht in repeats]
+    return draw(st.permutations(points + copies))
 
 
 @settings(max_examples=150, deadline=None)
@@ -576,3 +612,27 @@ def test_scan_asks_for_classes_once_per_object(monkeypatch):
         assert len(question_scan(E, grid)) == side * side
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_scan_hashes_no_fraction_per_point(monkeypatch):
+    """Coordinates are grouped by object, so a scan hashes at most one
+    Fraction per distinct coordinate, however many points share it."""
+    hashes = 0
+    original = Fraction.__hash__
+
+    def counted(self):
+        nonlocal hashes
+        hashes += 1
+        return original(self)
+
+    E = formal_complex(K3, {-1: line_bundle(-1), 0: line_bundle(2)})
+    for side in (2, 20):
+        # shared axis objects, as the CLI builds a grid
+        s_axis = [Fraction(s, side) for s in range(side)]
+        t_axis = [Fraction(t + 1, side) for t in range(side)]
+        grid = [(s, t) for s in s_axis for t in t_axis]
+        hashes = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__hash__", counted)
+            assert len(question_scan(E, grid)) == side * side
+        assert hashes <= 2 * side

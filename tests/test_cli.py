@@ -634,6 +634,25 @@ class TestBoundaries:
         assert "too long to print" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_scan_coordinates_past_the_float_range(self, capsys, tmp_path):
+        obj = tmp_path / "obj.json"
+        obj.write_text(json.dumps({"variety": "surface:d=4,i=0,chi=2", "sheaves": {"0": "O(2)"}}))
+        # re grows as t^2: past every float at t = 10^154, and past the
+        # interpreter's limit for printing an integer at t = 10^2999
+        big = "1" + "0" * 154
+        code, report = run_json(
+            capsys, "scan", "--object", str(obj), "--grid", f"s=-1..-1:1,t={big}..{big}:1"
+        )
+        assert code == 0
+        (row,) = report["payload"]["rows"]
+        assert row["phase_sector"] == "upper-half" and 0 < row["phase"] <= 1
+        huge = "1" + "0" * 2999
+        code = main(["scan", "--object", str(obj), "--grid", f"s=-1..-1:1,t={huge}..{huge}:1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "too long to print" in captured.out
+        assert "internal error" not in captured.out
+
     @pytest.mark.parametrize("sheaf", ["O({})", "{}*O(0)", "ss(1,{})"])
     def test_an_integer_too_long_to_read_is_exit_two(self, capsys, sheaf):
         variety = "elliptic:3" if sheaf.startswith("ss") else "pn:2"
