@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, pi
+from math import atan2, nextafter, pi
 
 from .chern import NumClass, class_of
 from .complexes import FormalComplex
@@ -91,12 +91,15 @@ class ChargeValue:
 
     def phase_display(self) -> float:
         """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only.
-        Parts past the float range are first divided by one power of two."""
+        Parts past the float range are first divided by one power of two.
+        A lower-half phase that atan2 rounds to -pi reads as the float
+        just above -1."""
         try:
-            return atan2(float(self.im), float(self.re)) / pi
+            angle = atan2(float(self.im), float(self.re))
         except OverflowError:
             scale = 1 << int(max(abs(self.im), abs(self.re))).bit_length()
-            return atan2(float(self.im / scale), float(self.re / scale)) / pi
+            angle = atan2(float(self.im / scale), float(self.re / scale))
+        return nextafter(-1.0, 0.0) if angle == -pi else angle / pi
 
 
 def central_charge(c: NumClass, s: Fraction, t: Fraction) -> ChargeValue:

@@ -1,9 +1,10 @@
 """Exact twisted-cohomology oracles for the supported models.
 
 A table is built one atom at a time, the atoms of a sum as
-``sheaves.flatten_atoms`` reads them: the family of each atom is decided
-once, and one rule adds it into slices of the table's rows, one list
-per degree over the twists the table holds (``tables``).  The rules:
+``sheaves.flatten_atoms`` reads them: ``_rule`` decides the family of
+each atom once, and its fill adds the atom into slices of the table's
+rows, one list per degree over the twists the table holds (``tables``).
+The rules:
 
 * Projective space (Bott): only h^0 and h^n are ever nonzero, with
   binomial values on the two ranges t >= -a and t <= -n-1-a of O(a).
@@ -31,7 +32,8 @@ finite linear projection to P^n pushes an Ulrich object to a sum of shifted
 structure sheaves, so h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
 
 Pieces.  Each closed-form rule has break twists, where its range form
-changes (``_breaks``, read off the bounds its fill loop reads): -a and
+changes, given by ``_rule`` with its fill and read off the bounds that
+fill reads (``_breaks`` takes their union over the atoms): -a and
 -n-a for O(a) on P^n, -a and 1-n-a on Q^n, the breaks of both factors
 for Kunneth, and on a genus-one curve the zero twist and the one after
 it.  Between breaks every entry is a polynomial in t of degree at most
@@ -50,10 +52,10 @@ depth where the ascending fill of the whole window does not).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Callable
+from functools import lru_cache, partial
 from itertools import chain
 from math import comb
-from typing import Iterable
 
 from .errors import IncompleteTable, MalformedDescriptor, NoOracle, UnknownSlopeZero
 from .sheaves import (
@@ -151,14 +153,29 @@ def _add_bott_product(
                     row[t - base] += mult * x * y
 
 
-def _add_kuenneth(left: Rows, right: Rows, mult: int, rows: Rows, j: int) -> None:
-    """Add mult times the Kunneth product of two factor row sets over one
-    span, taken at equal twists, to the rows from position j on."""
+def _add_kuenneth(factors, lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
+    """Add mult times the Kunneth product of the two (descriptor, model)
+    factors over lo..hi, taken at equal twists: the rows of each factor,
+    then each pair of their degrees."""
+    left, right = zero_rows(hi - lo + 1), zero_rows(hi - lo + 1)
+    for (desc, model), factor_rows in zip(factors, (left, right)):
+        _add_atoms(desc, model, ((lo, hi, lo),), factor_rows)
     for p, a in left.items():
         for q, b in right.items():
             row = rows[p + q]
-            for k, (x, y) in enumerate(zip(a, b), j):
+            for k, (x, y) in enumerate(zip(a, b), lo - base):
                 row[k] += mult * x * y
+
+
+def _add_stored(table: CohomologyTable, lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
+    for t in range(lo, hi + 1):
+        for i, h in table.column(t).items():
+            rows[i][t - base] += mult * h
+
+
+def _refuse(message: str, *span) -> None:
+    """The fill of an atom with no oracle: it raises when it runs."""
+    raise NoOracle(message)
 
 
 @lru_cache(maxsize=None)
@@ -232,103 +249,75 @@ def _add_elliptic(
             row[t - base] += mult * (atom.degree + step * t)
 
 
+def _rule(
+    atom: SheafDescriptor, model: VarietyModel
+) -> tuple[Callable[..., None], tuple[int, ...] | set[int] | None]:
+    """(fill, breaks) of one atom: the one place its family is decided.
+    fill(lo, hi, mult, rows, base) adds mult * h^i(atom(t)) to
+    rows[i][t - base] for every lo <= t <= hi; breaks are read off the
+    bounds that fill reads (see Pieces), None for a stored table, the Q^3
+    spinor, or an atom with no oracle, whose fill raises NoOracle."""
+    if isinstance(atom, AbstractSheaf):
+        if atom.table is None:
+            return partial(_refuse, f"{format_sheaf(atom)} carries no table"), None
+        return partial(_add_stored, atom.table), None
+    if model.kind == KIND_PROJ:
+        if isinstance(atom, LineBundle):
+            n, a = model.dim, atom.twists[0]
+            return partial(_add_bott, n, a), _bott_breaks(n, a)
+    elif model.kind == KIND_QUADRIC:
+        if isinstance(atom, LineBundle):
+            n, a = model.dim, atom.twists[0]
+            return partial(_add_quadric_line, n, a), _quadric_breaks(n, a)
+        if isinstance(atom, Spinor):
+            on_product = model.product_form_model
+            if on_product is not None:
+                return _rule(product_form(atom, model), on_product)
+            return _add_spinor3, None
+    elif model.kind == KIND_PRODUCT:
+        if isinstance(atom, LineBundle):
+            (n1, n2), (a, b) = model.factors, atom.twists
+            breaks = _bott_breaks(n1, a) + _bott_breaks(n2, b)
+            return partial(_add_bott_product, n1, n2, a, b), breaks
+        if isinstance(atom, ExternalTensor):
+            factors = tuple(zip((atom.left, atom.right), model.factor_models))
+            left, right = (_breaks(desc, on) for desc, on in factors)
+            breaks = None if left is None or right is None else left | right
+            return partial(_add_kuenneth, factors), breaks
+    elif model.kind == KIND_ELLIPTIC:
+        curve = normalize_elliptic(atom, model)
+        if isinstance(curve, SemistableEC):
+            zero, _ = _elliptic_zero(curve, model.deg)
+            return partial(_add_elliptic, atom, curve, model.deg), (zero, zero + 1)
+    elif model.kind == KIND_SURFACE:
+        return partial(
+            _refuse,
+            f"abstract surfaces have no oracle for {format_sheaf(atom)}; attach an explicit table",
+        ), None
+    return partial(_refuse, f"no oracle for {format_sheaf(atom)} on {format_variety(model)}"), None
+
+
 def _add_atoms(desc: SheafDescriptor, model: VarietyModel, spans, rows: Rows) -> None:
     """Add h^i(desc(t)) to rows[i][t - base] for every t in each closed
     span (lo, hi) of the (lo, hi, base) spans, the atoms of a sum in
-    order, each over all the spans."""
+    order, each resolved once and filled over all the spans."""
     for atom, mult in flatten_atoms(desc):
+        fill, _ = _rule(atom, model)
         for lo, hi, base in spans:
-            _add_entries(atom, model, lo, hi, mult, rows, base)
-
-
-def _add_entries(
-    desc: SheafDescriptor, model: VarietyModel, lo: int, hi: int, mult: int, rows: Rows, base: int
-) -> None:
-    """Add mult * h^i(desc(t)) to rows[i][t - base] for every lo <= t <= hi,
-    desc one atom; an external tensor's factors go through ``_add_atoms``."""
-    if isinstance(desc, AbstractSheaf):
-        if desc.table is None:
-            raise NoOracle(f"{format_sheaf(desc)} carries no table")
-        for t in range(lo, hi + 1):
-            for i, h in desc.table.column(t).items():
-                rows[i][t - base] += mult * h
-        return
-    if model.kind == KIND_PROJ:
-        if isinstance(desc, LineBundle):
-            return _add_bott(model.dim, desc.twists[0], lo, hi, mult, rows, base)
-    elif model.kind == KIND_QUADRIC:
-        if isinstance(desc, LineBundle):
-            return _add_quadric_line(model.dim, desc.twists[0], lo, hi, mult, rows, base)
-        if isinstance(desc, Spinor):
-            on_product = model.product_form_model
-            if on_product is not None:
-                return _add_entries(product_form(desc, model), on_product, lo, hi, mult, rows, base)
-            return _add_spinor3(lo, hi, mult, rows, base)
-    elif model.kind == KIND_PRODUCT:
-        if isinstance(desc, LineBundle):
-            (n1, n2), (a, b) = model.factors, desc.twists
-            return _add_bott_product(n1, n2, a, b, lo, hi, mult, rows, base)
-        if isinstance(desc, ExternalTensor):
-            left_model, right_model = model.factor_models
-            left, right = zero_rows(hi - lo + 1), zero_rows(hi - lo + 1)
-            _add_atoms(desc.left, left_model, ((lo, hi, lo),), left)
-            _add_atoms(desc.right, right_model, ((lo, hi, lo),), right)
-            return _add_kuenneth(left, right, mult, rows, lo - base)
-    elif model.kind == KIND_ELLIPTIC:
-        atom = normalize_elliptic(desc, model)
-        if isinstance(atom, SemistableEC):
-            return _add_elliptic(desc, atom, model.deg, lo, hi, mult, rows, base)
-    elif model.kind == KIND_SURFACE:
-        raise NoOracle(
-            f"abstract surfaces have no oracle for {format_sheaf(desc)};"
-            " attach an explicit table"
-        )
-    raise NoOracle(
-        f"no oracle for {format_sheaf(desc)} on {format_variety(model)}"
-    )
+            fill(lo, hi, mult, rows, base)
 
 
 def _breaks(desc: SheafDescriptor, model: VarietyModel) -> set[int] | None:
-    """The break twists of desc: where the range form of some atom's rule
-    changes, read off the bounds its fill loop reads.  Between two breaks
-    every entry is one polynomial in t of degree at most ``model.dim``.
-    None where an atom has no closed form: a stored table, the Q^3
-    spinor's recursion, or no oracle at all."""
+    """The break twists of desc, the union of its atoms' (``_rule``).
+    Between two breaks every entry is one polynomial in t of degree at
+    most ``model.dim``.  None where an atom has none."""
     breaks: set[int] = set()
     for atom, _ in flatten_atoms(desc):
-        found = _atom_breaks(atom, model)
+        _, found = _rule(atom, model)
         if found is None:
             return None
         breaks.update(found)
     return breaks
-
-
-def _atom_breaks(desc: SheafDescriptor, model: VarietyModel) -> Iterable[int] | None:
-    """``_breaks`` of one atom, dispatched as ``_add_entries`` fills it."""
-    if model.kind == KIND_PROJ:
-        if isinstance(desc, LineBundle):
-            return _bott_breaks(model.dim, desc.twists[0])
-    elif model.kind == KIND_QUADRIC:
-        if isinstance(desc, LineBundle):
-            return _quadric_breaks(model.dim, desc.twists[0])
-        on_product = model.product_form_model
-        if isinstance(desc, Spinor) and on_product is not None:
-            return _atom_breaks(product_form(desc, model), on_product)
-    elif model.kind == KIND_PRODUCT:
-        if isinstance(desc, LineBundle):
-            (n1, n2), (a, b) = model.factors, desc.twists
-            return _bott_breaks(n1, a) + _bott_breaks(n2, b)
-        if isinstance(desc, ExternalTensor):
-            left_model, right_model = model.factor_models
-            left, right = _breaks(desc.left, left_model), _breaks(desc.right, right_model)
-            if left is not None and right is not None:
-                return left | right
-    elif model.kind == KIND_ELLIPTIC:
-        atom = normalize_elliptic(desc, model)
-        if isinstance(atom, SemistableEC):
-            zero, _ = _elliptic_zero(atom, model.deg)
-            return zero, zero + 1
-    return None
 
 
 def _held_spans(lo: int, hi: int, starts: set[int], k: int) -> Spans:

@@ -84,15 +84,25 @@ class FormalComplex:
     glue: tuple[GlueWitness, ...] = ()
 
     def __post_init__(self) -> None:
+        """One sheaf per degree, held sorted by degree; each glue witness
+        joins a degree to the one directly below it, both carrying sheaves."""
         degrees = [degree for degree, _ in self.sheaves]
         if len(set(degrees)) != len(degrees):
             raise MalformedDescriptor(f"one sheaf per degree, got degrees {degrees}")
+        object.__setattr__(self, "sheaves", tuple(sorted(self.sheaves)))
+        for witness in self.glue:
+            if witness.from_degree - witness.to_degree != 1:
+                raise MalformedDescriptor(
+                    "glue connects a degree to the one directly below it"
+                )
+            if witness.from_degree not in degrees or witness.to_degree not in degrees:
+                raise MalformedDescriptor("glue endpoints must carry sheaves")
 
     def sheaf_map(self) -> dict[int, SheafDescriptor]:
         return dict(self.sheaves)
 
     def support(self) -> list[int]:
-        return sorted(degree for degree, _ in self.sheaves)
+        return [degree for degree, _ in self.sheaves]
 
     def has_glue(self) -> bool:
         return any(w.nonzero for w in self.glue)
@@ -105,16 +115,7 @@ def formal_complex(
 ) -> FormalComplex:
     for desc in sheaves.values():
         validate_descriptor(desc, model)
-    support = set(sheaves)
-    for witness in glue:
-        if witness.from_degree - witness.to_degree != 1:
-            raise MalformedDescriptor(
-                "glue connects a degree to the one directly below it"
-            )
-        if witness.from_degree not in support or witness.to_degree not in support:
-            raise MalformedDescriptor("glue endpoints must carry sheaves")
-    ordered = tuple(sorted(sheaves.items()))
-    return FormalComplex(model=model, sheaves=ordered, glue=tuple(glue))
+    return FormalComplex(model=model, sheaves=tuple(sheaves.items()), glue=tuple(glue))
 
 
 def sheaves_of(obj, model: VarietyModel) -> tuple[tuple[int, SheafDescriptor], ...]:
@@ -159,7 +160,7 @@ def shift(E: FormalComplex, k: int) -> FormalComplex:
     """E[k], with E[k]^i = E^(i+k)."""
     return FormalComplex(
         model=E.model,
-        sheaves=tuple(sorted((d - k, desc) for d, desc in E.sheaves)),
+        sheaves=tuple((d - k, desc) for d, desc in E.sheaves),
         glue=tuple(
             GlueWitness(w.from_degree - k, w.to_degree - k, w.nonzero)
             for w in E.glue

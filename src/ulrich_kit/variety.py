@@ -23,7 +23,7 @@ only here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -184,16 +184,7 @@ def elliptic_curve(d: int) -> VarietyModel:
 
 def invariants(model: VarietyModel) -> dict:
     """Flat record of the model's numerical invariants."""
-    return {
-        "kind": model.kind,
-        "dim": model.dim,
-        "deg": model.deg,
-        "chi0": model.chi0,
-        "canonical_coeff": model.canonical_coeff,
-        "k0_rank": model.k0_rank,
-        "ambient_dim": model.ambient_dim,
-        "factors": model.factors,
-    }
+    return asdict(model)
 
 
 def hyperplane_model(model: VarietyModel) -> VarietyModel:

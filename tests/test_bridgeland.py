@@ -180,6 +180,13 @@ class TestCentralCharge:
         assert -1 < z.phase_display() <= 1
         assert z.phase_display() == pytest.approx(atan(z.im / z.re) / pi)
 
+    def test_a_phase_just_above_minus_one_stays_in_range(self):
+        # at s = 10^100, Z(O(2)) has re about -2 * 10^200 and im = -4 * 10^100:
+        # atan2 of their floats rounds to -pi, which would read as -1
+        z = central_charge(class_of(line_bundle(2), K3), Fraction(10**100), Fraction(1))
+        assert z.phase_sector() == "lower-half"
+        assert -1 < z.phase_display() <= 1
+
 
 class TestTorsionClassify:
     def test_threshold_conventions(self):

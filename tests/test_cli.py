@@ -653,6 +653,17 @@ class TestBoundaries:
         assert "too long to print" in captured.out
         assert "internal error" not in captured.out
 
+    def test_a_scan_phase_just_above_minus_one_is_in_range(self, capsys, tmp_path):
+        obj = tmp_path / "obj.json"
+        obj.write_text(json.dumps({"variety": "surface:d=4,i=0,chi=2", "sheaves": {"0": "O(2)"}}))
+        s = "1" + "0" * 40
+        code, report = run_json(
+            capsys, "scan", "--object", str(obj), "--grid", f"s={s}..{s}:1,t=1..1:1"
+        )
+        assert code == 0
+        (row,) = report["payload"]["rows"]
+        assert row["phase_sector"] == "lower-half" and -1 < row["phase"] <= 1
+
     @pytest.mark.parametrize("sheaf", ["O({})", "{}*O(0)", "ss(1,{})"])
     def test_an_integer_too_long_to_read_is_exit_two(self, capsys, sheaf):
         variety = "elliptic:3" if sheaf.startswith("ss") else "pn:2"

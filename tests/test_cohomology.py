@@ -46,9 +46,9 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     UnsupportedQuadricDim,
 )
-from ulrich_kit.cohomology import _piece_table, ulrich_table
+from ulrich_kit.cohomology import _breaks, _piece_table, ulrich_table
 from ulrich_kit.variety import MAX_DIM, MAX_TWISTS, default_window
-from ulrich_kit.sheaves import product_form, rank_of
+from ulrich_kit.sheaves import flatten_atoms, product_form, rank_of
 
 
 def count_monomials(n: int, k: int) -> int:
@@ -723,6 +723,55 @@ def test_hyper_tables_are_the_e2_sums_of_the_reference_columns(model, window, da
             for i, h in reference_column(desc, model, t).items():
                 want[(i + q, t)] = want.get((i + q, t), 0) + h
     assert hyper_table(E, window).table.entries == {k: h for k, h in want.items() if h}
+
+
+def holds_no_rule(desc, model):
+    """Whether an atom of desc, or of a tensor factor of one, is a stored
+    table or the Q^3 spinor: the atoms built at every twist."""
+    return any(
+        isinstance(atom, AbstractSheaf)
+        or isinstance(atom, Spinor) and model.dim == 3
+        or isinstance(atom, ExternalTensor)
+        and any(map(holds_no_rule, (atom.left, atom.right), model.factor_models))
+        for atom, _ in flatten_atoms(desc)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from(ORACLE_MODELS), window=windows, opaque=st.booleans(), data=st.data())
+def test_every_entry_is_a_polynomial_of_degree_at_most_dim_between_breaks(
+    model, window, opaque, data
+):
+    # the piece argument (Pieces in the cohomology docstring): on a piece
+    # of at least dim + 2 twists the (dim + 1)-th difference of a row vanishes
+    desc = data.draw(oracle_descriptors(model, window, opaque=opaque))
+    breaks = _breaks(desc, model)
+    assert (breaks is None) == holds_no_rule(desc, model)
+    if breaks is not None:
+        assert_polynomial_between(breaks, desc, model, window)
+
+
+@pytest.mark.parametrize("model", [product_proj(1, 1), product_proj(1, 2)], ids=format_variety)
+def test_an_external_tensor_is_a_polynomial_between_the_breaks_of_both_factors(model):
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        desc = ExternalTensor(line_bundle(a), line_bundle(b))
+        assert_polynomial_between(_breaks(desc, model), desc, model, (-12, 12))
+
+
+def assert_polynomial_between(breaks, desc, model, window):
+    """On every piece of the window between breaks that holds at least
+    dim + 2 twists, the (dim + 1)-th difference of every row vanishes."""
+    lo, hi = window
+    table = sheaf_table(desc, model, window)
+    starts = sorted({lo} | {t for t in breaks if lo < t <= hi}) + [hi + 1]
+    for start, stop in zip(starts, starts[1:]):
+        if stop - start < model.dim + 2:
+            continue
+        for i in range(model.dim + 1):
+            values = [table.h(i, t) for t in range(start, stop)]
+            for _ in range(model.dim + 1):
+                values = [b - a for a, b in zip(values, values[1:])]
+            assert not any(values), (desc, i, start, stop)
 
 
 def test_a_piece_table_stores_only_its_held_twists():

@@ -79,6 +79,23 @@ class TestFormalComplex:
         E = FormalComplex(p2, ((0, line_bundle(1)), (1, line_bundle(1))))
         assert E.support() == [0, 1]
 
+    def test_a_complex_is_sorted_by_degree_however_it_is_built(self):
+        # built out of order, the sheafwise witness once read the twists of
+        # O(1) before those of O(2) and named twist 1, not 3
+        p2 = proj_space(2)
+        by_hand = FormalComplex(p2, ((0, line_bundle(1)), (-1, line_bundle(2))))
+        built = formal_complex(p2, {0: line_bundle(1), -1: line_bundle(2)})
+        assert by_hand == built and by_hand.support() == [-1, 0]
+        verdicts = [is_ulrich_object(E, mode="sheafwise") for E in (by_hand, built)]
+        assert verdicts[0] == verdicts[1]
+
+    def test_dangling_glue_is_refused_however_the_complex_is_built(self):
+        p2 = proj_space(2)
+        with pytest.raises(MalformedDescriptor, match="^glue connects a degree to the one"):
+            FormalComplex(p2, ((0, line_bundle(0)),), glue=(GlueWitness(5, 9),))
+        with pytest.raises(MalformedDescriptor, match="^glue endpoints must carry sheaves$"):
+            FormalComplex(p2, ((0, line_bundle(0)),), glue=(GlueWitness(5, 4),))
+
     def test_shift_moves_cohomology(self):
         p2 = proj_space(2)
         E = formal_complex(p2, {0: line_bundle(1)})

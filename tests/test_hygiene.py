@@ -7,7 +7,8 @@ dimension or factor shape, or writes out the Ulrich twists -1..-dim,
 no float appears outside the one display phase, each phase sector is
 named once, no module but ``sheaves`` looks inside a direct sum, no
 module but ``complexes`` decides "sheaf or complex" or shifts a sum by
-a complex degree, no module but ``tables`` and ``cohomology`` reads a
+a complex degree, ``cohomology`` decides an atom's family only in
+``_rule``, no module but ``tables`` and ``cohomology`` reads a
 table's rows, no public table holds fewer twists than its window, and
 every kit name the benchmark's tracer looks up still exists.
 
@@ -22,10 +23,12 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
 import ulrich_kit
+from ulrich_kit.sheaves import SheafDescriptor
 
 PACKAGE = Path(ulrich_kit.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -375,6 +378,40 @@ def test_objects_are_read_only_in_complexes():
         for line in _object_readings(tree)
     ]
     assert not found, f"objects read outside complexes.py, use sheaves_of/hyper_column: {found}"
+
+
+def _family_decisions(tree: ast.AST):
+    """Line of every ``isinstance(..., <descriptor class>)`` test and
+    every comparison that reads a ``.kind``."""
+    classes = {cls.__name__ for cls in get_args(SheafDescriptor)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "kind" for sub in ast.walk(node)
+        ):
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(
+                isinstance(sub, ast.Name) and sub.id in classes for sub in ast.walk(node.args[1])
+            )
+        ):
+            yield node.lineno
+
+
+def test_cohomology_decides_an_atom_family_only_in_its_rule():
+    """``cohomology._rule`` decides the family of an atom once and gives
+    both its fill and its break twists, so no second ladder of the same
+    tests can drift from it."""
+    tree = TREES["cohomology.py"]
+    (rule,) = [
+        stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "_rule"
+    ]
+    inside = set(_family_decisions(rule))
+    found = [line for line in _family_decisions(tree) if line not in inside]
+    assert inside and not found, f"cohomology.py decides a family outside _rule: {found}"
 
 
 ROW_STORAGE = ("_rows", "_at", "_entries")
