@@ -72,7 +72,7 @@ def slope(c: NumClass):
     return c.e1 / c.r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargeValue:
     re: Fraction
     im: Fraction
@@ -91,11 +91,13 @@ class ChargeValue:
 
     def phase_display(self) -> float:
         """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only.
-        Parts past the float range are first divided by one power of two.
-        A lower-half phase that atan2 rounds to -pi reads as the float
-        just above -1."""
+        Each part is its numerator over its denominator in true division,
+        the float that float() of the Fraction gives; parts past the float
+        range are first divided by one power of two.  A lower-half phase
+        that atan2 rounds to -pi reads as the float just above -1."""
+        im, re = self.im, self.re
         try:
-            angle = atan2(float(self.im), float(self.re))
+            angle = atan2(im.numerator / im.denominator, re.numerator / re.denominator)
         except OverflowError:
             scale = 1 << int(max(abs(self.im), abs(self.re))).bit_length()
             angle = atan2(float(self.im / scale), float(self.re / scale))
@@ -262,7 +264,7 @@ def _heart_rule(E: FormalComplex, convention: str):
     return single
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanRow:
     s: Fraction
     t: Fraction
@@ -298,6 +300,13 @@ def question_scan(
     Fraction arithmetic: re and im are each one Fraction(n, d) of
     integer products, which its gcd makes canonical, and the point is
     placed among its s's points by the integer rank of its t.
+
+    im = t*im_s with t > 0, so the im = 0 wall and the sign of im are
+    facts of s: off the wall an s decides its points' im_zero (False)
+    and sector (that of im_s) once.  On the wall re changes sign with t,
+    so each point there reads its sector from its own charge.  A point
+    still builds its ChargeValue for its phase, and its row; both
+    classes are slotted and the row is built positionally.
     """
     points = list(grid)
     if not points:
@@ -326,22 +335,26 @@ def question_scan(
     total = class_of(E, E.model)
     heart = _heart_rule(E, convention)
     at_s, half = _charge_in_s(total)
-    t_parts = []  # t and t^2*d*r/2 as numerators and denominators, by rank
+    t_parts = []  # by rank: t and t^2*d*r/2 as numerators and denominators, then t
     for t in ts:
         term = t * t * half
-        t_parts.append((t.numerator, t.denominator, term.numerator, term.denominator))
+        t_parts.append((t.numerator, t.denominator, term.numerator, term.denominator, t))
     rows = []
     for s, ranks in sorted(by_s.items()):
         verdict = heart(s)
+        best, status, reason = verdict.best_shift, verdict.status, verdict.reason
         re_s, im_s = at_s(s)
         an, ad, bn, bd = re_s.numerator, re_s.denominator, im_s.numerator, im_s.denominator
+        on_wall = bn == 0
+        # t > 0, so off the wall every t*im_s has the sign, hence the sector, of im_s
+        sector = None if on_wall else ChargeValue(re_s, im_s).phase_sector()
         for r in sorted(ranks):
-            tn, td, un, ud = t_parts[r]
-            charge = ChargeValue(Fraction(an * ud + un * ad, ad * ud), Fraction(tn * bn, td * bd))
+            tn, td, un, ud, t = t_parts[r]
+            re = Fraction(an * ud + un * ad, ad * ud)
+            im = Fraction(tn * bn, td * bd)
+            charge = ChargeValue(re, im)
             rows.append(ScanRow(
-                s=s, t=ts[r], best_shift=verdict.best_shift, heart_status=verdict.status,
-                heart_reason=verdict.reason, re=charge.re, im=charge.im,
-                im_zero=charge.im.numerator == 0, phase_sector=charge.phase_sector(),
-                phase_display=charge.phase_display(),
+                s, t, best, status, reason, re, im, on_wall,
+                charge.phase_sector() if on_wall else sector, charge.phase_display(),
             ))
     return rows

@@ -33,10 +33,13 @@ structure sheaves, so h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
 
 Pieces.  Each closed-form rule has break twists, where its range form
 changes, given by ``_rule`` with its fill and read off the bounds that
-fill reads (``_breaks`` takes their union over the atoms): -a and
--n-a for O(a) on P^n, -a and 1-n-a on Q^n, the breaks of both factors
-for Kunneth, and on a genus-one curve the zero twist and the one after
-it.  Between breaks every entry is a polynomial in t of degree at most
+fill reads (``_breaks`` takes their union over the atoms): -n-a for O(a)
+on P^n, 1-n-a on Q^n, the breaks of both factors for Kunneth, and on a
+genus-one curve the zero twist and the one after it.  A line bundle's
+fill also reads a second bound, -a, where h^0 starts; it is no break,
+because the h^0 and h^n binomials both vanish on the gap between the
+two bounds, so each row is one polynomial on each side of the first.
+Between breaks every entry is a polynomial in t of degree at most
 the dimension n: a binomial in t, a difference of two, a product of the
 factors' polynomials, or a linear form.  A nonzero one has at most n
 roots, so an entry nonzero anywhere on a piece is nonzero at one of its
@@ -255,8 +258,9 @@ def _rule(
     """(fill, breaks) of one atom: the one place its family is decided.
     fill(lo, hi, mult, rows, base) adds mult * h^i(atom(t)) to
     rows[i][t - base] for every lo <= t <= hi; breaks are read off the
-    bounds that fill reads (see Pieces), None for a stored table, the Q^3
-    spinor, or an atom with no oracle, whose fill raises NoOracle."""
+    bounds that fill reads, only the stop bound of a line bundle (see
+    Pieces), and are None for a stored table, the Q^3 spinor, or an
+    atom with no oracle, whose fill raises NoOracle."""
     if isinstance(atom, AbstractSheaf):
         if atom.table is None:
             return partial(_refuse, f"{format_sheaf(atom)} carries no table"), None
@@ -264,11 +268,11 @@ def _rule(
     if model.kind == KIND_PROJ:
         if isinstance(atom, LineBundle):
             n, a = model.dim, atom.twists[0]
-            return partial(_add_bott, n, a), _bott_breaks(n, a)
+            return partial(_add_bott, n, a), _bott_breaks(n, a)[:1]
     elif model.kind == KIND_QUADRIC:
         if isinstance(atom, LineBundle):
             n, a = model.dim, atom.twists[0]
-            return partial(_add_quadric_line, n, a), _quadric_breaks(n, a)
+            return partial(_add_quadric_line, n, a), _quadric_breaks(n, a)[:1]
         if isinstance(atom, Spinor):
             on_product = model.product_form_model
             if on_product is not None:
@@ -277,7 +281,7 @@ def _rule(
     elif model.kind == KIND_PRODUCT:
         if isinstance(atom, LineBundle):
             (n1, n2), (a, b) = model.factors, atom.twists
-            breaks = _bott_breaks(n1, a) + _bott_breaks(n2, b)
+            breaks = _bott_breaks(n1, a)[:1] + _bott_breaks(n2, b)[:1]
             return partial(_add_bott_product, n1, n2, a, b), breaks
         if isinstance(atom, ExternalTensor):
             factors = tuple(zip((atom.left, atom.right), model.factor_models))

@@ -9,7 +9,7 @@ down here as a property.
 """
 
 from fractions import Fraction
-from math import atan, pi
+from math import atan, atan2, nextafter, pi
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ulrich_kit import (
     INFINITE,
     AbstractSheaf,
+    ChargeValue,
     GlueWitness,
     LineBundle,
     NumClass,
@@ -446,6 +447,26 @@ def test_charge_relation_on_every_surface(d, i_x, chi0, r, s, t):
     assert z.im == w.im
 
 
+# parts up to about 10^400 over 10^400, zero included, some past every float
+huge_part = st.builds(
+    Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(re=huge_part, im=huge_part)
+def test_the_phase_is_the_float_of_the_two_parts(re, im):
+    """The display phase is atan2 of float() of each part, read in
+    (-1, 1]: -pi reads as the float just above -1."""
+    phase = ChargeValue(re, im).phase_display()
+    assert -1 < phase <= 1
+    try:
+        angle = atan2(float(im), float(re))
+    except OverflowError:
+        return  # the display rescales first; test_phase_past_the_float_range
+    assert phase == (nextafter(-1.0, 0.0) if angle == -pi else angle / pi)
+
+
 # -------------------------------------------------- scan against its parts
 
 TORSION = AbstractSheaf(rank=0, label="T", num_class=NumClass(K3, 0, Fraction(1), Fraction(0)))
@@ -490,8 +511,12 @@ def _repeat(x, how: str):
 
 
 @st.composite
-def scan_grids(draw):
-    points = draw(st.lists(st.tuples(grid_value, positive_value), min_size=1, max_size=12))
+def scan_grids(draw, E):
+    # the slope of E's class, where finite, is the wall im = 0: s values
+    # there take each point's sector from its own charge
+    mu = slope(class_of(E, K3))
+    s_value = grid_value if mu is INFINITE else st.one_of(grid_value, st.just(mu))
+    points = draw(st.lists(st.tuples(s_value, positive_value), min_size=1, max_size=12))
     # duplicates: each coordinate as the same object, as a new equal
     # object, or in the other type
     how = st.sampled_from(("same", "new", "other type"))
@@ -500,13 +525,16 @@ def scan_grids(draw):
     return draw(st.permutations(points + copies))
 
 
+@st.composite
+def scans(draw):
+    E = draw(scan_complexes())
+    return E, draw(scan_grids(E))
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    E=scan_complexes(),
-    grid=scan_grids(),
-    convention=st.sampled_from(("paper-literal", "normalized")),
-)
-def test_scan_rows_are_the_gate_and_the_charge_at_each_point(E, grid, convention):
+@given(scan=scans(), convention=st.sampled_from(("paper-literal", "normalized")))
+def test_scan_rows_are_the_gate_and_the_charge_at_each_point(scan, convention):
+    E, grid = scan
     rows = question_scan(E, grid, convention)
     # one row per point, duplicates kept, in (s, t) order
     assert [(row.s, row.t) for row in rows] == sorted(
