@@ -37,18 +37,15 @@ from .errors import (
     MalformedDescriptor,
     ModelMismatch,
     NonDivisibleRank,
-    NoRestrictionRule,
     UnsupportedProduct,
 )
 from .sheaves import (
     ExternalTensor,
-    LineBundle,
     SheafDescriptor,
-    Spinor,
     direct_sum as sheaf_direct_sum,
-    flatten_atoms,
-    format_sheaf,
+    restricted,
     tensor_line,
+    tensor_parts,
     validate_descriptor,
 )
 from .tables import CohomologyTable, shifted_sum
@@ -56,7 +53,6 @@ from .variety import (
     KIND_PROJ,
     VarietyModel,
     default_window,
-    format_variety,
     hyperplane_model,
     product_proj,
     proj_space,
@@ -357,8 +353,7 @@ def external_product(
     merged: dict[int, list] = {}
     for dl, descl in left.items():
         for dr, descr in right.items():
-            pairs = _external_tensor_atoms(descl, descr)
-            merged.setdefault(dl + dr, []).extend(pairs)
+            merged.setdefault(dl + dr, []).extend(tensor_parts(ExternalTensor(descl, descr)))
     sheaves = {
         degree: sheaf_direct_sum(*parts) for degree, parts in merged.items()
     }
@@ -369,47 +364,11 @@ def external_product(
     return formal_complex(product_proj(a, b), sheaves, glue)
 
 
-def _external_tensor_atoms(left: SheafDescriptor, right: SheafDescriptor):
-    """O(a) x O(b) simplifies to O(a,b); sums distribute."""
-    out = []
-    for latom, lmult in flatten_atoms(left):
-        for ratom, rmult in flatten_atoms(right):
-            if isinstance(latom, LineBundle) and isinstance(ratom, LineBundle):
-                atom = LineBundle((latom.twists[0], ratom.twists[0]))
-            else:
-                atom = ExternalTensor(latom, ratom)
-            out.append((atom, lmult * rmult))
-    return out
-
-
 def restrict_hyperplane(E: FormalComplex) -> FormalComplex:
-    """Restriction to a general hyperplane section, degreewise.
-
-    Line bundles restrict to line bundles with the same twist, and a
-    spinor bundle to the sum of the spinor bundles of the hyperplane
-    quadric (Ottaviani 1988): S on Q^3 to S+ + S- on Q^2.  A sum restricts
-    atom by atom and comes back normalized, as ``direct_sum`` gives it.
-    """
+    """Restriction to a general hyperplane section, sheaf by sheaf (``restricted``)."""
     target = hyperplane_model(E.model)
-    sheaves = {
-        degree: sheaf_direct_sum(
-            *((_restrict_atom(atom, E.model, target), m) for atom, m in flatten_atoms(desc))
-        )
-        for degree, desc in E.sheaves
-    }
+    sheaves = {degree: restricted(desc, E.model, target) for degree, desc in E.sheaves}
     return formal_complex(target, sheaves, E.glue)
-
-
-def _restrict_atom(
-    atom: SheafDescriptor, model: VarietyModel, target: VarietyModel
-) -> SheafDescriptor:
-    if isinstance(atom, LineBundle):
-        return atom
-    if isinstance(atom, Spinor):
-        return sheaf_direct_sum(*(Spinor(sign) for sign in target.spinor_signs))
-    raise NoRestrictionRule(
-        f"no hyperplane rule for {format_sheaf(atom)} on {format_variety(model)}"
-    )
 
 
 @dataclass

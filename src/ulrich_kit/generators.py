@@ -31,6 +31,7 @@ from .sheaves import (
     SheafDescriptor,
     Spinor,
     format_sheaf,
+    line_twists,
     validate_descriptor,
 )
 from .tables import alternating_sum
@@ -219,13 +220,16 @@ def orthogonal_membership(
     if model is None:
         raise MalformedDescriptor("membership test needs a model")
     pairs = sheaves_of(E, model)
+    probes = []
     for member in members:
-        if not isinstance(member, LineBundle):
+        twists = line_twists(member)
+        if twists is None:
             raise MalformedDescriptor(
                 f"membership test needs line-bundle members, got {format_sheaf(member)}"
             )
         validate_descriptor(member, model)
-    hit = first_nonvanishing(pairs, model, ((m, tuple(-v for v in m.twists)) for m in members))
+        probes.append((member, tuple(-v for v in twists)))
+    hit = first_nonvanishing(pairs, model, probes)
     return MembershipVerdict(None if hit is None else (format_sheaf(hit[0]), *hit[1:]))
 
 

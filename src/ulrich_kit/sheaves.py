@@ -19,7 +19,14 @@ with ``m*``):
 Every oracle is additive over direct summands, so a sum is read in one
 place, :func:`flatten_atoms`, and every rule takes one atom.  An external
 tensor is one atom, its factors read through the same reader, left then
-right; it is not distributed over sums.
+right; it is not distributed over sums, except by :func:`tensor_parts`.
+
+This module decides an atom's family for every structural fact: text,
+validation, rank, line twist, product form, hyperplane restriction,
+tensor parts, line-bundle twists and held abstract data.  Elsewhere a
+family is decided in four homes only, each needing its own module's
+machinery: ``cohomology._rule`` (the oracle), ``chern._class_of_atom``
+(the class), ``ulrich._ext_primary`` and ``_ext_elliptic`` (the dual rule).
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .errors import (
     MalformedDescriptor,
     ModelMismatch,
     NoDualRule,
+    NoRestrictionRule,
     ParseError,
     UnsupportedQuadricDim,
 )
@@ -261,6 +269,58 @@ def product_form(desc: SheafDescriptor, model: VarietyModel) -> SheafDescriptor:
     if isinstance(desc, DirectSum):
         return DirectSum(tuple((on_product(atom), mult) for atom, mult in flatten_atoms(desc)))
     return on_product(desc)
+
+
+def restricted(
+    desc: SheafDescriptor, model: VarietyModel, target: VarietyModel
+) -> SheafDescriptor:
+    """Restriction to the hyperplane section ``target`` of the model, atom
+    by atom: a line bundle keeps its twist, and a spinor bundle goes to
+    the sum of the spinor bundles of the hyperplane quadric (Ottaviani
+    1988), S on Q^3 to S+ + S- on Q^2.  The sum comes back normalized, as
+    ``direct_sum`` gives it."""
+    parts = []
+    for atom, mult in flatten_atoms(desc):
+        if isinstance(atom, Spinor):
+            atom = direct_sum(*(Spinor(sign) for sign in target.spinor_signs))
+        elif not isinstance(atom, LineBundle):
+            raise NoRestrictionRule(
+                f"no hyperplane rule for {format_sheaf(atom)} on {format_variety(model)}"
+            )
+        parts.append((atom, mult))
+    return direct_sum(*parts)
+
+
+def tensor_parts(atom: SheafDescriptor) -> list[tuple[SheafDescriptor, int]]:
+    """(atom, mult) pairs of an external tensor, the sums of its factors
+    distributed and O(a) x O(b) read as O(a,b); any other atom is its own
+    one part."""
+    if not isinstance(atom, ExternalTensor):
+        return [(atom, 1)]
+    out = []
+    for left, lmult in flatten_atoms(atom.left):
+        for right, rmult in flatten_atoms(atom.right):
+            if isinstance(left, LineBundle) and isinstance(right, LineBundle):
+                part = LineBundle((left.twists[0], right.twists[0]))
+            else:
+                part = ExternalTensor(left, right)
+            out.append((part, lmult * rmult))
+    return out
+
+
+def line_twists(desc: SheafDescriptor) -> tuple[int, ...] | None:
+    """The twist vector of a line bundle; None for any other descriptor."""
+    return desc.twists if isinstance(desc, LineBundle) else None
+
+
+def holds_abstract(desc: SheafDescriptor) -> bool:
+    """Whether an abstract sheaf sits anywhere in desc, as a summand or
+    in a factor of an external tensor."""
+    return any(
+        isinstance(atom, AbstractSheaf)
+        or isinstance(atom, ExternalTensor) and any(map(holds_abstract, (atom.left, atom.right)))
+        for atom, _ in flatten_atoms(desc)
+    )
 
 
 def format_sheaf(desc: SheafDescriptor) -> str:

@@ -40,7 +40,6 @@ from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
     GlueWitness,
-    _external_tensor_atoms,
     _hyper_from_tables,
     _rebuilds,
     _unit_multiples,
@@ -63,17 +62,18 @@ from .errors import (
 )
 from .sheaves import (
     AbstractSheaf,
-    ExternalTensor,
     LineBundle,
     SemistableEC,
     SheafDescriptor,
     Spinor,
     flatten_atoms,
     format_sheaf,
+    holds_abstract,
     normalize_elliptic,
     product_form,
     rank_of,
     tensor_line,
+    tensor_parts,
     validate_descriptor,
 )
 from .tables import CohomologyTable, outside_window
@@ -83,6 +83,7 @@ from .variety import (
     VarietyModel,
     default_window,
     format_variety,
+    quadric,
 )
 
 
@@ -144,19 +145,6 @@ class InitializedReport:
         return self.witness is None
 
 
-def _holds_abstract(desc: SheafDescriptor) -> bool:
-    """Whether an abstract sheaf sits anywhere in desc, as a summand or
-    in a factor of an external tensor."""
-    return any(
-        isinstance(atom, AbstractSheaf)
-        or (
-            isinstance(atom, ExternalTensor)
-            and (_holds_abstract(atom.left) or _holds_abstract(atom.right))
-        )
-        for atom, _ in flatten_atoms(desc)
-    )
-
-
 def is_initialized(desc: SheafDescriptor, model: VarietyModel) -> InitializedReport:
     """Sections appear at twist zero and at no negative twist.
 
@@ -179,7 +167,7 @@ def _initialized(desc: SheafDescriptor, lo: int, table: CohomologyTable) -> Init
     return InitializedReport(
         # the oracle descriptors have section counts monotone in the
         # twist, so the probe decides; abstract data ends at its window
-        global_verdict=not _holds_abstract(desc),
+        global_verdict=not holds_abstract(desc),
         probed=(lo, 0),
         witness=witness,
     )
@@ -382,14 +370,6 @@ def pn_decompose(
     return multiplicities
 
 
-def _product_sign_atom(atom: SheafDescriptor) -> str | None:
-    if isinstance(atom, LineBundle) and atom.twists == (1, 0):
-        return "+"
-    if isinstance(atom, LineBundle) and atom.twists == (0, 1):
-        return "-"
-    return None
-
-
 def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     """Spinor multiplicities of an Ulrich object on a quadric.
 
@@ -415,9 +395,11 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         return multiplicities
 
     # even case: work on the product side where the rulings are visible
+    surface = quadric(2)
+    signs = {product_form(Spinor(sign), surface): sign for sign in surface.spinor_signs}
     split: dict[int, dict[str, int]] = {}
     for degree, desc in E.sheaves:
-        if _holds_abstract(desc):
+        if holds_abstract(desc):
             raise Indeterminate(
                 f"{format_sheaf(desc)} is abstract: a table alone cannot split"
                 " the two rulings"
@@ -425,12 +407,8 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         on_product = desc if product_model is model else product_form(desc, model)
         counts = {"+": 0, "-": 0}
         for atom, mult in flatten_atoms(on_product):
-            if isinstance(atom, ExternalTensor):
-                pieces = _external_tensor_atoms(atom.left, atom.right)
-            else:
-                pieces = [(atom, 1)]
-            for piece, m in pieces:
-                sign = _product_sign_atom(piece)
+            for piece, m in tensor_parts(atom):
+                sign = signs.get(piece)
                 if sign is None:
                     raise NonDivisibleRank(
                         f"{format_sheaf(piece)} is not a spinor line bundle"
@@ -482,10 +460,9 @@ def _ext_primary(F, G, k: int, model: VarietyModel) -> int:
         line = LineBundle((F.degree // model.deg,))
         if normalize_elliptic(line, model) == F:
             F = line
-    if isinstance(F, ExternalTensor):  # sums distribute, O(a) x O(b) is O(a,b)
-        parts = _external_tensor_atoms(F.left, F.right)
-        if parts != [(F, 1)]:  # else a tensor of two atoms, not both lines
-            return sum(m * _ext_primary(atom, G, k, model) for atom, m in parts)
+    parts = tensor_parts(F)  # sums distribute, O(a) x O(b) is O(a,b)
+    if parts != [(F, 1)]:  # else one atom, or a tensor of two atoms, not both lines
+        return sum(m * _ext_primary(atom, G, k, model) for atom, m in parts)
     if isinstance(F, LineBundle):
         return _twisted_column(G, model, tuple(-a for a in F.twists)).get(k, 0)
     on_product = model.product_form_model if isinstance(F, Spinor) else None

@@ -17,6 +17,7 @@ from ulrich_kit import (
     default_window,
     direct_sum,
     direct_sum_complexes,
+    ext_dimension,
     external_product,
     format_sheaf,
     formal_complex,
@@ -24,6 +25,7 @@ from ulrich_kit import (
     is_ulrich_object,
     k0_class,
     line_bundle,
+    orthogonal_membership,
     parse_sheaf,
     product_proj,
     proj_space,
@@ -47,6 +49,7 @@ from ulrich_kit.errors import (
     IncompleteTable,
     MalformedDescriptor,
     ModelMismatch,
+    NoDualRule,
     NoRestrictionRule,
     UnsupportedProduct,
 )
@@ -349,6 +352,35 @@ class TestRestriction:
         bottom = formal_complex(proj_space(1), {0: line_bundle(0)})
         with pytest.raises(UnsupportedModel):
             restrict_hyperplane(bottom)  # the chain bottoms out at the line
+
+
+@pytest.mark.parametrize(
+    "read, error, message",
+    [
+        (
+            lambda: restrict_hyperplane(formal_complex(proj_space(3), {0: AbstractSheaf(1)})),
+            NoRestrictionRule,
+            "no hyperplane rule for abstract(abstract,rank=1) on pn:3",
+        ),
+        (
+            lambda: orthogonal_membership(line_bundle(0), (Spinor(None),), model=quadric(3)),
+            MalformedDescriptor,
+            "membership test needs line-bundle members, got S",
+        ),
+        (
+            lambda: ext_dimension(AbstractSheaf(1), line_bundle(0), 0, proj_space(2)),
+            NoDualRule,
+            "abstract(abstract,rank=1) has no dual rule here",
+        ),
+    ],
+    ids=["restriction", "membership", "ext"],
+)
+def test_a_family_without_the_fact_is_refused_with_its_message(read, error, message):
+    # the family facts live in sheaves; a family lacking one keeps the
+    # error type and the message its caller raised before
+    with pytest.raises(error) as caught:
+        read()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 RESTRICTABLE = [proj_space(n) for n in range(2, 5)] + [quadric(n) for n in range(3, 6)]

@@ -278,6 +278,15 @@ class TestOrthogonalMembership:
         member, i, t, h = verdict.witness
         assert (member, i, t, h) == ("O(1)", 0, -1, 1)
 
+    def test_members_are_read_once(self):
+        # an iterator of members is checked and probed in one pass
+        p2 = proj_space(2)
+        members = [line_bundle(1), line_bundle(2)]
+        verdict = orthogonal_membership(line_bundle(1), members, model=p2)
+        assert verdict.witness == ("O(1)", 0, -1, 1)
+        assert orthogonal_membership(line_bundle(1), iter(members), model=p2) == verdict
+        assert orthogonal_membership(line_bundle(1), (m for m in members), model=p2) == verdict
+
     def test_collection_input_carries_its_model(self):
         q3 = quadric(3)
         coll = kapranov_collection(q3)

@@ -8,9 +8,11 @@ no float appears outside the one display phase, each phase sector is
 named once, no module but ``sheaves`` looks inside a direct sum, no
 module but ``complexes`` decides "sheaf or complex" or shifts a sum by
 a complex degree, ``cohomology`` decides an atom's family only in
-``_rule``, no module but ``tables`` and ``cohomology`` reads a
-table's rows, no public table holds fewer twists than its window, and
-every kit name the benchmark's tracer looks up still exists.
+``_rule``, outside ``sheaves`` a descriptor family is decided only in
+the oracle, the class and the dual rule, no module but ``tables`` and
+``cohomology`` reads a table's rows, no public table holds fewer twists
+than its window, and every kit name the benchmark's tracer looks up
+still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -380,24 +382,32 @@ def test_objects_are_read_only_in_complexes():
     assert not found, f"objects read outside complexes.py, use sheaves_of/hyper_column: {found}"
 
 
+DESCRIPTOR_CLASSES = {cls.__name__ for cls in get_args(SheafDescriptor)}
+
+
+def _is_descriptor_test(node: ast.AST) -> bool:
+    """Whether the node is an ``isinstance(..., <descriptor class>)`` call."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(
+            isinstance(sub, ast.Name) and sub.id in DESCRIPTOR_CLASSES
+            for sub in ast.walk(node.args[1])
+        )
+    )
+
+
 def _family_decisions(tree: ast.AST):
     """Line of every ``isinstance(..., <descriptor class>)`` test and
     every comparison that reads a ``.kind``."""
-    classes = {cls.__name__ for cls in get_args(SheafDescriptor)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare) and any(
             isinstance(sub, ast.Attribute) and sub.attr == "kind" for sub in ast.walk(node)
         ):
             yield node.lineno
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-            and any(
-                isinstance(sub, ast.Name) and sub.id in classes for sub in ast.walk(node.args[1])
-            )
-        ):
+        elif _is_descriptor_test(node):
             yield node.lineno
 
 
@@ -412,6 +422,42 @@ def test_cohomology_decides_an_atom_family_only_in_its_rule():
     inside = set(_family_decisions(rule))
     found = [line for line in _family_decisions(tree) if line not in inside]
     assert inside and not found, f"cohomology.py decides a family outside _rule: {found}"
+
+
+# The functions outside ``sheaves.py`` that may test a descriptor's class:
+# each needs machinery of its own module, which ``sheaves`` cannot import
+# without a cycle.
+FAMILY_HOMES = {
+    ("cohomology.py", "_rule"): "the oracle: one fill and its breaks per (family, model)",
+    ("chern.py", "_class_of_atom"): "the class, built from chern's NumClass",
+    ("ulrich.py", "_ext_primary"): "the dual rule, read through cohomology's columns",
+    ("ulrich.py", "_ext_elliptic"): "the dual rule on a genus-one curve",
+}
+
+
+def test_descriptor_families_are_decided_only_in_their_homes():
+    """Every structural fact of a family (text, validation, rank, line
+    twist, product form, restriction, tensor parts, line twists, held
+    abstract data) is written once in ``sheaves``, so widening a family
+    edits ``sheaves`` and at most the four homes.  ``.kind`` comparisons
+    are left to the quadric and product test."""
+    found, homes = [], set()
+    for name, tree in TREES.items():
+        if name == "sheaves.py":
+            continue
+        inside = set()
+        for func in module_functions(tree):
+            lines = {node.lineno for node in ast.walk(func) if _is_descriptor_test(node)}
+            if lines and (name, func.name) in FAMILY_HOMES:
+                inside |= lines
+                homes.add((name, func.name))
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_descriptor_test(node) and node.lineno not in inside
+        ]
+    assert not found, f"descriptor families decided outside sheaves.py and the homes: {found}"
+    assert homes == set(FAMILY_HOMES), f"homes testing no family: {set(FAMILY_HOMES) - homes}"
 
 
 ROW_STORAGE = ("_rows", "_at", "_entries")
