@@ -78,7 +78,6 @@ from .sheaves import (
 from .tables import CohomologyTable
 from .ulrich import (
     Criterion,
-    InitializedReport,
     UlrichVerdict,
     abstract_ulrich_sheaf,
     ext_dimension,

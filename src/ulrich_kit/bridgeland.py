@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import atan2, nextafter, pi
 
 from .chern import NumClass, class_of
@@ -36,6 +37,7 @@ from .variety import VarietyModel, surface_data
 CONVENTIONS = ("paper-literal", "normalized")
 
 
+@total_ordering
 class _Infinite:
     """Slope of a torsion class; compares above every rational."""
 
@@ -48,17 +50,8 @@ class _Infinite:
     def __hash__(self):
         return hash("infinite-slope")
 
-    def __gt__(self, other):
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other):
-        return True
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinite)
 
 
 INFINITE = _Infinite()
@@ -124,8 +117,6 @@ def _charge_in_s(c: NumClass):
     Z(s, t) = re_s + t^2*d*r/2 + i*t*im_s.  Fractions are canonical, so
     this grouping gives exactly the values of the expanded formula."""
     d = surface_data(c.model)[0]
-    if c.e2 is None:
-        raise Indeterminate("central charge needs the degree-two coefficient")
     e2d, e1d, rd = -c.e2 * d, c.e1 * d, c.r * d
     half = Fraction(rd, 2)
 

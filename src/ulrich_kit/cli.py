@@ -22,7 +22,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._version import __version__
-from .bridgeland import central_charge, heart_gate, question_scan, slope, ulrich_charge_closed_form
+from .bridgeland import (
+    CONVENTIONS,
+    central_charge,
+    heart_gate,
+    question_scan,
+    slope,
+    ulrich_charge_closed_form,
+)
 from .chern import class_or_none, ulrich_chern_solve
 from .complexes import FormalComplex, GlueWitness, formal_complex, pushforward_finite
 from .cohomology import sheaf_table
@@ -30,7 +37,7 @@ from .errors import MalformedDescriptor, ModelMismatch, ParseError, UlrichKitErr
 from .generators import elliptic_witness, generator_gate
 from .rational import format_rational, parse_rational
 from .sheaves import LineBundle, Spinor, parse_sheaf
-from .ulrich import abstract_ulrich_sheaf, is_ulrich_object, yoneda_build
+from .ulrich import MODES, abstract_ulrich_sheaf, is_ulrich_object, yoneda_build
 from .variety import (
     MAX_TWISTS,
     elliptic_curve,
@@ -357,7 +364,7 @@ def _demo_cases() -> list[tuple[str, bool]]:
     glued = yoneda_build(a, b, 2, k3, witness="asserted")
     not_in_heart = all(
         heart_gate(glued, Fraction(0), convention).status == "NotInHeart"
-        for convention in ("paper-literal", "normalized")
+        for convention in CONVENTIONS
     )
     cases.append(("yoneda-not-in-heart", not_in_heart))
 
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--variety")
     p_check.add_argument("--object", help="formal-complex JSON file")
     p_check.add_argument("--sheaf", help="inline descriptor placed in degree 0")
-    p_check.add_argument("--mode", choices=("direct", "sheafwise", "both"), default="both")
+    p_check.add_argument("--mode", choices=MODES, default="both")
     p_check.add_argument("--window")
     p_check.set_defaults(handler=_cmd_check)
 
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--variety")
     p_scan.add_argument("--object", required=True)
     p_scan.add_argument("--grid", required=True, help="s=lo..hi:step,t=lo..hi:step")
-    p_scan.add_argument("--convention", choices=("paper-literal", "normalized"), default="paper-literal")
+    p_scan.add_argument("--convention", choices=CONVENTIONS, default="paper-literal")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_demo = sub.add_parser("demo", parents=[common], help="run the curated example verifications")

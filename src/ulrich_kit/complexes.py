@@ -216,22 +216,8 @@ def hyper_table(
     degree-q sheaf, with certificates as described in the module docstring."""
     if window is None:
         window = default_window(E.model)
-    tables = {
-        degree: sheaf_table(desc, E.model, window) for degree, desc in E.sheaves
-    }
-    return _hyper_from_tables(E, window, tables)
-
-
-def _hyper_from_tables(
-    E: FormalComplex,
-    window: tuple[int, int],
-    tables: Mapping[int, CohomologyTable],
-) -> HyperTableResult:
-    """``hyper_table`` from already assembled whole tables of the
-    cohomology sheaves of E over the window, keyed by degree: the sheaf
-    in degree q adds its row i to row i + q."""
-    table = shifted_sum(window, tables.items())
-    return HyperTableResult(table=table, glued=E.has_glue())
+    tables = ((degree, sheaf_table(desc, E.model, window)) for degree, desc in E.sheaves)
+    return HyperTableResult(table=shifted_sum(window, tables), glued=E.has_glue())
 
 
 def _unit_multiples(sections: int, table: CohomologyTable) -> dict[int, int]:

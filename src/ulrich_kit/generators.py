@@ -21,6 +21,7 @@ from .complexes import first_nonvanishing, hyper_column, sheaves_of
 from .errors import (
     Indeterminate,
     MalformedDescriptor,
+    ModelMismatch,
     NoDualRule,
     UnknownK0Rank,
     UnsupportedModel,
@@ -39,7 +40,6 @@ from .ulrich import UlrichVerdict, ext_dimension, is_ulrich_sheaf
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PROJ,
-    KIND_QUADRIC,
     VarietyModel,
     format_variety,
 )
@@ -157,9 +157,9 @@ def beilinson_collection(model: VarietyModel) -> Collection:
 
 def kapranov_collection(model: VarietyModel) -> Collection:
     """Kapranov's collection on a quadric: O, then the spinor bundles,
-    then O(1), ..., O(n-1)."""
-    if model.kind != KIND_QUADRIC or model.dim not in (2, 3):
-        raise UnsupportedModel("spinor collections implemented on Q2 and Q3 only")
+    then O(1), ..., O(n-1); validation refuses spinors it has no table for."""
+    if not model.spinor_signs:
+        raise UnsupportedModel("Kapranov's collection lives on quadrics")
     spinors = tuple(Spinor(sign) for sign in model.spinor_signs)
     twists = tuple(LineBundle((k,)) for k in range(1, model.dim))
     members = (LineBundle((0,)), *spinors, *twists)
@@ -215,6 +215,8 @@ def orthogonal_membership(
     on one-twist models and the vector -v on products.
     """
     if isinstance(members, Collection):
+        if model is not None and model != members.model:
+            raise ModelMismatch("collection lives on a different model")
         model = members.model
         members = members.members
     if model is None:

@@ -87,7 +87,7 @@ class AbstractSheaf:
     """Opaque sheaf known only through explicit attached data.
 
     Compares and hashes by identity: each instance is its own sheaf.  An
-    attached class must live on the model the sheaf is used on.
+    attached class must have its rank and live on the model it is used on.
     """
 
     rank: int
@@ -185,10 +185,13 @@ def validate_descriptor(desc: SheafDescriptor, model: VarietyModel) -> None:
         validate_descriptor(desc.right, right)
         return
     if isinstance(desc, AbstractSheaf):
+        cls = desc.num_class
         if desc.rank < 0:
             raise MalformedDescriptor(f"abstract rank must be >= 0, got {desc.rank}")
-        if desc.num_class is not None and getattr(desc.num_class, "model", None) != model:
+        if cls is not None and getattr(cls, "model", None) != model:
             raise ModelMismatch("attached class lives on a different model")
+        if cls is not None and cls.r != desc.rank:
+            raise MalformedDescriptor(f"attached class has rank {cls.r}, the data rank {desc.rank}")
         return
     raise MalformedDescriptor(f"unknown descriptor {desc!r}")
 

@@ -16,8 +16,8 @@ every criterion, witness and error is the one the whole table gives.
 
 Decompositions and the abstract surface witness rest on the Eisenbud-Schreyer
 rule: an Ulrich object's table is ``cohomology.ulrich_table`` of its twist-0
-column.  The decompositions read whole tables: their rebuild is the check
-of the oracles against that rule, so it does not lean on the piece argument.
+column.  The decompositions read whole tables, added by ``shifted_sum``:
+their rebuild checks the oracles against that rule without the piece argument.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .complexes import (
     CERT_EXACT_BY_VANISHING,
     FormalComplex,
     GlueWitness,
-    _hyper_from_tables,
     _rebuilds,
     _unit_multiples,
     first_nonvanishing,
@@ -76,7 +75,7 @@ from .sheaves import (
     tensor_parts,
     validate_descriptor,
 )
-from .tables import CohomologyTable, outside_window
+from .tables import CohomologyTable, outside_window, shifted_sum
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PROJ,
@@ -85,6 +84,8 @@ from .variety import (
     format_variety,
     quadric,
 )
+
+MODES = ("direct", "sheafwise", "both")
 
 
 @dataclass
@@ -134,19 +135,9 @@ class UlrichVerdict:
         }
 
 
-@dataclass
-class InitializedReport:
-    global_verdict: bool
-    probed: tuple[int, int]
-    witness: tuple[int, int, int] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.witness is None
-
-
-def is_initialized(desc: SheafDescriptor, model: VarietyModel) -> InitializedReport:
-    """Sections appear at twist zero and at no negative twist.
+def is_initialized(desc: SheafDescriptor, model: VarietyModel) -> Criterion:
+    """Sections appear at twist zero and at no negative twist: the
+    ``initialized`` criterion of ``is_ulrich_sheaf``.
 
     Negative twists are probed down to the low end of the model's
     default window, -(2n + 5); the depth is fixed, not a setting.  For
@@ -157,20 +148,16 @@ def is_initialized(desc: SheafDescriptor, model: VarietyModel) -> InitializedRep
     return _initialized(desc, lo, sheaf_table(desc, model, (lo, 0)))
 
 
-def _initialized(desc: SheafDescriptor, lo: int, table: CohomologyTable) -> InitializedReport:
+def _initialized(desc, lo: int, table: CohomologyTable, prefix: str = "") -> Criterion:
     """``is_initialized`` read off a table of desc covering [lo, 0]."""
-    h0 = table.h(0, 0)
-    if h0 == 0:
+    if table.h(0, 0) == 0:
         witness = (0, 0, 0)
     else:
         witness = table.first_nonzero(range(-1, lo - 1, -1), degrees={0})
-    return InitializedReport(
-        # the oracle descriptors have section counts monotone in the
-        # twist, so the probe decides; abstract data ends at its window
-        global_verdict=not holds_abstract(desc),
-        probed=(lo, 0),
-        witness=witness,
-    )
+    # the oracle descriptors have section counts monotone in the
+    # twist, so the probe decides; abstract data ends at its window
+    note = "window-limited" if holds_abstract(desc) else "global"
+    return Criterion(prefix + "initialized", range(lo, 0), witness, note)
 
 
 def is_ulrich_sheaf(
@@ -228,15 +215,7 @@ def _sheaf_verdict(
     probe_table = table
     if not (table.covers(lo) and table.covers(0)):
         probe_table = _window_table(desc, model, (lo, 0))
-    init = _initialized(desc, lo, probe_table)
-    criteria.append(
-        Criterion(
-            name=prefix + "initialized",
-            twists=range(init.probed[0], 0),
-            witness=init.witness,
-            note="global" if init.global_verdict else "window-limited",
-        )
-    )
+    criteria.append(_initialized(desc, lo, probe_table, prefix))
 
     expected = model.deg * rank_of(desc, model)
     h0 = table.h(0, 0)
@@ -293,7 +272,7 @@ def _object_verdict(
     sheaf over the window that the sheafwise checks read, as build makes
     it, keyed by degree (none in mode ``direct``); mode ``both`` lists the
     direct criterion first."""
-    if mode not in ("direct", "sheafwise", "both"):
+    if mode not in MODES:
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     if window is None:
         window = default_window(E.model)
@@ -343,7 +322,7 @@ def _ulrich_hyper_table(
     verdict, tables = _object_verdict(E, "both", window, _window_table)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
-    return _hyper_from_tables(E, window, tables).table
+    return shifted_sum(window, tables.items())
 
 
 def _require_rebuild(model: VarietyModel, table: CohomologyTable, units: str) -> None:
@@ -373,7 +352,7 @@ def pn_decompose(
 def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     """Spinor multiplicities of an Ulrich object on a quadric.
 
-    Odd case (the threefold, whose one spinor S has h^0(S) = deg * rank):
+    Odd case (any odd quadric, whose one spinor S has h^0(S) = deg * rank):
     multiplicities h^i(E) / h^0(S) per degree, with an exact divisibility
     check.  Even case (the quadric surface, read on its product form,
     or P^1 x P^1 itself): multiplicities split by spinor type, the split
@@ -383,10 +362,10 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     model = E.model
     product_model = model.product_form_model or model
     even = product_model.factors == (1, 1)
-    odd = model.spinor_signs == (None,) and model.dim == 3
+    odd = model.spinor_signs == (None,)
     if not (even or odd):
         raise MalformedDescriptor(
-            f"spinor decomposition is for quadric models, not {format_variety(model)}"
+            f"spinor decomposition needs an odd quadric or Q^2, not {format_variety(model)}"
         )
     table = _ulrich_hyper_table(E, window)
     if odd:

@@ -75,6 +75,17 @@ class TestSlope:
         assert INFINITE == INFINITE
         assert INFINITE != Fraction(0)
 
+    def test_infinite_hashes_and_compares_from_either_side(self):
+        assert hash(INFINITE) == hash(INFINITE)
+        assert {INFINITE: "torsion"}[INFINITE] == "torsion"
+        q = Fraction(-7, 3)
+        assert q < INFINITE and q <= INFINITE and q != INFINITE
+        assert not (q > INFINITE or q >= INFINITE or q == INFINITE)
+        assert INFINITE > q and INFINITE >= q
+        assert not (INFINITE < q or INFINITE <= q)
+        assert INFINITE <= INFINITE and not (INFINITE < INFINITE or INFINITE > INFINITE)
+        assert sorted([INFINITE, Fraction(1), q]) == [q, Fraction(1), INFINITE]
+
     def test_needs_a_surface(self):
         p3 = proj_space(3)
         with pytest.raises(UnsupportedModel):

@@ -297,6 +297,14 @@ class TestEulerCharacteristic:
         with pytest.raises(Indeterminate):
             class_of(AbstractSheaf(rank=2), rank1_surface(4, 0, 2))
 
+    def test_abstract_class_must_carry_the_data_rank(self):
+        # else the section count would read the rank and the slope the class
+        k3 = rank1_surface(4, 0, 2)
+        sheaf = AbstractSheaf(rank=2, num_class=NumClass(k3, 3, 3, 1))
+        with pytest.raises(MalformedDescriptor) as caught:
+            formal_complex(k3, {0: sheaf})
+        assert str(caught.value) == "attached class has rank 3, the data rank 2"
+
 
 class TestUlrichSolver:
     def test_matches_cramer_on_every_surface(self):

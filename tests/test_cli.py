@@ -574,6 +574,20 @@ class TestEnvelope:
 
 
 class TestHelpers:
+    def test_choices_are_the_kit_s_own_tuples(self):
+        subcommands = next(
+            action.choices
+            for action in ulrich_kit.cli.build_parser()._actions
+            if action.dest == "subcommand"
+        )
+
+        def choices(command, dest):
+            (action,) = [a for a in subcommands[command]._actions if a.dest == dest]
+            return action.choices
+
+        assert choices("check", "mode") is ulrich_kit.ulrich.MODES
+        assert choices("scan", "convention") is ulrich_kit.bridgeland.CONVENTIONS
+
     def test_parse_window(self):
         assert _parse_window("-3:4") == (-3, 4)
         from ulrich_kit.errors import ParseError

@@ -44,6 +44,7 @@ from ulrich_kit.errors import (
     ModelMismatch,
     UnknownK0Rank,
     UnsupportedModel,
+    UnsupportedQuadricDim,
 )
 from ulrich_kit.sheaves import twist_components
 from ulrich_kit.variety import MAX_TWISTS
@@ -223,7 +224,8 @@ class TestCollections:
     def test_collection_model_guards(self):
         with pytest.raises(UnsupportedModel):
             beilinson_collection(quadric(2))
-        with pytest.raises(UnsupportedModel):
+        # the spinor members of a quadric past Q^3 fail validation
+        with pytest.raises(UnsupportedQuadricDim):
             kapranov_collection(quadric(4))
         with pytest.raises(UnsupportedModel):
             kapranov_collection(proj_space(2))
@@ -296,6 +298,14 @@ class TestOrthogonalMembership:
         members = (line_bundle(1), line_bundle(2), line_bundle(3))
         verdict = orthogonal_membership(Spinor(None), members, model=q3)
         assert verdict.member_of_orthogonal
+
+    def test_a_model_other_than_the_collection_s_is_refused(self):
+        coll = beilinson_collection(proj_space(2))
+        with pytest.raises(ModelMismatch):
+            orthogonal_membership(line_bundle(0), coll, proj_space(3))
+        assert orthogonal_membership(line_bundle(0), coll, proj_space(2)).witness == (
+            "O(0)", 0, 0, 1
+        )
 
     def test_window_extends_to_cover_far_members(self):
         p2 = proj_space(2)

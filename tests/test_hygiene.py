@@ -161,12 +161,8 @@ ORACLE_LIMITS = {
     ("sheaves.py", "validate_descriptor"): (
         1, "the spinor tables exist on Q^2 and Q^3 only"
     ),
-    ("generators.py", "kapranov_collection"): (
-        1, "collections with spinors need the Q^2/Q^3 spinor tables"
-    ),
     ("ulrich.py", "quadric_decompose"): (
-        2, "odd decomposition needs the Q^3 spinor table; even decomposition"
-        " reads the two rulings of P^1 x P^1"
+        1, "even decomposition reads the two rulings of P^1 x P^1"
     ),
 }
 
@@ -473,8 +469,9 @@ def _row_readings(tree: ast.Module):
 def test_table_rows_are_read_only_in_tables_and_cohomology():
     """A table's rows are laid out by ``tables`` and filled by the rules
     of ``cohomology``; everything else reads columns, entries and whole
-    tables.  The hyper sum goes through ``tables.shifted_sum`` and the
-    Eisenbud-Schreyer rebuild compares whole tables with ``==``."""
+    tables.  Both hyper sums, ``complexes.hyper_table`` and
+    ``ulrich._ulrich_hyper_table``, go through ``tables.shifted_sum``, and
+    the Eisenbud-Schreyer rebuild compares whole tables with ``==``."""
     found = [
         f"{name}:{line}"
         for name, tree in TREES.items()
@@ -483,17 +480,19 @@ def test_table_rows_are_read_only_in_tables_and_cohomology():
     ]
     assert not found, f"table rows read outside tables.py and cohomology.py: {found}"
     functions = {
-        node.name: node
-        for node in ast.walk(TREES["complexes.py"])
+        (name, node.name): node
+        for name in ("complexes.py", "ulrich.py")
+        for node in ast.walk(TREES[name])
         if isinstance(node, ast.FunctionDef)
     }
-    hyper_calls = {
-        node.func.id
-        for node in ast.walk(functions["_hyper_from_tables"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    assert "shifted_sum" in hyper_calls
-    rebuild = functions["_rebuilds"]
+    for site in (("complexes.py", "hyper_table"), ("ulrich.py", "_ulrich_hyper_table")):
+        hyper_calls = {
+            node.func.id
+            for node in ast.walk(functions[site])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "shifted_sum" in hyper_calls, site
+    rebuild = functions[("complexes.py", "_rebuilds")]
     assert any(
         isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops)
         for node in ast.walk(rebuild)

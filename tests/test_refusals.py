@@ -1,0 +1,144 @@
+"""Refusals and values that no other test reaches: each refusal keeps
+its error type, its message and the exit code the CLI gives it, and
+each value is pinned where the branch that gives it is the only one."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from ulrich_kit import (
+    AbstractSheaf,
+    DirectSum,
+    ExternalTensor,
+    SemistableEC,
+    direct_sum,
+    direct_sum_complexes,
+    elliptic_curve,
+    ext_dimension,
+    line_bundle,
+    parse_sheaf,
+    proj_space,
+    quadric,
+    rank1_surface,
+    sheaf_table,
+    tensor_line,
+    validate_descriptor,
+)
+from ulrich_kit.cli import _load_complex
+from ulrich_kit.errors import MalformedDescriptor, MalformedModel, NoDualRule, ParseError
+from ulrich_kit.generators import lattice_rank
+from ulrich_kit.sheaves import product_form
+from ulrich_kit.ulrich import _ext_serre_partner
+from ulrich_kit.variety import default_window
+
+P2 = proj_space(2)
+
+
+def _glue_entry_not_an_object(tmp_path):
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps({"variety": "pn:2", "sheaves": {"0": "O(0)"}, "glue": [1]}))
+    return _load_complex(str(path))
+
+
+REFUSALS = {
+    "negative multiplicity": (
+        lambda _: direct_sum((line_bundle(0), -1)),
+        MalformedDescriptor,
+        "negative multiplicity -1",
+    ),
+    "only zero multiplicities": (
+        lambda _: direct_sum((line_bundle(0), 0), (line_bundle(1), 0)),
+        MalformedDescriptor,
+        "empty direct sum",
+    ),
+    "hand-built empty sum": (
+        lambda _: validate_descriptor(DirectSum(()), P2),
+        MalformedDescriptor,
+        "empty direct sum",
+    ),
+    "hand-built zero multiplicity": (
+        lambda _: validate_descriptor(DirectSum(((line_bundle(0), 0),)), P2),
+        MalformedDescriptor,
+        "multiplicity must be >= 1, got 0",
+    ),
+    "external tensor off a product": (
+        lambda _: validate_descriptor(ExternalTensor(line_bundle(0), line_bundle(1)), P2),
+        MalformedDescriptor,
+        "external tensors live on product models",
+    ),
+    "negative abstract rank": (
+        lambda _: validate_descriptor(AbstractSheaf(rank=-1), P2),
+        MalformedDescriptor,
+        "abstract rank must be >= 0, got -1",
+    ),
+    "twist vector of the wrong length": (
+        lambda _: tensor_line(line_bundle(0), (1, 2), P2),
+        MalformedDescriptor,
+        "twist vector (1, 2) has wrong length for pn:2",
+    ),
+    "product form off the quadric surface": (
+        lambda _: product_form(line_bundle(0), quadric(3)),
+        MalformedDescriptor,
+        "product form applies to the quadric surface only",
+    ),
+    "summands without a plus": (
+        lambda _: parse_sheaf("O(1) O(2)", P2),
+        ParseError,
+        "expected '+' at position 5 in 'O(1) O(2)'",
+    ),
+    "empty sum of complexes": (
+        lambda _: direct_sum_complexes(),
+        MalformedDescriptor,
+        "empty direct sum of complexes",
+    ),
+    "coordinate vectors of unequal length": (
+        lambda _: lattice_rank([(Fraction(1),), (Fraction(1), Fraction(2))]),
+        MalformedDescriptor,
+        "coordinate vectors of unequal length",
+    ),
+    "fractional chi(O)": (
+        lambda _: rank1_surface(4, 0, 1.5),
+        MalformedModel,
+        "chi(O) must be an integer, got 1.5",
+    ),
+    "glue entry that is not an object": (
+        _glue_entry_not_an_object,
+        ParseError,
+        "malformed glue entry 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("read, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_keeps_its_type_message_and_exit_code(tmp_path, read, error, message):
+    with pytest.raises(error) as caught:
+        read(tmp_path)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert caught.value.exit_code == 2
+
+
+def test_ext_between_distinct_rank_one_data_of_equal_degree_vanishes():
+    ec = elliptic_curve(3)
+    nontrivial, trivial = SemistableEC(1, 3, False), SemistableEC(1, 3, True)
+    assert [ext_dimension(nontrivial, trivial, k, ec) for k in (0, 1)] == [0, 0]
+
+
+def test_ext_from_genus_one_data_into_an_abstract_sheaf_has_no_rule():
+    ec = elliptic_curve(3)
+    with pytest.raises(NoDualRule) as caught:
+        ext_dimension(SemistableEC(1, 3, False), AbstractSheaf(rank=1), 0, ec)
+    assert str(caught.value) == "abstract(abstract,rank=1) has no genus-one oracle"
+
+
+def test_ext_into_an_abstract_table_skips_the_serre_cross_check():
+    # the abstract side has no canonical twist, so only the primary rule speaks
+    stored = AbstractSheaf(rank=1, table=sheaf_table(line_bundle(1), P2, default_window(P2)))
+    assert ext_dimension(line_bundle(0), stored, 0, P2) == 3
+    assert _ext_serre_partner(line_bundle(0), stored, 0, P2) is None
+
+
+def test_model_facts_absent_off_their_family():
+    assert rank1_surface(4, 0, 2).canonical_twists is None
+    assert P2.factor_models is None
+    assert quadric(3).factor_models is None

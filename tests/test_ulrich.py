@@ -127,40 +127,40 @@ class TestInitialized:
         expected = scanned_initialization_witness(desc, model, -lo)
         report = is_initialized(desc, model)
         assert report.witness == expected
-        assert report.ok == (expected is None)
+        assert report.passed == (expected is None)
         # the verdict reuses its own table when that covers [lo, 0]
-        # and probes a table of its own otherwise
+        # and probes a table of its own otherwise; either way its
+        # criterion is the one is_initialized returns
         n = model.dim
         for window in ((lo, 2), (-n, 2)):
             verdict = is_ulrich_sheaf(desc, model, window)
             (criterion,) = [c for c in verdict.criteria if c.name == "initialized"]
-            assert criterion.witness == expected
-            assert criterion.passed == (expected is None)
+            assert criterion == report
 
     def test_structure_sheaf_is_initialized(self):
         report = is_initialized(line_bundle(0), proj_space(2))
-        assert report.ok and report.global_verdict
+        assert report.passed and report.note == "global"
         assert report.witness is None
 
     def test_negative_twist_has_no_sections_at_zero(self):
         report = is_initialized(line_bundle(-1), proj_space(2))
-        assert not report.ok
+        assert not report.passed
         assert report.witness == (0, 0, 0)
 
     def test_positive_twist_has_early_sections(self):
         report = is_initialized(line_bundle(1), proj_space(3))
-        assert not report.ok
+        assert not report.passed
         assert report.witness == (0, -1, 1)
 
     def test_probe_depth_is_recorded(self):
         report = is_initialized(line_bundle(0), proj_space(2))
-        assert report.probed == (-9, 0)
+        assert report.twists == range(-9, 0)
 
     def test_abstract_data_is_window_limited(self):
         model = rank1_surface(4, 0, 2)
         witness = abstract_ulrich_sheaf(model, 1)
         report = is_initialized(witness, model)
-        assert report.ok and not report.global_verdict
+        assert report.passed and report.note == "window-limited"
 
 
 class TestUlrichSheaf:
@@ -510,6 +510,22 @@ class TestQuadricDecompose:
         E = formal_complex(product_proj(1, 1), {0: ExternalTensor(left, right)})
         assert is_ulrich_object(E, "both").passed
         assert quadric_decompose(E) == {0: split}
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_split_reads_the_table_alone_past_q3(self, n):
+        # no spinor oracle exists on Q^5 or Q^7, but the Eisenbud-Schreyer
+        # table of a spinor's sections decomposes all the same
+        model = quadric(n)
+        window = default_window(model)
+        sections = model.deg * model.spinor_rank
+
+        def unit(copies):
+            table = ulrich_table(n, {0: copies * sections}, window)
+            return AbstractSheaf(copies * model.spinor_rank, "spinor-like", table=table)
+
+        assert quadric_decompose(formal_complex(model, {0: unit(1)})) == {0: 1}
+        E = formal_complex(model, {0: unit(1), -1: unit(2)})
+        assert quadric_decompose(E) == {-1: 2, 0: 1}
 
     def test_rejects_non_ulrich_input(self):
         q3 = quadric(3)
