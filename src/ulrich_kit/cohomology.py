@@ -8,11 +8,13 @@ The rules:
 
 * Projective space (Bott): only h^0 and h^n are ever nonzero, with
   binomial values on the two ranges t >= -a and t <= -n-1-a of O(a).
-* Quadric line bundles: the long exact sequence of the ambient
-  degree-two hypersurface collapses to two differences of those ranges.
+* Quadrics, through a finite linear projection pi: Q^n -> P^n, which
+  keeps cohomology (Eisenbud-Schreyer 2003, Prop. 2.1): an atom is the
+  Bott rows of its push-forward.  pi_* O_Q = O + O(-1), so O(a) on Q^n
+  reads as O(a) + O(a-1) on P^n; an even spinor is Ulrich, so it pushes
+  to O^(2 * rank) (the rank ``model.spinor_rank``).
 * Products: the Kunneth rule with a uniform diagonal twist multiplies
-  the factor rows elementwise.  The spinor lines on the quadric surface
-  are read on its product form (``model.product_form_model``).
+  the factor rows elementwise.
 * Genus-one curves: the degree is linear in the twist; h^0 above the
   degree-zero twist, h^1 below it, and at it the dichotomy: one section
   exactly for the trivial-type member.
@@ -27,21 +29,23 @@ The rules:
   h^1 and h^2 vanish everywhere, h^0 obeys a two-term recursion upward
   and h^3 the mirror recursion downward.
 
-Ulrich tables follow from the Eisenbud-Schreyer rule (2003, Prop. 2.1): a
-finite linear projection to P^n pushes an Ulrich object to a sum of shifted
-structure sheaves, so h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
+Ulrich tables follow from the same rule: the projection to P^n pushes an
+Ulrich object to a sum of shifted structure sheaves, so
+h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
 
 Pieces.  Each closed-form rule has break twists, where its range form
 changes, given by ``_rule`` with its fill and read off the bounds that
 fill reads (``_breaks`` takes their union over the atoms): -n-a for O(a)
-on P^n, 1-n-a on Q^n, the breaks of both factors for Kunneth, and on a
-genus-one curve the zero twist and the one after it.  A line bundle's
-fill also reads a second bound, -a, where h^0 starts; it is no break,
-because the h^0 and h^n binomials both vanish on the gap between the
-two bounds, so each row is one polynomial on each side of the first.
-Between breaks every entry is a polynomial in t of degree at most
-the dimension n: a binomial in t, a difference of two, a product of the
-factors' polynomials, or a linear form.  A nonzero one has at most n
+on P^n, 1-n-a for O(a) on Q^n (the first break of its O(a-1) part), -n
+for an even spinor, the breaks of both factors for Kunneth, and on a
+genus-one curve the zero twist and the one after it.  A Bott row also
+reads a second bound, -a, where h^0 starts; it is no break, because the
+h^0 and h^n binomials both vanish on the gap -n-a <= t < -a, so each row
+is one polynomial on each side of any twist in that gap.  So 1-n-a, in
+the gaps of both parts of O(a) on Q^n, is its one break, and the O(a)
+part's -n-a is none.  Between breaks every entry is a polynomial in t of
+degree at most the dimension n: a binomial in t, a sum of two, a product
+of the factors' polynomials, or a linear form.  A nonzero one has at most n
 roots, so an entry nonzero anywhere on a piece is nonzero at one of its
 first n + 1 twists and at one of its last n + 1.  ``_piece_table`` holds
 rows at those twists only, for the Ulrich verdicts, whose reads walk
@@ -71,7 +75,6 @@ from .sheaves import (
     flatten_atoms,
     format_sheaf,
     normalize_elliptic,
-    product_form,
     tensor_line,
     validate_descriptor,
 )
@@ -115,26 +118,13 @@ def _add_bott(n: int, a: int, lo: int, hi: int, mult: int, rows: Rows, base: int
             row[t - base] += mult * comb(-a - t - 1, n)
 
 
-def _quadric_breaks(n: int, a: int) -> tuple[int, int]:
-    """(stop, start) for O(a) on Q^n: h^n lives at t < stop, h^0 at t >= start."""
-    return 1 - n - a, -a
-
-
-def _add_quadric_line(n: int, a: int, lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
-    """O(a) on Q^n: the restriction sequence 0 -> O_P(k-2) -> O_P(k) ->
-    O_Q(k) -> 0 on P^{n+1} has cohomology concentrated at the ends, so the
-    long exact sequence collapses to two differences and kills everything
-    between."""
-    m = n + 1
-    stop, start = _quadric_breaks(n, a)
-    if start <= hi:
-        row = rows[0]
-        for k in range(a + (start if start > lo else lo), a + hi + 1):
-            row[k - a - base] += mult * (comb(m + k, m) - comb(m + k - 2, m))
-    if lo < stop:
-        row = rows[n]
-        for k in range(a + lo, a + (stop if stop <= hi else hi + 1)):
-            row[k - a - base] += mult * (comb(1 - k, m) - comb(-k - 1, m))
+def _add_projected(
+    n: int, parts: tuple[tuple[int, int], ...], lo: int, hi: int, mult: int, rows: Rows, base: int
+) -> None:
+    """An atom whose finite projection to P^n pushes it to the sum of
+    count * O(a) over its (a, count) parts: the Bott rows of those."""
+    for a, count in parts:
+        _add_bott(n, a, lo, hi, mult * count, rows, base)
 
 
 def _add_bott_product(
@@ -258,9 +248,10 @@ def _rule(
     """(fill, breaks) of one atom: the one place its family is decided.
     fill(lo, hi, mult, rows, base) adds mult * h^i(atom(t)) to
     rows[i][t - base] for every lo <= t <= hi; breaks are read off the
-    bounds that fill reads, only the stop bound of a line bundle (see
-    Pieces), and are None for a stored table, the Q^3 spinor, or an
-    atom with no oracle, whose fill raises NoOracle."""
+    bounds that fill reads, one twist in the gaps of all its Bott rows
+    (see Pieces), and are None for a stored table, the Q^3 spinor, or an
+    atom with no oracle, whose fill raises NoOracle.  A quadric atom is
+    read as the Bott rows of its push-forward to P^n."""
     if isinstance(atom, AbstractSheaf):
         if atom.table is None:
             return partial(_refuse, f"{format_sheaf(atom)} carries no table"), None
@@ -270,14 +261,14 @@ def _rule(
             n, a = model.dim, atom.twists[0]
             return partial(_add_bott, n, a), _bott_breaks(n, a)[:1]
     elif model.kind == KIND_QUADRIC:
+        n = model.dim
         if isinstance(atom, LineBundle):
-            n, a = model.dim, atom.twists[0]
-            return partial(_add_quadric_line, n, a), _quadric_breaks(n, a)[:1]
+            a = atom.twists[0]
+            return partial(_add_projected, n, ((a, 1), (a - 1, 1))), (1 - n - a,)
         if isinstance(atom, Spinor):
-            on_product = model.product_form_model
-            if on_product is not None:
-                return _rule(product_form(atom, model), on_product)
-            return _add_spinor3, None
+            if None in model.spinor_signs:
+                return _add_spinor3, None
+            return partial(_add_projected, n, ((0, 2 * model.spinor_rank),)), (-n,)
     elif model.kind == KIND_PRODUCT:
         if isinstance(atom, LineBundle):
             (n1, n2), (a, b) = model.factors, atom.twists

@@ -57,6 +57,7 @@ from .errors import (
     NotUlrichInput,
     OracleDefect,
     UnknownSlopeZero,
+    UnsupportedQuadricDim,
     ZeroExt,
 )
 from .sheaves import (
@@ -357,14 +358,16 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
     check.  Even case (the quadric surface, read on its product form,
     or P^1 x P^1 itself): multiplicities split by spinor type, the split
     read off from sections against the two rulings.  Either way the table
-    must be the Eisenbud-Schreyer table of its twist-0 column.
+    must be the Eisenbud-Schreyer table of its twist-0 column.  An even
+    quadric past Q^2 raises UnsupportedQuadricDim: its split is out of scope.
     """
     model = E.model
     product_model = model.product_form_model or model
     even = product_model.factors == (1, 1)
     odd = model.spinor_signs == (None,)
     if not (even or odd):
-        raise MalformedDescriptor(
+        refusal = UnsupportedQuadricDim if model.spinor_signs else MalformedDescriptor
+        raise refusal(
             f"spinor decomposition needs an odd quadric or Q^2, not {format_variety(model)}"
         )
     table = _ulrich_hyper_table(E, window)

@@ -8,11 +8,12 @@ no float appears outside the one display phase, each phase sector is
 named once, no module but ``sheaves`` looks inside a direct sum, no
 module but ``complexes`` decides "sheaf or complex" or shifts a sum by
 a complex degree, ``cohomology`` decides an atom's family only in
-``_rule``, outside ``sheaves`` a descriptor family is decided only in
-the oracle, the class and the dual rule, no module but ``tables`` and
-``cohomology`` reads a table's rows, no public table holds fewer twists
-than its window, and every kit name the benchmark's tracer looks up
-still exists.
+``_rule`` and writes a binomial only in the Bott rows and the Q^3
+spinor recursion, outside ``sheaves`` a descriptor family is decided
+only in the oracle, the class and the dual rule, no module but
+``tables`` and ``cohomology`` reads a table's rows, no public table
+holds fewer twists than its window, and every kit name the benchmark's
+tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -221,6 +222,43 @@ def test_quadric_and_product_facts_are_read_from_the_model():
         f" found {found}, allowed {allowed}; read a VarietyModel property"
         " instead, or drop a lifted limit from ORACLE_LIMITS"
     )
+
+
+# The only functions in ``cohomology.py`` that call ``comb``: every closed
+# form is read through Bott rows on P^n, and the Q^3 spinor recursion
+# keeps its own ambient counts until it too is read through its
+# projection (ROADMAP item 2), which drops the ``_proj_*`` entries.
+BINOMIAL_HOMES = {
+    "_add_bott": "the Bott rows of O(a) on P^n",
+    "_add_bott_product": "two Bott rows multiplied at equal twists",
+    "_proj_h0": "ambient sections for the Q^3 spinor recursion, until item 2",
+    "_proj_hn": "ambient top cohomology for the Q^3 spinor recursion, until item 2",
+}
+
+
+def _comb_calls(node: ast.AST) -> set[int]:
+    """Line of every ``comb`` call under the node."""
+    return {
+        sub.lineno
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "comb"
+    }
+
+
+def test_binomials_are_written_only_in_the_bott_rows():
+    """A quadric atom reads the Bott rows of its push-forward to P^n, so
+    no second binomial formula can drift from Bott's."""
+    tree = TREES["cohomology.py"]
+    calls = _comb_calls(tree)
+    inside, homes = set(), set()
+    for func in module_functions(tree):
+        lines = _comb_calls(func)
+        if lines and func.name in BINOMIAL_HOMES:
+            inside |= lines
+            homes.add(func.name)
+    outside = sorted(calls - inside)
+    assert calls and not outside, f"comb outside {sorted(BINOMIAL_HOMES)}: lines {outside}"
+    assert homes == set(BINOMIAL_HOMES), f"homes calling no comb: {set(BINOMIAL_HOMES) - homes}"
 
 
 def _reads_dimension(node: ast.expr) -> bool:

@@ -16,17 +16,27 @@ from ulrich_kit import (
     direct_sum_complexes,
     elliptic_curve,
     ext_dimension,
+    formal_complex,
+    is_ulrich_object,
     line_bundle,
     parse_sheaf,
     proj_space,
     quadric,
+    quadric_decompose,
     rank1_surface,
     sheaf_table,
     tensor_line,
     validate_descriptor,
 )
 from ulrich_kit.cli import _load_complex
-from ulrich_kit.errors import MalformedDescriptor, MalformedModel, NoDualRule, ParseError
+from ulrich_kit.cohomology import ulrich_table
+from ulrich_kit.errors import (
+    MalformedDescriptor,
+    MalformedModel,
+    NoDualRule,
+    ParseError,
+    UnsupportedQuadricDim,
+)
 from ulrich_kit.generators import lattice_rank
 from ulrich_kit.sheaves import product_form
 from ulrich_kit.ulrich import _ext_serre_partner
@@ -41,81 +51,111 @@ def _glue_entry_not_an_object(tmp_path):
     return _load_complex(str(path))
 
 
+def _even_quadric_split(_):
+    # an abstract rank-2 Ulrich table on Q^4 is well formed and passes;
+    # only the split of S+ and S- there is out of the kit's scope
+    model = quadric(4)
+    window = default_window(model)
+    table = ulrich_table(model.dim, {0: model.deg * 2}, window)
+    E = formal_complex(model, {0: AbstractSheaf(rank=2, label="rank-2", table=table)})
+    assert is_ulrich_object(E, "both").passed
+    return quadric_decompose(E)
+
+
 REFUSALS = {
     "negative multiplicity": (
         lambda _: direct_sum((line_bundle(0), -1)),
         MalformedDescriptor,
         "negative multiplicity -1",
+        2,
     ),
     "only zero multiplicities": (
         lambda _: direct_sum((line_bundle(0), 0), (line_bundle(1), 0)),
         MalformedDescriptor,
         "empty direct sum",
+        2,
     ),
     "hand-built empty sum": (
         lambda _: validate_descriptor(DirectSum(()), P2),
         MalformedDescriptor,
         "empty direct sum",
+        2,
     ),
     "hand-built zero multiplicity": (
         lambda _: validate_descriptor(DirectSum(((line_bundle(0), 0),)), P2),
         MalformedDescriptor,
         "multiplicity must be >= 1, got 0",
+        2,
     ),
     "external tensor off a product": (
         lambda _: validate_descriptor(ExternalTensor(line_bundle(0), line_bundle(1)), P2),
         MalformedDescriptor,
         "external tensors live on product models",
+        2,
     ),
     "negative abstract rank": (
         lambda _: validate_descriptor(AbstractSheaf(rank=-1), P2),
         MalformedDescriptor,
         "abstract rank must be >= 0, got -1",
+        2,
     ),
     "twist vector of the wrong length": (
         lambda _: tensor_line(line_bundle(0), (1, 2), P2),
         MalformedDescriptor,
         "twist vector (1, 2) has wrong length for pn:2",
+        2,
     ),
     "product form off the quadric surface": (
         lambda _: product_form(line_bundle(0), quadric(3)),
         MalformedDescriptor,
         "product form applies to the quadric surface only",
+        2,
     ),
     "summands without a plus": (
         lambda _: parse_sheaf("O(1) O(2)", P2),
         ParseError,
         "expected '+' at position 5 in 'O(1) O(2)'",
+        2,
     ),
     "empty sum of complexes": (
         lambda _: direct_sum_complexes(),
         MalformedDescriptor,
         "empty direct sum of complexes",
+        2,
     ),
     "coordinate vectors of unequal length": (
         lambda _: lattice_rank([(Fraction(1),), (Fraction(1), Fraction(2))]),
         MalformedDescriptor,
         "coordinate vectors of unequal length",
+        2,
     ),
     "fractional chi(O)": (
         lambda _: rank1_surface(4, 0, 1.5),
         MalformedModel,
         "chi(O) must be an integer, got 1.5",
+        2,
     ),
     "glue entry that is not an object": (
         _glue_entry_not_an_object,
         ParseError,
         "malformed glue entry 1",
+        2,
+    ),
+    "spinor split on an even quadric past Q^2": (
+        _even_quadric_split,
+        UnsupportedQuadricDim,
+        "spinor decomposition needs an odd quadric or Q^2, not quadric:4",
+        3,
     ),
 }
 
 
-@pytest.mark.parametrize("read, error, message", REFUSALS.values(), ids=REFUSALS.keys())
-def test_refusal_keeps_its_type_message_and_exit_code(tmp_path, read, error, message):
+@pytest.mark.parametrize("read, error, message, code", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_keeps_its_type_message_and_exit_code(tmp_path, read, error, message, code):
     with pytest.raises(error) as caught:
         read(tmp_path)
     assert type(caught.value) is error and str(caught.value) == message
-    assert caught.value.exit_code == 2
+    assert caught.value.exit_code == code
 
 
 def test_ext_between_distinct_rank_one_data_of_equal_degree_vanishes():
