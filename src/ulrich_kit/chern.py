@@ -38,7 +38,6 @@ from .sheaves import (
 from .variety import (
     KIND_PRODUCT,
     VarietyModel,
-    curve_data,
     format_variety,
     surface_data,
 )
@@ -152,8 +151,7 @@ def euler_char(c: NumClass) -> Fraction:
             f"no Euler characteristic rule for {format_variety(model)}"
         )
     if model.dim == 1:
-        d, chi0 = curve_data(model)
-        return c.e1 * d + c.r * chi0
+        return c.e1 * model.deg + c.r * model.chi0
     d, i_x, chi0 = surface_data(model)
     return c.e2 * d - Fraction(i_x * d, 2) * c.e1 + c.r * chi0
 

@@ -93,7 +93,7 @@ def _tsv_text(report) -> str:
             lines.append("\t".join(str(row.get(col, "")) for col in header))
     else:
         for key, value in (payload or {}).items() if isinstance(payload, dict) else []:
-            lines.append(f"{key}\t{json.dumps(to_jsonable(value), sort_keys=True)}")
+            lines.append(f"{key}\t{json.dumps(value, sort_keys=True)}")
     lines.append(f"verdict\t{report['verdict']}")
     if report["error"]:
         lines.append(f"error\t{report['error']}")
@@ -220,7 +220,7 @@ def _cmd_table(args):
     payload = {
         "variety": format_variety(model),
         "sheaf": args.sheaf,
-        "window": list(table.window),
+        "window": table.window,
         "rows": [{"i": i, "t": t, "h": h} for i, t, h in table.rows()],
         "num_class": None
         if num_class is None

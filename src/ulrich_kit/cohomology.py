@@ -52,9 +52,10 @@ rows at those twists only, for the Ulrich verdicts, whose reads walk
 whole pieces and so find what the whole table finds.  Stored tables and
 the Q^3 spinor have no breaks and are built at every twist: a stored
 table is data, not a rule, and the spinor recursion reaches a twist
-only through the twists between it and zero (built cold at the top of a
-window such as (-2, 900), it would exceed the interpreter's recursion
-depth where the ascending fill of the whole window does not).
+only through the twists between it and zero: h^0 from k - 1, h^3 from
+k + 1.  The ascending fill keeps h^0 shallow but reaches h^3 cold at the
+bottom of a window, so one starting below about -490 exceeds the
+interpreter's recursion depth (h^3 warmed downward from -4 does not).
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _spinor3_h3(k: int) -> int:
 
 
 def _add_spinor3(lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
-    # ascending twists, so each recursion finds its predecessor cached
+    # ascending twists keep h^0 shallow; h^3 recurses up to -3 from a cold bottom
     for t in range(lo, hi + 1):
         for i, h in ((0, _spinor3_h0(t)), (3, _spinor3_h3(t))):
             if h:
@@ -220,8 +221,7 @@ def _elliptic_zero(atom: SemistableEC, d: int) -> tuple[int, int]:
 
 
 def _add_elliptic(
-    desc: SheafDescriptor, atom: SemistableEC, d: int, lo: int, hi: int, mult: int,
-    rows: Rows, base: int,
+    atom: SemistableEC, d: int, lo: int, hi: int, mult: int, rows: Rows, base: int
 ) -> None:
     """The degree of atom(t) on a curve of degree d is linear and
     increasing in t: h^1 below its zero twist, h^0 above, and the
@@ -234,7 +234,7 @@ def _add_elliptic(
         for t in range(lo, min(hi, last_negative) + 1):
             row[t - base] -= mult * (atom.degree + step * t)
     if rem == 0 and lo <= zero <= hi:
-        for i, h in _elliptic_pair(0, atom.trivial_type, format_sheaf(desc)).items():
+        for i, h in _elliptic_pair(0, atom.trivial_type, format_sheaf(atom)).items():
             rows[i][zero - base] += mult * h
     if zero < hi:
         row = rows[0]
@@ -283,7 +283,7 @@ def _rule(
         curve = normalize_elliptic(atom, model)
         if isinstance(curve, SemistableEC):
             zero, _ = _elliptic_zero(curve, model.deg)
-            return partial(_add_elliptic, atom, curve, model.deg), (zero, zero + 1)
+            return partial(_add_elliptic, curve, model.deg), (zero, zero + 1)
     elif model.kind == KIND_SURFACE:
         return partial(
             _refuse,
@@ -315,10 +315,10 @@ def _breaks(desc: SheafDescriptor, model: VarietyModel) -> set[int] | None:
     return breaks
 
 
-def _held_spans(lo: int, hi: int, starts: set[int], k: int) -> Spans:
-    """The first and the last k twists of each piece of [lo, hi], the
-    pieces starting at the twists of starts (lo among them), as sorted
-    closed spans, touching ones merged."""
+def _held_spans(hi: int, starts: set[int], k: int) -> Spans:
+    """The first and the last k twists of each piece of [min(starts), hi],
+    the pieces starting at the twists of starts, as sorted closed spans,
+    touching ones merged."""
     bounds = sorted(starts) + [hi + 1]
     spans: list[tuple[int, int]] = []
     for start, stop in zip(bounds, bounds[1:]):
@@ -347,7 +347,7 @@ def _piece_table(
         return _window_table(desc, model, window)
     check_window(window)
     starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
-    spans = _held_spans(lo, hi, starts, k)
+    spans = _held_spans(hi, starts, k)
     rows = zero_rows(sum(b - a + 1 for a, b in spans))
     _add_atoms(desc, model, placed(spans), rows)
     return CohomologyTable(window, rows=rows, spans=spans)

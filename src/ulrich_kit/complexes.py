@@ -28,7 +28,6 @@ two, so a witness does not carry it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .cohomology import _twisted_column, sheaf_table, ulrich_table
@@ -225,7 +224,7 @@ def _unit_multiples(sections: int, table: CohomologyTable) -> dict[int, int]:
     twist-0 column of an object's table as h^q(E) over the unit's
     ``sections`` (deg * rank, by Eisenbud-Schreyer)."""
     multiplicities: dict[int, int] = {}
-    for degree, h in sorted(table.column(0).items()):
+    for degree, h in table.column(0).items():
         if h % sections:
             raise NonDivisibleRank(f"h^{degree}(E) = {h} is not a multiple of {sections}")
         multiplicities[degree] = h // sections
@@ -241,11 +240,12 @@ def _rebuilds(n: int, table: CohomologyTable) -> bool:
 
 @dataclass
 class TriangleVerdict:
-    """Outcome of the two-out-of-three transfer on a triangle E -> F -> G."""
+    """Outcome of the two-out-of-three transfer on a triangle E -> F -> G;
+    ``implied_euler`` holds the third vertex's integer Euler sums."""
 
     third_role: str
     witness: tuple[str, int, int, int] | None
-    implied_euler: dict[int, Fraction] | None
+    implied_euler: dict[int, int] | None
     chi_additive: bool | None
 
     @property
@@ -288,7 +288,7 @@ def triangle_2of3(
     sign = {"E": 1, "F": -1, "G": 1}  # chi(E) - chi(F) + chi(G) = 0
     implied = {
         t: -sign[third_role]
-        * sum(sign[role] * Fraction(table.euler(t)) for role, table in given.items())
+        * sum(sign[role] * table.euler(t) for role, table in given.items())
         for t in range(lo, hi + 1)
     }
     chi_additive = None

@@ -52,11 +52,11 @@ class K0Class:
     Coordinates are model-specific pairings chosen to be injective on
     the lattice: chi(E x L) for L in ``model.k0_box``, a basis of line
     bundles on projective spaces and their products; (rank, degree) on a
-    genus-one curve.
+    genus-one curve.  All are ints but that degree e1 * d, a Fraction.
     """
 
     model: VarietyModel
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
 
 def k0_class(obj, model: VarietyModel) -> K0Class:
@@ -67,7 +67,7 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
     (-1)^q, so the class of E[1] is minus the class of E."""
     if model.kind == KIND_ELLIPTIC:
         cls = class_of(obj, model)
-        return K0Class(model, (Fraction(cls.r), cls.e1 * model.deg))
+        return K0Class(model, (cls.r, cls.e1 * model.deg))
     pairs = sheaves_of(obj, model)
     box = model.k0_box
     if box is None:
@@ -75,10 +75,10 @@ def k0_class(obj, model: VarietyModel) -> K0Class:
             f"no K-group coordinates implemented for {format_variety(model)}"
         )
     columns = (hyper_column(pairs, model, twists) for twists in box)
-    return K0Class(model, tuple(Fraction(alternating_sum(c)) for c in columns))
+    return K0Class(model, tuple(alternating_sum(c) for c in columns))
 
 
-def lattice_rank(vectors: list[tuple[Fraction, ...]]) -> int:
+def lattice_rank(vectors: list[tuple[int | Fraction, ...]]) -> int:
     """Rank of the span, by fraction-free elimination over the integers."""
     if not vectors:
         return 0

@@ -396,8 +396,9 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                         f"{format_sheaf(piece)} is not a spinor line bundle"
                     )
                 counts[sign] += mult * m
-        # cross-check the split against sections along the two rulings
-        for sign, ruling in (("+", (-1, 0)), ("-", (0, -1))):
+        # cross-check against ruling sections: Hom(S, E) = h^0(E x S^dual)
+        for line, sign in signs.items():
+            ruling = tuple(-a for a in line.twists)
             sections = _twisted_column(on_product, product_model, ruling).get(0, 0)
             if sections != counts[sign]:
                 raise OracleDefect(
@@ -406,7 +407,7 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
                 )
         split[degree] = counts
     _require_rebuild(model, table, "shifted spinor lines")
-    return {degree: dict(counts) for degree, counts in sorted(split.items())}
+    return split
 
 
 def ext_dimension(

@@ -229,13 +229,6 @@ def surface_data(model: VarietyModel) -> tuple[int, Fraction, int]:
     )
 
 
-def curve_data(model: VarietyModel) -> tuple[int, int]:
-    """(d, chi(O)) for one-dimensional models."""
-    if model.dim == 1:
-        return (model.deg, model.chi0)
-    raise UnsupportedModel(f"{format_variety(model)} is not a curve model")
-
-
 def format_variety(model: VarietyModel) -> str:
     if model.kind == KIND_PROJ:
         return f"pn:{model.dim}"

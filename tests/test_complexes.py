@@ -31,6 +31,7 @@ from ulrich_kit import (
     proj_space,
     pushforward_finite,
     quadric,
+    rank1_surface,
     restrict_hyperplane,
     sheaf_column,
     sheaf_table,
@@ -175,6 +176,9 @@ class TestHyperTable:
         assert cls is not None and cls.r == 0
         p3 = proj_space(3)
         assert class_or_none(formal_complex(p3, {0: line_bundle(0)}), p3) is None
+        # on a surface too, an abstract sheaf with no class attached has none
+        surface = rank1_surface(4, 0, 2)
+        assert class_or_none(AbstractSheaf(rank=1), surface) is None
 
 
 class TestTriangle:

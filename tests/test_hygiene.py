@@ -12,8 +12,9 @@ a complex degree, ``cohomology`` decides an atom's family only in
 spinor recursion, outside ``sheaves`` a descriptor family is decided
 only in the oracle, the class and the dual rule, no module but
 ``tables`` and ``cohomology`` reads a table's rows, no public table
-holds fewer twists than its window, and every kit name the benchmark's
-tracer looks up still exists.
+holds fewer twists than its window, no cache outlives a call but the
+Q^3 spinor recursion's, no ``Fraction`` wraps an integer table read, and
+every kit name the benchmark's tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -571,6 +572,69 @@ def test_public_tables_hold_their_whole_window(monkeypatch):
     assert uk.pn_decompose(E, window) == {-1: 1, 0: 2}
     assert uk.quadric_decompose(F, window) == {0: {"+": 1, "-": 1}}
     assert built and all(map(holds_its_window, built))
+
+
+# The only functions a cache may sit on: a memo that outlives a call
+# costs memory on every workload that reads many distinct inputs.  The
+# Q^3 spinor recursion needs one until it is read through its projection
+# (ROADMAP item 2), which drops both entries.
+CACHE_HOMES = {
+    ("cohomology.py", "_spinor3_h0"): "the Q^3 spinor h^0 recursion, until item 2",
+    ("cohomology.py", "_spinor3_h3"): "the Q^3 spinor h^3 recursion, until item 2",
+}
+CACHE_NAMES = ("lru_cache", "cache", "cached_property")
+
+
+def _cache_uses(node: ast.AST) -> set[int]:
+    """Line of every name or attribute under the node that is a cache."""
+    return {
+        sub.lineno
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Name) and sub.id in CACHE_NAMES)
+        or (isinstance(sub, ast.Attribute) and sub.attr in CACHE_NAMES)
+    }
+
+
+def test_caches_sit_only_on_the_spinor_recursion():
+    found, homes = [], set()
+    for name, tree in TREES.items():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                lines = set().union(*map(_cache_uses, node.decorator_list))
+                if lines and (name, node.name) in CACHE_HOMES:
+                    inside |= lines
+                    homes.add((name, node.name))
+        found += [f"{name}:{line}" for line in sorted(_cache_uses(tree) - inside)]
+    assert not found, f"caches outside {sorted(CACHE_HOMES)}: {found}"
+    assert homes == set(CACHE_HOMES), f"homes with no cache: {set(CACHE_HOMES) - homes}"
+
+
+# Reads of a table or a column that return integer dimensions.
+INTEGER_READS = ("euler", "alternating_sum", "column", "h")
+
+
+def test_no_fraction_wraps_an_integer_table_read():
+    """Sums of dimensions are ints and stay ints; a stored table that
+    holds Fractions sums exactly without a conversion."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and any(
+            isinstance(sub, ast.Call)
+            and (
+                (isinstance(sub.func, ast.Name) and sub.func.id in INTEGER_READS)
+                or (isinstance(sub.func, ast.Attribute) and sub.func.attr in INTEGER_READS)
+            )
+            for arg in (*node.args, *(kw.value for kw in node.keywords))
+            for sub in ast.walk(arg)
+        )
+    ]
+    assert not found, f"Fraction(...) around an integer table read: {found}"
 
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"

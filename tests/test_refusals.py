@@ -12,11 +12,13 @@ from ulrich_kit import (
     DirectSum,
     ExternalTensor,
     SemistableEC,
+    abstract_ulrich_sheaf,
     direct_sum,
     direct_sum_complexes,
     elliptic_curve,
     ext_dimension,
     formal_complex,
+    format_sheaf,
     is_ulrich_object,
     line_bundle,
     parse_sheaf,
@@ -29,8 +31,9 @@ from ulrich_kit import (
     validate_descriptor,
 )
 from ulrich_kit.cli import _load_complex
-from ulrich_kit.cohomology import ulrich_table
+from ulrich_kit.cohomology import _piece_table, ulrich_table
 from ulrich_kit.errors import (
+    IncompleteTable,
     MalformedDescriptor,
     MalformedModel,
     NoDualRule,
@@ -38,17 +41,35 @@ from ulrich_kit.errors import (
     UnsupportedQuadricDim,
 )
 from ulrich_kit.generators import lattice_rank
-from ulrich_kit.sheaves import product_form
+from ulrich_kit.sheaves import product_form, rank_of
 from ulrich_kit.ulrich import _ext_serre_partner
 from ulrich_kit.variety import default_window
 
 P2 = proj_space(2)
+P4 = proj_space(4)
+NOT_A_DESCRIPTOR = object()
 
 
 def _glue_entry_not_an_object(tmp_path):
     path = tmp_path / "object.json"
     path.write_text(json.dumps({"variety": "pn:2", "sheaves": {"0": "O(0)"}, "glue": [1]}))
     return _load_complex(str(path))
+
+
+def _degree_key_not_an_integer(tmp_path):
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps({"variety": "pn:2", "sheaves": {"zero": "O(0)"}}))
+    return _load_complex(str(path))
+
+
+def _read_past_the_window(build):
+    # the piece table holds the ends of each piece only, yet refuses a
+    # twist past its window as the whole table does
+    def read(_):
+        desc = parse_sheaf("O(0) + O(3)", P4)
+        return build(desc).first_nonzero(range(105, 90, -1))
+
+    return read
 
 
 def _even_quadric_split(_):
@@ -141,6 +162,42 @@ REFUSALS = {
         "malformed glue entry 1",
         2,
     ),
+    "sheaf degree key that is not an integer": (
+        _degree_key_not_an_integer,
+        ParseError,
+        "sheaf degrees must be integers, got 'zero'",
+        2,
+    ),
+    "piece-table read past its window": (
+        _read_past_the_window(lambda desc: _piece_table(desc, P4, (-100, 100), (0, -4, -13))),
+        IncompleteTable,
+        "twist 105 outside window (-100, 100)",
+        2,
+    ),
+    "whole-table read past its window": (
+        _read_past_the_window(lambda desc: sheaf_table(desc, P4, (-100, 100))),
+        IncompleteTable,
+        "twist 105 outside window (-100, 100)",
+        2,
+    ),
+    "validating a non-descriptor": (
+        lambda _: validate_descriptor(NOT_A_DESCRIPTOR, P2),
+        MalformedDescriptor,
+        f"unknown descriptor {NOT_A_DESCRIPTOR!r}",
+        2,
+    ),
+    "rank of a non-descriptor": (
+        lambda _: rank_of(NOT_A_DESCRIPTOR, P2),
+        MalformedDescriptor,
+        f"unknown descriptor {NOT_A_DESCRIPTOR!r}",
+        2,
+    ),
+    "text of a non-descriptor": (
+        lambda _: format_sheaf(NOT_A_DESCRIPTOR),
+        MalformedDescriptor,
+        f"unknown descriptor {NOT_A_DESCRIPTOR!r}",
+        2,
+    ),
     "spinor split on an even quadric past Q^2": (
         _even_quadric_split,
         UnsupportedQuadricDim,
@@ -176,6 +233,14 @@ def test_ext_into_an_abstract_table_skips_the_serre_cross_check():
     stored = AbstractSheaf(rank=1, table=sheaf_table(line_bundle(1), P2, default_window(P2)))
     assert ext_dimension(line_bundle(0), stored, 0, P2) == 3
     assert _ext_serre_partner(line_bundle(0), stored, 0, P2) is None
+    # nor has a surface: Hom(O(-t), F) = h^0(F(t)) = 2(t+1)(t+2) for the
+    # rank-one Ulrich table on a degree-4 surface
+    k3 = rank1_surface(4, 0, 2)
+    F = abstract_ulrich_sheaf(k3, 1)
+    for t, sections in ((0, 4), (1, 12)):
+        source = line_bundle(-t)
+        assert [ext_dimension(source, F, k, k3) for k in range(3)] == [sections, 0, 0]
+        assert _ext_serre_partner(source, F, 0, k3) is None
 
 
 def test_model_facts_absent_off_their_family():

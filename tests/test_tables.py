@@ -156,6 +156,7 @@ def test_tables_are_equal_exactly_when_their_entries_are(table, data):
     other = data.draw(tables(table.window) | tables())
     same = other.window == table.window and other.entries == table.entries
     assert (other == table) == same == (table == other)
+    assert (table == 3) is False
     assert table.rows() == sorted(
         ((i, t, h) for (i, t), h in table.entries.items()), key=lambda row: (row[1], row[0])
     )

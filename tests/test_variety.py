@@ -28,7 +28,7 @@ from ulrich_kit.errors import (
     UnsupportedModel,
 )
 from ulrich_kit.sheaves import SemistableEC, Spinor, validate_descriptor
-from ulrich_kit.variety import curve_data, surface_data
+from ulrich_kit.variety import surface_data
 
 
 class TestFactories:
@@ -103,7 +103,6 @@ class TestFactories:
             "ambient_dim": 2,
             "factors": None,
         }
-        assert curve_data(e3) == (3, 0)
 
     def test_factory_validation(self):
         with pytest.raises(MalformedModel):
