@@ -16,8 +16,11 @@ every criterion, witness and error is the one the whole table gives.
 
 Decompositions and the abstract surface witness rest on the Eisenbud-Schreyer
 rule: an Ulrich object's table is ``cohomology.ulrich_table`` of its twist-0
-column.  The decompositions read whole tables, added by ``shifted_sum``:
-their rebuild checks the oracles against that rule without the piece argument.
+column.  Both decomposers share one reader of the whole table, added by
+``shifted_sum``, whose rebuild checks the oracles against that rule without the
+piece argument.  On P^n, odd Q^n and Q^2 = P^1 x P^1 the Ulrich units (O; S;
+the rulings O(1,0), O(0,1)) are completely orthogonal, so a unit G has
+multiplicity dim Hom^q(G, E) in degree q: h^q(E(-v)) for the ruling G = O(v).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .complexes import (
     _unit_multiples,
     first_nonvanishing,
     formal_complex,
+    hyper_column,
     hyper_table as hyper_table,  # explicit re-export: perfbench reads ulrich.hyper_table
     sheaves_of,
 )
@@ -52,7 +56,6 @@ from .errors import (
     MalformedDescriptor,
     ModeDisagreement,
     NoDualRule,
-    NonDivisibleRank,
     NotUlrich,
     NotUlrichInput,
     OracleDefect,
@@ -326,11 +329,18 @@ def _ulrich_hyper_table(
     return shifted_sum(window, tables.items())
 
 
-def _require_rebuild(model: VarietyModel, table: CohomologyTable, units: str) -> None:
-    """NotUlrich unless the table is the Eisenbud-Schreyer table of its
-    twist-0 column, as every sum of shifted Ulrich units has."""
-    if not _rebuilds(model.dim, table):
+def _decomposition(
+    E: FormalComplex, window: tuple[int, int] | None, sections: int, units: str
+) -> dict[int, int]:
+    """Multiplicity of the Ulrich unit in each degree of E: h^q(E) over
+    the unit's sections (deg * rank), once E is Ulrich and its table is
+    the Eisenbud-Schreyer table of its twist-0 column, as every sum of
+    shifted units has; NotUlrich otherwise."""
+    table = _ulrich_hyper_table(E, window)
+    multiplicities = _unit_multiples(sections, table)
+    if not _rebuilds(E.model.dim, table):
         raise NotUlrich(f"table does not match any sum of {units}")
+    return multiplicities
 
 
 def pn_decompose(
@@ -344,22 +354,18 @@ def pn_decompose(
     """
     if E.model.kind != KIND_PROJ:
         raise MalformedDescriptor("decomposition over the structure sheaf needs pn")
-    table = _ulrich_hyper_table(E, window)
-    multiplicities = _unit_multiples(E.model.deg, table)
-    _require_rebuild(E.model, table, "shifts of the structure sheaf")
-    return multiplicities
+    return _decomposition(E, window, E.model.deg, "shifts of the structure sheaf")
 
 
 def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
-    """Spinor multiplicities of an Ulrich object on a quadric.
-
-    Odd case (any odd quadric, whose one spinor S has h^0(S) = deg * rank):
-    multiplicities h^i(E) / h^0(S) per degree, with an exact divisibility
-    check.  Even case (the quadric surface, read on its product form,
-    or P^1 x P^1 itself): multiplicities split by spinor type, the split
-    read off from sections against the two rulings.  Either way the table
-    must be the Eisenbud-Schreyer table of its twist-0 column.  An even
-    quadric past Q^2 raises UnsupportedQuadricDim: its split is out of scope.
+    """Spinor multiplicities of an Ulrich object on a quadric, read by
+    ``_decomposition`` with the unit's deg * rank sections: those of S on
+    an odd quadric.  On the quadric surface, read on its product form, or
+    P^1 x P^1 itself, they are split by ruling line O(v), in degree q as
+    Hom^q(O(v), E) = h^q(E(-v)), and the two counts must add up to them.
+    An abstract sheaf there raises Indeterminate, after the verdict,
+    divisibility and rebuild refusals: a table cannot tell the rulings
+    apart.  An even quadric past Q^2 raises UnsupportedQuadricDim.
     """
     model = E.model
     product_model = model.product_form_model or model
@@ -370,43 +376,34 @@ def quadric_decompose(E: FormalComplex, window: tuple[int, int] | None = None):
         raise refusal(
             f"spinor decomposition needs an odd quadric or Q^2, not {format_variety(model)}"
         )
-    table = _ulrich_hyper_table(E, window)
+    units = "shifted spinor lines" if even else "shifted spinors"
+    # a spinor line of Q^2 and a ruling of P^1 x P^1 have rank 1 = spinor_rank
+    multiplicities = _decomposition(E, window, model.deg * model.spinor_rank, units)
     if odd:
-        multiplicities = _unit_multiples(model.deg * model.spinor_rank, table)
-        _require_rebuild(model, table, "shifted spinors")
         return multiplicities
 
-    # even case: work on the product side where the rulings are visible
-    surface = quadric(2)
-    signs = {product_form(Spinor(sign), surface): sign for sign in surface.spinor_signs}
-    split: dict[int, dict[str, int]] = {}
-    for degree, desc in E.sheaves:
+    for _, desc in E.sheaves:
         if holds_abstract(desc):
             raise Indeterminate(
                 f"{format_sheaf(desc)} is abstract: a table alone cannot split"
                 " the two rulings"
             )
-        on_product = desc if product_model is model else product_form(desc, model)
-        counts = {"+": 0, "-": 0}
-        for atom, mult in flatten_atoms(on_product):
-            for piece, m in tensor_parts(atom):
-                sign = signs.get(piece)
-                if sign is None:
-                    raise NonDivisibleRank(
-                        f"{format_sheaf(piece)} is not a spinor line bundle"
-                    )
-                counts[sign] += mult * m
-        # cross-check against ruling sections: Hom(S, E) = h^0(E x S^dual)
-        for line, sign in signs.items():
-            ruling = tuple(-a for a in line.twists)
-            sections = _twisted_column(on_product, product_model, ruling).get(0, 0)
-            if sections != counts[sign]:
-                raise OracleDefect(
-                    f"ruling sections {sections} disagree with the structural"
-                    f" count {counts[sign]} in degree {degree}"
-                )
-        split[degree] = counts
-    _require_rebuild(model, table, "shifted spinor lines")
+    pairs = E.sheaves
+    if product_model is not model:
+        pairs = tuple((degree, product_form(desc, model)) for degree, desc in pairs)
+    surface = quadric(2)
+    split: dict[int, dict[str, int]] = {degree: {} for degree, _ in E.sheaves}
+    for sign in surface.spinor_signs:
+        ruling = product_form(Spinor(sign), surface).twists
+        column = hyper_column(pairs, product_model, tuple(-a for a in ruling))
+        for degree, counts in split.items():
+            counts[sign] = column.get(degree, 0)
+    totals = {degree: sum(counts.values()) for degree, counts in split.items()}
+    if {degree: total for degree, total in totals.items() if total} != multiplicities:
+        raise OracleDefect(
+            f"ruling counts {totals} do not add up to the unit multiplicities"
+            f" {multiplicities}"
+        )
     return split
 
 

@@ -549,6 +549,26 @@ class TestQuadricDecompose:
         with pytest.raises(Indeterminate):
             quadric_decompose(E)
 
+    @pytest.mark.parametrize("spec, atom", [("quadric:2", "S+"), ("prod:1x1", "O(1,0)")])
+    @pytest.mark.parametrize(
+        "twist, h2, error", [(0, 1, NonDivisibleRank), (3, 2, NotUlrich)]
+    )
+    def test_even_split_reads_the_table_before_it_refuses_an_abstract_sheaf(
+        self, spec, atom, twist, h2, error
+    ):
+        # a ruling line's table with a stray h^2 that no criterion reads:
+        # at twist 0 the sections do not divide it, further up the rebuild
+        # fails; either refusal comes before the abstract sheaf's
+        model = parse_variety(spec)
+        window = default_window(model)
+        entries = dict(sheaf_table(parse_sheaf(atom, model), model, window).entries)
+        entries[(2, twist)] = h2
+        table = CohomologyTable(window=window, entries=entries)
+        E = formal_complex(model, {0: AbstractSheaf(rank=1, label="stray", table=table)})
+        assert is_ulrich_object(E, "both").passed
+        with pytest.raises(error):
+            quadric_decompose(E)
+
     def test_abstract_factor_of_an_external_tensor_is_indeterminate(self):
         # the abstract sheaf hides inside [A]x[O(1)] on P^1 x P^1, not as
         # a summand; the split must still refuse rather than misread it
@@ -578,6 +598,23 @@ class TestQuadricDecompose:
         E = formal_complex(q3, {0: impostor})
         assert is_ulrich_object(E, "both").passed
         with pytest.raises(NonDivisibleRank):
+            quadric_decompose(E)
+
+    def test_ruling_counts_must_add_up_to_the_unit_multiplicities(self, monkeypatch):
+        # the split reads one hyper column per ruling; a count one off is
+        # caught against the twist-0 column of the table
+        p11 = product_proj(1, 1)
+        E = formal_complex(p11, {0: LineBundle((1, 0)), -1: LineBundle((0, 1))})
+        read = ulrich_kit.ulrich.hyper_column
+
+        def off_by_one(pairs, model, twists):
+            column = read(pairs, model, twists)
+            if twists == (-1, 0):
+                column[0] = column.get(0, 0) + 1
+            return column
+
+        monkeypatch.setattr(ulrich_kit.ulrich, "hyper_column", off_by_one)
+        with pytest.raises(OracleDefect, match="do not add up"):
             quadric_decompose(E)
 
 
@@ -1188,23 +1225,37 @@ def test_no_nonzero_twist_is_ulrich(n, k):
     assert verdict.witness() is not None
 
 
+# one copy of the unit in each degree; on Q^2 = P^1 x P^1 it holds one
+# line of the + ruling and two of the -
+READER_UNITS = {"quadric:3": "S", "quadric:2": "S+ + 2*S-", "prod:1x1": "O(1,0) + 2*O(0,1)"}
+
+
 @pytest.mark.parametrize("mults", [{0: 1}, {-1: 1, 0: 2}, {-2: 1, 1: 3}], ids=str)
-@pytest.mark.parametrize("spec", ["pn:1", "pn:2", "pn:3", "pn:4", "quadric:3"])
+@pytest.mark.parametrize(
+    "spec", ["pn:1", "pn:2", "pn:3", "pn:4", "quadric:3", "quadric:2", "prod:1x1"]
+)
 def test_the_eisenbud_schreyer_readers_agree(spec, mults):
     # pushforward_finite reads h^q(E) off the projection to P^n; the
     # decomposers divide it by the sections of their unit: 1 for O on
-    # P^n, 4 for S on Q^3, which pushes forward to O^4
+    # P^n, 4 for S on Q^3, which pushes forward to O^4, and deg = 2 for
+    # each ruling line on Q^2, split by the ruling's own hyper column
     model = parse_variety(spec)
-    unit = parse_sheaf("S" if model.spinor_signs else "O(0)", model)
+    unit = parse_sheaf(READER_UNITS.get(spec, "O(0)"), model)
     E = formal_complex(model, {d: direct_sum((unit, m)) for d, m in mults.items()})
     pushed = pushforward_finite(E)
     assert pushed.trivialized and pushed.reconstruction_ok
-    if model.spinor_signs:
+    if model.kind == "pn":
+        assert pushed.multiplicities == pn_decompose(E) == mults
+    elif model.spinor_signs == (None,):
         split = quadric_decompose(E)
         assert split == mults
         assert pushed.multiplicities == {d: 4 * m for d, m in split.items()}
     else:
-        assert pushed.multiplicities == pn_decompose(E) == mults
+        split = quadric_decompose(E)
+        assert split == {d: {"+": m, "-": 2 * m} for d, m in mults.items()}
+        assert pushed.multiplicities == {
+            d: model.deg * sum(counts.values()) for d, counts in split.items()
+        }
 
 
 @settings(max_examples=60, deadline=None)
