@@ -36,7 +36,7 @@ from .sheaves import (
     validate_descriptor,
 )
 from .tables import alternating_sum
-from .ulrich import UlrichVerdict, ext_dimension, is_ulrich_sheaf
+from .ulrich import UlrichVerdict, _ext_column, is_ulrich_sheaf
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PROJ,
@@ -169,26 +169,27 @@ def kapranov_collection(model: VarietyModel) -> Collection:
 def register_collection(collection: Collection) -> Collection:
     """Verify the no-backward-maps property where an Ext oracle exists.
 
-    For members E_i, E_j with i < j, every Ext^k(E_j, E_i) must
-    vanish.  Pairs whose source has no dual rule (the odd spinor) are
-    skipped; those pairs carry the standard spinor orthogonality.  A
-    backward map is a fault of the given list: MalformedDescriptor.
+    For members E_i, E_j with i < j, every Ext^k(E_j, E_i), k = 0..n,
+    must vanish: one Serre-checked column per pair, walked up from k = 0.
+    Pairs whose source has no dual rule (the odd spinor) are skipped;
+    those pairs carry the standard spinor orthogonality.  A backward map
+    is a fault of the given list: MalformedDescriptor at its lowest k.
     """
-    members = collection.members
+    members, model = collection.members, collection.model
     for member in members:
-        validate_descriptor(member, collection.model)
+        validate_descriptor(member, model)
     for j in range(len(members)):
         for i in range(j):
             try:
-                for k in range(0, collection.model.dim + 1):
-                    value = ext_dimension(members[j], members[i], k, collection.model)
-                    if value:
-                        raise MalformedDescriptor(
-                            f"backward map: Ext^{k}({format_sheaf(members[j])},"
-                            f" {format_sheaf(members[i])}) = {value}"
-                        )
+                column = _ext_column(members[j], members[i], model)
             except NoDualRule:
                 continue
+            for k in range(model.dim + 1):
+                if column.get(k):
+                    raise MalformedDescriptor(
+                        f"backward map: Ext^{k}({format_sheaf(members[j])},"
+                        f" {format_sheaf(members[i])}) = {column[k]}"
+                    )
     return collection
 
 

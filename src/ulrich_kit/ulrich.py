@@ -413,78 +413,85 @@ def ext_dimension(
     k: int,
     model: VarietyModel,
 ) -> int:
-    """dim Ext^k(F, G) computed as h^k of (dual of F) tensor G, summed
-    over the atoms of F.
+    """dim Ext^k(F, G): degree k of ``_ext_column``, the column of (dual of
+    F) tensor G summed over the atoms of F; read it once to walk every k.
 
     Each atom of F needs a dual rule: a line bundle (O(a) x O(b) is
     O(a, b); the spinor lines of the quadric surface count, on its product
     form) or rank-one semistable data on a genus-one curve.  Where the
-    dual side has rules too, the value is cross-checked by Serre duality.
+    dual side has rules too, the column is Serre-checked in every degree.
     """
     validate_descriptor(F, model)
     validate_descriptor(G, model)
-    value = sum(mult * _ext_primary(atom, G, k, model) for atom, mult in flatten_atoms(F))
-    expected = _ext_serre_partner(F, G, k, model)
-    if expected is not None and expected != value:
+    return _ext_column(F, G, model).get(k, 0)
+
+
+def _ext_column(F, G, model: VarietyModel) -> dict[int, int]:
+    """Nonzero dim Ext^k(F, G) of validated F and G, Serre-checked."""
+    column = _column_sum((m, _ext_primary(atom, G, model)) for atom, m in flatten_atoms(F))
+    expected = _ext_serre_partner(F, G, model)
+    if expected is not None and expected != column:
+        k = min(column.items() ^ expected.items())[0]  # the lowest degree that differs
         raise OracleDefect(
-            f"Serre duality cross-check failed:"
-            f" ext^{k}({format_sheaf(F)}, {format_sheaf(G)}) = {value}"
-            f" but the dual side gave {expected}"
+            f"Serre duality cross-check failed: ext^{k}({format_sheaf(F)}, {format_sheaf(G)})"
+            f" = {column.get(k, 0)} but the dual side gave {expected.get(k, 0)}"
         )
-    return value
+    return column
 
 
-def _ext_primary(F, G, k: int, model: VarietyModel) -> int:
-    """Ext^k(F, G) out of one atom F."""
+def _column_sum(terms) -> dict[int, int]:
+    """The nonzero degrees of the sum of mult * column over (mult, column) terms."""
+    sums: dict[int, int] = {}
+    for mult, column in terms:
+        for k, h in column.items():
+            sums[k] = sums.get(k, 0) + mult * h
+    return {k: h for k, h in sums.items() if h}
+
+
+def _ext_primary(F, G, model: VarietyModel) -> dict[int, int]:
+    """The Ext column out of one atom F."""
     if isinstance(F, SemistableEC):  # O(k) is ss(1, k*d, trivial), as normalize_elliptic reads it
         line = LineBundle((F.degree // model.deg,))
         if normalize_elliptic(line, model) == F:
             F = line
     parts = tensor_parts(F)  # sums distribute, O(a) x O(b) is O(a,b)
     if parts != [(F, 1)]:  # else one atom, or a tensor of two atoms, not both lines
-        return sum(m * _ext_primary(atom, G, k, model) for atom, m in parts)
+        return _column_sum((m, _ext_primary(atom, G, model)) for atom, m in parts)
     if isinstance(F, LineBundle):
-        return _twisted_column(G, model, tuple(-a for a in F.twists)).get(k, 0)
+        return _twisted_column(G, model, tuple(-a for a in F.twists))
     on_product = model.product_form_model if isinstance(F, Spinor) else None
     if on_product is not None:
-        return _ext_primary(product_form(F, model), product_form(G, model), k, on_product)
+        return _ext_primary(product_form(F, model), product_form(G, model), on_product)
     if model.kind == KIND_ELLIPTIC:
-        return _ext_elliptic(F, G, k, model)
+        return _column_sum((m, _ext_elliptic(F, atom, model)) for atom, m in flatten_atoms(G))
     raise NoDualRule(f"{format_sheaf(F)} has no dual rule here")
 
 
-def _ext_elliptic(F, G, k: int, model: VarietyModel) -> int:
-    """Ext out of rank-one semistable data that is no twist of O."""
+def _ext_elliptic(F, atom, model: VarietyModel) -> dict[int, int]:
+    """The Ext column from rank-one semistable data that is no twist of O
+    into one atom."""
     if not (isinstance(F, SemistableEC) and F.rank == 1):
         raise NoDualRule(f"{format_sheaf(F)} has no dual rule on a genus-one curve")
-    total = 0
-    for atom, mult in flatten_atoms(G):
-        atom = normalize_elliptic(atom, model)
-        if not isinstance(atom, SemistableEC):
-            raise NoDualRule(f"{format_sheaf(atom)} has no genus-one oracle")
-        # whether F^dual tensor atom is trivial, read only at degree zero
-        if atom.rank == 1 and atom == F:
-            trivial = True
-        elif (
-            atom.rank == 1
-            and atom.trivial_type is not None
-            and F.trivial_type is not None
-        ):
-            trivial = False  # distinct rank-one data of the same degree
-        else:
-            trivial = None
-        pair = _elliptic_pair(
-            atom.degree - atom.rank * F.degree,
-            trivial,
-            f"hom data between {format_sheaf(F)} and {format_sheaf(atom)}",
-        )
-        total += mult * pair.get(k, 0)
-    return total
+    atom = normalize_elliptic(atom, model)
+    if not isinstance(atom, SemistableEC):
+        raise NoDualRule(f"{format_sheaf(atom)} has no genus-one oracle")
+    # whether F^dual tensor atom is trivial, read only at degree zero
+    if atom.rank == 1 and atom == F:
+        trivial = True
+    elif atom.rank == 1 and atom.trivial_type is not None and F.trivial_type is not None:
+        trivial = False  # distinct rank-one data of the same degree
+    else:
+        trivial = None
+    return _elliptic_pair(
+        atom.degree - atom.rank * F.degree,
+        trivial,
+        f"hom data between {format_sheaf(F)} and {format_sheaf(atom)}",
+    )
 
 
-def _ext_serre_partner(F, G, k: int, model: VarietyModel) -> int | None:
-    """Ext^(n-k)(G, F x K), None where a rule is missing; on the quadric
-    surface it is read on the product form, where the spinor lines twist."""
+def _ext_serre_partner(F, G, model: VarietyModel) -> dict[int, int] | None:
+    """Ext^(n-k)(G, F x K) in degree k, None where a rule is missing; on the
+    quadric surface it is read on the product form, where spinor lines twist."""
     if model.canonical_twists is None:
         return None
     try:
@@ -492,7 +499,8 @@ def _ext_serre_partner(F, G, k: int, model: VarietyModel) -> int | None:
         if on_product is not None:
             F, G, model = product_form(F, model), product_form(G, model), on_product
         twisted = tensor_line(F, model.canonical_twists, model)
-        return sum(m * _ext_primary(a, twisted, model.dim - k, model) for a, m in flatten_atoms(G))
+        column = _column_sum((m, _ext_primary(a, twisted, model)) for a, m in flatten_atoms(G))
+        return {model.dim - k: h for k, h in column.items()}
     except (NoDualRule, UnknownSlopeZero, MalformedDescriptor):  # abstract: no product form
         return None
 

@@ -8,6 +8,7 @@ are no tolerances anywhere in this module.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import conftest
 
@@ -35,7 +36,7 @@ from ulrich_kit.complexes import (
     pushforward_finite,
     triangle_2of3,
 )
-from ulrich_kit.errors import ModeDisagreement
+from ulrich_kit.errors import ModeDisagreement, ZeroExt
 from ulrich_kit.generators import elliptic_witness, generator_gate
 from ulrich_kit.sheaves import (
     SemistableEC,
@@ -47,6 +48,7 @@ from ulrich_kit.sheaves import (
 )
 from ulrich_kit.ulrich import (
     abstract_ulrich_sheaf,
+    ext_dimension,
     is_ulrich_object,
     is_ulrich_sheaf,
     pn_decompose,
@@ -512,5 +514,52 @@ def test_criterion_11_oracle_hygiene():
         ok,
         f"alternating sums matched Riemann-Roch in {checked} oracle columns"
         f" and Serre symmetry held in {serre_cases} projective-space checks",
+    )
+    assert ok, problems[:3]
+
+
+def test_criterion_12_computed_non_sheaf_ulrich_objects():
+    """On P^a x P^b (a <= b) the Ulrich line bundles are O(b,0) and O(0,a),
+    and Ext^*(O(b,0), O(0,a)) = h^a(P^a, O(-b)) h^0(P^b, O(a)) sits in
+    degree a alone: C(b-1, a) C(a+b, b).  For a = 2 < b it glues a
+    computed degree-two Yoneda object with two cohomology sheaves."""
+    problems = []
+    products = [(a, b) for a in range(1, 4) for b in range(a, 5)]
+    built = []
+    for a, b in products:
+        model = product_proj(a, b)
+        F, G = line_bundle(b, 0), line_bundle(0, a)
+        lines = [
+            twists
+            for twists in ((x, y) for x in range(-4, 6) for y in range(-4, 6))
+            if is_ulrich_sheaf(line_bundle(*twists), model).passed
+        ]
+        if lines != [(0, a), (b, 0)]:
+            problems.append(("lines", a, b, lines))
+        column = [ext_dimension(F, G, k, model) for k in range(a + b + 1)]
+        value = comb(b - 1, a) * comb(a + b, b)
+        if column != [value if k == a else 0 for k in range(a + b + 1)]:
+            problems.append(("ext", a, b, column))
+        if a == 2 and b > a:
+            E = yoneda_build(F, G, 2, model, witness="computed")
+            degrees = [degree for degree, _ in E.sheaves]
+            for mode in ("direct", "sheafwise", "both"):
+                if not is_ulrich_object(E, mode).passed:
+                    problems.append(("object", a, b, mode))
+            if sorted(degrees) != [-1, 0]:
+                problems.append(("degrees", a, b, degrees))
+            try:
+                yoneda_build(G, F, 2, model, witness="computed")
+                problems.append(("reverse", a, b))
+            except ZeroExt:
+                pass
+            built.append(f"prod:{a}x{b}")
+    ok = not problems and built == ["prod:2x3", "prod:2x4"]
+    report(
+        12,
+        ok,
+        f"Ext between the two Ulrich line bundles matched C(b-1,a)C(a+b,b) on"
+        f" {len(products)} products P^a x P^b, and computed non-sheaf Ulrich"
+        f" objects built on {' and '.join(built)}",
     )
     assert ok, problems[:3]

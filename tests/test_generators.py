@@ -262,6 +262,41 @@ class TestCollections:
         # both directions vanish for distinct degree-zero types
         assert register_collection(pair) is pair
 
+    @staticmethod
+    def count_columns(monkeypatch) -> list:
+        """Record the (source, target) of every Ext column that
+        ``register_collection`` reads."""
+        import ulrich_kit.generators
+
+        reads, read = [], ulrich_kit.generators._ext_column
+
+        def counted(F, G, model):
+            reads.append((F, G))
+            return read(F, G, model)
+
+        monkeypatch.setattr(ulrich_kit.generators, "_ext_column", counted)
+        return reads
+
+    def test_one_ext_column_per_ordered_pair(self, monkeypatch):
+        reads = self.count_columns(monkeypatch)
+        beilinson_collection(proj_space(4))
+        # C(5, 2) = 10 pairs j > i, not 10 pairs times 5 degrees
+        assert reads == [(LineBundle((j,)), LineBundle((i,))) for j in range(5) for i in range(j)]
+
+    def test_the_spinor_source_pair_is_tried_once(self, monkeypatch):
+        reads = self.count_columns(monkeypatch)
+        kapranov_collection(quadric(3))
+        # O, S, O(1), O(2): six pairs, one of them out of S (no dual rule, skipped)
+        assert len(reads) == 6
+        assert [G for F, G in reads if F == Spinor(None)] == [LineBundle((0,))]
+
+    def test_a_backward_map_in_two_degrees_names_the_lower(self):
+        # Ext^*(O, O(0,-2) + O(-2,-2)) on P^1 x P^1 is h^1 = 1 and h^2 = 1
+        p11 = product_proj(1, 1)
+        target = direct_sum(LineBundle((0, -2)), LineBundle((-2, -2)))
+        with pytest.raises(MalformedDescriptor, match=r"^backward map: Ext\^1\(O\(0,0\), .*\) = 1$"):
+            register_collection(Collection(p11, (target, LineBundle((0, 0)))))
+
 
 class TestOrthogonalMembership:
     def test_shifted_structure_sheaf_is_in_the_complement(self):

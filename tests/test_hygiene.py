@@ -13,8 +13,9 @@ spinor recursion, outside ``sheaves`` a descriptor family is decided
 only in the oracle, the class and the dual rule, no module but
 ``tables`` and ``cohomology`` reads a table's rows, no public table
 holds fewer twists than its window, no cache outlives a call but the
-Q^3 spinor recursion's, no ``Fraction`` wraps an integer table read, and
-every kit name the benchmark's tracer looks up still exists.
+Q^3 spinor recursion's, no ``Fraction`` wraps an integer table read, no
+``ext_dimension`` is read in a loop, and every kit name the benchmark's
+tracer looks up still exists.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -608,6 +609,40 @@ def test_caches_sit_only_on_the_spinor_recursion():
         found += [f"{name}:{line}" for line in sorted(_cache_uses(tree) - inside)]
     assert not found, f"caches outside {sorted(CACHE_HOMES)}: {found}"
     assert homes == set(CACHE_HOMES), f"homes with no cache: {set(CACHE_HOMES) - homes}"
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _looped_ext_reads(tree: ast.AST) -> set[int]:
+    """Line of every ``ext_dimension`` call inside a loop or comprehension."""
+    found = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, LOOPS):
+            found |= {
+                call.lineno
+                for call in ast.walk(loop)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "ext_dimension"
+            }
+    return found
+
+
+def test_no_ext_dimension_is_read_in_a_loop():
+    """Ext^* is one graded statement: ``ulrich._ext_column`` builds the
+    whole column and Serre-checks it in every degree, so a walk over k
+    reads it once; ``ext_dimension`` rebuilds the column for one entry."""
+    sample = ast.parse(
+        "for k in ks:\n    total += uk.ext_dimension(F, G, k, X)\n"
+        "[ext_dimension(F, G, k, X) for k in ks]\n"
+        "ext_dimension(F, G, 0, X)\n"
+    )
+    assert _looped_ext_reads(sample) == {2, 3}
+    found = [
+        f"{name}:{line}" for name, tree in TREES.items() for line in sorted(_looped_ext_reads(tree))
+    ]
+    assert not found, f"ext_dimension read in a loop, read _ext_column once: {found}"
 
 
 # Reads of a table or a column that return integer dimensions.

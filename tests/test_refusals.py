@@ -232,7 +232,7 @@ def test_ext_into_an_abstract_table_skips_the_serre_cross_check():
     # the abstract side has no canonical twist, so only the primary rule speaks
     stored = AbstractSheaf(rank=1, table=sheaf_table(line_bundle(1), P2, default_window(P2)))
     assert ext_dimension(line_bundle(0), stored, 0, P2) == 3
-    assert _ext_serre_partner(line_bundle(0), stored, 0, P2) is None
+    assert _ext_serre_partner(line_bundle(0), stored, P2) is None
     # nor has a surface: Hom(O(-t), F) = h^0(F(t)) = 2(t+1)(t+2) for the
     # rank-one Ulrich table on a degree-4 surface
     k3 = rank1_surface(4, 0, 2)
@@ -240,7 +240,7 @@ def test_ext_into_an_abstract_table_skips_the_serre_cross_check():
     for t, sections in ((0, 4), (1, 12)):
         source = line_bundle(-t)
         assert [ext_dimension(source, F, k, k3) for k in range(3)] == [sections, 0, 0]
-        assert _ext_serre_partner(source, F, 0, k3) is None
+        assert _ext_serre_partner(source, F, k3) is None
 
 
 def test_model_facts_absent_off_their_family():

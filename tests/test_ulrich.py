@@ -1016,8 +1016,9 @@ class TestExtDimension:
         q2 = quadric(2)
         sheaves = [Spinor("+"), Spinor("-"), line_bundle(-1), direct_sum(line_bundle(0), Spinor("+"))]
         for F, G in itertools.product(sheaves, repeat=2):
+            partner = _ext_serre_partner(F, G, q2)
             for k in range(3):
-                assert _ext_serre_partner(F, G, k, q2) == ext_dimension(F, G, k, q2), (F, G, k)
+                assert partner.get(k, 0) == ext_dimension(F, G, k, q2), (F, G, k)
 
     def test_elliptic_hom_spaces(self):
         model = elliptic_curve(3)
@@ -1058,10 +1059,26 @@ class TestExtDimension:
         import ulrich_kit.ulrich
 
         monkeypatch.setattr(
-            ulrich_kit.ulrich, "_ext_serre_partner", lambda F, G, k, model: 99
+            ulrich_kit.ulrich, "_ext_serre_partner", lambda F, G, model: {0: 99}
         )
         with pytest.raises(OracleDefect):
             ext_dimension(line_bundle(0), line_bundle(1), 0, proj_space(2))
+
+    def test_serre_cross_check_covers_every_degree(self, monkeypatch):
+        # Ext^*(O, O(1)) on P^2 is 3 in degree 0 only; a partner that agrees
+        # there but not in degree 2 is a defect whichever degree is asked
+        import ulrich_kit.ulrich
+
+        monkeypatch.setattr(
+            ulrich_kit.ulrich, "_ext_serre_partner", lambda F, G, model: {0: 3, 2: 1}
+        )
+        for k in range(3):
+            with pytest.raises(OracleDefect) as info:
+                ext_dimension(line_bundle(0), line_bundle(1), k, proj_space(2))
+            assert str(info.value) == (
+                "Serre duality cross-check failed: ext^2(O(0), O(1)) = 0"
+                " but the dual side gave 1"
+            )
 
     def test_product_pairs(self):
         p11 = product_proj(1, 1)
@@ -1080,10 +1097,9 @@ class TestExtDimension:
         twists = itertools.product(range(-2, 3), repeat=twist_components(model))
         lines = [LineBundle(twist) for twist in twists]
         for F, G in itertools.product(lines, repeat=2):
-            for k in range(model.dim + 1):
-                partner = _ext_serre_partner(F, G, k, model)
-                assert partner is not None, (spec, F, G, k)
-                assert partner == _ext_primary(F, G, k, model), (spec, F, G, k)
+            partner = _ext_serre_partner(F, G, model)
+            assert partner is not None, (spec, F, G)
+            assert partner == _ext_primary(F, G, model), (spec, F, G)
 
 
 class TestYonedaBuild:
