@@ -20,13 +20,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import atan2, nextafter, pi
+from math import atan2, lcm, nextafter, pi
 
 from .chern import NumClass, class_of
 from .complexes import FormalComplex
 from .errors import (
     EmptyGrid,
     Indeterminate,
+    MalformedDescriptor,
     MissingConvention,
     NonpositiveT,
     NoSlope,
@@ -75,26 +76,53 @@ class ChargeValue:
 
     def phase_sector(self) -> str:
         """Read off the signs of the numerators, im first."""
-        im, re = self.im.numerator, self.re.numerator
+        return ChargeValue._sector(self.re.numerator, self.im.numerator)
+
+    def phase_display(self) -> float:
+        """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only."""
+        re, im = self.re, self.im
+        return ChargeValue._phase(re.numerator, re.denominator, im.numerator, im.denominator)
+
+    @staticmethod
+    def _sector(re: int, im: int) -> str:
+        """The sector of re/a + i*im/b for any positive a and b: the signs
+        of the numerators, im first.  A numerator over a positive
+        denominator has the sign of its reduced form, so unreduced
+        integer parts give the sector of the reduced charge."""
         if im:
             return "upper-half" if im > 0 else "lower-half"
         if re:
             return "positive-real" if re > 0 else "negative-real"
         return "zero"
 
-    def phase_display(self) -> float:
-        """Phase as a multiple of pi in (-1, 1], 0.0 at zero; display only.
-        Each part is its numerator over its denominator in true division,
-        the float that float() of the Fraction gives; parts past the float
-        range are first divided by one power of two.  A lower-half phase
-        that atan2 rounds to -pi reads as the float just above -1."""
-        im, re = self.im, self.re
+    @staticmethod
+    def _phase(re: int, re_den: int, im: int, im_den: int) -> float:
+        """Phase of re/re_den + i*im/im_den (positive denominators) as a
+        multiple of pi in (-1, 1], 0.0 at zero; display only.
+
+        Each part is its numerator over its denominator in true division.
+        int / int is correctly rounded, so an unreduced pair gives the
+        float of its reduced Fraction, the one float() gives, and
+        overflows exactly when that float would.  Parts past the float
+        range are first divided by the power of two just above the
+        integer parts of both.  A lower-half phase that atan2 rounds to
+        -pi reads as the float just above -1."""
         try:
-            angle = atan2(im.numerator / im.denominator, re.numerator / re.denominator)
+            angle = atan2(im / im_den, re / re_den)
         except OverflowError:
-            scale = 1 << int(max(abs(self.im), abs(self.re))).bit_length()
-            angle = atan2(float(self.im / scale), float(self.re / scale))
+            k = max(abs(im) // im_den, abs(re) // re_den).bit_length()
+            angle = atan2(im / (im_den << k), re / (re_den << k))
         return nextafter(-1.0, 0.0) if angle == -pi else angle / pi
+
+
+def _coordinate(x, name: str) -> Fraction:
+    """A coordinate s or t as a Fraction.  It is exact as NumClass's e1
+    and e2 are: an int or a Fraction, never a float (nor NaN or inf)."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise MalformedDescriptor(f"{name} must be a Fraction or an int, got {x!r}")
 
 
 def central_charge(c: NumClass, s: Fraction, t: Fraction) -> ChargeValue:
@@ -103,27 +131,40 @@ def central_charge(c: NumClass, s: Fraction, t: Fraction) -> ChargeValue:
     Real part -e2*d + s*e1*d - (s^2 - t^2)*d*r/2; imaginary part
     t*d*(e1 - s*r).  Requires t > 0.
     """
-    s, t = Fraction(s), Fraction(t)
+    s, t = _coordinate(s, "s"), _coordinate(t, "t")
     if t <= 0:
         raise NonpositiveT(f"t must be positive, got {t}")
-    at_s, half = _charge_in_s(c)
-    re_s, im_s = at_s(s)
-    return ChargeValue(re_s + t * t * half, t * im_s)
+    at_s, h = _charge_in_s(c)
+    re_s, q2, re_den, im_s, im_den = at_s(s)
+    u, v = t.numerator, t.denominator
+    return ChargeValue(
+        Fraction(re_s * v * v + h * u * u * q2, re_den * v * v), Fraction(u * im_s, v * im_den)
+    )
 
 
 def _charge_in_s(c: NumClass):
-    """Z of class c with its coefficients -e2*d, e1*d, r*d and d*r/2
-    computed once: a function s -> (re_s, im_s), and d*r/2, such that
-    Z(s, t) = re_s + t^2*d*r/2 + i*t*im_s.  Fractions are canonical, so
-    this grouping gives exactly the values of the expanded formula."""
+    """Z of class c in integers.  -e2*d, e1*d and d*r/2 are read once, as
+    numerators a, b and h over one positive denominator D.  At s = p/q
+    and t = u/v (q, v > 0), with R = a*q^2 + b*p*q - h*p^2 and
+    I = b*q - 2*h*p,
+
+        Z(s, t) = (R*v^2 + h*u^2*q^2) / (D*q^2*v^2) + i*u*I / (v*D*q),
+
+    the expanded formula over positive, unreduced denominators.  Returns
+    s -> (R, q^2, D*q^2, I, D*q), the charge at s with t = 0 as integer
+    parts, and h."""
     d = surface_data(c.model)[0]
-    e2d, e1d, rd = -c.e2 * d, c.e1 * d, c.r * d
-    half = Fraction(rd, 2)
+    e1, e2 = c.e1, c.e2
+    D = lcm(2, e1.denominator, e2.denominator)
+    a = -e2.numerator * d * (D // e2.denominator)
+    b = e1.numerator * d * (D // e1.denominator)
+    h = c.r * d * (D // 2)
 
-    def at_s(s: Fraction) -> tuple[Fraction, Fraction]:
-        return e2d + s * e1d - s * s * half, e1d - s * rd
+    def at_s(s: Fraction) -> tuple[int, int, int, int, int]:
+        p, q = s.numerator, s.denominator
+        return a * q * q + b * p * q - h * p * p, q * q, D * q * q, b * q - 2 * h * p, D * q
 
-    return at_s, half
+    return at_s, h
 
 
 def ulrich_charge_closed_form(
@@ -134,7 +175,7 @@ def ulrich_charge_closed_form(
     im = (r*d/2)(2s+i+3)t.  Evaluated verbatim; see the module note on
     how it actually relates to central_charge.
     """
-    s, t = Fraction(s), Fraction(t)
+    s, t = _coordinate(s, "s"), _coordinate(t, "t")
     if t <= 0:
         raise NonpositiveT(f"t must be positive, got {t}")
     d, i_x, chi0 = surface_data(model)
@@ -177,7 +218,7 @@ def torsion_classify(
         c = obj if isinstance(obj, NumClass) else class_of(obj, model)
         mu = slope(c)
     scale = _threshold_scale(surface_data(model)[0], convention)
-    return _side(mu, Fraction(s) * scale)
+    return _side(mu, _coordinate(s, "s") * scale)
 
 
 @dataclass
@@ -212,7 +253,7 @@ def heart_gate(
     way, at any s; that case is reported before the pointwise checks.
     Passing everything still only earns MaybeInHeart.
     """
-    return _heart_rule(E, convention)(Fraction(s))
+    return _heart_rule(E, convention)(_coordinate(s, "s"))
 
 
 def _heart_rule(E: FormalComplex, convention: str):
@@ -281,23 +322,28 @@ def question_scan(
     the underlying question is open and this is an instrument, not an
     answer.
 
-    The class, the heart rule and the charge coefficients are built
-    once per call, and the grid is read once.  Coordinates are grouped
-    by object, not by value: each distinct t object is converted,
-    checked, sorted and squared into t^2*d*r/2 once, and each distinct s
-    value (``1`` and ``Fraction(1)`` are one s) gets its heart verdict
-    and the s-part of the charge once, all kept as integer numerators
-    and denominators.  A point then hashes no Fraction and does no
-    Fraction arithmetic: re and im are each one Fraction(n, d) of
-    integer products, which its gcd makes canonical, and the point is
-    placed among its s's points by the integer rank of its t.
+    Once per call: the class, the heart rule, the charge coefficients
+    as integers (``_charge_in_s``) and one read of the grid.
+    Coordinates are grouped by object, not by value.  Each distinct
+    coordinate object is checked once as the grid is read (an int or a
+    Fraction, and t > 0).
 
-    im = t*im_s with t > 0, so the im = 0 wall and the sign of im are
-    facts of s: off the wall an s decides its points' im_zero (False)
-    and sector (that of im_s) once.  On the wall re changes sign with t,
-    so each point there reads its sector from its own charge.  A point
-    still builds its ChargeValue for its phase, and its row; both
-    classes are slotted and the row is built positionally.
+    Per distinct t object: its rank among the t's, and u, v, h*u^2 and
+    v^2 for t = u/v.  Per distinct s value (``1`` and ``Fraction(1)``
+    are one s): its heart verdict, and the charge at s with t = 0 as
+    unreduced integer numerators over positive denominators, with no
+    Fraction arithmetic and no ChargeValue.  im = t*im_s with t > 0, so
+    the im = 0 wall is a zero numerator of im_s, and off the wall the
+    sector of every point of s is the sign of that numerator.  On the
+    wall re changes sign with t, so each point there reads its sector
+    from its own re.
+
+    Per point: five integer products, exactly two normalizing
+    Fraction(n, d) for re and im, and the phase read from the same
+    unreduced integers (``ChargeValue._phase`` gives the float of the
+    reduced parts).  The point is placed among its s's points by the
+    integer rank of its t, hashes no Fraction, and its slotted row is
+    built positionally.
     """
     points = list(grid)
     if not points:
@@ -305,47 +351,45 @@ def question_scan(
     # keyed by id(): points holds every raw coordinate for the whole call
     t_places: dict[int, int] = {}  # raw t -> its place in ts
     ts: list[Fraction] = []
-    s_groups: dict[int, tuple] = {}  # raw s -> (raw s, places of its t's)
+    s_groups: dict[int, tuple] = {}  # raw s -> (s as a Fraction, places of its t's)
     for s, t in points:
         place = t_places.get(id(t))
         if place is None:
             place = t_places[id(t)] = len(ts)
-            ts.append(Fraction(t))
+            ts.append(_coordinate(t, "grid t"))
             if ts[-1] <= 0:
                 raise NonpositiveT(f"grid t values must be positive, got {t}")
         group = s_groups.get(id(s))
         if group is None:
-            group = s_groups[id(s)] = (s, [])
+            group = s_groups[id(s)] = (_coordinate(s, "grid s"), [])
         group[1].append(place)
     order = sorted(range(len(ts)), key=ts.__getitem__)
     rank = sorted(range(len(ts)), key=order.__getitem__)  # place -> rank
-    ts = [ts[place] for place in order]
     by_s: dict[Fraction, list[int]] = {}  # one group of t ranks per value of s
     for s, places in s_groups.values():
-        by_s.setdefault(Fraction(s), []).extend(map(rank.__getitem__, places))
+        by_s.setdefault(s, []).extend(map(rank.__getitem__, places))
     total = class_of(E, E.model)
     heart = _heart_rule(E, convention)
-    at_s, half = _charge_in_s(total)
-    t_parts = []  # by rank: t and t^2*d*r/2 as numerators and denominators, then t
-    for t in ts:
-        term = t * t * half
-        t_parts.append((t.numerator, t.denominator, term.numerator, term.denominator, t))
+    at_s, h = _charge_in_s(total)
+    t_parts = []  # by rank: u, v, h*u^2 and v^2 for t = u/v, then t
+    for place in order:
+        t = ts[place]
+        u, v = t.numerator, t.denominator
+        t_parts.append((u, v, h * u * u, v * v, t))
+    sector_of, phase_of = ChargeValue._sector, ChargeValue._phase
     rows = []
     for s, ranks in sorted(by_s.items()):
         verdict = heart(s)
         best, status, reason = verdict.best_shift, verdict.status, verdict.reason
-        re_s, im_s = at_s(s)
-        an, ad, bn, bd = re_s.numerator, re_s.denominator, im_s.numerator, im_s.denominator
-        on_wall = bn == 0
+        re_s, q2, re_den, im_s, im_den = at_s(s)
+        on_wall = im_s == 0
         # t > 0, so off the wall every t*im_s has the sign, hence the sector, of im_s
-        sector = None if on_wall else ChargeValue(re_s, im_s).phase_sector()
+        sector = None if on_wall else sector_of(re_s, im_s)
         for r in sorted(ranks):
-            tn, td, un, ud, t = t_parts[r]
-            re = Fraction(an * ud + un * ad, ad * ud)
-            im = Fraction(tn * bn, td * bd)
-            charge = ChargeValue(re, im)
+            u, v, hu2, v2, t = t_parts[r]
+            re, re_d, im, im_d = re_s * v2 + hu2 * q2, re_den * v2, u * im_s, v * im_den
             rows.append(ScanRow(
-                s, t, best, status, reason, re, im, on_wall,
-                charge.phase_sector() if on_wall else sector, charge.phase_display(),
+                s, t, best, status, reason, Fraction(re, re_d), Fraction(im, im_d), on_wall,
+                sector_of(re, 0) if on_wall else sector, phase_of(re, re_d, im, im_d),
             ))
     return rows

@@ -45,6 +45,7 @@ from ulrich_kit import (
 from ulrich_kit.errors import (
     EmptyGrid,
     Indeterminate,
+    MalformedDescriptor,
     MissingConvention,
     NonpositiveT,
     NoSlope,
@@ -52,6 +53,9 @@ from ulrich_kit.errors import (
 )
 
 K3 = rank1_surface(4, 0, 2)
+# coordinates s and t are exact: an int or a Fraction, as NumClass's e1
+# and e2 are; a float, NaN, inf or a string is refused
+NOT_EXACT = (0.1, 2.0, float("nan"), float("inf"), float("-inf"), "1/2")
 
 
 class TestSlope:
@@ -156,6 +160,25 @@ class TestCentralCharge:
             with pytest.raises(NonpositiveT):
                 ulrich_charge_closed_form(K3, 1, Fraction(0), t)
 
+    def test_central_charge_refuses_an_inexact_coordinate(self):
+        c = class_of(line_bundle(0), K3)
+        for x in NOT_EXACT:
+            with pytest.raises(MalformedDescriptor, match="^s must be"):
+                central_charge(c, x, Fraction(1))
+            with pytest.raises(MalformedDescriptor, match="^t must be"):
+                central_charge(c, Fraction(0), x)
+        assert central_charge(c, 1, 2) == central_charge(c, Fraction(1), Fraction(2))
+
+    def test_closed_form_refuses_an_inexact_coordinate(self):
+        for x in NOT_EXACT:
+            with pytest.raises(MalformedDescriptor, match="^s must be"):
+                ulrich_charge_closed_form(K3, 1, x, Fraction(1))
+            with pytest.raises(MalformedDescriptor, match="^t must be"):
+                ulrich_charge_closed_form(K3, 1, Fraction(0), x)
+        assert ulrich_charge_closed_form(K3, 1, 1, 2) == ulrich_charge_closed_form(
+            K3, 1, Fraction(1), Fraction(2)
+        )
+
     def test_curve_classes_are_rejected(self):
         from ulrich_kit import elliptic_curve, SemistableEC
 
@@ -226,6 +249,12 @@ class TestTorsionClassify:
     def test_unknown_convention(self):
         with pytest.raises(MissingConvention):
             torsion_classify(Fraction(0), Fraction(0), K3, "house-style")
+
+    def test_an_inexact_s_is_refused(self):
+        for x in NOT_EXACT:
+            with pytest.raises(MalformedDescriptor, match="^s must be"):
+                torsion_classify(Fraction(1), x, K3)
+        assert torsion_classify(Fraction(1), 1, K3, "normalized") == "F"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -309,6 +338,13 @@ class TestHeartGate:
         E = formal_complex(K3, {0: abstract_ulrich_sheaf(K3, 1)})
         with pytest.raises(MissingConvention):
             heart_gate(E, Fraction(0), "house-style")
+
+    def test_an_inexact_s_is_refused(self):
+        E = formal_complex(K3, {-1: line_bundle(-1), 0: line_bundle(2)})
+        for x in NOT_EXACT:
+            with pytest.raises(MalformedDescriptor, match="^s must be"):
+                heart_gate(E, x)
+        assert heart_gate(E, 0) == heart_gate(E, Fraction(0))
 
 
 class TestQuestionScan:
@@ -480,36 +516,56 @@ def test_the_phase_is_the_float_of_the_two_parts(re, im):
 
 # -------------------------------------------------- scan against its parts
 
-TORSION = AbstractSheaf(rank=0, label="T", num_class=NumClass(K3, 0, Fraction(1), Fraction(0)))
-SCAN_SHEAVES = (
-    line_bundle(-1),
-    line_bundle(0),
-    line_bundle(2),
-    abstract_ulrich_sheaf(K3, 1, label="F"),
-    abstract_ulrich_sheaf(K3, 2, label="G"),
-    TORSION,
-)
+def scan_sheaves(model):
+    torsion = AbstractSheaf(rank=0, label="T", num_class=NumClass(model, 0, Fraction(1), Fraction(0)))
+    return (
+        line_bundle(-1),
+        line_bundle(0),
+        line_bundle(2),
+        abstract_ulrich_sheaf(model, 1, label="F"),
+        abstract_ulrich_sheaf(model, 2, label="G"),
+        torsion,
+    )
+
+
+SCAN_SHEAVES = scan_sheaves(K3)
+TORSION = SCAN_SHEAVES[-1]
+# rank-1 surfaces whose classes give e1, e2 and d*r/2 denominators 2 and 4
+SCAN_MODELS = [
+    rank1_surface(d, i_x, chi0)
+    for d in range(1, 10)
+    for i_x in (-3, -2, -1, 0, 1, Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))
+    for chi0 in (0, 2)
+]
 # degree layouts: empty, one sheaf, the two heart-adjacent pairs, and
 # amplitude two; a repeated sheaf index gives an equal-slope pair
 SCAN_LAYOUTS = ((), (0,), (-1,), (-1, 0), (0, 1), (-1, 1), (-2, -1, 0))
 
+# near 10^400 the parts of the charge are past every float, so the
+# phase takes its rescaled path
+huge_value = st.builds(
+    lambda n, k: Fraction(10**400 + n, k), st.integers(-3, 3), st.integers(1, 6)
+)
 grid_value = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    huge_value,
+    huge_value.map(lambda x: -x),
 )
 positive_value = st.one_of(
     st.integers(min_value=1, max_value=3),
     st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+    huge_value,
 )
 
 
 @st.composite
 def scan_complexes(draw):
+    model = draw(st.sampled_from(SCAN_MODELS))
     layout = draw(st.sampled_from(SCAN_LAYOUTS))
-    picks = draw(
-        st.lists(st.sampled_from(SCAN_SHEAVES), min_size=len(layout), max_size=len(layout))
-    )
-    return formal_complex(K3, dict(zip(layout, picks)))
+    sheaves = scan_sheaves(model)
+    picks = draw(st.lists(st.sampled_from(sheaves), min_size=len(layout), max_size=len(layout)))
+    return formal_complex(model, dict(zip(layout, picks)))
 
 
 def _repeat(x, how: str):
@@ -525,7 +581,7 @@ def _repeat(x, how: str):
 def scan_grids(draw, E):
     # the slope of E's class, where finite, is the wall im = 0: s values
     # there take each point's sector from its own charge
-    mu = slope(class_of(E, K3))
+    mu = slope(class_of(E, E.model))
     s_value = grid_value if mu is INFINITE else st.one_of(grid_value, st.just(mu))
     points = draw(st.lists(st.tuples(s_value, positive_value), min_size=1, max_size=12))
     # duplicates: each coordinate as the same object, as a new equal
@@ -542,7 +598,7 @@ def scans(draw):
     return E, draw(scan_grids(E))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(scan=scans(), convention=st.sampled_from(("paper-literal", "normalized")))
 def test_scan_rows_are_the_gate_and_the_charge_at_each_point(scan, convention):
     E, grid = scan
@@ -551,8 +607,8 @@ def test_scan_rows_are_the_gate_and_the_charge_at_each_point(scan, convention):
     assert [(row.s, row.t) for row in rows] == sorted(
         (Fraction(s), Fraction(t)) for s, t in grid
     )
-    total = class_of(E, K3)
-    d = K3.deg
+    total = class_of(E, E.model)
+    d = E.model.deg
     for row in rows:
         assert type(row.s) is Fraction and type(row.t) is Fraction
         verdict = heart_gate(E, row.s, convention)
@@ -636,6 +692,20 @@ class TestScanErrors:
         with pytest.raises(Indeterminate):
             question_scan(E, self.grid, "house-style")
 
+    def test_an_inexact_coordinate_is_a_grid_error(self):
+        # read with the grid, in its order, before the class and the convention
+        E = formal_complex(proj_space(3), {0: AbstractSheaf(rank=1)})
+        one = Fraction(1)
+        for x in NOT_EXACT:
+            with pytest.raises(MalformedDescriptor, match="^grid s must be"):
+                question_scan(E, [(one, one), (x, one)], "house-style")
+            with pytest.raises(MalformedDescriptor, match="^grid t must be"):
+                question_scan(E, [(one, one), (one, x)], "house-style")
+            with pytest.raises(NonpositiveT):
+                question_scan(E, [(one, 0), (x, one)], "house-style")
+            with pytest.raises(MalformedDescriptor):
+                question_scan(E, [(one, x), (one, 0)], "house-style")
+
 
 def test_scan_asks_for_classes_once_per_object(monkeypatch):
     import ulrich_kit.bridgeland
@@ -682,3 +752,35 @@ def test_scan_hashes_no_fraction_per_point(monkeypatch):
             patch.setattr(Fraction, "__hash__", counted)
             assert len(question_scan(E, grid)) == side * side
         assert hashes <= 2 * side
+
+
+def test_scan_counts_two_fractions_per_point(monkeypatch):
+    """The scan's work as a count, which a clock cannot resolve to a few
+    percent: every Fraction construction, arithmetic included, is one
+    call of ``Fraction.__new__``.  A point makes exactly two, re and im.
+    Beyond that the scan makes at most a = 1 per distinct coordinate
+    (the heart rule's threshold s*d at each s; a t makes none) and
+    b = 32 once per call for this complex (its class, its two slopes and
+    the charge coefficients).  Fraction arithmetic per s or per point,
+    or a ChargeValue built from Fractions, would exceed the bound."""
+    a, b = 1, 32
+    built = 0
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    E = formal_complex(K3, {-1: line_bundle(-1), 0: line_bundle(2)})
+    for side in (2, 20):
+        # shared axis objects, as the CLI builds a grid
+        s_axis = [Fraction(s, side) for s in range(side)]
+        t_axis = [Fraction(t + 1, side) for t in range(side)]
+        grid = [(s, t) for s in s_axis for t in t_axis]
+        built = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            rows = question_scan(E, grid)
+        assert len(rows) == side * side
+        assert built <= 2 * side * side + a * (side + side) + b, (side, built)

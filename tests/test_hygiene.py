@@ -300,7 +300,7 @@ def test_ulrich_twists_are_read_from_the_model():
 
 
 # The one place a float may appear: the phase of a charge, for display.
-FLOAT_HOME = ("bridgeland.py", "ChargeValue", "phase_display")
+FLOAT_HOME = ("bridgeland.py", "ChargeValue", "_phase")
 
 
 def _float_sites(tree: ast.Module):
