@@ -35,7 +35,7 @@ from .complexes import FormalComplex, GlueWitness, formal_complex, pushforward_f
 from .cohomology import sheaf_table
 from .errors import MalformedDescriptor, ModelMismatch, ParseError, UlrichKitError
 from .generators import elliptic_witness, generator_gate
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 from .sheaves import LineBundle, Spinor, parse_sheaf
 from .ulrich import MODES, abstract_ulrich_sheaf, is_ulrich_object, yoneda_build
 from .variety import (
@@ -109,7 +109,7 @@ def _render(report, fmt: str) -> str:
 def _parse_window(text: str) -> tuple[int, int]:
     lo_txt, sep, hi_txt = text.partition(":")
     try:
-        lo, hi = int(lo_txt), int(hi_txt)
+        lo, hi = parse_int(lo_txt), parse_int(hi_txt)
     except ValueError as exc:
         raise ParseError(f"window must look like a:b, got {text!r}") from exc
     if not sep or lo > hi:
@@ -117,6 +117,15 @@ def _parse_window(text: str) -> tuple[int, int]:
     if hi - lo + 1 > MAX_TWISTS:
         raise ParseError(f"window {text!r} spans more than {MAX_TWISTS} twists")
     return (lo, hi)
+
+
+def _rank(text: str) -> int:
+    """--rank, read by the input layer's integer rule; argparse puts the
+    refusal in the error envelope."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _window(args) -> tuple[int, int] | None:
@@ -181,12 +190,17 @@ def _load_complex(path: str, model=None) -> tuple[FormalComplex, str]:
     sheaf_texts = data.get("sheaves") or {}
     if not isinstance(sheaf_texts, dict):
         raise ParseError("object file sheaves must map degrees to descriptors")
-    sheaves = {}
+    sheaves, keys = {}, {}
     for key, desc_txt in sheaf_texts.items():
         try:
-            degree = int(key)
+            degree = parse_int(key)
         except ValueError as exc:
             raise ParseError(f"sheaf degrees must be integers, got {key!r}") from exc
+        if degree in keys:
+            raise ParseError(
+                f"sheaf degree {degree} is given twice, as {keys[degree]!r} and {key!r}"
+            )
+        keys[degree] = key
         if not isinstance(desc_txt, str):
             raise ParseError(f"sheaf descriptors must be strings, got {desc_txt!r}")
         sheaves[degree] = parse_sheaf(desc_txt, use)
@@ -416,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("chern-solve", parents=[common], help="solve the twisted-vanishing class")
     p_solve.add_argument("--surface", required=True, help="d=..,i=..,chi=..")
-    p_solve.add_argument("--rank", type=int, required=True)
+    p_solve.add_argument("--rank", type=_rank, required=True)
     p_solve.set_defaults(handler=_cmd_chern_solve)
 
     p_charge = sub.add_parser("charge", parents=[common], help="central charge of the solved class")
     p_charge.add_argument("--surface", required=True, help="d=..,i=..,chi=..")
-    p_charge.add_argument("--rank", type=int, required=True)
+    p_charge.add_argument("--rank", type=_rank, required=True)
     p_charge.add_argument("--s", required=True)
     p_charge.add_argument("--t", required=True)
     p_charge.set_defaults(handler=_cmd_charge)

@@ -286,18 +286,19 @@ def triangle_2of3(
     lo = max(table.window[0] for table in given.values())
     hi = min(table.window[1] for table in given.values())
     sign = {"E": 1, "F": -1, "G": 1}  # chi(E) - chi(F) + chi(G) = 0
-    implied = {
-        t: -sign[third_role]
-        * sum(sign[role] * table.euler(t) for role, table in given.items())
-        for t in range(lo, hi + 1)
-    }
+    (sa, a), (sb, b) = ((sign[role], table.euler_sums(lo, hi)) for role, table in given.items())
+    if None in a or None in b:  # a piece table: refused where a walk over t meets it
+        for t in range(lo, hi + 1):
+            for table in given.values():
+                table.euler(t)
+    third = -sign[third_role]
+    implied = dict(zip(range(lo, hi + 1), [third * (sa * x + sb * y) for x, y in zip(a, b)]))
     chi_additive = None
     if third_table is not None:
+        first, last = max(lo, third_table.window[0]), min(hi, third_table.window[1])
         chi_additive = all(
-            third_table.euler(t) == implied[t]
-            for t in range(
-                max(lo, third_table.window[0]), min(hi, third_table.window[1]) + 1
-            )
+            (third_table.euler(t) if e is None else e) == implied[t]
+            for t, e in zip(range(first, last + 1), third_table.euler_sums(first, last))
         )
     return TriangleVerdict(
         third_role=third_role,

@@ -9,7 +9,19 @@ from .errors import ParseError
 
 # "p", "-p", "p/q" or a decimal; no exponents or "_" separators, which
 # would let a short text ask ``Fraction`` for an enormous number
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?|[+-]?[0-9]*\.[0-9]+")
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(_INTEGER + r"(/[0-9]+)?|[+-]?[0-9]*\.[0-9]+")
+_INT = re.compile(_INTEGER)
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer of the input layer: an optional sign and ASCII
+    digits, no "_" separators or other digits; ValueError otherwise, as
+    ``int`` raises, past its digit limit too."""
+    body = text.strip()
+    if _INT.fullmatch(body):
+        return int(body)
+    raise ValueError(f"not an integer: {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -16,6 +16,13 @@ with ``m*``):
                 curve; ss(r,0,trivial) / ss(r,0,nontrivial) fixes the
                 degree-zero dichotomy bit
 
+Whitespace may surround any token.  A sign after S binds only before a
+``+`` or the end, so S+O(-1) is S plus O(-1).  A multiplicity of 0 drops
+its term, and repeated atoms add up.  The text is read in one pass: one
+match per term (multiplicity, atom fields and the ``+`` after it), each
+atom merged into the normalized sum as it is read.  A refusal names the
+position in the text as given, leading whitespace counted.
+
 Every oracle is additive over direct summands, so a sum is read in one
 place, :func:`flatten_atoms`, and every rule takes one atom.  An external
 tensor is one atom, its factors read through the same reader, left then
@@ -106,22 +113,37 @@ def line_bundle(*twists: int) -> LineBundle:
 
 
 def direct_sum(*parts) -> SheafDescriptor:
-    """Normalized direct sum; accepts descriptors or (descriptor, mult)."""
+    """Normalized direct sum; accepts descriptors or (descriptor, mult).
+    Each part is read once: an atom is merged where it stands, a nested
+    sum through its atoms."""
     merged: dict[SheafDescriptor, int] = {}
     for part in parts:
-        desc, mult = part if isinstance(part, tuple) else (part, 1)
-        if mult < 0:
-            raise MalformedDescriptor(f"negative multiplicity {mult}")
-        if mult == 0:
-            continue
-        for atom, m in flatten_atoms(desc):
-            merged[atom] = merged.get(atom, 0) + m * mult
-    parts_out = tuple(merged.items())
-    if not parts_out:
+        if isinstance(part, tuple):
+            desc, mult = part
+            if mult < 0:
+                raise MalformedDescriptor(f"negative multiplicity {mult}")
+            if mult == 0:
+                continue
+        else:
+            desc, mult = part, 1
+        if isinstance(desc, DirectSum):
+            for atom, m in flatten_atoms(desc):
+                merged[atom] = merged.get(atom, 0) + m * mult
+        else:
+            merged[desc] = merged.get(desc, 0) + mult
+    return _normalized(merged)
+
+
+def _normalized(merged: dict[SheafDescriptor, int]) -> SheafDescriptor:
+    """The sum of merged atom multiplicities, in first-seen order; one
+    atom of multiplicity 1 is itself."""
+    if not merged:
         raise MalformedDescriptor("empty direct sum")
-    if len(parts_out) == 1 and parts_out[0][1] == 1:
-        return parts_out[0][0]
-    return DirectSum(parts_out)
+    if len(merged) == 1:
+        ((atom, mult),) = merged.items()
+        if mult == 1:
+            return atom
+    return DirectSum(tuple(merged.items()))
 
 
 def flatten_atoms(desc: SheafDescriptor) -> list[tuple[SheafDescriptor, int]]:
@@ -129,7 +151,13 @@ def flatten_atoms(desc: SheafDescriptor) -> list[tuple[SheafDescriptor, int]]:
     multiplied; any other descriptor, an external tensor too, is one atom."""
     if not isinstance(desc, DirectSum):
         return [(desc, 1)]
-    return [(atom, m * mult) for part, mult in desc.parts for atom, m in flatten_atoms(part)]
+    out = []
+    for part, mult in desc.parts:
+        if isinstance(part, DirectSum):
+            out += [(atom, m * mult) for atom, m in flatten_atoms(part)]
+        else:
+            out.append((part, mult))
+    return out
 
 
 def twist_components(model: VarietyModel) -> int:
@@ -137,63 +165,67 @@ def twist_components(model: VarietyModel) -> int:
 
 
 def validate_descriptor(desc: SheafDescriptor, model: VarietyModel) -> None:
-    if isinstance(desc, LineBundle):
-        want = twist_components(model)
-        if len(desc.twists) != want:
-            raise MalformedDescriptor(
-                f"line bundle on {format_variety(model)} needs {want} twist"
-                f" component(s), got {len(desc.twists)}"
-            )
-        return
-    if isinstance(desc, Spinor):
-        signs = model.spinor_signs
-        if not signs:
-            raise MalformedDescriptor("spinor descriptors live on quadrics only")
-        if model.dim not in (2, 3):
-            raise UnsupportedQuadricDim(
-                f"spinor oracle implemented for quadric dimensions 2 and 3,"
-                f" not {model.dim}"
-            )
-        if desc.sign not in signs:
-            raise MalformedDescriptor(
-                "odd quadric spinors carry no sign"
-                if None in signs
-                else "even quadric spinors need a sign + or -"
-            )
-        return
-    if isinstance(desc, SemistableEC):
-        if model.kind != KIND_ELLIPTIC:
-            raise MalformedDescriptor(
-                "semistable (rank, degree) descriptors live on genus-one curves"
-            )
-        if desc.rank < 1:
-            raise MalformedDescriptor(f"semistable rank must be >= 1, got {desc.rank}")
-        return
+    """Refuse a descriptor that does not live on the model.  A sum is
+    walked once, each atom part checked where it stands; only a nested
+    sum or a tensor's factors are read by a further call."""
     if isinstance(desc, DirectSum):
-        if not desc.parts:
+        parts = desc.parts
+        if not parts:
             raise MalformedDescriptor("empty direct sum")
-        for part, mult in desc.parts:
-            if mult < 1:
-                raise MalformedDescriptor(f"multiplicity must be >= 1, got {mult}")
-            validate_descriptor(part, model)
-        return
-    if isinstance(desc, ExternalTensor):
-        if model.kind != KIND_PRODUCT:
-            raise MalformedDescriptor("external tensors live on product models")
-        left, right = model.factor_models
-        validate_descriptor(desc.left, left)
-        validate_descriptor(desc.right, right)
-        return
-    if isinstance(desc, AbstractSheaf):
-        cls = desc.num_class
-        if desc.rank < 0:
-            raise MalformedDescriptor(f"abstract rank must be >= 0, got {desc.rank}")
-        if cls is not None and getattr(cls, "model", None) != model:
-            raise ModelMismatch("attached class lives on a different model")
-        if cls is not None and cls.r != desc.rank:
-            raise MalformedDescriptor(f"attached class has rank {cls.r}, the data rank {desc.rank}")
-        return
-    raise MalformedDescriptor(f"unknown descriptor {desc!r}")
+    else:
+        parts = ((desc, 1),)
+    for atom, mult in parts:
+        if mult < 1:
+            raise MalformedDescriptor(f"multiplicity must be >= 1, got {mult}")
+        if isinstance(atom, LineBundle):
+            want = twist_components(model)
+            if len(atom.twists) != want:
+                raise MalformedDescriptor(
+                    f"line bundle on {format_variety(model)} needs {want} twist"
+                    f" component(s), got {len(atom.twists)}"
+                )
+        elif isinstance(atom, Spinor):
+            signs = model.spinor_signs
+            if not signs:
+                raise MalformedDescriptor("spinor descriptors live on quadrics only")
+            if model.dim not in (2, 3):
+                raise UnsupportedQuadricDim(
+                    f"spinor oracle implemented for quadric dimensions 2 and 3,"
+                    f" not {model.dim}"
+                )
+            if atom.sign not in signs:
+                raise MalformedDescriptor(
+                    "odd quadric spinors carry no sign"
+                    if None in signs
+                    else "even quadric spinors need a sign + or -"
+                )
+        elif isinstance(atom, SemistableEC):
+            if model.kind != KIND_ELLIPTIC:
+                raise MalformedDescriptor(
+                    "semistable (rank, degree) descriptors live on genus-one curves"
+                )
+            if atom.rank < 1:
+                raise MalformedDescriptor(f"semistable rank must be >= 1, got {atom.rank}")
+        elif isinstance(atom, DirectSum):
+            validate_descriptor(atom, model)
+        elif isinstance(atom, ExternalTensor):
+            if model.kind != KIND_PRODUCT:
+                raise MalformedDescriptor("external tensors live on product models")
+            left, right = model.factor_models
+            validate_descriptor(atom.left, left)
+            validate_descriptor(atom.right, right)
+        elif isinstance(atom, AbstractSheaf):
+            cls = atom.num_class
+            if atom.rank < 0:
+                raise MalformedDescriptor(f"abstract rank must be >= 0, got {atom.rank}")
+            if cls is not None and getattr(cls, "model", None) != model:
+                raise ModelMismatch("attached class lives on a different model")
+            if cls is not None and cls.r != atom.rank:
+                raise MalformedDescriptor(
+                    f"attached class has rank {cls.r}, the data rank {atom.rank}"
+                )
+        else:
+            raise MalformedDescriptor(f"unknown descriptor {atom!r}")
 
 
 def rank_of(desc: SheafDescriptor, model: VarietyModel) -> int:
@@ -347,72 +379,56 @@ def format_sheaf(desc: SheafDescriptor) -> str:
     raise MalformedDescriptor(f"unknown descriptor {desc!r}")
 
 
-_ATOM_RE = re.compile(
+# One term of a sum: its multiplicity, its atom's fields and the "+"
+# after it, each a group.  The spinor sign binds only when followed by a
+# sum separator or the end of the expression, so S+O(-1) reads as S plus
+# O(-1) rather than as a signed spinor colliding with the next atom.
+_TERM = re.compile(
     r"""
-    (?:(?P<mult>\d+)\s*\*\s*)?
-    (?P<atom>
-        O\(\s*-?\d+(?:\s*,\s*-?\d+)?\s*\)
-      | ss\(\s*\d+\s*,\s*-?\d+\s*(?:,\s*(?:trivial|nontrivial)\s*)?\)
-      | S(?:[+-](?=\s*(?:\+|$)))?
+    \s*(?:(\d+)\s*\*\s*)?
+    (?:
+        O\(\s*(-?\d+)(?:\s*,\s*(-?\d+))?\s*\)
+      | ss\(\s*(\d+)\s*,\s*(-?\d+)\s*(?:,\s*(trivial|nontrivial)\s*)?\)
+      | S([+-](?=\s*(?:\+|$)))?
     )
+    \s*(\+)?
     """,
     re.VERBOSE,
 )
-# The spinor sign binds only when followed by a sum separator or the end
-# of the expression, so S+O(-1) reads as S plus O(-1) rather than as a
-# signed spinor colliding with the next atom.
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # the grammar matched digits: past the interpreter's limit
-        raise ParseError("sheaf expression holds an integer too long to read") from None
-
-
-def _parse_atom(text: str) -> SheafDescriptor:
-    if text.startswith("O("):
-        inner = text[2:-1]
-        return LineBundle(tuple(_parse_int(p) for p in inner.split(",")))
-    if text.startswith("ss("):
-        inner = [p.strip() for p in text[3:-1].split(",")]
-        rank, degree = _parse_int(inner[0]), _parse_int(inner[1])
-        trivial = None
-        if len(inner) == 3:
-            trivial = inner[2] == "trivial"
-        return SemistableEC(rank, degree, trivial)
-    if text == "S":
-        return Spinor(None)
-    if text in ("S+", "S-"):
-        return Spinor(text[1])
-    raise ParseError(f"unknown sheaf atom {text!r}")
 
 
 def parse_sheaf(text: str, model: VarietyModel | None = None) -> SheafDescriptor:
-    """Parse a descriptor expression; validated against model when given."""
-    parts: list[tuple[SheafDescriptor, int]] = []
-    pos, expect_atom = 0, True
-    stripped = text.strip()
-    while pos < len(stripped):
-        if stripped[pos].isspace():
-            pos += 1
-            continue
-        if not expect_atom:
-            if stripped[pos] != "+":
-                raise ParseError(f"expected '+' at position {pos} in {text!r}")
-            pos += 1
-            expect_atom = True
-            continue
-        match = _ATOM_RE.match(stripped, pos)
+    """Parse a descriptor expression in one pass (grammar above);
+    validated against model when given."""
+    merged: dict[SheafDescriptor, int] = {}
+    pos = 0
+    while True:
+        match = _TERM.match(text, pos)
         if match is None:
-            raise ParseError(f"cannot read a sheaf atom at position {pos} in {text!r}")
-        mult = _parse_int(match.group("mult") or "1")
-        parts.append((_parse_atom(match.group("atom")), mult))
+            at = len(text) - len(text[pos:].lstrip())
+            if at == len(text):
+                raise ParseError(f"empty or dangling sheaf expression {text!r}")
+            raise ParseError(f"cannot read a sheaf atom at position {at} in {text!r}")
+        mult, a, b, rank, degree, kind, sign, plus = match.groups()
+        try:
+            mult = 1 if mult is None else int(mult)
+            if a is not None:
+                atom = LineBundle((int(a),) if b is None else (int(a), int(b)))
+            elif rank is not None:
+                trivial = None if kind is None else kind == "trivial"
+                atom = SemistableEC(int(rank), int(degree), trivial)
+            else:
+                atom = Spinor(sign)
+        except ValueError:  # the grammar matched digits: past the interpreter's limit
+            raise ParseError("sheaf expression holds an integer too long to read") from None
+        if mult:
+            merged[atom] = merged.get(atom, 0) + mult
         pos = match.end()
-        expect_atom = False
-    if expect_atom:
-        raise ParseError(f"empty or dangling sheaf expression {text!r}")
-    desc = direct_sum(*parts)
+        if plus is None:
+            break
+    if pos < len(text):
+        raise ParseError(f"expected '+' at position {pos} in {text!r}")
+    desc = _normalized(merged)
     if model is not None:
         validate_descriptor(desc, model)
     return desc

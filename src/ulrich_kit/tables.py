@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import accumulate, chain
+from operator import add, sub
 
 from .errors import IncompleteTable
 
@@ -115,6 +116,19 @@ class CohomologyTable:
 
     def euler(self, t: int) -> int:
         return alternating_sum(self.column(t))
+
+    def euler_sums(self, lo: int, hi: int) -> list[int | None]:
+        """``euler(t)`` at each twist t = lo..hi the table holds, None at
+        any other; a table holding all of them is read in one pass over
+        its rows."""
+        first, last = self.window
+        if self._at is not None or lo < first or last < hi:
+            return [self.euler(t) if self.covers(t) else None for t in range(lo, hi + 1)]
+        cut = slice(lo - first, hi - first + 1)
+        sums = [0] * (hi - lo + 1)
+        for i, row in self._rows.items():
+            sums = list(map(sub if i % 2 else add, sums, row[cut]))
+        return sums
 
     def first_nonzero(self, twists, degrees=None):
         """Witness (i, t, h) for the first nonzero entry over the given

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import MalformedModel, UnsupportedModel
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 
 KIND_PROJ = "pn"
 KIND_QUADRIC = "quadric"
@@ -258,14 +258,14 @@ def parse_variety(text: str) -> VarietyModel:
         raise MalformedModel(f"malformed model spec {text!r}")
     try:
         if head == KIND_PROJ:
-            return proj_space(int(rest))
+            return proj_space(parse_int(rest))
         if head == KIND_QUADRIC:
-            return quadric(int(rest))
+            return quadric(parse_int(rest))
         if head == KIND_PRODUCT:
             n1, sep2, n2 = rest.partition("x")
             if not sep2:
                 raise MalformedModel(f"malformed product spec {text!r}")
-            return product_proj(int(n1), int(n2))
+            return product_proj(parse_int(n1), parse_int(n2))
         if head == KIND_SURFACE:
             match = _SURFACE_RE.match(rest)
             if match is None:
@@ -276,7 +276,7 @@ def parse_variety(text: str) -> VarietyModel:
                 int(match.group("chi")),
             )
         if head == KIND_ELLIPTIC:
-            return elliptic_curve(int(rest))
+            return elliptic_curve(parse_int(rest))
     except ValueError as exc:
         raise MalformedModel(f"malformed model spec {text!r}") from exc
     raise MalformedModel(f"unknown model family {head!r}")

@@ -241,6 +241,36 @@ class TestCheck:
         assert code == 2
         assert report["error"] == "glue witnesses carry degree-two extensions"
 
+    def test_a_degree_given_twice_is_exit_two(self, capsys, tmp_path):
+        # "0" and "00" name one degree; the file must not be read as O(5) alone
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({"variety": "pn:2", "sheaves": {"0": "O(0)", "00": "O(5)"}}))
+        code, report = run_json(capsys, "check", "--object", str(path))
+        assert code == 2
+        assert report["error"] == "sheaf degree 0 is given twice, as '0' and '00'"
+        assert report["payload"] is None and report["verdict"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--variety", "pn:1_0", "--sheaf", "O(0)"],
+        ["table", "--variety", "quadric:0_3", "--sheaf", "O(0)"],
+        ["table", "--variety", "pn:٣", "--sheaf", "O(0)"],
+        ["table", "--variety", "pn:2", "--sheaf", "O(0)", "--window=-1_0:0"],
+        ["chern-solve", "--surface", "d=4,i=0,chi=2", "--rank", "1_0"],
+        ["chern-solve", "--surface", "d=4,i=0,chi=2", "--rank", "٢"],
+    ])
+    def test_integers_are_ascii_digits_without_separators(self, capsys, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["payload"] is None and report["verdict"] is None
+
+    def test_object_degree_keys_are_ascii_digits_without_separators(self, capsys, tmp_path):
+        for key in ("1_0", "٠"):
+            path = tmp_path / "object.json"
+            path.write_text(json.dumps({"variety": "pn:2", "sheaves": {key: "O(0)"}}))
+            code, report = run_json(capsys, "check", "--object", str(path))
+            assert code == 2
+            assert report["error"] == f"sheaf degrees must be integers, got {key!r}"
+
     def test_wide_window_reports_keep_their_bytes(self, capsys, tmp_path):
         # the window criteria hold ranges; a report still writes out every
         # twist, byte for byte as when they were tuples (digests recorded

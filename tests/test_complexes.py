@@ -39,6 +39,7 @@ from ulrich_kit import (
     triangle_2of3,
 )
 from ulrich_kit.chern import _external_class, class_of, class_or_none
+from ulrich_kit.cohomology import _piece_table
 from ulrich_kit.complexes import (
     CERT_EXACT,
     CERT_EXACT_BY_VANISHING,
@@ -259,6 +260,29 @@ class TestTriangle:
         wide = sheaf_table(line_bundle(0), p3, (-5, 2))
         with pytest.raises(IncompleteTable):
             triangle_2of3(p3, {"E": narrow, "F": wide})
+
+    def test_a_piece_table_is_refused_at_the_first_unheld_twist_of_the_walk(self):
+        # the Euler sums are read row by row; a piece table, which holds
+        # only some twists, still refuses the first twist a walk over
+        # t = lo..hi meets unheld, and a claimed third table is read only
+        # up to its first mismatch
+        p2 = proj_space(2)
+        window, cuts = (-40, 40), (0, -2, -9)
+        whole = sheaf_table(line_bundle(0), p2, window)
+        piece = _piece_table(line_bundle(1), p2, window, cuts)
+        unheld = next(t for t in range(-40, 41) if not piece.covers(t))
+        for given in ({"E": whole, "G": piece}, {"E": piece, "G": whole}):
+            with pytest.raises(IncompleteTable, match=rf"^twist {unheld} outside window \(-40, 40\)$"):
+                triangle_2of3(p2, given)
+        verdict = triangle_2of3(p2, {"E": whole, "G": whole})
+        assert verdict.implied_euler == {t: 2 * whole.euler(t) for t in range(-40, 41)}
+        assert all(type(chi) is int for chi in verdict.implied_euler.values())
+        wrong = _piece_table(line_bundle(2), p2, window, cuts)
+        assert triangle_2of3(p2, {"E": whole, "G": whole}, third_table=wrong).chi_additive is False
+        right = _piece_table(direct_sum((line_bundle(0), 2)), p2, window, cuts)
+        unheld = next(t for t in range(-40, 41) if not right.covers(t))
+        with pytest.raises(IncompleteTable, match=rf"^twist {unheld} outside"):
+            triangle_2of3(p2, {"E": whole, "G": whole}, third_table=right)
 
 
 class TestExternalProduct:

@@ -22,6 +22,7 @@ from ulrich_kit import (
     is_ulrich_object,
     line_bundle,
     parse_sheaf,
+    parse_variety,
     proj_space,
     quadric,
     quadric_decompose,
@@ -30,7 +31,7 @@ from ulrich_kit import (
     tensor_line,
     validate_descriptor,
 )
-from ulrich_kit.cli import _load_complex
+from ulrich_kit.cli import _load_complex, _parse_window, build_parser
 from ulrich_kit.cohomology import _piece_table, ulrich_table
 from ulrich_kit.errors import (
     IncompleteTable,
@@ -136,6 +137,36 @@ REFUSALS = {
         lambda _: parse_sheaf("O(1) O(2)", P2),
         ParseError,
         "expected '+' at position 5 in 'O(1) O(2)'",
+        2,
+    ),
+    "summands without a plus after leading whitespace": (
+        lambda _: parse_sheaf("  O(1) x"),
+        ParseError,
+        "expected '+' at position 7 in '  O(1) x'",
+        2,
+    ),
+    "no atom after a plus, after leading whitespace": (
+        lambda _: parse_sheaf("  O(1)+ ?"),
+        ParseError,
+        "cannot read a sheaf atom at position 8 in '  O(1)+ ?'",
+        2,
+    ),
+    "a digit separator in a model dimension": (
+        lambda _: parse_variety("pn:1_0"),
+        MalformedModel,
+        "malformed model spec 'pn:1_0'",
+        2,
+    ),
+    "a digit separator in a window": (
+        lambda _: _parse_window("-1_0:0"),
+        ParseError,
+        "window must look like a:b, got '-1_0:0'",
+        2,
+    ),
+    "a digit separator in a rank": (
+        lambda _: build_parser().parse_args(["chern-solve", "--surface", "d=4,i=0,chi=2", "--rank", "1_0"]),
+        ParseError,
+        "ulrich-kit chern-solve: argument --rank: invalid int value: '1_0'",
         2,
     ),
     "empty sum of complexes": (

@@ -88,6 +88,24 @@ def test_reads_outside_the_window_are_refused(table):
             table.first_nonzero([t])
 
 
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), data=st.data())
+def test_euler_sums_are_the_euler_reads_of_the_held_twists(table, data):
+    lo, hi = table.window
+    ends = data.draw(st.sets(st.integers(lo, hi), min_size=1, max_size=6).map(sorted))
+    ends += ends[-1:] if len(ends) % 2 else []
+    spans = tuple(zip(ends[::2], ends[1::2]))  # sorted, disjoint
+    held = [t for a, b in spans for t in range(a, b + 1)]
+    rows = {i: [table.entries.get((i, t), 0) for t in held] for i in range(-3, 5)}
+    piece = CohomologyTable(table.window, rows=rows, spans=spans)
+    for read in (table, piece):
+        a = data.draw(st.integers(lo - 2, hi + 2))
+        b = data.draw(st.integers(a - 1, hi + 2))
+        sums = read.euler_sums(a, b)
+        assert sums == [read.euler(t) if read.covers(t) else None for t in range(a, b + 1)]
+        assert all(type(chi) is int for chi in sums if chi is not None)
+
+
 def test_column_is_a_copy():
     table = CohomologyTable(window=(0, 1), entries={(0, 0): 2, (1, 0): 3})
     table.column(0)[0] = 7
