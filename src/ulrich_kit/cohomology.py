@@ -35,7 +35,8 @@ h^i(E(t)) = sum_q h^q(E) * h^(i-q)(O_{P^n}(t)).
 
 Pieces.  Each closed-form rule has break twists, where its range form
 changes, given by ``_rule`` with its fill and read off the bounds that
-fill reads (``_breaks`` takes their union over the atoms): -n-a for O(a)
+fill reads (``_resolve`` gives both in one ``_rule`` call per atom, and
+``_breaks`` takes the union over the atoms): -n-a for O(a)
 on P^n, 1-n-a for O(a) on Q^n (the first break of its O(a-1) part), -n
 for an even spinor, the breaks of both factors for Kunneth, and on a
 genus-one curve the zero twist and the one after it.  A Bott row also
@@ -47,9 +48,15 @@ part's -n-a is none.  Between breaks every entry is a polynomial in t of
 degree at most the dimension n: a binomial in t, a sum of two, a product
 of the factors' polynomials, or a linear form.  A nonzero one has at most n
 roots, so an entry nonzero anywhere on a piece is nonzero at one of its
-first n + 1 twists and at one of its last n + 1.  ``_piece_table`` holds
-rows at those twists only, for the Ulrich verdicts, whose reads walk
-whole pieces and so find what the whole table finds.  Stored tables and
+first n + 1 twists and at one of its last n + 1, and two such entries
+that agree at the first n + 1 twists of a piece agree on all of it.
+``_piece_tables`` holds rows at those twists only, its tables on one
+layout cut at the breaks of all of them.  An Ulrich verdict reads one
+such table per sheaf and walks whole pieces, so it finds what the whole
+table finds.  A decomposition lays every sheaf of the object out on one
+layout: its hyper table adds their rows position by position, and its
+Eisenbud-Schreyer rebuild, ``ulrich_table`` on the same spans (its one
+break, -n, is a cut), is compared with it there.  Stored tables and
 the Q^3 spinor have no breaks and are built at every twist: a stored
 table is data, not a rule, and the spinor recursion reaches a twist
 only through the twists between it and zero: h^0 from k - 1, h^3 from
@@ -147,13 +154,13 @@ def _add_bott_product(
                     row[t - base] += mult * x * y
 
 
-def _add_kuenneth(factors, lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
-    """Add mult times the Kunneth product of the two (descriptor, model)
-    factors over lo..hi, taken at equal twists: the rows of each factor,
-    then each pair of their degrees."""
+def _add_kuenneth(left_atoms, right_atoms, lo: int, hi: int, mult: int, rows: Rows, base: int):
+    """Add mult times the Kunneth product of the two factors, as
+    ``_resolve`` gives their atoms, over lo..hi, taken at equal twists:
+    the rows of each factor, then each pair of their degrees."""
     left, right = zero_rows(hi - lo + 1), zero_rows(hi - lo + 1)
-    for (desc, model), factor_rows in zip(factors, (left, right)):
-        _add_atoms(desc, model, ((lo, hi, lo),), factor_rows)
+    for atoms, factor_rows in ((left_atoms, left), (right_atoms, right)):
+        _add_fills(atoms, ((lo, hi, lo),), factor_rows)
     for p, a in left.items():
         for q, b in right.items():
             row = rows[p + q]
@@ -275,10 +282,8 @@ def _rule(
             breaks = _bott_breaks(n1, a)[:1] + _bott_breaks(n2, b)[:1]
             return partial(_add_bott_product, n1, n2, a, b), breaks
         if isinstance(atom, ExternalTensor):
-            factors = tuple(zip((atom.left, atom.right), model.factor_models))
-            left, right = (_breaks(desc, on) for desc, on in factors)
-            breaks = None if left is None or right is None else left | right
-            return partial(_add_kuenneth, factors), breaks
+            left, right = map(_resolve, (atom.left, atom.right), model.factor_models)
+            return partial(_add_kuenneth, left, right), _breaks(left + right)
     elif model.kind == KIND_ELLIPTIC:
         curve = normalize_elliptic(atom, model)
         if isinstance(curve, SemistableEC):
@@ -292,27 +297,42 @@ def _rule(
     return partial(_refuse, f"no oracle for {format_sheaf(atom)} on {format_variety(model)}"), None
 
 
-def _add_atoms(desc: SheafDescriptor, model: VarietyModel, spans, rows: Rows) -> None:
-    """Add h^i(desc(t)) to rows[i][t - base] for every t in each closed
-    span (lo, hi) of the (lo, hi, base) spans, the atoms of a sum in
-    order, each resolved once and filled over all the spans."""
-    for atom, mult in flatten_atoms(desc):
-        fill, _ = _rule(atom, model)
-        for lo, hi, base in spans:
-            fill(lo, hi, mult, rows, base)
+def _resolve(desc: SheafDescriptor, model: VarietyModel) -> list[tuple]:
+    """(fill, breaks, mult) of each atom of desc, the atoms of a sum in
+    order: one ``_rule`` call per atom gives both its fill and its breaks."""
+    return [(*_rule(atom, model), mult) for atom, mult in flatten_atoms(desc)]
 
 
-def _breaks(desc: SheafDescriptor, model: VarietyModel) -> set[int] | None:
-    """The break twists of desc, the union of its atoms' (``_rule``).
-    Between two breaks every entry is one polynomial in t of degree at
-    most ``model.dim``.  None where an atom has none."""
+def _breaks(resolved) -> set[int] | None:
+    """The break twists of the resolved atoms, the union of theirs, None
+    where one has none.  Between two breaks every entry of their sum is
+    one polynomial in t of degree at most the dimension."""
     breaks: set[int] = set()
-    for atom, _ in flatten_atoms(desc):
-        _, found = _rule(atom, model)
+    for _, found, _ in resolved:
         if found is None:
             return None
         breaks.update(found)
     return breaks
+
+
+def _add_fills(resolved, spans, rows: Rows) -> None:
+    """Add the fill of each resolved atom, times its mult, to
+    rows[i][t - base] for every t in each closed span (lo, hi) of the
+    (lo, hi, base) spans, the atoms in order, each over all the spans."""
+    for fill, _, mult in resolved:
+        for lo, hi, base in spans:
+            fill(lo, hi, mult, rows, base)
+
+
+def _filled(resolved, window: tuple[int, int], spans: Spans | None = None) -> CohomologyTable:
+    """The table over the window that the resolved atoms fill, held at
+    the twists of the spans, or at every twist for None."""
+    lo, hi = window
+    held = ((lo, hi, lo),) if spans is None else placed(spans)
+    _, last, base = held[-1]  # the last held twist sits at the last position
+    rows = zero_rows(last - base + 1)
+    _add_fills(resolved, held, rows)
+    return CohomologyTable(window, rows=rows, spans=spans)
 
 
 def _held_spans(hi: int, starts: set[int], k: int) -> Spans:
@@ -330,45 +350,45 @@ def _held_spans(hi: int, starts: set[int], k: int) -> Spans:
     return tuple(spans)
 
 
-def _piece_table(
-    desc: SheafDescriptor, model: VarietyModel, window: tuple[int, int], cuts: tuple[int, ...]
-) -> CohomologyTable:
-    """The table of a validated descriptor over the window, held only at
-    the first and the last dim + 1 twists of each piece (see Pieces in
-    the module docstring), the window cut at the cuts and at the breaks
-    of desc.  A descriptor with no breaks, or a window with no twist to
-    skip, gets the whole table."""
+def _piece_tables(descs, model: VarietyModel, window: tuple[int, int], cuts: tuple[int, ...]):
+    """The tables of validated descriptors over the window, all on one
+    span layout: held only at the first and the last dim + 1 twists of
+    each piece (see Pieces in the module docstring), the window cut at
+    the cuts and at the breaks of every desc, so their rows line up
+    position by position.  Every table is whole where a desc has no
+    breaks, or where the window has at most 2 (dim + 1) twists for each
+    piece the cuts make, which leaves little to skip."""
+    check_window(window)
     lo, hi = window
     k = model.dim + 1
-    # at most 2k twists for each piece the cuts make leave little to skip:
-    # such a window is built whole, without looking for breaks
-    breaks = _breaks(desc, model) if hi - lo + 1 > 2 * k * (len(cuts) + 1) else None
-    if breaks is None:
-        return _window_table(desc, model, window)
-    check_window(window)
-    starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
-    spans = _held_spans(hi, starts, k)
-    rows = zero_rows(sum(b - a + 1 for a, b in spans))
-    _add_atoms(desc, model, placed(spans), rows)
-    return CohomologyTable(window, rows=rows, spans=spans)
+    resolved = [_resolve(desc, model) for desc in descs]
+    wide = hi - lo + 1 > 2 * k * (len(cuts) + 1)
+    breaks = _breaks(chain.from_iterable(resolved)) if wide else None
+    spans = None
+    if breaks is not None:
+        starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
+        spans = _held_spans(hi, starts, k)
+    return [_filled(atoms, window, spans) for atoms in resolved]
 
 
 def ulrich_table(
-    n: int, column: dict[int, int], window: tuple[int, int]
+    n: int, column: dict[int, int], window: tuple[int, int], spans: Spans | None = None
 ) -> CohomologyTable:
     """The table an Ulrich object of dimension n with the given twist-0
-    column must have over the window (the rule in the module docstring)."""
-    lo, hi = window
-    rows = zero_rows(hi - lo + 1)
-    for q, h in column.items():
-        _add_bott(n, 0, lo, hi, h, rows, lo, shift=q)
-    return CohomologyTable(window, rows=rows)
+    column must have over the window (the rule in the module docstring),
+    held on the spans as a piece table is, or at every twist for None:
+    h^q(E) times the Bott rows of O, shifted by q, whose one break is -n."""
+    bott = [(partial(_add_bott, n, 0, shift=q), (-n,), h) for q, h in column.items()]
+    return _filled(bott, window, spans)
 
 
 def _sheaf_column(desc: SheafDescriptor, model: VarietyModel, t: int) -> dict[int, int]:
-    """The table builder on the one-twist window (t, t)."""
+    """The table builder on the one-twist window (t, t): each atom's fill
+    at t, in order, called as ``_rule`` gives it, with no list of the
+    atoms: mode direct reads dim columns of every sheaf."""
     rows = zero_rows(1)
-    _add_atoms(desc, model, ((t, t, t),), rows)
+    for atom, mult in flatten_atoms(desc):
+        _rule(atom, model)[0](t, t, mult, rows, t)
     return {i: row[0] for i, row in rows.items() if row[0]}
 
 
@@ -411,10 +431,7 @@ def _window_table(
 ) -> CohomologyTable:
     """``sheaf_table`` of a validated descriptor over a given window."""
     check_window(window)
-    lo, hi = window
-    rows = zero_rows(hi - lo + 1)
-    _add_atoms(desc, model, ((lo, hi, lo),), rows)
-    return CohomologyTable(window, rows=rows)
+    return _filled(_resolve(desc, model), window)
 
 
 def check_window(window: tuple[int, int]) -> None:

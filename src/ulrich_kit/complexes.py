@@ -234,8 +234,13 @@ def _unit_multiples(sections: int, table: CohomologyTable) -> dict[int, int]:
 def _rebuilds(n: int, table: CohomologyTable) -> bool:
     """Whether the table of an object of dimension n is the one
     ``ulrich_table`` reads off its twist-0 column (Eisenbud-Schreyer),
-    over the whole window: equal tables have equal entries."""
-    return ulrich_table(n, table.column(0), table.window) == table
+    built on the table's own spans: equal tables have equal entries.  On
+    a piece table that decides the whole window: both tables are
+    polynomials of degree at most n on each piece (the rebuild's one
+    break, -n, is a cut of the layout), so two that agree at the first
+    n + 1 twists of every piece agree everywhere.  The rebuild reads no
+    oracle, so the check stays independent of the oracles it checks."""
+    return ulrich_table(n, table.column(0), table.window, table.spans) == table
 
 
 @dataclass

@@ -9,7 +9,7 @@ afterwards; ``entries``, the (i, t) -> h mapping of the nonzero values,
 is derived on its first read and kept.  A table holds every twist of its
 window, or, given ``spans``, those of the sorted closed spans only, laid
 out span after span (``placed``), so it never allocates the twists it
-skips: the piece tables the Ulrich verdicts read.
+skips: the piece tables the Ulrich verdicts and the decompositions read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import defaultdict
 from itertools import accumulate, chain
 from operator import add, sub
 
-from .errors import IncompleteTable
+from .errors import IncompleteTable, OracleDefect
 
 Rows = dict[int, list[int]]
 Spans = tuple[tuple[int, int], ...]
@@ -135,10 +135,15 @@ class CohomologyTable:
         twists, or None when everything vanishes there; the lowest degree
         of a twist comes first, as the rows are kept in degree order.  A
         piece table walks its held twists only, which finds what the
-        whole table finds on a walk over whole pieces."""
+        whole table finds on a walk over whole pieces.  A range with both
+        ends in the window, over degrees with no row, is not walked: it
+        has nothing to find and no twist to refuse."""
         lo, hi = self.window
         at = self._at
         rows = [(i, row) for i, row in self._rows.items() if degrees is None or i in degrees]
+        if not rows and isinstance(twists, range) and twists:
+            if lo <= twists[0] <= hi and lo <= twists[-1] <= hi:
+                return None
         for t in twists if at is None else self._held(twists):
             # positions found inline, not through _position: a method call
             # per twist cost the wide-window workload about 5% of its ops/s
@@ -181,10 +186,17 @@ class CohomologyTable:
 
 def shifted_sum(window: tuple[int, int], parts) -> CohomologyTable:
     """The table over the window whose row i + q sums row i of each
-    (q, table) of parts, every table holding the whole window."""
+    (q, table) of parts.  The tables hold the window on one layout, all
+    whole or all on the same spans, so their rows add position by
+    position, and the sum keeps that layout; parts held otherwise are
+    refused."""
+    parts = list(parts)
+    spans = parts[0][1].spans if parts else None
     rows: Rows = {}
     for q, table in parts:
+        if table.window != window or table.spans != spans:
+            raise OracleDefect(f"a shifted sum over {window} needs its parts on one layout")
         for i, row in table._rows.items():
             held = rows.get(i + q)
             rows[i + q] = row if held is None else [x + y for x, y in zip(held, row)]
-    return CohomologyTable(window, rows=rows)
+    return CohomologyTable(window, rows=rows, spans=spans)

@@ -10,15 +10,17 @@ cohomology sheaf separately) checks must always agree.  The direct check
 reads H^*(E(-j)) = Hom^*(O(j), E) as membership in <O(1), ..., O(n)>^perp does.
 
 The sheafwise check reads each cohomology sheaf's table only at the ends
-of its pieces (``cohomology._piece_table``), cut also at twist 0, twist
+of its pieces (``cohomology._piece_tables``), cut also at twist 0, twist
 -dim and the probe depth, so its cost does not grow with the window and
 every criterion, witness and error is the one the whole table gives.
 
 Decompositions and the abstract surface witness rest on the Eisenbud-Schreyer
 rule: an Ulrich object's table is ``cohomology.ulrich_table`` of its twist-0
-column.  Both decomposers share one reader of the whole table, added by
-``shifted_sum``, whose rebuild checks the oracles against that rule without the
-piece argument.  On P^n, odd Q^n and Q^2 = P^1 x P^1 the Ulrich units (O; S;
+column.  Both decomposers share one reader of the hyper table, which
+``shifted_sum`` adds from sheaf tables on one piece layout; the rebuild
+checks the oracles against that rule at the ends of every piece, which
+decides the whole window (``complexes._rebuilds``), so it costs the same
+on any window.  On P^n, odd Q^n and Q^2 = P^1 x P^1 the Ulrich units (O; S;
 the rulings O(1,0), O(0,1)) are completely orthogonal, so a unit G has
 multiplicity dim Hom^q(G, E) in degree q: h^q(E(-v)) for the ruling G = O(v).
 """
@@ -32,7 +34,7 @@ from typing import Sequence
 from .chern import ulrich_chern_solve
 from .cohomology import (
     _elliptic_pair,
-    _piece_table,
+    _piece_tables,
     _twisted_column,
     _window_table,
     check_window,
@@ -180,18 +182,30 @@ def is_ulrich_sheaf(
     validate_descriptor(desc, model)
     if window is None:
         window = default_window(model)
-    return _sheaf_verdict(desc, model, window, _verdict_table(desc, model, window))
+    table = _verdict_tables(((0, desc),), model, window)[0]
+    return _sheaf_verdict(desc, model, window, table)
 
 
-def _verdict_table(
-    desc: SheafDescriptor, model: VarietyModel, window: tuple[int, int]
-) -> CohomologyTable:
-    """The table of a validated sheaf that ``_sheaf_verdict`` reads: held
-    at the ends of each piece, the window cut where its walks start and
-    stop (twist 0, twist -dim and the probe depth), so each walk covers
-    whole pieces."""
-    cuts = (0, -model.dim, default_window(model)[0])
-    return _piece_table(desc, model, window, cuts)
+def _verdict_cuts(model: VarietyModel) -> tuple[int, int, int]:
+    """Where the walks of ``_sheaf_verdict`` start and stop: twist 0,
+    twist -dim and the probe depth.  A piece table cut there is walked
+    over whole pieces only."""
+    return (0, -model.dim, default_window(model)[0])
+
+
+def _verdict_tables(pairs, model: VarietyModel, window: tuple[int, int]):
+    """The table of each validated (degree, sheaf) pair that
+    ``_sheaf_verdict`` reads, keyed by degree: each held at the ends of
+    the pieces of its own breaks and ``_verdict_cuts``."""
+    cuts = _verdict_cuts(model)
+    return {degree: _piece_tables((desc,), model, window, cuts)[0] for degree, desc in pairs}
+
+
+def _decomposition_tables(pairs, model: VarietyModel, window: tuple[int, int]):
+    """``_verdict_tables`` all on one span layout, cut at the breaks of
+    every sheaf: the rows ``shifted_sum`` adds position by position."""
+    tables = _piece_tables([desc for _, desc in pairs], model, window, _verdict_cuts(model))
+    return dict(zip((degree for degree, _ in pairs), tables))
 
 
 def _sheaf_verdict(
@@ -202,8 +216,8 @@ def _sheaf_verdict(
     prefix: str = "",
 ) -> UlrichVerdict:
     """``is_ulrich_sheaf`` on a table of the validated desc over the
-    window, whole or as ``_verdict_table`` holds it: every read is a walk
-    over whole pieces of the latter.  A window that does not reach the
+    window, whole or cut at least at ``_verdict_cuts``: every read is a
+    walk over whole pieces of the latter.  A window that does not reach the
     probe depth gets a probe table of its own.  Every criterion's name
     starts with prefix; the window criteria hold ``range``s."""
     ulrich_twists = model.ulrich_twists
@@ -261,9 +275,9 @@ def is_ulrich_object(
     Every cohomology sheaf is validated first, once, in degree order.
     Modes sheafwise and both then build each sheaf's table before any
     check reads it, so the table's error is the one raised; the tables
-    hold the ends of each piece only (``_verdict_table``).
+    hold the ends of each piece only (``_verdict_tables``).
     """
-    return _object_verdict(E, mode, window, _verdict_table)[0]
+    return _object_verdict(E, mode, window, _verdict_tables)[0]
 
 
 def _object_verdict(
@@ -273,16 +287,15 @@ def _object_verdict(
     build,
 ) -> tuple[UlrichVerdict, dict[int, CohomologyTable]]:
     """``is_ulrich_object`` together with the table of each cohomology
-    sheaf over the window that the sheafwise checks read, as build makes
-    it, keyed by degree (none in mode ``direct``); mode ``both`` lists the
-    direct criterion first."""
+    sheaf over the window that the sheafwise checks read, keyed by degree
+    as build(pairs, model, window) makes them (none in mode ``direct``);
+    mode ``both`` lists the direct criterion first."""
     if mode not in MODES:
         raise MalformedDescriptor(f"unknown mode {mode!r}")
     if window is None:
         window = default_window(E.model)
     pairs = sheaves_of(E, E.model)
-    sheaves = () if mode == "direct" else pairs
-    tables = {degree: build(desc, E.model, window) for degree, desc in sheaves}
+    tables = {} if mode == "direct" else build(pairs, E.model, window)
     criteria: list[Criterion] = []
     if mode != "sheafwise":
         ulrich_twists = E.model.ulrich_twists
@@ -319,11 +332,14 @@ def _ulrich_hyper_table(
 ) -> CohomologyTable:
     """The hypercohomology table of E over the window (the default one
     for None), once mode ``both`` finds E Ulrich; the decomposers read
-    nothing else, so it is assembled from the whole sheaf tables of the
-    verdict only after it passes."""
+    nothing else.  The verdict reads the sheaf tables on one span layout
+    (``_decomposition_tables``), and only once it passes does
+    ``shifted_sum`` add them into a table on that layout: the ends of
+    each piece, or every twist where a sheaf has no breaks or the window
+    leaves little to skip."""
     if window is None:
         window = default_window(E.model)
-    verdict, tables = _object_verdict(E, "both", window, _window_table)
+    verdict, tables = _object_verdict(E, "both", window, _decomposition_tables)
     if not verdict.passed:
         raise NotUlrich(f"not an Ulrich object, witness {verdict.witness()}")
     return shifted_sum(window, tables.items())

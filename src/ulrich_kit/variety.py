@@ -246,7 +246,7 @@ def format_variety(model: VarietyModel) -> str:
 
 
 _SURFACE_RE = re.compile(
-    r"d=(?P<d>-?\d+),i=(?P<i>-?\d+(?:/\d+)?),chi=(?P<chi>-?\d+)$"
+    r"d=(?P<d>-?[0-9]+),i=(?P<i>-?[0-9]+(?:/[0-9]+)?),chi=(?P<chi>-?[0-9]+)$"
 )
 
 

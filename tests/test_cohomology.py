@@ -46,7 +46,7 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     UnsupportedQuadricDim,
 )
-from ulrich_kit.cohomology import _breaks, _piece_table, ulrich_table
+from ulrich_kit.cohomology import _breaks, _piece_tables, _resolve, ulrich_table
 from ulrich_kit.variety import MAX_DIM, MAX_TWISTS, default_window
 from ulrich_kit.sheaves import flatten_atoms, product_form, rank_of
 
@@ -712,7 +712,7 @@ def test_piece_tables_hold_the_reference_at_their_held_twists_only(case, cuts):
     # twist must read its own column, every other one the outside error
     model, desc, window = case
     lo, hi = window
-    table = _piece_table(desc, model, window, tuple(cuts))
+    (table,) = _piece_tables((desc,), model, window, tuple(cuts))
     assert table.covers(lo) and table.covers(hi)
     for t in range(lo, hi + 1):
         if table.covers(t):
@@ -773,7 +773,7 @@ def test_every_entry_is_a_polynomial_of_degree_at_most_dim_between_breaks(case):
     # passes without.  The last two are the quadric CROSSINGS: a line on
     # Q^4 that broke at -n-a, its O(a) part's stop, would fail the first.
     model, window, desc = case
-    breaks = _breaks(desc, model)
+    breaks = _breaks(_resolve(desc, model))
     assert (breaks is None) == holds_no_rule(desc, model)
     if breaks is not None:
         assert_polynomial_between(breaks, desc, model, window)
@@ -783,7 +783,7 @@ def test_every_entry_is_a_polynomial_of_degree_at_most_dim_between_breaks(case):
 def test_an_external_tensor_is_a_polynomial_between_the_breaks_of_both_factors(model):
     for a, b in itertools.product(range(-3, 4), repeat=2):
         desc = ExternalTensor(line_bundle(a), line_bundle(b))
-        assert_polynomial_between(_breaks(desc, model), desc, model, (-12, 12))
+        assert_polynomial_between(_breaks(_resolve(desc, model)), desc, model, (-12, 12))
 
 
 def assert_polynomial_between(breaks, desc, model, window):
@@ -807,7 +807,7 @@ def test_a_piece_table_stores_only_its_held_twists():
     # MAX_TWISTS admits: no row reaches the twists it skips
     model = proj_space(4)
     window = (-10_000, 9_999)
-    table = _piece_table(parse_sheaf("O(0) + O(3)", model), model, window, (0, -4, -13))
+    (table,) = _piece_tables((parse_sheaf("O(0) + O(3)", model),), model, window, (0, -4, -13))
     held = sum(map(table.covers, range(window[0], window[1] + 1)))
     degrees = {i for i, _ in table.entries}
     assert held <= 60 and degrees == {0, 4}

@@ -39,7 +39,7 @@ from ulrich_kit import (
     triangle_2of3,
 )
 from ulrich_kit.chern import _external_class, class_of, class_or_none
-from ulrich_kit.cohomology import _piece_table
+from ulrich_kit.cohomology import _piece_tables
 from ulrich_kit.complexes import (
     CERT_EXACT,
     CERT_EXACT_BY_VANISHING,
@@ -269,7 +269,7 @@ class TestTriangle:
         p2 = proj_space(2)
         window, cuts = (-40, 40), (0, -2, -9)
         whole = sheaf_table(line_bundle(0), p2, window)
-        piece = _piece_table(line_bundle(1), p2, window, cuts)
+        (piece,) = _piece_tables((line_bundle(1),), p2, window, cuts)
         unheld = next(t for t in range(-40, 41) if not piece.covers(t))
         for given in ({"E": whole, "G": piece}, {"E": piece, "G": whole}):
             with pytest.raises(IncompleteTable, match=rf"^twist {unheld} outside window \(-40, 40\)$"):
@@ -277,9 +277,9 @@ class TestTriangle:
         verdict = triangle_2of3(p2, {"E": whole, "G": whole})
         assert verdict.implied_euler == {t: 2 * whole.euler(t) for t in range(-40, 41)}
         assert all(type(chi) is int for chi in verdict.implied_euler.values())
-        wrong = _piece_table(line_bundle(2), p2, window, cuts)
+        (wrong,) = _piece_tables((line_bundle(2),), p2, window, cuts)
         assert triangle_2of3(p2, {"E": whole, "G": whole}, third_table=wrong).chi_additive is False
-        right = _piece_table(direct_sum((line_bundle(0), 2)), p2, window, cuts)
+        (right,) = _piece_tables((direct_sum((line_bundle(0), 2)),), p2, window, cuts)
         unheld = next(t for t in range(-40, 41) if not right.covers(t))
         with pytest.raises(IncompleteTable, match=rf"^twist {unheld} outside"):
             triangle_2of3(p2, {"E": whole, "G": whole}, third_table=right)

@@ -544,9 +544,13 @@ def test_table_rows_are_read_only_in_tables_and_cohomology():
 
 def test_public_tables_hold_their_whole_window(monkeypatch):
     """Verdicts read tables held at the ends of their pieces only; no
-    table a public function returns, and none a decomposition reads, may
-    be one.  Every twist of the window of each must be readable, on
-    windows wide enough that the verdicts would skip twists."""
+    table a public function returns may be one.  Every twist of the
+    window of each must be readable, on windows wide enough that the
+    verdicts would skip twists.  A decomposition reads piece tables too,
+    all of one decomposition on one span layout, so that the hyper table
+    and the Eisenbud-Schreyer rebuild line up position by position, and
+    on a window of at most 2 (n + 1) twists for each of the four pieces
+    the verdict's three cuts make, every one of them is whole."""
     uk = ulrich_kit
     built = []
     post_init = uk.CohomologyTable.__post_init__
@@ -570,9 +574,19 @@ def test_public_tables_hold_their_whole_window(monkeypatch):
     ]
     assert all(map(holds_its_window, returned))
     monkeypatch.setattr(uk.CohomologyTable, "__post_init__", recording)
-    assert uk.pn_decompose(E, window) == {-1: 1, 0: 2}
-    assert uk.quadric_decompose(F, window) == {0: {"+": 1, "-": 1}}
-    assert built and all(map(holds_its_window, built))
+    for decompose, obj, want in (
+        (uk.pn_decompose, E, {-1: 1, 0: 2}),
+        (uk.quadric_decompose, F, {0: {"+": 1, "-": 1}}),
+    ):
+        widest_whole = 2 * (obj.model.dim + 1) * 4
+        narrow = (-(widest_whole // 2), widest_whole - widest_whole // 2 - 1)
+        for w in (window, narrow):
+            built.clear()
+            assert decompose(obj, w) == want
+            # the sheaf tables, the hyper table and the rebuild
+            assert len(built) == len(obj.sheaves) + 2
+            assert len({(table.window, table.spans) for table in built}) == 1, w
+            assert all(map(holds_its_window, built)) == (w == narrow), w
 
 
 # The only functions a cache may sit on: a memo that outlives a call

@@ -31,8 +31,8 @@ from ulrich_kit import (
     tensor_line,
     validate_descriptor,
 )
-from ulrich_kit.cli import _load_complex, _parse_window, build_parser
-from ulrich_kit.cohomology import _piece_table, ulrich_table
+from ulrich_kit.cli import _load_complex, _parse_window, build_parser, main
+from ulrich_kit.cohomology import _piece_tables, ulrich_table
 from ulrich_kit.errors import (
     IncompleteTable,
     MalformedDescriptor,
@@ -200,7 +200,7 @@ REFUSALS = {
         2,
     ),
     "piece-table read past its window": (
-        _read_past_the_window(lambda desc: _piece_table(desc, P4, (-100, 100), (0, -4, -13))),
+        _read_past_the_window(lambda desc: _piece_tables((desc,), P4, (-100, 100), (0, -4, -13))[0]),
         IncompleteTable,
         "twist 105 outside window (-100, 100)",
         2,
@@ -229,6 +229,12 @@ REFUSALS = {
         f"unknown descriptor {NOT_A_DESCRIPTOR!r}",
         2,
     ),
+    "surface spec with a non-ASCII digit": (
+        lambda _: parse_variety("surface:d=\u0664,i=0,chi=2"),  # an Arabic-Indic 4
+        MalformedModel,
+        "malformed surface spec 'surface:d=\u0664,i=0,chi=2'",
+        2,
+    ),
     "spinor split on an even quadric past Q^2": (
         _even_quadric_split,
         UnsupportedQuadricDim,
@@ -244,6 +250,26 @@ def test_refusal_keeps_its_type_message_and_exit_code(tmp_path, read, error, mes
         read(tmp_path)
     assert type(caught.value) is error and str(caught.value) == message
     assert caught.value.exit_code == code
+
+
+# d, i (numerator and denominator) and chi each read ASCII digits only:
+# "\u0664" is an Arabic-Indic 4, "\u0660" a 0 and "\u0662" a 2
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "d=\u0664,i=0,chi=2",
+        "d=4,i=\u0660,chi=2",
+        "d=4,i=1/\u0662,chi=2",
+        "d=4,i=0,chi=\u0662",
+    ],
+)
+def test_a_surface_spec_with_a_non_ascii_digit_is_malformed(capsys, spec):
+    with pytest.raises(MalformedModel) as caught:
+        parse_variety(f"surface:{spec}")
+    assert str(caught.value) == f"malformed surface spec 'surface:{spec}'"
+    assert main(["chern-solve", "--surface", spec, "--rank", "2"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"] is None and report["error"] == str(caught.value)
 
 
 def test_ext_between_distinct_rank_one_data_of_equal_degree_vanishes():

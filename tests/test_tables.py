@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ulrich_kit import parse_sheaf, proj_space, sheaf_table
+from ulrich_kit.cohomology import _piece_tables
 from ulrich_kit.complexes import (
     CERT_EXACT,
     CERT_EXACT_BY_VANISHING,
     CERT_UPPER_BOUND_ONLY,
     HyperTableResult,
 )
-from ulrich_kit.errors import IncompleteTable
+from ulrich_kit.errors import IncompleteTable, OracleDefect
 from ulrich_kit.tables import CohomologyTable, shifted_sum
 
 
@@ -193,3 +195,59 @@ def test_entries_are_derived_once_and_kept():
     assert table.entries is table.entries
     assert table.entries == {(0, 1): 2, (1, 2): 3}
     assert repr(table) == "CohomologyTable(window=(0, 2), entries={(0, 1): 2, (1, 2): 3})"
+
+
+def pn4_tables():
+    """O(0) + O(3) on pn:4 over (-100, 100), as a whole table and as the
+    piece table the verdicts read; only h^0 and h^4 have rows."""
+    model = proj_space(4)
+    desc, window = parse_sheaf("O(0) + O(3)", model), (-100, 100)
+    (piece,) = _piece_tables((desc,), model, window, (0, -4, -13))
+    return {"whole": sheaf_table(desc, model, window), "piece": piece}
+
+
+@pytest.mark.parametrize("layout", ["whole", "piece"])
+def test_a_walk_over_degrees_with_no_row_finds_nothing_inside_the_window(layout, monkeypatch):
+    table = pn4_tables()[layout]
+    assert (table.spans is None) == (layout == "whole")
+    walks = [range(-100, 101), range(100, -101, -1), range(-99, 101, 7), range(3, 3)]
+    walks += [tuple(range(-100, 101)), (5, -3, 100), ()]
+    for degrees in ({1, 2, 3}, set()):
+        for walk in walks:
+            assert table.first_nonzero(walk, degrees) is None, walk
+    # a range with both ends in the window is not walked at all
+    monkeypatch.setattr(CohomologyTable, "_held", None)
+    assert table.first_nonzero(range(-100, 101), {1, 2, 3}) is None
+
+
+@pytest.mark.parametrize("layout", ["whole", "piece"])
+def test_a_walk_over_degrees_with_no_row_is_refused_where_it_leaves_the_window(layout):
+    table = pn4_tables()[layout]
+    for walk, twist in (
+        (range(90, 106), 101),
+        (range(-95, -106, -1), -101),
+        (range(105, 90, -1), 105),
+        (range(-105, 50), -105),
+        (range(200, 300), 200),
+        ((0, 101, 102), 101),
+        ((-100, 100, -101), -101),
+    ):
+        for degrees in ({1, 2, 3}, set()):
+            with pytest.raises(IncompleteTable, match=rf"^twist {twist} outside window \(-100, 100\)$"):
+                table.first_nonzero(walk, degrees)
+
+
+def test_a_shifted_sum_refuses_parts_on_another_layout():
+    # rows add position by position, so every part must hold the sum's
+    # window on the same spans: all whole, or one piece layout
+    whole, piece = pn4_tables()["whole"], pn4_tables()["piece"]
+    assert shifted_sum((-100, 100), [(0, piece), (1, piece)]).spans == piece.spans
+    assert shifted_sum((-100, 100), [(0, whole), (1, whole)]).spans is None
+    for window, parts in (
+        ((-100, 100), [(0, whole), (1, piece)]),
+        ((-100, 100), [(0, piece), (1, whole)]),
+        ((-100, 99), [(0, whole)]),
+    ):
+        with pytest.raises(OracleDefect) as caught:
+            shifted_sum(window, parts)
+        assert str(caught.value) == f"a shifted sum over {window} needs its parts on one layout"

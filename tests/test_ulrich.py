@@ -70,7 +70,9 @@ from ulrich_kit.errors import (
     UnknownSlopeZero,
     ZeroExt,
 )
-from ulrich_kit.cohomology import ulrich_table
+from ulrich_kit.cohomology import _filled, ulrich_table
+from ulrich_kit.complexes import _rebuilds
+from ulrich_kit.tables import shifted_sum
 from test_cohomology import (
     ORACLE_MODELS,
     ambient_line_table,
@@ -310,20 +312,25 @@ class TestUlrichObject:
 
         built = []
 
-        def counting(build):
-            def count(desc, model, window=None):
-                built.append(desc)
-                return build(desc, model, window)
+        def counting(build, per_pair):
+            # the verdict's and the decomposers' builders take (degree, sheaf) pairs
+            def count(first, model, window=None):
+                if per_pair:
+                    built.extend(desc for _, desc in first)
+                else:
+                    built.append(first)
+                return build(first, model, window)
 
             return count
 
-        for module, name in (
-            (ulrich_kit.ulrich, "_verdict_table"),
-            (ulrich_kit.ulrich, "_window_table"),
-            (ulrich_kit.ulrich, "sheaf_table"),
-            (ulrich_kit.complexes, "sheaf_table"),
+        for module, name, per_pair in (
+            (ulrich_kit.ulrich, "_verdict_tables", True),
+            (ulrich_kit.ulrich, "_decomposition_tables", True),
+            (ulrich_kit.ulrich, "_window_table", False),
+            (ulrich_kit.ulrich, "sheaf_table", False),
+            (ulrich_kit.complexes, "sheaf_table", False),
         ):
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+            monkeypatch.setattr(module, name, counting(getattr(module, name), per_pair))
         model = rank1_surface(4, 0, 2)
         F = abstract_ulrich_sheaf(model, 1, "F")
         G = abstract_ulrich_sheaf(model, 2, "G")
@@ -816,6 +823,11 @@ def piece_cases(draw):
     return formal_complex(model, sheaves, glue_between(draw, sheaves)), window
 
 
+def whole_tables(pairs, model, window):
+    """The whole sheaf table of each (degree, sheaf) pair, keyed by degree."""
+    return {degree: sheaf_table(desc, model, window) for degree, desc in pairs}
+
+
 @settings(max_examples=250, deadline=None)
 @given(case=piece_cases())
 def test_verdicts_on_piece_ends_are_the_whole_table_verdicts(case):
@@ -824,7 +836,7 @@ def test_verdicts_on_piece_ends_are_the_whole_table_verdicts(case):
     E, window = case
     model = E.model
     for mode in ("sheafwise", "both"):
-        want = kit_outcome(ulrich_kit.ulrich._object_verdict, E, mode, window, sheaf_table)
+        want = kit_outcome(ulrich_kit.ulrich._object_verdict, E, mode, window, whole_tables)
         if want[0] == "ok":
             want = ("ok", want[1][0])
         assert kit_outcome(is_ulrich_object, E, mode, window) == want, mode
@@ -895,14 +907,19 @@ def decompose_cases(draw):
     """A complex that is mostly a sum of shifted Ulrich units, with some
     non-Ulrich atoms, abstract copies of a unit's table (scaled, and some
     with one entry off), external tensors on P^1 x P^1, and a window that
-    is the default one or a random one."""
+    is the default one, a random one inside -12..14, or one reaching up
+    to +-400, which the decompositions cut into pieces unless a sheaf is
+    abstract."""
     spec = draw(st.sampled_from(sorted(DECOMPOSE_ATOMS)))
     model = parse_variety(spec)
     atoms = DECOMPOSE_ATOMS[spec]
     window = default_window(model)
-    if draw(st.integers(0, 2)) == 0:
+    shape = draw(st.integers(0, 2))
+    if shape == 0:
         lo = draw(st.integers(-12, 0))
         window = (lo, lo + draw(st.integers(0, 14)))
+    elif shape == 1:
+        window = (draw(st.integers(-400, -1)), draw(st.integers(0, 400)))
     sheaves = {}
     for degree in draw(st.sets(st.integers(-3, 2), min_size=1, max_size=3)):
         kind = draw(st.sampled_from(("units", "units", "abstract", "tensor")))
@@ -939,6 +956,61 @@ def test_decompositions_match_the_whole_hyper_table_reference(case):
             patch.setattr(ulrich_kit.ulrich, "_rebuilds", reference_rebuilds)
             want = kit_outcome(decompose, E, window)
         assert got == want, decompose.__name__
+
+
+def test_a_piece_rebuild_refuses_one_held_entry_off():
+    # the hyper table of 2*O(0) + O(0)[1] on pn:3 over (-200, 200) holds
+    # the ends of each piece only; moving any one held entry by one, in
+    # any degree, breaks the Eisenbud-Schreyer rebuild on the same spans
+    model, window = proj_space(3), (-200, 200)
+    E = formal_complex(model, {0: direct_sum((line_bundle(0), 2)), -1: line_bundle(0)})
+    table = ulrich_kit.ulrich._ulrich_hyper_table(E, window)
+    held = [t for t in range(-200, 201) if table.covers(t)]
+    assert table.spans is not None and len(held) < 100
+    assert _rebuilds(model.dim, table)
+    for t in held:
+        for i in range(-1, model.dim + 1):
+
+            def one_off(lo, hi, mult, rows, base, i=i, t=t):
+                if lo <= t <= hi:
+                    rows[i][t - base] += mult
+
+            bump = _filled([(one_off, None, 1)], window, table.spans)
+            assert not _rebuilds(model.dim, shifted_sum(window, [(0, table), (0, bump)])), (i, t)
+
+
+def test_a_decomposition_holds_as_many_twists_on_any_window(monkeypatch):
+    # the glued three-degree pn:4 complex and a sum of rulings on P^1 x P^1:
+    # every table a decomposition builds holds the ends of each piece, so
+    # only the outer pieces grow with the window, and their held twists do not
+    pn4, p11 = proj_space(4), product_proj(1, 1)
+    glued = formal_complex(
+        pn4,
+        {0: direct_sum((line_bundle(0), 2)), -1: line_bundle(0), -2: line_bundle(0)},
+        (GlueWitness(0, -1), GlueWitness(-1, -2)),
+    )
+    rulings = formal_complex(
+        p11, {0: parse_sheaf("O(1,0) + 2*O(0,1)", p11), -1: parse_sheaf("O(1,0)", p11)}
+    )
+    tables = []
+    post_init = CohomologyTable.__post_init__
+
+    def recording(table):
+        tables.append(table)
+        post_init(table)
+
+    monkeypatch.setattr(CohomologyTable, "__post_init__", recording)
+    for decompose, E, want in (
+        (pn_decompose, glued, {0: 2, -1: 1, -2: 1}),
+        (quadric_decompose, rulings, {0: {"+": 1, "-": 2}, -1: {"+": 1, "-": 0}}),
+    ):
+        assert decompose(E, (-15, 15)) == want
+        held = []
+        for w in (240, 9_999):
+            tables.clear()
+            assert decompose(E, (-w, w)) == want
+            held.append(sum(table.covers(t) for table in tables for t in range(-w, w + 1)))
+        assert held[0] == held[1], (decompose.__name__, held)
 
 
 class TestExtDimension:
