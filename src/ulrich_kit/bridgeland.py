@@ -17,11 +17,11 @@ sign), and nothing here papers over that.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import atan2, lcm, nextafter, pi
 
+from ._values import Frozen, Record, set_field
 from .chern import NumClass, class_of
 from .complexes import FormalComplex
 from .errors import (
@@ -66,10 +66,12 @@ def slope(c: NumClass):
     return c.e1 / c.r
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeValue:
-    re: Fraction
-    im: Fraction
+class ChargeValue(Frozen):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        set_field(self, "re", re)
+        set_field(self, "im", im)
 
     def as_pair(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)
@@ -221,13 +223,17 @@ def torsion_classify(
     return _side(mu, _coordinate(s, "s") * scale)
 
 
-@dataclass
-class HeartVerdict:
-    status: str
-    reason: str | None
-    best_shift: int | None
-    s: Fraction
-    convention: str
+class HeartVerdict(Record):
+    __slots__ = ("status", "reason", "best_shift", "s", "convention")
+
+    def __init__(
+        self, status: str, reason: str | None, best_shift: int | None, s: Fraction, convention: str
+    ) -> None:
+        self.status = status
+        self.reason = reason
+        self.best_shift = best_shift
+        self.s = s
+        self.convention = convention
 
     @property
     def maybe(self) -> bool:
@@ -296,18 +302,35 @@ def _heart_rule(E: FormalComplex, convention: str):
     return single
 
 
-@dataclass(slots=True)
-class ScanRow:
-    s: Fraction
-    t: Fraction
-    best_shift: int | None
-    heart_status: str
-    heart_reason: str | None
-    re: Fraction
-    im: Fraction
-    im_zero: bool
-    phase_sector: str
-    phase_display: float
+class ScanRow(Record):
+    __slots__ = (
+        "s", "t", "best_shift", "heart_status", "heart_reason",
+        "re", "im", "im_zero", "phase_sector", "phase_display",
+    )
+
+    def __init__(
+        self,
+        s: Fraction,
+        t: Fraction,
+        best_shift: int | None,
+        heart_status: str,
+        heart_reason: str | None,
+        re: Fraction,
+        im: Fraction,
+        im_zero: bool,
+        phase_sector: str,
+        phase_display: float,
+    ) -> None:
+        self.s = s
+        self.t = t
+        self.best_shift = best_shift
+        self.heart_status = heart_status
+        self.heart_reason = heart_reason
+        self.re = re
+        self.im = im
+        self.im_zero = im_zero
+        self.phase_sector = phase_sector
+        self.phase_display = phase_display
 
 
 def question_scan(

@@ -19,10 +19,10 @@ Euler characteristics (exact, by Riemann-Roch):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._values import Frozen, set_field
 from .complexes import sheaves_of
 from .errors import Indeterminate, MalformedDescriptor, UnsupportedModel
 from .sheaves import (
@@ -43,23 +43,24 @@ from .variety import (
 )
 
 
-@dataclass(frozen=True)
-class NumClass:
-    model: VarietyModel
-    r: int
-    e1: Fraction
-    e2: Fraction | None = None
+class NumClass(Frozen):
+    __slots__ = ("model", "r", "e1", "e2")
 
-    def __post_init__(self) -> None:
-        for name in ("e1", "e2"):  # exact: an int becomes a Fraction, a float is refused
-            value = getattr(self, name)
+    def __init__(
+        self, model: VarietyModel, r: int, e1: Fraction, e2: Fraction | None = None
+    ) -> None:
+        set_field(self, "model", model)
+        set_field(self, "r", r)
+        for name, value in (("e1", e1), ("e2", e2)):
+            # exact: an int becomes a Fraction, a float is refused
             if type(value) is int:
-                object.__setattr__(self, name, Fraction(value))
+                value = Fraction(value)
             elif not isinstance(value, (Fraction, type(None))):
                 raise MalformedDescriptor(f"{name} must be a Fraction or an int, got {value!r}")
-        if self.model.dim >= 2 and self.e2 is None:
+            set_field(self, name, value)
+        if model.dim >= 2 and self.e2 is None:
             raise MalformedDescriptor("e2 required in dimension >= 2")
-        if self.model.dim == 1 and self.e2 is not None:
+        if model.dim == 1 and self.e2 is not None:
             raise MalformedDescriptor("e2 is absent on curves")
 
 

@@ -17,7 +17,6 @@ import argparse
 import json
 import shlex
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -480,8 +479,11 @@ def main(argv=None) -> int:
         text = error_text(str(exc))
         code = exc.exit_code
     except Exception as exc:  # a defect in the kit: keep it apart from exit 1
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame, where it was raised
+            tb = tb.tb_next
+        func = tb.tb_frame.f_code
+        where = f"{Path(func.co_filename).name}:{tb.tb_lineno} in {func.co_name}"
         error = f"internal error: {type(exc).__name__}: {exc} (at {where})"
         text = error_text(error)
         code = INTERNAL_ERROR_EXIT

@@ -86,7 +86,7 @@ from .sheaves import (
     tensor_line,
     validate_descriptor,
 )
-from .tables import CohomologyTable, Rows, Spans, placed, zero_rows
+from .tables import CohomologyTable, Rows, Spans, layout, zero_rows
 from .variety import (
     KIND_ELLIPTIC,
     KIND_PRODUCT,
@@ -324,15 +324,20 @@ def _add_fills(resolved, spans, rows: Rows) -> None:
             fill(lo, hi, mult, rows, base)
 
 
-def _filled(resolved, window: tuple[int, int], spans: Spans | None = None) -> CohomologyTable:
+def _filled(
+    resolved, window: tuple[int, int], spans: Spans | None = None, shared=None
+) -> CohomologyTable:
     """The table over the window that the resolved atoms fill, held at
-    the twists of the spans, or at every twist for None."""
+    the twists of the spans, or at every twist for None; ``shared`` is
+    the spans' ``layout`` when other tables are built on it too."""
     lo, hi = window
-    held = ((lo, hi, lo),) if spans is None else placed(spans)
+    held, at = ((lo, hi, lo),), None
+    if spans is not None:
+        held, at = shared or layout(spans)
     _, last, base = held[-1]  # the last held twist sits at the last position
     rows = zero_rows(last - base + 1)
     _add_fills(resolved, held, rows)
-    return CohomologyTable(window, rows=rows, spans=spans)
+    return CohomologyTable(window, rows=rows, spans=spans, at=at)
 
 
 def _held_spans(hi: int, starts: set[int], k: int) -> Spans:
@@ -364,11 +369,12 @@ def _piece_tables(descs, model: VarietyModel, window: tuple[int, int], cuts: tup
     resolved = [_resolve(desc, model) for desc in descs]
     wide = hi - lo + 1 > 2 * k * (len(cuts) + 1)
     breaks = _breaks(chain.from_iterable(resolved)) if wide else None
-    spans = None
+    spans = shared = None
     if breaks is not None:
         starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
         spans = _held_spans(hi, starts, k)
-    return [_filled(atoms, window, spans) for atoms in resolved]
+        shared = layout(spans)
+    return [_filled(atoms, window, spans, shared) for atoms in resolved]
 
 
 def ulrich_table(

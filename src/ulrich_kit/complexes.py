@@ -27,9 +27,9 @@ two, so a witness does not carry it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
+from ._values import Frozen, Record, set_field
 from .cohomology import _twisted_column, sheaf_table, ulrich_table
 from .errors import (
     IncompleteTable,
@@ -62,30 +62,36 @@ CERT_EXACT_BY_VANISHING = "exact-by-vanishing"
 CERT_UPPER_BOUND_ONLY = "upper-bound-only"
 
 
-@dataclass(frozen=True)
-class GlueWitness:
+class GlueWitness(Frozen):
     """A degree-two extension from the sheaf in ``from_degree`` to the
     one directly below it; degree two is the only one a witness records."""
 
-    from_degree: int
-    to_degree: int
-    nonzero: bool = True
+    __slots__ = ("from_degree", "to_degree", "nonzero")
+
+    def __init__(self, from_degree: int, to_degree: int, nonzero: bool = True) -> None:
+        set_field(self, "from_degree", from_degree)
+        set_field(self, "to_degree", to_degree)
+        set_field(self, "nonzero", nonzero)
 
 
-@dataclass(frozen=True)
-class FormalComplex:
-    model: VarietyModel
-    sheaves: tuple[tuple[int, SheafDescriptor], ...]
-    glue: tuple[GlueWitness, ...] = ()
+class FormalComplex(Frozen):
+    __slots__ = ("model", "sheaves", "glue")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        model: VarietyModel,
+        sheaves: tuple[tuple[int, SheafDescriptor], ...],
+        glue: tuple[GlueWitness, ...] = (),
+    ) -> None:
         """One sheaf per degree, held sorted by degree; each glue witness
         joins a degree to the one directly below it, both carrying sheaves."""
-        degrees = [degree for degree, _ in self.sheaves]
+        set_field(self, "model", model)
+        set_field(self, "glue", glue)
+        degrees = [degree for degree, _ in sheaves]
         if len(set(degrees)) != len(degrees):
             raise MalformedDescriptor(f"one sheaf per degree, got degrees {degrees}")
-        object.__setattr__(self, "sheaves", tuple(sorted(self.sheaves)))
-        for witness in self.glue:
+        set_field(self, "sheaves", tuple(sorted(sheaves)))
+        for witness in glue:
             if witness.from_degree - witness.to_degree != 1:
                 raise MalformedDescriptor(
                     "glue connects a degree to the one directly below it"
@@ -181,8 +187,7 @@ def direct_sum_complexes(*parts: FormalComplex) -> FormalComplex:
     return formal_complex(model, sheaves, tuple(glue))
 
 
-@dataclass
-class HyperTableResult:
+class HyperTableResult(Record):
     """Hypercohomology sums and the exactness certificate of each twist.
 
     Without glue every twist is ``exact``.  With glue a twist is
@@ -192,8 +197,11 @@ class HyperTableResult:
     stores nonzero entries inside its window only.
     """
 
-    table: CohomologyTable
-    glued: bool
+    __slots__ = ("table", "glued")
+
+    def __init__(self, table: CohomologyTable, glued: bool) -> None:
+        self.table = table
+        self.glued = glued
 
     def _certify(self, nonzero: bool) -> str:
         if not self.glued:
@@ -243,15 +251,23 @@ def _rebuilds(n: int, table: CohomologyTable) -> bool:
     return ulrich_table(n, table.column(0), table.window, table.spans) == table
 
 
-@dataclass
-class TriangleVerdict:
+class TriangleVerdict(Record):
     """Outcome of the two-out-of-three transfer on a triangle E -> F -> G;
     ``implied_euler`` holds the third vertex's integer Euler sums."""
 
-    third_role: str
-    witness: tuple[str, int, int, int] | None
-    implied_euler: dict[int, int] | None
-    chi_additive: bool | None
+    __slots__ = ("third_role", "witness", "implied_euler", "chi_additive")
+
+    def __init__(
+        self,
+        third_role: str,
+        witness: tuple[str, int, int, int] | None,
+        implied_euler: dict[int, int] | None,
+        chi_additive: bool | None,
+    ) -> None:
+        self.third_role = third_role
+        self.witness = witness
+        self.implied_euler = implied_euler
+        self.chi_additive = chi_additive
 
     @property
     def certified(self) -> bool:
@@ -363,18 +379,27 @@ def restrict_hyperplane(E: FormalComplex) -> FormalComplex:
     return formal_complex(target, sheaves, E.glue)
 
 
-@dataclass
-class PushforwardReport:
+class PushforwardReport(Record):
     """Finite-projection transfer onto projective space of the same
     dimension.  Twisted cohomology transfers unchanged; an Ulrich object
     pushes to a sum of shifts of the structure sheaf with recorded
     multiplicities."""
 
-    target: VarietyModel
-    table: CohomologyTable
-    multiplicities: dict[int, int] | None
-    witness: tuple[int, int, int] | None
-    reconstruction_ok: bool | None
+    __slots__ = ("target", "table", "multiplicities", "witness", "reconstruction_ok")
+
+    def __init__(
+        self,
+        target: VarietyModel,
+        table: CohomologyTable,
+        multiplicities: dict[int, int] | None,
+        witness: tuple[int, int, int] | None,
+        reconstruction_ok: bool | None,
+    ) -> None:
+        self.target = target
+        self.table = table
+        self.multiplicities = multiplicities
+        self.witness = witness
+        self.reconstruction_ok = reconstruction_ok
 
     @property
     def trivialized(self) -> bool:

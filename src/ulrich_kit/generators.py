@@ -12,10 +12,10 @@ that is a nonzero Ulrich object (Bondal-Kapranov 1989).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._values import Frozen, Record, set_field
 from .chern import class_of
 from .complexes import first_nonvanishing, hyper_column, sheaves_of
 from .errors import (
@@ -45,8 +45,7 @@ from .variety import (
 )
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(Frozen):
     """Coordinate vector of a class in the numerical K-group.
 
     Coordinates are model-specific pairings chosen to be injective on
@@ -55,8 +54,11 @@ class K0Class:
     genus-one curve.  All are ints but that degree e1 * d, a Fraction.
     """
 
-    model: VarietyModel
-    coords: tuple[int | Fraction, ...]
+    __slots__ = ("model", "coords")
+
+    def __init__(self, model: VarietyModel, coords: tuple[int | Fraction, ...]) -> None:
+        set_field(self, "model", model)
+        set_field(self, "coords", coords)
 
 
 def k0_class(obj, model: VarietyModel) -> K0Class:
@@ -111,10 +113,12 @@ def lattice_rank(vectors: list[tuple[int | Fraction, ...]]) -> int:
     return rank
 
 
-@dataclass
-class GateResult:
-    rank: int
-    needed: int
+class GateResult(Record):
+    __slots__ = ("rank", "needed")
+
+    def __init__(self, rank: int, needed: int) -> None:
+        self.rank = rank
+        self.needed = needed
 
     @property
     def passed(self) -> bool:
@@ -140,11 +144,15 @@ def generator_gate(descs: list, model: VarietyModel) -> GateResult:
     return GateResult(rank=lattice_rank(vectors), needed=model.k0_rank)
 
 
-@dataclass(frozen=True)
-class Collection:
-    model: VarietyModel
-    members: tuple[SheafDescriptor, ...]
-    kind: str = "custom"
+class Collection(Frozen):
+    __slots__ = ("model", "members", "kind")
+
+    def __init__(
+        self, model: VarietyModel, members: tuple[SheafDescriptor, ...], kind: str = "custom"
+    ) -> None:
+        set_field(self, "model", model)
+        set_field(self, "members", members)
+        set_field(self, "kind", kind)
 
 
 def beilinson_collection(model: VarietyModel) -> Collection:
@@ -193,9 +201,11 @@ def register_collection(collection: Collection) -> Collection:
     return collection
 
 
-@dataclass
-class MembershipVerdict:
-    witness: tuple[str, int, int | tuple[int, ...], int] | None = None
+class MembershipVerdict(Record):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: tuple[str, int, int | tuple[int, ...], int] | None = None) -> None:
+        self.witness = witness
 
     @property
     def member_of_orthogonal(self) -> bool:
@@ -236,10 +246,12 @@ def orthogonal_membership(
     return MembershipVerdict(None if hit is None else (format_sheaf(hit[0]), *hit[1:]))
 
 
-@dataclass
-class EllipticWitness:
-    descriptor: SemistableEC
-    verdict: UlrichVerdict
+class EllipticWitness(Record):
+    __slots__ = ("descriptor", "verdict")
+
+    def __init__(self, descriptor: SemistableEC, verdict: UlrichVerdict) -> None:
+        self.descriptor = descriptor
+        self.verdict = verdict
 
 
 def elliptic_witness(model: VarietyModel) -> EllipticWitness:

@@ -39,9 +39,8 @@ machinery: ``cohomology._rule`` (the oracle), ``chern._class_of_atom``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Union
 
+from ._values import Frozen, set_field
 from .errors import (
     MalformedDescriptor,
     ModelMismatch,
@@ -58,54 +57,111 @@ from .variety import (
 )
 
 
-@dataclass(frozen=True)
-class LineBundle:
-    twists: tuple[int, ...]
+class LineBundle(Frozen):
+    __slots__ = ("twists",)
+
+    def __init__(self, twists: tuple[int, ...]) -> None:
+        set_field(self, "twists", twists)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.twists == other.twists
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.twists,))
 
 
-@dataclass(frozen=True)
-class Spinor:
-    sign: str | None = None  # "+", "-" on even quadrics, None on odd
+class Spinor(Frozen):
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: str | None = None) -> None:
+        # "+", "-" on even quadrics, None on odd
+        set_field(self, "sign", sign)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.sign == other.sign
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sign,))
 
 
-@dataclass(frozen=True)
-class SemistableEC:
-    rank: int
-    degree: int
-    # Whether the degree-zero member of the twist orbit has the
-    # trivial-determinant type (so carries the one section).  None means
-    # unknown; it is only consulted when a twisted degree hits zero.
-    trivial_type: bool | None = None
+class SemistableEC(Frozen):
+    __slots__ = ("rank", "degree", "trivial_type")
+
+    def __init__(self, rank: int, degree: int, trivial_type: bool | None = None) -> None:
+        # Whether the degree-zero member of the twist orbit has the
+        # trivial-determinant type (so carries the one section).  None means
+        # unknown; it is only consulted when a twisted degree hits zero.
+        set_field(self, "rank", rank)
+        set_field(self, "degree", degree)
+        set_field(self, "trivial_type", trivial_type)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.degree, self.trivial_type) == (
+                other.rank, other.degree, other.trivial_type
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.degree, self.trivial_type))
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    parts: tuple[tuple["SheafDescriptor", int], ...]
+class DirectSum(Frozen):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[SheafDescriptor, int], ...]) -> None:
+        set_field(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
-class ExternalTensor:
-    left: "SheafDescriptor"
-    right: "SheafDescriptor"
+class ExternalTensor(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: SheafDescriptor, right: SheafDescriptor) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, eq=False)
-class AbstractSheaf:
+class AbstractSheaf(Frozen):
     """Opaque sheaf known only through explicit attached data.
 
     Compares and hashes by identity: each instance is its own sheaf.  An
     attached class must have its rank and live on the model it is used on.
     """
 
-    rank: int
-    label: str = "abstract"
-    num_class: object | None = None
-    table: object | None = None
+    __slots__ = ("rank", "label", "num_class", "table")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, rank: int, label: str = "abstract", num_class: object | None = None,
+        table: object | None = None,
+    ) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "label", label)
+        set_field(self, "num_class", num_class)
+        set_field(self, "table", table)
 
 
-SheafDescriptor = Union[
-    LineBundle, Spinor, SemistableEC, DirectSum, ExternalTensor, AbstractSheaf
-]
+SheafDescriptor = LineBundle | Spinor | SemistableEC | DirectSum | ExternalTensor | AbstractSheaf
 
 
 def line_bundle(*twists: int) -> LineBundle:
@@ -273,7 +329,8 @@ def tensor_line(
         if isinstance(atom, LineBundle):
             return LineBundle(tuple(a + b for a, b in zip(atom.twists, shift)))
         if isinstance(atom, SemistableEC):
-            return replace(atom, degree=atom.degree + atom.rank * shift[0] * model.deg)
+            degree = atom.degree + atom.rank * shift[0] * model.deg
+            return SemistableEC(atom.rank, degree, atom.trivial_type)
         if isinstance(atom, ExternalTensor):
             left, right = model.factor_models
             return ExternalTensor(

@@ -10,6 +10,8 @@ is derived on its first read and kept.  A table holds every twist of its
 window, or, given ``spans``, those of the sorted closed spans only, laid
 out span after span (``placed``), so it never allocates the twists it
 skips: the piece tables the Ulrich verdicts and the decompositions read.
+The spans are laid out once per set of tables built on them
+(``layout``), and those tables share their map of row positions.
 """
 
 from __future__ import annotations
@@ -47,18 +49,28 @@ def placed(spans: Spans) -> tuple[tuple[int, int, int], ...]:
     return tuple((a, b, a - size) for (a, b), size in zip(spans, sizes))
 
 
+def layout(spans: Spans) -> tuple[tuple[tuple[int, int, int], ...], dict[int, int]]:
+    """The spans ``placed``, and the row position of each held twist:
+    what every table held on the spans shares, since neither changes."""
+    held = placed(spans)
+    return held, {t: t - base for a, b, base in held for t in range(a, b + 1)}
+
+
 class CohomologyTable:
     """Dimensions h^i(E(t)) at the held twists of a closed twist window.
 
     Built from ``entries``, a mapping (i, t) -> h of which the nonzero
     values inside the window are kept, or from ``rows`` as ``zero_rows``
-    makes them, laid out over ``spans`` when given.  Every build passes
-    through ``__post_init__``.  A read at a twist the table does not hold
-    is refused as one outside the window is.
+    makes them, laid out over ``spans`` when given; ``at``, the row
+    positions of a ``layout`` of the spans, is laid out here when not
+    given.  Every build passes through ``__post_init__``.  A read at a
+    twist the table does not hold is refused as one outside the window is.
     """
 
-    def __init__(self, window, entries=None, *, rows: Rows | None = None, spans=None) -> None:
-        self.window, self.spans = window, spans
+    def __init__(
+        self, window, entries=None, *, rows: Rows | None = None, spans=None, at=None
+    ) -> None:
+        self.window, self.spans, self._at = window, spans, at
         self._entries, self._rows = entries, rows
         self.__post_init__()
 
@@ -67,8 +79,8 @@ class CohomologyTable:
         if lo > hi:
             raise IncompleteTable(f"empty window {self.window}")
         # the row position of each held twist; None when all are held
-        held = () if self.spans is None else placed(self.spans)
-        self._at = {t: t - base for a, b, base in held for t in range(a, b + 1)} if held else None
+        if self.spans and self._at is None:
+            self._at = layout(self.spans)[1]
         rows = self._rows
         if rows is None:
             rows, kept = zero_rows(hi - lo + 1), {}
@@ -199,4 +211,4 @@ def shifted_sum(window: tuple[int, int], parts) -> CohomologyTable:
         for i, row in table._rows.items():
             held = rows.get(i + q)
             rows[i + q] = row if held is None else [x + y for x, y in zip(held, row)]
-    return CohomologyTable(window, rows=rows, spans=spans)
+    return CohomologyTable(window, rows=rows, spans=spans, at=parts[0][1]._at if parts else None)

@@ -27,10 +27,10 @@ multiplicity dim Hom^q(G, E) in degree q: h^q(E(-v)) for the ruling G = O(v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from itertools import takewhile
-from typing import Sequence
 
+from ._values import Record
 from .chern import ulrich_chern_solve
 from .cohomology import (
     _elliptic_pair,
@@ -94,28 +94,38 @@ from .variety import (
 MODES = ("direct", "sheafwise", "both")
 
 
-@dataclass
-class Criterion:
+class Criterion(Record):
     """One check of a verdict.  Its flag is read off its witness: the
     check passes exactly when it found none."""
 
-    name: str
-    twists: Sequence[int]
-    witness: tuple[int, int, int] | None = None
-    note: str = ""
+    __slots__ = ("name", "twists", "witness", "note")
+
+    def __init__(
+        self,
+        name: str,
+        twists: Sequence[int],
+        witness: tuple[int, int, int] | None = None,
+        note: str = "",
+    ) -> None:
+        self.name = name
+        self.twists = twists
+        self.witness = witness
+        self.note = note
 
     @property
     def passed(self) -> bool:
         return self.witness is None
 
 
-@dataclass
-class UlrichVerdict:
+class UlrichVerdict(Record):
     """Criteria in the order they ran; the verdict passes when every
     criterion passes, so its flag too is read off the witnesses."""
 
-    mode: str
-    criteria: list[Criterion] = field(default_factory=list)
+    __slots__ = ("mode", "criteria")
+
+    def __init__(self, mode: str, criteria: list[Criterion] | None = None) -> None:
+        self.mode = mode
+        self.criteria = [] if criteria is None else criteria
 
     @property
     def passed(self) -> bool:

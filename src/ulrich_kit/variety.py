@@ -23,10 +23,10 @@ only here.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
+from ._values import Frozen, set_field
 from .errors import MalformedModel, UnsupportedModel
 from .rational import format_rational, parse_int, parse_rational
 
@@ -37,16 +37,30 @@ KIND_SURFACE = "surface"
 KIND_ELLIPTIC = "elliptic"
 
 
-@dataclass(frozen=True)
-class VarietyModel:
-    kind: str
-    dim: int
-    deg: int
-    chi0: int
-    canonical_coeff: Fraction | None
-    k0_rank: int | None
-    ambient_dim: int | None
-    factors: tuple[int, int] | None = None  # product models only
+class VarietyModel(Frozen):
+    __slots__ = (
+        "kind", "dim", "deg", "chi0", "canonical_coeff", "k0_rank", "ambient_dim", "factors",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        dim: int,
+        deg: int,
+        chi0: int,
+        canonical_coeff: Fraction | None,
+        k0_rank: int | None,
+        ambient_dim: int | None,
+        factors: tuple[int, int] | None = None,  # product models only
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "dim", dim)
+        set_field(self, "deg", deg)
+        set_field(self, "chi0", chi0)
+        set_field(self, "canonical_coeff", canonical_coeff)
+        set_field(self, "k0_rank", k0_rank)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "factors", factors)
 
     @property
     def canonical_twists(self) -> tuple[int, ...] | None:
@@ -184,7 +198,7 @@ def elliptic_curve(d: int) -> VarietyModel:
 
 def invariants(model: VarietyModel) -> dict:
     """Flat record of the model's numerical invariants."""
-    return asdict(model)
+    return {name: getattr(model, name) for name in VarietyModel.__slots__}
 
 
 def hyperplane_model(model: VarietyModel) -> VarietyModel:

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import traceback
 from pathlib import Path
 
 import pytest
@@ -750,6 +751,44 @@ class TestBoundaries:
         jsonschema.validate(report, SCHEMA)
         assert "RuntimeError: simulated defect" in report["error"]
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("defect", ["call", "attribute", "nested"])
+    def test_an_internal_error_names_the_frame_traceback_names(self, capsys, monkeypatch, defect):
+        """The innermost frame, read off ``__traceback__``: the file, line
+        and function ``traceback.extract_tb`` gives, on expressions that
+        span lines too."""
+
+        def inner(args):
+            return int(
+                "not a number"
+            )
+
+        def broken(args):
+            if defect == "call":
+                return int(
+                    args.sheaf
+                )
+            if defect == "attribute":
+                return (
+                    args
+                    .missing
+                )
+            return inner(
+                args
+            )
+
+        argv = ["table", "--variety", "pn:2", "--sheaf", "O(0)"]
+        monkeypatch.setattr(ulrich_kit.cli, "_cmd_table", broken)
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        try:
+            broken(ulrich_kit.cli.build_parser().parse_args(argv))
+        except Exception as exc:  # noqa: BLE001 - the same defect, raised here
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+            expected = f"internal error: {type(exc).__name__}: {exc} (at {where})"
+        assert code == 4
+        assert report["error"] == expected
 
     @pytest.mark.parametrize("defect", [ModeDisagreement, OracleDefect])
     def test_kit_defects_are_exit_four(self, capsys, monkeypatch, defect):

@@ -14,8 +14,11 @@ only in the oracle, the class and the dual rule, no module but
 ``tables`` and ``cohomology`` reads a table's rows, no public table
 holds fewer twists than its window, no cache outlives a call but the
 Q^3 spinor recursion's, no ``Fraction`` wraps an integer table read, no
-``ext_dimension`` is read in a loop, and every kit name the benchmark's
-tracer looks up still exists.
+``ext_dimension`` is read in a loop, every kit name the benchmark's
+tracer looks up still exists, and no code is generated at import: no
+``dataclasses``, ``typing`` or ``traceback`` import, no ``exec``,
+``eval`` or ``compile``, and a fresh interpreter that imports the CLI
+loads none of the modules only those pull in.
 
 The package re-exports its public names from ``__init__.py``, so that
 file is the one exception to the import rule.  Elsewhere a name kept for
@@ -27,6 +30,8 @@ needed here.
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_args
 
@@ -511,7 +516,8 @@ def test_table_rows_are_read_only_in_tables_and_cohomology():
     of ``cohomology``; everything else reads columns, entries and whole
     tables.  Both hyper sums, ``complexes.hyper_table`` and
     ``ulrich._ulrich_hyper_table``, go through ``tables.shifted_sum``, and
-    the Eisenbud-Schreyer rebuild compares whole tables with ``==``."""
+    the Eisenbud-Schreyer rebuild compares tables with ``==``: whole
+    tables, or a decomposition's piece tables on its one span layout."""
     found = [
         f"{name}:{line}"
         for name, tree in TREES.items()
@@ -745,3 +751,49 @@ def test_the_calls_the_benchmark_workloads_make_bind():
         except (AttributeError, TypeError) as exc:
             unbound.append(f"workloads.py:{call.lineno} uk.{name}: {exc}")
     assert calls and not unbound, f"benchmark calls that no longer bind: {unbound}"
+
+
+# Modules the kit does not import: ``dataclasses`` builds each generated
+# method as source text and compiles it on every start, ``typing`` is
+# not read at run time, and ``traceback`` reads source files to name a
+# frame the CLI reads off ``__traceback__``.
+UNIMPORTED = ("dataclasses", "typing", "traceback")
+# What those pull in, and nothing else the CLI needs.
+UNLOADED = UNIMPORTED + ("inspect", "ast", "dis", "copy", "linecache", "tokenize")
+
+
+def test_no_module_generates_code():
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in ("exec", "eval", "compile"):
+                    found.append(f"{name}:{node.lineno} {node.func.id}(...)")
+                continue
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} import {module}"
+                for module in modules
+                if module.split(".")[0] in UNIMPORTED
+            ]
+    assert not found, f"code generation or its modules in the kit: {found}"
+
+
+def test_a_cli_child_loads_no_code_generation_modules():
+    """A fresh ``python -S`` child (no site hooks, which may load any of
+    them) imports the CLI; none of the modules is then loaded."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ulrich_kit.cli; "
+        f"print(' '.join(name for name in {UNLOADED!r} if name in sys.modules))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [], f"loaded by import ulrich_kit.cli: {child.stdout}"

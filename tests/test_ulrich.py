@@ -384,6 +384,42 @@ class TestUlrichObject:
             # the sheaf tables, then the hyper table and the rebuild
             assert built == [window] * (len(sheaves) + 2)
 
+    @pytest.mark.parametrize("spec, sheaves", COUNT_CASES)
+    def test_span_tables_are_laid_out_once(self, monkeypatch, spec, sheaves):
+        # on a window wide enough to cut, every call of tables.placed is
+        # counted, from whichever module, against the span tables built: a
+        # verdict lays out each table's spans once, and a decomposition
+        # lays out its sheaf tables' one layout once, which its hyper table
+        # shares, and its rebuild's once
+        model = parse_variety(spec)
+        E = formal_complex(model, {d: parse_sheaf(s, model) for d, s in sheaves.items()})
+        window = (-300, 300)
+        span_tables, calls = [], []
+        post_init, placed = CohomologyTable.__post_init__, ulrich_kit.tables.placed
+
+        def counting(table):
+            span_tables.extend([table] * (table.spans is not None))
+            post_init(table)
+
+        def counting_placed(spans):
+            calls.append(spans)
+            return placed(spans)
+
+        monkeypatch.setattr(CohomologyTable, "__post_init__", counting)
+        for module in (ulrich_kit.tables, ulrich_kit.cohomology):
+            if hasattr(module, "placed"):
+                monkeypatch.setattr(module, "placed", counting_placed)
+        for mode in ("sheafwise", "both"):
+            span_tables.clear(), calls.clear()
+            ulrich = is_ulrich_object(E, mode, window).passed
+            assert len(calls) <= len(span_tables), mode
+        decompose = pn_decompose if model.kind == "pn" else quadric_decompose
+        if ulrich:
+            span_tables.clear(), calls.clear()
+            decompose(E, window)
+            assert len(span_tables) in (0, len(sheaves) + 2)
+            assert len(calls) == (2 if span_tables else 0)
+
     def test_the_direct_criterion_reads_only_the_ulrich_twists(self):
         # twist 0 of ss(1,0) needs its triviality bit, which the direct
         # criterion never reads: it answers as membership against O(1) does
