@@ -38,16 +38,18 @@ changes, given by ``_rule`` with its fill and read off the bounds that
 fill reads (``_resolve`` gives both in one ``_rule`` call per atom, and
 ``_breaks`` takes the union over the atoms): -n-a for O(a)
 on P^n, 1-n-a for O(a) on Q^n (the first break of its O(a-1) part), -n
-for an even spinor, the breaks of both factors for Kunneth, and on a
-genus-one curve the zero twist and the one after it.  A Bott row also
-reads a second bound, -a, where h^0 starts; it is no break, because the
-h^0 and h^n binomials both vanish on the gap -n-a <= t < -a, so each row
-is one polynomial on each side of any twist in that gap.  So 1-n-a, in
-the gaps of both parts of O(a) on Q^n, is its one break, and the O(a)
-part's -n-a is none.  Between breaks every entry is a polynomial in t of
-degree at most the dimension n: a binomial in t, a sum of two, a product
-of the factors' polynomials, or a linear form.  A nonzero one has at most n
-roots, so an entry nonzero anywhere on a piece is nonzero at one of its
+for a spinor, the breaks of both factors for Kunneth, and on a
+genus-one curve the zero twist and the one after it.  The Q^3 spinor
+breaks at -3 although its recursion fills it: S is Ulrich and pushes
+forward to O^4 on P^3, so each of its rows is 4 times a Bott row of O.
+A Bott row also reads a second bound, -a, where h^0 starts; it is no
+break, because the h^0 and h^n binomials both vanish on the gap
+-n-a <= t < -a, so each row is one polynomial on each side of any twist
+in that gap.  So 1-n-a, in the gaps of both parts of O(a) on Q^n, is its
+one break, and the O(a) part's -n-a is none.  Between breaks every entry
+is a polynomial in t of degree at most the dimension n: a binomial in t,
+a sum of two, a product of the factors' polynomials, or a linear form.
+A nonzero one has at most n roots, so an entry nonzero anywhere on a piece is nonzero at one of its
 first n + 1 twists and at one of its last n + 1, and two such entries
 that agree at the first n + 1 twists of a piece agree on all of it.
 ``_piece_tables`` holds rows at those twists only, its tables on one
@@ -56,13 +58,14 @@ such table per sheaf and walks whole pieces, so it finds what the whole
 table finds.  A decomposition lays every sheaf of the object out on one
 layout: its hyper table adds their rows position by position, and its
 Eisenbud-Schreyer rebuild, ``ulrich_table`` on the same spans (its one
-break, -n, is a cut), is compared with it there.  Stored tables and
-the Q^3 spinor have no breaks and are built at every twist: a stored
-table is data, not a rule, and the spinor recursion reaches a twist
-only through the twists between it and zero: h^0 from k - 1, h^3 from
-k + 1.  The ascending fill keeps h^0 shallow but reaches h^3 cold at the
-bottom of a window, so one starting below about -490 exceeds the
-interpreter's recursion depth (h^3 warmed downward from -4 does not).
+break, -n, is a cut), is compared with it there.  Only stored tables
+have no breaks and are built at every twist: a stored table is data,
+not a rule.  The spinor recursion reaches a twist only through the
+twists between it and zero: h^0 from k - 1, h^3 from k + 1.  Its fill
+reads h^0 upward, in steps to the first twist of a span, so h^0 stays
+shallow, but reaches h^3 cold at the bottom of a window, so a table or
+a piece table starting below about -490 exceeds the interpreter's
+recursion depth (h^3 warmed downward from -4 does not).
 """
 
 from __future__ import annotations
@@ -201,7 +204,11 @@ def _spinor3_h3(k: int) -> int:
 
 
 def _add_spinor3(lo: int, hi: int, mult: int, rows: Rows, base: int) -> None:
-    # ascending twists keep h^0 shallow; h^3 recurses up to -3 from a cold bottom
+    # ascending twists keep h^0 shallow, and so does reading it up to lo in
+    # steps, where a piece table's span starts far above the last twist
+    # read; h^3 recurses up to -3 from a cold bottom
+    for t in range(0, lo, 128):
+        _spinor3_h0(t)
     for t in range(lo, hi + 1):
         for i, h in ((0, _spinor3_h0(t)), (3, _spinor3_h3(t))):
             if h:
@@ -256,9 +263,10 @@ def _rule(
     fill(lo, hi, mult, rows, base) adds mult * h^i(atom(t)) to
     rows[i][t - base] for every lo <= t <= hi; breaks are read off the
     bounds that fill reads, one twist in the gaps of all its Bott rows
-    (see Pieces), and are None for a stored table, the Q^3 spinor, or an
-    atom with no oracle, whose fill raises NoOracle.  A quadric atom is
-    read as the Bott rows of its push-forward to P^n."""
+    (see Pieces), and are None only for a stored table or an atom with
+    no oracle, whose fill raises NoOracle.  A quadric atom is read as the
+    Bott rows of its push-forward to P^n, which for the Q^3 spinor gives
+    only its break: its recursion fills it."""
     if isinstance(atom, AbstractSheaf):
         if atom.table is None:
             return partial(_refuse, f"{format_sheaf(atom)} carries no table"), None
@@ -274,7 +282,7 @@ def _rule(
             return partial(_add_projected, n, ((a, 1), (a - 1, 1))), (1 - n - a,)
         if isinstance(atom, Spinor):
             if None in model.spinor_signs:
-                return _add_spinor3, None
+                return _add_spinor3, (-n,)
             return partial(_add_projected, n, ((0, 2 * model.spinor_rank),)), (-n,)
     elif model.kind == KIND_PRODUCT:
         if isinstance(atom, LineBundle):
@@ -361,8 +369,9 @@ def _piece_tables(descs, model: VarietyModel, window: tuple[int, int], cuts: tup
     each piece (see Pieces in the module docstring), the window cut at
     the cuts and at the breaks of every desc, so their rows line up
     position by position.  Every table is whole where a desc has no
-    breaks, or where the window has at most 2 (dim + 1) twists for each
-    piece the cuts make, which leaves little to skip."""
+    breaks, where the window has at most 2 (dim + 1) twists for each
+    piece the cuts make, or where the spans would hold more than half
+    the window: there cutting saves less than a fill call per span costs."""
     check_window(window)
     lo, hi = window
     k = model.dim + 1
@@ -373,7 +382,10 @@ def _piece_tables(descs, model: VarietyModel, window: tuple[int, int], cuts: tup
     if breaks is not None:
         starts = {lo} | {t for t in chain(cuts, breaks) if lo < t <= hi}
         spans = _held_spans(hi, starts, k)
-        shared = layout(spans)
+        if 2 * sum(b - a + 1 for a, b in spans) > hi - lo + 1:
+            spans = None
+        else:
+            shared = layout(spans)
     return [_filled(atoms, window, spans, shared) for atoms in resolved]
 
 

@@ -686,6 +686,10 @@ CROSSINGS = (
     (quadric(4), line_bundle(1), (-12, 12)),
     (quadric(2), parse_sheaf("S+ + 2*S-", quadric(2)), (-12, 12)),
 )
+# The Q^3 spinor, which its recursion fills, with a line whose break 1-n-a
+# = -1 lies two twists above the spinor's -3, over a window wide enough
+# to be cut.
+SPINOR_LINE = (quadric(3), parse_sheaf("S + O(-1)", quadric(3)), (-40, 40))
 
 
 @settings(max_examples=80, deadline=None)
@@ -707,6 +711,7 @@ def test_tables_and_columns_match_the_per_twist_reference(case, offset):
 @given(case=tables_to_build(), cuts=st.lists(st.integers(-320, 320), max_size=3))
 @example(case=CROSSINGS[0], cuts=[])
 @example(case=CROSSINGS[1], cuts=[])
+@example(case=SPINOR_LINE, cuts=[])
 def test_piece_tables_hold_the_reference_at_their_held_twists_only(case, cuts):
     # the rows of a piece table are laid out span after span; every held
     # twist must read its own column, every other one the outside error
@@ -740,10 +745,9 @@ def test_hyper_tables_are_the_e2_sums_of_the_reference_columns(model, window, da
 
 def holds_no_rule(desc, model):
     """Whether an atom of desc, or of a tensor factor of one, is a stored
-    table or the Q^3 spinor: the atoms built at every twist."""
+    table: the atoms built at every twist."""
     return any(
         isinstance(atom, AbstractSheaf)
-        or isinstance(atom, Spinor) and model.dim == 3
         or isinstance(atom, ExternalTensor)
         and any(map(holds_no_rule, (atom.left, atom.right), model.factor_models))
         for atom, _ in flatten_atoms(desc)
@@ -764,14 +768,17 @@ def pieces_cases(draw):
 @example(case=(product_proj(1, 2), (-12, 12), ExternalTensor(line_bundle(2), line_bundle(-2))))
 @example(case=(quadric(4), (-12, 12), line_bundle(1)))
 @example(case=(quadric(2), (-12, 12), parse_sheaf("S+ + 2*S-", quadric(2))))
+@example(case=(SPINOR_LINE[0], SPINOR_LINE[2], SPINOR_LINE[1]))
 def test_every_entry_is_a_polynomial_of_degree_at_most_dim_between_breaks(case):
     # the piece argument (Pieces in the cohomology docstring): on a piece
     # of at least dim + 2 twists the (dim + 1)-th difference of a row
     # vanishes.  The first examples are external tensors whose factors
     # break at different twists inside the window: random draws seldom
     # reach one, and a tensor rule that kept one factor's breaks only
-    # passes without.  The last two are the quadric CROSSINGS: a line on
+    # passes without.  The next two are the quadric CROSSINGS: a line on
     # Q^4 that broke at -n-a, its O(a) part's stop, would fail the first.
+    # The last is the Q^3 spinor, which its recursion fills but which
+    # breaks at -3 as its push-forward O^4 on P^3 does.
     model, window, desc = case
     breaks = _breaks(_resolve(desc, model))
     assert (breaks is None) == holds_no_rule(desc, model)

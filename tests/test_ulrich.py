@@ -830,8 +830,8 @@ def piece_windows(draw, model):
 
 @st.composite
 def piece_sheaves(draw, model, window):
-    """An oracle descriptor, sums among them, at times with stored tables
-    and spinors, which have no breaks.  Some get a line bundle summand
+    """An oracle descriptor, sums among them, at times with spinors and
+    stored tables, which have no breaks.  Some get a line bundle summand
     with twists up to 300, whose breaks lie deep inside a wide window
     (on P^1 x P^1 with intermediate cohomology over a long range), and
     some a summand whose table raises: a stored table short of the
@@ -889,10 +889,13 @@ def test_a_verdict_holds_as_many_twists_on_any_window(monkeypatch):
     # pn:4, O(0) + O(3): breaks at -7, -4, -3 and 0, cuts at -13, -4 and
     # 0; only the two outer pieces grow with the window, and each is held
     # at its five first and five last twists.  (-10000, 9999) is the
-    # widest window MAX_TWISTS admits.
-    model = proj_space(4)
-    desc = parse_sheaf("O(0) + O(3)", model)
-    E = formal_complex(model, {0: desc})
+    # widest window MAX_TWISTS admits.  The Q^3 spinor breaks at -3, and
+    # its cold recursion bounds its windows: h^3 from below -490 overflows.
+    pn4, q3 = proj_space(4), quadric(3)
+    cases = (
+        (pn4, {0: "O(0) + O(3)"}, ((-100, 100), (-10_000, 9_999))),
+        (q3, {0: "2*S", -1: "S"}, ((-60, 60), (-450, 450))),
+    )
     tables = []
     post_init = CohomologyTable.__post_init__
 
@@ -901,18 +904,32 @@ def test_a_verdict_holds_as_many_twists_on_any_window(monkeypatch):
         post_init(table)
 
     monkeypatch.setattr(CohomologyTable, "__post_init__", recording)
-    held = {}
-    for lo, hi in ((-100, 100), (-10_000, 9_999)):
-        for name, verdict in (
-            ("sheaf", lambda: is_ulrich_sheaf(desc, model, (lo, hi))),
-            ("sheafwise", lambda: is_ulrich_object(E, "sheafwise", (lo, hi))),
-            ("both", lambda: is_ulrich_object(E, "both", (lo, hi))),
-        ):
-            tables.clear()
-            verdict()
-            count = sum(table.covers(t) for table in tables for t in range(lo, hi + 1))
-            held.setdefault(name, []).append(count)
-    assert all(small == wide <= 60 for small, wide in held.values()), held
+    for model, texts, windows in cases:
+        E = formal_complex(model, {q: parse_sheaf(text, model) for q, text in texts.items()})
+        desc = dict(E.sheaves)[0]
+        held = {}
+        for lo, hi in windows:
+            for name, verdict in (
+                ("sheaf", lambda: is_ulrich_sheaf(desc, model, (lo, hi))),
+                ("sheafwise", lambda: is_ulrich_object(E, "sheafwise", (lo, hi))),
+                ("both", lambda: is_ulrich_object(E, "both", (lo, hi))),
+            ):
+                tables.clear()
+                verdict()
+                count = sum(table.covers(t) for table in tables for t in range(lo, hi + 1))
+                held.setdefault(name, []).append(count)
+        assert all(small == wide <= 60 for small, wide in held.values()), (texts, held)
+
+
+def test_a_cold_spinor_verdict_reads_far_positive_twists():
+    # a piece table reads h^0 of the Q^3 spinor first at the last twists
+    # of a wide window, and its recursion runs down to twist 0; read cold,
+    # it must stay inside the interpreter's recursion depth there, as the
+    # ascending fill of a whole table does
+    q3 = quadric(3)
+    E = formal_complex(q3, {0: parse_sheaf("2*S", q3)})
+    ulrich_kit.cohomology._spinor3_h0.cache_clear()
+    assert is_ulrich_object(E, "both", (-15, 5_000)).passed
 
 
 def reference_ulrich_hyper_table(E, window):
@@ -1016,10 +1033,12 @@ def test_a_piece_rebuild_refuses_one_held_entry_off():
 
 
 def test_a_decomposition_holds_as_many_twists_on_any_window(monkeypatch):
-    # the glued three-degree pn:4 complex and a sum of rulings on P^1 x P^1:
-    # every table a decomposition builds holds the ends of each piece, so
-    # only the outer pieces grow with the window, and their held twists do not
-    pn4, p11 = proj_space(4), product_proj(1, 1)
+    # the glued three-degree pn:4 complex, a sum of rulings on P^1 x P^1
+    # and a glued spinor complex on Q^3: every table a decomposition builds
+    # holds the ends of each piece, so only the outer pieces grow with the
+    # window, and their held twists do not.  On P^1 x P^1 at +-15 the spans
+    # would hold 20 of the 31 twists, more than half: every table is whole.
+    pn4, p11, q3 = proj_space(4), product_proj(1, 1), quadric(3)
     glued = formal_complex(
         pn4,
         {0: direct_sum((line_bundle(0), 2)), -1: line_bundle(0), -2: line_bundle(0)},
@@ -1027,6 +1046,9 @@ def test_a_decomposition_holds_as_many_twists_on_any_window(monkeypatch):
     )
     rulings = formal_complex(
         p11, {0: parse_sheaf("O(1,0) + 2*O(0,1)", p11), -1: parse_sheaf("O(1,0)", p11)}
+    )
+    spinors = formal_complex(
+        q3, {0: parse_sheaf("2*S", q3), -1: parse_sheaf("S", q3)}, (GlueWitness(0, -1),)
     )
     tables = []
     post_init = CohomologyTable.__post_init__
@@ -1036,13 +1058,17 @@ def test_a_decomposition_holds_as_many_twists_on_any_window(monkeypatch):
         post_init(table)
 
     monkeypatch.setattr(CohomologyTable, "__post_init__", recording)
-    for decompose, E, want in (
-        (pn_decompose, glued, {0: 2, -1: 1, -2: 1}),
-        (quadric_decompose, rulings, {0: {"+": 1, "-": 2}, -1: {"+": 1, "-": 0}}),
+    for decompose, E, want, widths in (
+        (pn_decompose, glued, {0: 2, -1: 1, -2: 1}, (240, 9_999)),
+        (quadric_decompose, rulings, {0: {"+": 1, "-": 2}, -1: {"+": 1, "-": 0}}, (240, 9_999)),
+        (quadric_decompose, spinors, {0: 2, -1: 1}, (60, 450)),
     ):
+        tables.clear()
         assert decompose(E, (-15, 15)) == want
+        if E is rulings:
+            assert all(table.covers(t) for table in tables for t in range(-15, 16))
         held = []
-        for w in (240, 9_999):
+        for w in widths:
             tables.clear()
             assert decompose(E, (-w, w)) == want
             held.append(sum(table.covers(t) for table in tables for t in range(-w, w + 1)))
