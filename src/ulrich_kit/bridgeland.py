@@ -29,6 +29,7 @@ from .errors import (
     Indeterminate,
     MalformedDescriptor,
     MissingConvention,
+    ModelMismatch,
     NonpositiveT,
     NoSlope,
 )
@@ -201,10 +202,14 @@ def _threshold_scale(d: int, convention: str) -> int:
     )
 
 
-def _side(mu, threshold: Fraction) -> str:
-    """T for slope strictly above the threshold (torsion included), F for
-    slope at or below it."""
-    return "F" if mu <= threshold else "T"
+def _above(mu, scale: int):
+    """s -> whether slope mu lies strictly above the threshold s*scale,
+    in integers.  For mu = a/b and s = p/q (b, q > 0) that is
+    a*q > p*scale*b; a torsion class (``INFINITE``) is always above."""
+    if isinstance(mu, _Infinite):
+        return lambda s: True
+    a, b = mu.numerator, scale * mu.denominator
+    return lambda s: a * s.denominator > s.numerator * b
 
 
 def torsion_classify(
@@ -213,14 +218,18 @@ def torsion_classify(
     """Which side of the torsion pair at parameter s an object falls on.
 
     T for slope strictly above the threshold (torsion included), F for
-    slope at or below it.
+    slope at or below it.  A slope is an int, a Fraction or ``INFINITE``
+    (a bool is refused), and a class must live on the model.
     """
+    if type(obj) is bool:
+        raise MalformedDescriptor(f"a slope must be a Fraction, an int or INFINITE, got {obj!r}")
+    if isinstance(obj, NumClass) and obj.model != model:
+        raise ModelMismatch("class lives on a different model")
     mu = obj if isinstance(obj, (Fraction, int, _Infinite)) else None
     if mu is None:
-        c = obj if isinstance(obj, NumClass) else class_of(obj, model)
-        mu = slope(c)
+        mu = slope(obj if isinstance(obj, NumClass) else class_of(obj, model))
     scale = _threshold_scale(surface_data(model)[0], convention)
-    return _side(mu, _coordinate(s, "s") * scale)
+    return "T" if _above(mu, scale)(_coordinate(s, "s")) else "F"
 
 
 class HeartVerdict(Record):
@@ -265,8 +274,10 @@ def heart_gate(
 def _heart_rule(E: FormalComplex, convention: str):
     """heart_gate for E with everything that does not depend on s done
     once (model and convention checks, support, amplitude, slopes, the
-    equal-slope case): a function s -> HeartVerdict that only compares
-    the slopes with the threshold at s."""
+    equal-slope case): a function s -> HeartVerdict.  At s it decides
+    each slope's side of the torsion pair by one integer predicate
+    (``_above``), so it builds no threshold Fraction and compares no
+    Fraction."""
     scale = _threshold_scale(surface_data(E.model)[0], convention)
 
     def constant(status: str, reason: str | None, best: int | None):
@@ -284,22 +295,29 @@ def _heart_rule(E: FormalComplex, convention: str):
         mu_high = _sheaf_slope(sheaf_map[hi], E.model)
         if mu_low == mu_high:
             return constant("NotInHeart", "equal-slope", hi)
+        low_above, high_above = _above(mu_low, scale), _above(mu_high, scale)
 
         def two_term(s: Fraction) -> HeartVerdict:
-            threshold = s * scale
-            if _side(mu_low, threshold) == "F" and _side(mu_high, threshold) == "T":
+            if not low_above(s) and high_above(s):
                 return HeartVerdict("MaybeInHeart", None, hi, s, convention)
             return HeartVerdict("NotInHeart", "torsion-pair", hi, s, convention)
 
         return two_term
     # single nonzero sheaf: try it in degree 0 (T side), then degree -1 (F side)
-    mu = _sheaf_slope(sheaf_map[lo], E.model)
+    above = _above(_sheaf_slope(sheaf_map[lo], E.model), scale)
 
     def single(s: Fraction) -> HeartVerdict:
-        best = lo if _side(mu, s * scale) == "T" else lo + 1
-        return HeartVerdict("MaybeInHeart", None, best, s, convention)
+        return HeartVerdict("MaybeInHeart", None, lo if above(s) else lo + 1, s, convention)
 
     return single
+
+
+def _order_key(x: Fraction) -> tuple[int, Fraction]:
+    """A sort key for x in the order of values: floor(x * 2^64), then x
+    itself, which tuple comparison reads only where two keys tie.  The
+    key is the size of x plus 64 bits, whatever the grid; a common
+    denominator of the grid would grow with every distinct one."""
+    return (x.numerator << 64) // x.denominator, x
 
 
 class ScanRow(Record):
@@ -349,11 +367,13 @@ def question_scan(
     as integers (``_charge_in_s``) and one read of the grid.
     Coordinates are grouped by object, not by value.  Each distinct
     coordinate object is checked once as the grid is read (an int or a
-    Fraction, and t > 0).
+    Fraction, and t > 0 by its numerator).  The t's and the s's are
+    ordered by integer keys (``_order_key``), as Fractions only on a tie.
 
     Per distinct t object: its rank among the t's, and u, v, h*u^2 and
     v^2 for t = u/v.  Per distinct s value (``1`` and ``Fraction(1)``
-    are one s): its heart verdict, and the charge at s with t = 0 as
+    are one s): its heart verdict, each slope's side read by one integer
+    comparison (``_heart_rule``), and the charge at s with t = 0 as
     unreduced integer numerators over positive denominators, with no
     Fraction arithmetic and no ChargeValue.  im = t*im_s with t > 0, so
     the im = 0 wall is a zero numerator of im_s, and off the wall the
@@ -380,13 +400,13 @@ def question_scan(
         if place is None:
             place = t_places[id(t)] = len(ts)
             ts.append(_coordinate(t, "grid t"))
-            if ts[-1] <= 0:
+            if ts[-1].numerator <= 0:
                 raise NonpositiveT(f"grid t values must be positive, got {t}")
         group = s_groups.get(id(s))
         if group is None:
             group = s_groups[id(s)] = (_coordinate(s, "grid s"), [])
         group[1].append(place)
-    order = sorted(range(len(ts)), key=ts.__getitem__)
+    order = sorted(range(len(ts)), key=[_order_key(t) for t in ts].__getitem__)
     rank = sorted(range(len(ts)), key=order.__getitem__)  # place -> rank
     by_s: dict[Fraction, list[int]] = {}  # one group of t ranks per value of s
     for s, places in s_groups.values():
@@ -401,7 +421,7 @@ def question_scan(
         t_parts.append((u, v, h * u * u, v * v, t))
     sector_of, phase_of = ChargeValue._sector, ChargeValue._phase
     rows = []
-    for s, ranks in sorted(by_s.items()):
+    for s, ranks in sorted(by_s.items(), key=lambda item: _order_key(item[0])):
         verdict = heart(s)
         best, status, reason = verdict.best_shift, verdict.status, verdict.reason
         re_s, q2, re_den, im_s, im_den = at_s(s)

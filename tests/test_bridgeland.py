@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import atan, atan2, nextafter, pi
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulrich_kit import (
@@ -47,6 +47,7 @@ from ulrich_kit.errors import (
     Indeterminate,
     MalformedDescriptor,
     MissingConvention,
+    ModelMismatch,
     NonpositiveT,
     NoSlope,
     UnsupportedModel,
@@ -255,6 +256,23 @@ class TestTorsionClassify:
             with pytest.raises(MalformedDescriptor, match="^s must be"):
                 torsion_classify(Fraction(1), x, K3)
         assert torsion_classify(Fraction(1), 1, K3, "normalized") == "F"
+
+    def test_a_class_on_another_model_is_refused(self):
+        # the solved class has slope 1 on the K3 (threshold 4 at s = 1),
+        # but read against d = 1 it would land on the T side
+        c = ulrich_chern_solve(K3, 2)
+        assert torsion_classify(c, 1, K3) == "F"
+        with pytest.raises(ModelMismatch):
+            torsion_classify(c, 1, rank1_surface(1, -3, 1))
+        with pytest.raises(ModelMismatch):
+            torsion_classify(class_of(line_bundle(0), proj_space(3)), 0, K3)
+
+    def test_a_bool_slope_is_refused(self):
+        # a bool is an int to isinstance, not a slope, as for a coordinate
+        for flag in (True, False):
+            with pytest.raises(MalformedDescriptor, match="^a slope must be"):
+                torsion_classify(flag, 0, K3)
+        assert torsion_classify(1, 0, K3) == "T"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -598,6 +616,22 @@ def scans(draw):
     return E, draw(scan_grids(E))
 
 
+TINY = (Fraction(1, 2**70), Fraction(2, 2**70), Fraction(3, 2**70 + 1))
+HUGE = (10**400, Fraction(10**400 + 1), Fraction(10**401 - 1, 10))
+PAIR = formal_complex(K3, {-1: line_bundle(-1), 0: line_bundle(2)})
+
+
+# values closer than 2^-64 share their order key floor(x * 2^64), on
+# either side of zero, and are ordered as Fractions
+@example(scan=(PAIR, [(s, t) for s in TINY + tuple(-x for x in TINY) for t in TINY[::-1]]),
+         convention="paper-literal")
+# coordinates past the float range, and their negatives
+@example(scan=(PAIR, [(s, t) for s in HUGE + tuple(-x for x in HUGE) for t in HUGE[::-1]]),
+         convention="normalized")
+# int and Fraction duplicates of one value, each kept as its own row
+@example(scan=(PAIR, [(1, 2), (Fraction(1), Fraction(2)), (Fraction(-1, 2), 2), (1, Fraction(2)),
+                      (-2, 1), (Fraction(-2), Fraction(1)), (Fraction(1), 2)]),
+         convention="paper-literal")
 @settings(max_examples=250, deadline=None)
 @given(scan=scans(), convention=st.sampled_from(("paper-literal", "normalized")))
 def test_scan_rows_are_the_gate_and_the_charge_at_each_point(scan, convention):
@@ -645,6 +679,86 @@ def test_scan_covers_every_heart_case():
     # a torsion sheaf in degree 0 is on the T side at every s
     single = question_scan(formal_complex(K3, {0: TORSION}), grid)
     assert {row.best_shift for row in single} == {0}
+
+
+# ------------------------------------- the torsion-pair rule in Fractions
+
+def reference_side(mu, s, scale) -> str:
+    """The torsion-pair rule as written in Fractions: T for a slope
+    strictly above the threshold s*scale (torsion included), F at or
+    below it."""
+    return "F" if mu <= s * scale else "T"
+
+
+def reference_verdict(slopes, s, scale):
+    """heart_gate's (status, reason, best_shift) for a complex with one
+    sheaf of each given slope in degree {degree: slope}, by the rule in
+    Fractions."""
+    lo, hi = min(slopes), max(slopes)
+    if lo == hi:
+        return "MaybeInHeart", None, lo if reference_side(slopes[lo], s, scale) == "T" else lo + 1
+    if slopes[lo] == slopes[hi]:
+        return "NotInHeart", "equal-slope", hi
+    if reference_side(slopes[lo], s, scale) == "F" and reference_side(slopes[hi], s, scale) == "T":
+        return "MaybeInHeart", None, hi
+    return "NotInHeart", "torsion-pair", hi
+
+
+def sheaf_of_slope(model, mu, rank: int) -> AbstractSheaf:
+    """An abstract sheaf whose attached class has slope mu."""
+    if mu is INFINITE:
+        return AbstractSheaf(rank=0, num_class=NumClass(model, 0, Fraction(1), Fraction(0)))
+    return AbstractSheaf(rank=rank, num_class=NumClass(model, rank, mu * rank, Fraction(0)))
+
+
+# far past 2^64 in both parts, so only exact integer work gets the side right
+huge_fraction = st.builds(
+    Fraction, st.integers(-(10**90), 10**90), st.integers(1, 10**90)
+)
+finite_slope = st.one_of(
+    st.integers(-10, 10),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    huge_fraction,
+)
+
+
+@st.composite
+def torsion_cases(draw):
+    model = draw(st.sampled_from(SCAN_MODELS))
+    convention = draw(st.sampled_from(("paper-literal", "normalized")))
+    scale = model.deg if convention == "paper-literal" else 1
+    slopes = draw(st.lists(st.one_of(st.just(INFINITE), finite_slope), min_size=1, max_size=2))
+    finite = [mu for mu in slopes if mu is not INFINITE]
+    # s at a slope's threshold, a hair to either side of it, or anywhere
+    near = st.nothing()
+    if finite:
+        at = st.sampled_from(finite).map(lambda mu: Fraction(mu) / scale)
+        hair = st.sampled_from((0, 1, -1)).map(lambda k: Fraction(k, 10**120))
+        near = st.builds(lambda x, h: x + h, at, hair)
+    s = draw(st.one_of(near, st.integers(-10, 10), finite_slope))
+    return model, convention, scale, slopes, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=torsion_cases(), layout=st.sampled_from(((0,), (-1,), (-1, 0), (0, 1))),
+       ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_the_integer_rule_is_the_fraction_rule(case, layout, ranks):
+    model, convention, scale, slopes, s = case
+    for mu, rank in zip(slopes, ranks):
+        sheaf = sheaf_of_slope(model, mu, rank)
+        side = reference_side(mu, s, scale)
+        assert torsion_classify(mu, s, model, convention) == side
+        assert torsion_classify(sheaf, s, model, convention) == side
+        assert torsion_classify(class_of(sheaf, model), s, model, convention) == side
+    by_degree = dict(zip(layout, slopes * 2))
+    E = formal_complex(
+        model, {q: sheaf_of_slope(model, mu, r) for (q, mu), r in zip(by_degree.items(), ranks)}
+    )
+    verdict = heart_gate(E, s, convention)
+    assert (verdict.status, verdict.reason, verdict.best_shift) == reference_verdict(
+        by_degree, s, scale
+    )
+    assert verdict.s == s and type(verdict.s) is Fraction
 
 
 class TestScanErrors:
@@ -758,12 +872,13 @@ def test_scan_counts_two_fractions_per_point(monkeypatch):
     """The scan's work as a count, which a clock cannot resolve to a few
     percent: every Fraction construction, arithmetic included, is one
     call of ``Fraction.__new__``.  A point makes exactly two, re and im.
-    Beyond that the scan makes at most a = 1 per distinct coordinate
-    (the heart rule's threshold s*d at each s; a t makes none) and
-    b = 32 once per call for this complex (its class, its two slopes and
-    the charge coefficients).  Fraction arithmetic per s or per point,
-    or a ChargeValue built from Fractions, would exceed the bound."""
-    a, b = 1, 32
+    Beyond that the scan makes a = 0 per distinct coordinate (the heart
+    rule reads each slope's side at s in integers and builds no
+    threshold s*d) and at most b = 32 once per call for this complex
+    (its class, its two slopes and the charge coefficients).  Fraction
+    arithmetic per s or per point, or a ChargeValue built from
+    Fractions, would exceed the bound."""
+    a, b = 0, 32
     built = 0
     original = Fraction.__new__
 
@@ -784,3 +899,92 @@ def test_scan_counts_two_fractions_per_point(monkeypatch):
             rows = question_scan(E, grid)
         assert len(rows) == side * side
         assert built <= 2 * side * side + a * (side + side) + b, (side, built)
+
+
+def test_scan_and_gate_compare_no_fractions(monkeypatch):
+    """The scan orders its t's and s's by an integer key, checks t > 0 by
+    its numerator, and the heart rule reads each slope's side at s by an
+    integer comparison, so on a grid of distinct values neither
+    ``question_scan`` nor ``heart_gate`` calls a Fraction order
+    comparison.  Every complex shape is covered: two terms with finite
+    slopes or a torsion term, and a single sheaf in either degree."""
+    compared = 0
+
+    def counting(name):
+        original = getattr(Fraction, name)
+
+        def counted(self, other):
+            nonlocal compared
+            compared += 1
+            return original(self, other)
+
+        return counted
+
+    complexes = (
+        formal_complex(K3, {-1: line_bundle(-1), 0: line_bundle(2)}),
+        formal_complex(K3, {-1: line_bundle(0), 0: TORSION}),
+        formal_complex(K3, {0: line_bundle(2)}),
+        formal_complex(K3, {-1: abstract_ulrich_sheaf(K3, 1)}),
+    )
+    for side in (2, 20):
+        # shared axis objects, as the CLI builds a grid, with s < 0 too
+        s_axis = [Fraction(s - side, side) for s in range(2 * side)]
+        t_axis = [Fraction(t + 1, side) for t in range(side)]
+        grid = [(s, t) for s in reversed(s_axis) for t in reversed(t_axis)]
+        for E in complexes:
+            for convention in ("paper-literal", "normalized"):
+                compared = 0
+                with monkeypatch.context() as patch:
+                    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+                        patch.setattr(Fraction, name, counting(name))
+                    rows = question_scan(E, grid, convention)
+                    verdicts = [heart_gate(E, s, convention) for s in s_axis]
+                assert compared == 0, (side, E, convention)
+                assert len(rows) == 2 * side * side
+                assert [row.s for row in rows[::side]] == s_axis
+                assert [v.s for v in verdicts] == s_axis
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_scan_orders_values_over_many_distinct_denominators():
+    """300 distinct t's whose denominators are distinct 10-digit primes
+    come out in the order of their values.  The order key of a value is
+    floor(x * 2^64), the size of x plus 64 bits.  A key written over one
+    common denominator of the grid would be exact too, but that lcm is
+    the product of all these primes, about 3,000 digits here and
+    100,000 digits for 10^4 such t's, and every key would carry it."""
+    import random
+
+    rng = random.Random(38)
+    primes, p = [], 10**9
+    while len(primes) < 300:
+        p += 1
+        if _is_prime(p):
+            primes.append(p)
+    ts = [Fraction(rng.randrange(1, 10 * q), q) for q in primes]
+    assert len(set(ts)) == 300
+    s_values = (Fraction(-1, 3), 0, Fraction(7, 5))
+    grid = [(s, t) for t in ts for s in s_values]
+    rng.shuffle(grid)
+    rows = question_scan(formal_complex(K3, {0: line_bundle(1)}), grid)
+    assert [(row.s, row.t) for row in rows] == sorted((Fraction(s), t) for s, t in grid)
